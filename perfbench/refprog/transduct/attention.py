@@ -1,0 +1,328 @@
+"""Attention-based reference model for transductive classification.
+
+Three executable facts motivate using a next-token predictor for label
+propagation, and this module makes each of them checkable:
+
+1. Scaled dot-product attention ``softmax(QK^T / s) V`` with unit-norm
+   reference features as keys, one-hot labels as values, and the unit-norm
+   test feature as the query tends to the cosine nearest-neighbor
+   classifier as the scale ``s`` shrinks.
+2. Self-attention over feature-label concatenations (known rows carry
+   their one-hot label, the test row a zero label block) yields the same
+   label vector for the test row: its zero label block means only
+   features enter its similarities.
+3. Iterating self-attention performs clustering steps on the feature-label
+   rows, converging after finitely many layers on well-separated data.
+
+This module is also the "local-attention" completion backend: it answers
+prompts offline and deterministically.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .core import FeatureVector, ReferenceSet
+from .errors import ContractError, DegenerateInputError, NumericError
+
+
+@dataclass(frozen=True)
+class AttentionConfig:
+    """Parameters of the attention reference model.
+
+    ``scale_s`` is the softmax temperature; small values sharpen the
+    attention toward the single nearest neighbor. ``strict_setup2``
+    restricts self-attention similarities to the feature block, which makes
+    the iterated dynamics ignore label-label interactions between known rows.
+    """
+
+    scale_s: float = 1e-6
+    layers_L: int = 1
+    convergence_tol: float = 1e-8
+    max_layers: int = 256
+    strict_setup2: bool = False
+
+    def __post_init__(self):
+        if self.scale_s <= 0:
+            raise ContractError(f"scale_s must be positive, got {self.scale_s}")
+        if self.convergence_tol <= 0:
+            raise ContractError("convergence_tol must be positive")
+        if self.layers_L < 1 or self.max_layers < 1:
+            raise ContractError("layer counts must be >= 1")
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
+    """softmax(Q K^T / s) V with row-wise, max-subtracted softmax."""
+    Q, K, V = np.atleast_2d(np.asarray(Q, float)), np.atleast_2d(np.asarray(K, float)), np.atleast_2d(np.asarray(V, float))
+    if s <= 0:
+        raise ContractError(f"scale must be positive, got {s}")
+    if Q.shape[1] != K.shape[1]:
+        raise ContractError(f"Q columns {Q.shape[1]} != K columns {K.shape[1]}")
+    if K.shape[0] != V.shape[0]:
+        raise ContractError(f"K rows {K.shape[0]} != V rows {V.shape[0]}")
+    weights = _softmax_rows(Q @ K.T / s)
+    out = weights @ V
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite attention output")
+    return out
+
+
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(matrix, axis=1)
+    for i, n in enumerate(norms):
+        if n == 0.0:
+            raise DegenerateInputError(f"zero-norm feature at index {i}", index=i)
+    return matrix / norms[:, None]
+
+
+def nn_attention_classify(
+    ref: ReferenceSet, f_test: FeatureVector, s: float = 1e-6
+) -> np.ndarray:
+    """Class distribution from attention over the reference set.
+
+    Keys are the unit-normalized reference features, values their one-hot
+    labels, the query the unit-normalized test feature. For small ``s``
+    the argmax coincides with the cosine nearest neighbor's label.
+    """
+    if len(f_test) != ref.dimension:
+        raise ContractError(
+            f"test dimension {len(f_test)} != reference dimension {ref.dimension}"
+        )
+    K = _unit_rows(ref.feature_matrix())
+    V = ref.one_hot_labels()
+    q = f_test.as_array()
+    norm = np.linalg.norm(q)
+    if norm == 0.0:
+        raise DegenerateInputError("zero-norm test feature")
+    return attention(q[None, :] / norm, K, V, s)[0]
+
+
+@dataclass(frozen=True)
+class FeatureLabelMatrix:
+    """(m+1) rows of [unit feature || label block]; the last row is the test
+    sample with an all-zero label block."""
+
+    rows: np.ndarray
+    feature_dim: int
+    class_count: int
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, float)
+        if rows.ndim != 2 or rows.shape[1] != self.feature_dim + self.class_count:
+            raise ContractError("rows must be (m+1) x (feature_dim + class_count)")
+        if rows.shape[0] < 2:
+            raise ContractError("need at least one known row plus the test row")
+        feats = rows[:, : self.feature_dim]
+        norms = np.linalg.norm(feats, axis=1)
+        if not np.allclose(norms, 1.0, atol=1e-9):
+            raise ContractError("feature blocks must be unit-normalized")
+        labels = rows[:, self.feature_dim :]
+        if not np.allclose(labels[-1], 0.0):
+            raise ContractError("test row's label block must be all zeros")
+        for i, row in enumerate(labels[:-1]):
+            if not (np.isclose(row.sum(), 1.0) and np.all((np.isclose(row, 0) | np.isclose(row, 1)))):
+                raise ContractError(f"known row {i} label block is not one-hot")
+
+    @classmethod
+    def from_reference(cls, ref: ReferenceSet, f_test: FeatureVector) -> "FeatureLabelMatrix":
+        feats = _unit_rows(np.vstack([ref.feature_matrix(), f_test.as_array()]))
+        labels = np.vstack([ref.one_hot_labels(), np.zeros(ref.class_count)])
+        return cls(np.hstack([feats, labels]), ref.dimension, ref.class_count)
+
+    @property
+    def known_count(self) -> int:
+        return self.rows.shape[0] - 1
+
+
+def self_attention_classify(
+    M: FeatureLabelMatrix, s: float = 1e-6, strict_setup2: bool = False
+) -> np.ndarray:
+    """Label block of the test row after one self-attention layer.
+
+    The test row attends over the known rows (its own zero label block is
+    not a label candidate). Because that block is zero, its similarities to
+    known rows involve only the feature blocks, so the result matches
+    :func:`nn_attention_classify` on the same data; ``strict_setup2``
+    makes the feature-only similarity explicit.
+    """
+    rows = np.asarray(M.rows, float)
+    known, test = rows[:-1], rows[-1]
+    if strict_setup2:
+        logits = test[: M.feature_dim] @ known[:, : M.feature_dim].T
+    else:
+        logits = test @ known.T
+    weights = _softmax_rows(logits[None, :] / s)[0]
+    out = weights @ known[:, M.feature_dim :]
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite self-attention output")
+    return out
+
+
+def iterate_self_attention(
+    M: FeatureLabelMatrix, cfg: AttentionConfig
+) -> tuple[list[np.ndarray], Optional[int]]:
+    """Repeated full self-attention over all rows (clustering dynamics).
+
+    Returns the per-layer outputs M_1..M_L and the 1-based layer index at
+    which the infinity-norm step change first dropped below
+    ``cfg.convergence_tol`` (None if ``cfg.max_layers`` was hit first).
+    """
+    current = np.asarray(M.rows, float)
+    outputs: list[np.ndarray] = []
+    converged_at = None
+    for layer in range(1, cfg.max_layers + 1):
+        if cfg.strict_setup2:
+            logits = current[:, : M.feature_dim] @ current[:, : M.feature_dim].T
+        else:
+            logits = current @ current.T
+        weights = _softmax_rows(logits / cfg.scale_s)
+        nxt = weights @ current
+        if not np.all(np.isfinite(nxt)):
+            raise NumericError("non-finite iterate", layer=layer)
+        outputs.append(nxt)
+        if np.abs(nxt - current).max() < cfg.convergence_tol:
+            converged_at = layer
+            break
+        current = nxt
+    return outputs, converged_at
+
+
+def cosine_1nn_label(ref: ReferenceSet, f_test: FeatureVector) -> int:
+    """Label of the reference sample with the highest cosine similarity.
+
+    Ties go to the lowest sample index (stable argmax).
+    """
+    K = _unit_rows(ref.feature_matrix())
+    q = f_test.as_array()
+    norm = np.linalg.norm(q)
+    if norm == 0.0:
+        raise DegenerateInputError("zero-norm test feature")
+    sims = K @ (q / norm)
+    return int(ref.labels[int(np.argmax(sims))])
+
+
+# ---------------------------------------------------------------------------
+# Property suites (the `oracle-check` CLI subcommand)
+# ---------------------------------------------------------------------------
+
+
+def _random_instance(rng: np.random.Generator):
+    m = int(rng.integers(5, 51))
+    d = int(rng.integers(2, 17))
+    c = int(rng.integers(2, 5))
+    feats = rng.normal(size=(m, d))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    labels = rng.integers(0, c, size=m)
+    labels[: c] = np.arange(c)  # every class populated
+    ref = ReferenceSet.build(feats, labels, c)
+    f_test = FeatureVector.of(rng.normal(size=d))
+    return ref, f_test
+
+
+def _has_cosine_tie(ref: ReferenceSet, f_test: FeatureVector, tol: float = 1e-9) -> bool:
+    K = _unit_rows(ref.feature_matrix())
+    q = f_test.as_array()
+    sims = np.sort(K @ (q / np.linalg.norm(q)))
+    return bool(sims[-1] - sims[-2] < tol) if len(sims) > 1 else False
+
+
+def nn_limit_suite(trials: int = 1000, s: float = 1e-6, seed: int = 0) -> dict:
+    """Attention argmax vs cosine-1NN over random instances (tie cases skipped)."""
+    rng = np.random.default_rng(seed)
+    checked = agreements = skipped = 0
+    while checked < trials:
+        ref, f_test = _random_instance(rng)
+        if _has_cosine_tie(ref, f_test):
+            skipped += 1
+            continue
+        checked += 1
+        pred = int(np.argmax(nn_attention_classify(ref, f_test, s)))
+        if pred == cosine_1nn_label(ref, f_test):
+            agreements += 1
+    return {"trials": checked, "agreements": agreements, "skipped_ties": skipped}
+
+
+def setup_equivalence_suite(trials: int = 100, s: float = 1e-6, seed: int = 1) -> dict:
+    """Self-attention vs plain attention classification on random instances."""
+    rng = np.random.default_rng(seed)
+    max_diff = 0.0
+    argmax_agreements = 0
+    for _ in range(trials):
+        ref, f_test = _random_instance(rng)
+        setup1 = nn_attention_classify(ref, f_test, s)
+        M = FeatureLabelMatrix.from_reference(ref, f_test)
+        strict = self_attention_classify(M, s, strict_setup2=True)
+        literal = self_attention_classify(M, s, strict_setup2=False)
+        max_diff = max(max_diff, float(np.abs(strict - setup1).max()))
+        if int(np.argmax(literal)) == int(np.argmax(setup1)):
+            argmax_agreements += 1
+    return {"trials": trials, "max_elementwise_diff": max_diff, "argmax_agreements": argmax_agreements}
+
+
+def two_cluster_fixture(seed: int = 0, per_cluster: int = 5, spread: float = 0.02) -> FeatureLabelMatrix:
+    """Two orthogonal feature clusters; the test row belongs to the second."""
+    rng = np.random.default_rng(seed)
+    d, c = 4, 2
+    rows = []
+    for axis, label, count in ((0, 0, per_cluster), (1, 1, per_cluster - 1)):
+        for _ in range(count):
+            f = np.zeros(d)
+            f[axis] = 1.0
+            f = f + spread * rng.normal(size=d)
+            f /= np.linalg.norm(f)
+            one_hot = np.zeros(c)
+            one_hot[label] = 1.0
+            rows.append(np.r_[f, one_hot])
+    f = np.zeros(d)
+    f[1] = 1.0
+    f = f + spread * rng.normal(size=d)
+    f /= np.linalg.norm(f)
+    rows.append(np.r_[f, np.zeros(c)])
+    return FeatureLabelMatrix(np.array(rows), d, c)
+
+
+def cluster_separation(final: np.ndarray, cluster_a: Sequence[int], cluster_b: Sequence[int]) -> tuple[float, float]:
+    """(max intra-cluster distance, min inter-cluster distance) of the rows."""
+    intra = 0.0
+    for group in (cluster_a, cluster_b):
+        for i_pos, i in enumerate(group):
+            for j in group[i_pos + 1 :]:
+                intra = max(intra, float(np.linalg.norm(final[i] - final[j])))
+    inter = min(
+        float(np.linalg.norm(final[i] - final[j])) for i in cluster_a for j in cluster_b
+    )
+    return intra, inter
+
+
+def clustering_suite(trials: int = 20, s: float = 0.05, seed: int = 2) -> dict:
+    """Iterated self-attention on two-cluster fixtures: convergence + separation."""
+    histogram: dict[int, int] = {}
+    separated = 0
+    cfg = AttentionConfig(scale_s=s)
+    for t in range(trials):
+        M = two_cluster_fixture(seed=seed + t)
+        outputs, converged_at = iterate_self_attention(M, cfg)
+        key = int(converged_at) if converged_at is not None else -1
+        histogram[key] = histogram.get(key, 0) + 1
+        intra, inter = cluster_separation(outputs[-1], list(range(5)), list(range(5, 10)))
+        if intra < inter:
+            separated += 1
+    return {"trials": trials, "converged_at_histogram": histogram, "separated": separated}
+
+
+def property_report(trials: int = 1000, s: float = 1e-6, seed: int = 0) -> dict:
+    """Full report backing the `oracle-check` CLI subcommand."""
+    return {
+        "nn_limit": nn_limit_suite(trials=trials, s=s, seed=seed),
+        "setup_equivalence": setup_equivalence_suite(trials=min(trials, 100), s=s, seed=seed + 1),
+        "clustering": clustering_suite(seed=seed + 2),
+    }

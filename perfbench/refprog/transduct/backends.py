@@ -1,0 +1,326 @@
+"""Completion backends: remote OpenAI-compatible endpoint, local attention
+model, and a scripted mock.
+
+All three expose ``complete(CompletionRequest) -> CompletionResponse`` so
+the classification path is backend-agnostic. The remote backend adds
+retry with exponential backoff (429/5xx/timeouts), a rolling-minute rate
+limiter, and a per-run request budget; clock and sleep are injectable so
+those behaviors are testable without waiting.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import time
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Any, Callable, Literal, Mapping, Optional
+
+from .attention import AttentionConfig, nn_attention_classify
+from .baselines import KnnConfig, knn_classify
+from .core import FeatureVector, ReferenceSet, argmax_index
+from .errors import (
+    CompletionParseError,
+    ContractError,
+    CredentialError,
+    RequestBudgetError,
+    TransportError,
+)
+from .prompt import PromptBundle, SerializationConfig, build_bundle, parse_completion, parse_prompt
+from .selection import SelectionPlan
+
+BackendKind = Literal["remote", "local-attention", "mock"]
+
+
+@dataclass(frozen=True)
+class CompletionRequest:
+    prompt: str
+    max_tokens: int = 4
+    temperature: float = 0.0
+    model_name: str = "text-davinci-003"
+
+    def __post_init__(self):
+        if not self.prompt:
+            raise ContractError("prompt must be non-empty")
+        if self.max_tokens < 1:
+            raise ContractError("max_tokens must be >= 1")
+        if self.temperature < 0:
+            raise ContractError("temperature must be >= 0")
+
+
+@dataclass(frozen=True)
+class CompletionResponse:
+    text: str
+    latency_ms: int
+    backend_id: str
+    raw: Any = None
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    max_attempts: int = 3
+    base_backoff_ms: int = 500
+
+
+@dataclass(frozen=True)
+class BackendConfig:
+    kind: BackendKind = "mock"
+    endpoint_url: Optional[str] = None
+    api_key_env: str = "OPENAI_API_KEY"
+    model_name: str = "text-davinci-003"
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    rate_limit_rpm: int = 60
+    request_budget: int = 500
+    local: AttentionConfig = field(default_factory=AttentionConfig)
+    mock_fixtures: Optional[Mapping[str, Any]] = None  # prompt hash -> text or list of texts
+    mock_default: Optional[str] = None
+
+    def __post_init__(self):
+        if self.kind not in ("remote", "local-attention", "mock"):
+            raise ContractError(f"unknown backend kind {self.kind!r}")
+        if self.kind == "remote" and (not self.endpoint_url or not self.api_key_env):
+            raise ContractError("remote backend requires endpoint_url and api_key_env")
+
+
+def prompt_hash(prompt: str) -> str:
+    return hashlib.sha256(prompt.encode()).hexdigest()
+
+
+class RateLimiter:
+    """Admits at most ``rpm`` requests per rolling 60-second window."""
+
+    def __init__(self, rpm: int, clock: Callable[[], float] = time.monotonic, sleep: Callable[[float], None] = time.sleep):
+        if rpm < 1:
+            raise ContractError("rate limit must be >= 1 rpm")
+        self.rpm = rpm
+        self._clock = clock
+        self._sleep = sleep
+        self._window: deque[float] = deque()
+
+    def acquire(self) -> None:
+        now = self._clock()
+        while self._window and now - self._window[0] >= 60.0:
+            self._window.popleft()
+        if len(self._window) >= self.rpm:
+            self._sleep(60.0 - (now - self._window[0]))
+            now = self._clock()
+            while self._window and now - self._window[0] >= 60.0:
+                self._window.popleft()
+        self._window.append(now)
+
+
+class MockBackend:
+    """Scripted completions keyed by SHA-256 of the prompt.
+
+    A fixture value may be a single string or a list consumed in order
+    (the last entry repeats once exhausted).
+    """
+
+    backend_id = "mock"
+
+    def __init__(self, cfg: BackendConfig):
+        self._fixtures = {k: list(v) if isinstance(v, (list, tuple)) else [v] for k, v in (cfg.mock_fixtures or {}).items()}
+        self._cursor: dict[str, int] = {}
+        self._default = cfg.mock_default
+
+    def complete(self, req: CompletionRequest) -> CompletionResponse:
+        key = prompt_hash(req.prompt)
+        if key in self._fixtures:
+            responses = self._fixtures[key]
+            i = self._cursor.get(key, 0)
+            text = responses[min(i, len(responses) - 1)]
+            self._cursor[key] = i + 1
+        elif self._default is not None:
+            text = self._default
+        else:
+            raise TransportError(f"no mock fixture for prompt hash {key}")
+        return CompletionResponse(text=text, latency_ms=0, backend_id=self.backend_id, raw={"hash": key})
+
+
+class LocalAttentionBackend:
+    """Answers prompts offline by re-parsing them and running the attention
+    reference model (cosine nearest neighbor in the small-scale limit)."""
+
+    backend_id = "local-attention"
+
+    def __init__(self, cfg: BackendConfig):
+        self._attn = cfg.local
+
+    def complete(self, req: CompletionRequest) -> CompletionResponse:
+        ref, f_test = parse_prompt(req.prompt)  # raises GrammarError on mismatch
+        probs = nn_attention_classify(ref, f_test, self._attn.scale_s)
+        label = argmax_index(list(probs))
+        return CompletionResponse(
+            text=f" {label}",
+            latency_ms=0,
+            backend_id=self.backend_id,
+            raw={"class_probs": [float(p) for p in probs]},
+        )
+
+
+def _requests_transport(url: str, headers: dict, payload: dict, timeout: float = 30.0):
+    import requests
+
+    try:
+        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
+    except requests.RequestException as exc:
+        raise TimeoutError(str(exc)) from exc
+    return resp.status_code, resp.json() if resp.content else {}
+
+
+class RemoteBackend:
+    """OpenAI-compatible completions client.
+
+    Wire format: POST {model, prompt, max_tokens, temperature}; the reply
+    is read from ``choices[0].text``. 401/403 fail immediately; 429/5xx
+    and timeouts are retried with exponential backoff.
+    """
+
+    backend_id = "remote"
+
+    def __init__(
+        self,
+        cfg: BackendConfig,
+        transport: Optional[Callable] = None,
+        clock: Callable[[], float] = time.monotonic,
+        sleep: Callable[[float], None] = time.sleep,
+        env: Optional[Mapping[str, str]] = None,
+    ):
+        import os
+
+        self._cfg = cfg
+        self._transport = transport or _requests_transport
+        self._clock = clock
+        self._sleep = sleep
+        self._limiter = RateLimiter(cfg.rate_limit_rpm, clock=clock, sleep=sleep)
+        self._requests_made = 0
+        environ = env if env is not None else os.environ
+        self._api_key = environ.get(cfg.api_key_env)
+
+    def complete(self, req: CompletionRequest) -> CompletionResponse:
+        if self._api_key is None:
+            raise CredentialError(
+                f"environment variable {self._cfg.api_key_env} is not set"
+            )
+        if self._requests_made >= self._cfg.request_budget:
+            raise RequestBudgetError(
+                f"request budget of {self._cfg.request_budget} exhausted"
+            )
+        payload = {
+            "model": req.model_name,
+            "prompt": req.prompt,
+            "max_tokens": req.max_tokens,
+            "temperature": req.temperature,
+        }
+        headers = {
+            "Authorization": f"Bearer {self._api_key}",
+            "Content-Type": "application/json",
+        }
+        last_error = "no attempts made"
+        for attempt in range(1, self._cfg.retry.max_attempts + 1):
+            self._limiter.acquire()
+            self._requests_made += 1
+            start = self._clock()
+            try:
+                status, body = self._transport(self._cfg.endpoint_url, headers, payload)
+            except (TimeoutError, ConnectionError) as exc:
+                status, body = None, None
+                last_error = f"transport failure: {exc}"
+            if status is not None:
+                if status in (401, 403):
+                    raise CredentialError(f"authentication failed with HTTP {status}")
+                if status == 200:
+                    try:
+                        text = body["choices"][0]["text"]
+                    except (KeyError, IndexError, TypeError):
+                        raise TransportError(f"malformed completion payload: {body!r}")
+                    latency = int((self._clock() - start) * 1000)
+                    return CompletionResponse(text=text, latency_ms=latency, backend_id=self.backend_id, raw=body)
+                if status == 429 or status >= 500:
+                    last_error = f"HTTP {status}"
+                else:
+                    raise TransportError(f"unexpected HTTP status {status}: {body!r}")
+            if attempt < self._cfg.retry.max_attempts:
+                self._sleep(self._cfg.retry.base_backoff_ms * 2 ** (attempt - 1) / 1000.0)
+        raise TransportError(
+            f"retries exhausted after {self._cfg.retry.max_attempts} attempts ({last_error})"
+        )
+
+
+def make_backend(cfg: BackendConfig, **remote_kwargs):
+    if cfg.kind == "mock":
+        return MockBackend(cfg)
+    if cfg.kind == "local-attention":
+        return LocalAttentionBackend(cfg)
+    return RemoteBackend(cfg, **remote_kwargs)
+
+
+def complete(req: CompletionRequest, cfg: BackendConfig) -> CompletionResponse:
+    """One-shot completion through a freshly constructed backend."""
+    return make_backend(cfg).complete(req)
+
+
+@dataclass(frozen=True)
+class ClassifyAudit:
+    """Everything needed to audit one classification after the fact."""
+
+    prompt: str
+    completions: tuple[str, ...]
+    label: int
+    fallback: bool
+    backend_id: str
+    token_estimate: int
+
+    def to_dict(self) -> dict:
+        return {
+            "prompt": self.prompt,
+            "completions": list(self.completions),
+            "label": self.label,
+            "fallback": self.fallback,
+            "backend_id": self.backend_id,
+            "token_estimate": self.token_estimate,
+        }
+
+
+def classify(
+    ref: ReferenceSet,
+    f_test: FeatureVector,
+    plan: SelectionPlan,
+    backend,
+    ser: SerializationConfig = SerializationConfig(),
+    model_name: str = "text-davinci-003",
+    max_tokens: int = 4,
+) -> tuple[int, ClassifyAudit]:
+    """Prompt-based classification of one test sample.
+
+    On an unparseable or out-of-range completion the backend is asked once
+    more with a larger max_tokens; if that also fails, the cosine-1NN label
+    over the plan's selected samples is used and the fallback flag set.
+    """
+    bundle: PromptBundle = build_bundle(ref, f_test, plan, ser)
+    completions: list[str] = []
+    label = None
+    fallback = False
+    for tokens in (max_tokens, max_tokens + 4):
+        resp = backend.complete(
+            CompletionRequest(bundle.prompt, max_tokens=tokens, model_name=model_name)
+        )
+        completions.append(resp.text)
+        try:
+            label = parse_completion(resp.text, ref.class_count)
+            break
+        except CompletionParseError:
+            continue
+    if label is None:
+        selected = ref.subset(list(plan.ordered_indices))
+        label = knn_classify(selected, f_test, KnnConfig(k_neighbors=1, metric="cosine"))
+        fallback = True
+    audit = ClassifyAudit(
+        prompt=bundle.prompt,
+        completions=tuple(completions),
+        label=label,
+        fallback=fallback,
+        backend_id=getattr(backend, "backend_id", "unknown"),
+        token_estimate=bundle.token_estimate,
+    )
+    return label, audit

@@ -1,0 +1,331 @@
+"""Command-line interface.
+
+Subcommands: ``plan`` (selection-plan JSON), ``prompt`` (render a prompt),
+``infer`` (per-sample predictions JSONL with audit records), ``evaluate``
+(metrics report JSON), ``oracle-check`` (attention property suites), and
+``gen-toy`` (seeded toy datasets in the canonical CSV layout).
+
+A JSON config file (``--config``) may supply defaults for any flag;
+explicit flags win. The remote API key is only ever read from the
+environment variable named by ``--api-key-env``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from . import __version__
+from .attention import AttentionConfig, property_report
+from .backends import BackendConfig, RetryPolicy, make_backend, classify
+from .baselines import KnnConfig, UbKnnConfig
+from .core import (
+    IngestionSchema,
+    LabeledDataset,
+    ReferenceSet,
+    load_dataset,
+    load_feature_rows,
+    save_dataset,
+)
+from .errors import (
+    CredentialError,
+    RequestBudgetError,
+    TransductError,
+    TransportError,
+)
+from .prompt import SerializationConfig, build_bundle
+from .selection import build_plan
+from .toydata import generate, split_dataset
+from .workflow import (
+    RunConfig,
+    run_accuracy_improvement,
+    run_error_detection,
+)
+
+
+def _add_data_args(p):
+    p.add_argument("--data", help="dataset file with a val/test split column")
+    p.add_argument("--val", help="file whose rows are all reference (val) samples")
+    p.add_argument("--test", help="file whose rows are all test samples")
+    p.add_argument("--probability", action="store_true", help="validate features as probability vectors")
+    p.add_argument("--class-count", type=int, default=None)
+
+
+def _load_data(args) -> LabeledDataset:
+    schema = IngestionSchema(is_probability=args.probability, class_count=args.class_count)
+    if args.data:
+        return load_dataset(args.data, schema)
+    if not args.val:
+        raise TransductError("provide --data or --val (optionally with --test)")
+    row_schema = IngestionSchema(
+        is_probability=args.probability, class_count=args.class_count, default_split="val"
+    )
+    val_feats, val_labels = load_feature_rows(args.val, row_schema)
+    if any(y is None for y in val_labels):
+        raise TransductError(f"{args.val}: every reference row needs a label")
+    test_feats: list = []
+    test_labels: list = []
+    if args.test:
+        test_feats, test_labels = load_feature_rows(args.test, row_schema)
+    observed = [y for y in val_labels + test_labels if y is not None]
+    class_count = args.class_count or max(max(observed) + 1, 2)
+    reference = ReferenceSet.build(val_feats, val_labels, class_count)
+    have_labels = test_labels and all(y is not None for y in test_labels)
+    return LabeledDataset(
+        reference,
+        tuple(test_feats),
+        tuple(int(y) for y in test_labels) if have_labels else None,
+    )
+
+
+def _add_backend_args(p):
+    p.add_argument("--backend", choices=["mock", "local", "remote"], default="local")
+    p.add_argument("--endpoint", help="remote completions URL")
+    p.add_argument("--model", default="text-davinci-003")
+    p.add_argument("--api-key-env", default="OPENAI_API_KEY")
+    p.add_argument("--rpm", type=int, default=60, help="requests per minute cap")
+    p.add_argument("--budget", type=int, default=500, help="per-run request budget")
+    p.add_argument("--max-attempts", type=int, default=3)
+    p.add_argument("--base-backoff-ms", type=int, default=500)
+    p.add_argument("--s", type=float, default=1e-6, help="attention scale for the local backend")
+    p.add_argument("--mock-fixtures", help="JSON file: prompt sha256 -> completion text(s)")
+    p.add_argument("--mock-default", help="mock completion for unknown prompts")
+
+
+def _backend_config(args) -> BackendConfig:
+    kind = {"mock": "mock", "local": "local-attention", "remote": "remote"}[args.backend]
+    fixtures = None
+    if args.mock_fixtures:
+        fixtures = json.loads(Path(args.mock_fixtures).read_text())
+    return BackendConfig(
+        kind=kind,
+        endpoint_url=args.endpoint,
+        api_key_env=args.api_key_env,
+        model_name=args.model,
+        retry=RetryPolicy(args.max_attempts, args.base_backoff_ms),
+        rate_limit_rpm=args.rpm,
+        request_budget=args.budget,
+        local=AttentionConfig(scale_s=args.s),
+        mock_fixtures=fixtures,
+        mock_default=args.mock_default,
+    )
+
+
+def _add_selection_args(p):
+    p.add_argument("--ratio", type=float, default=0.25, help="selection ratio (k = floor(ratio * m))")
+    interleave = p.add_mutually_exclusive_group()
+    interleave.add_argument("--interleave", dest="interleave", action="store_true", default=True)
+    interleave.add_argument("--no-interleave", dest="interleave", action="store_false")
+    p.add_argument("--decimals", type=int, default=2)
+    p.add_argument("--token-budget", type=int, default=4000)
+
+
+def _write_json(payload, out: str | None):
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if out and out != "-":
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _cmd_plan(args) -> int:
+    ds = _load_data(args)
+    plan = build_plan(ds.reference, args.ratio, args.interleave)
+    _write_json(
+        {
+            "k": plan.k,
+            "ordered_indices": list(plan.ordered_indices),
+            "rep_scores": list(plan.rep_scores),
+        },
+        args.out,
+    )
+    return 0
+
+
+def _cmd_prompt(args) -> int:
+    ds = _load_data(args)
+    ser = SerializationConfig(decimals=args.decimals, token_budget=args.token_budget)
+    plan = build_plan(ds.reference, args.ratio, args.interleave)
+    if not ds.test_features:
+        raise TransductError("dataset has no test rows to prompt for")
+    f_test = ds.test_features[args.test_index]
+    bundle = build_bundle(ds.reference, f_test, plan, ser)
+    if args.out_dir:
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "part1.txt").write_text(bundle.part1)
+        (out / "part2.txt").write_text(bundle.part2)
+        sys.stdout.write(f"wrote part1.txt and part2.txt to {out} (~{bundle.token_estimate} tokens)\n")
+    else:
+        sys.stdout.write(bundle.prompt)
+    return 0
+
+
+def _cmd_infer(args) -> int:
+    ds = _load_data(args)
+    ser = SerializationConfig(decimals=args.decimals, token_budget=args.token_budget)
+    plan = build_plan(ds.reference, args.ratio, args.interleave)
+    backend = make_backend(_backend_config(args))
+    records = []
+    for i, f_test in enumerate(ds.test_features):
+        label, audit = classify(ds.reference, f_test, plan, backend, ser, model_name=args.model)
+        record = {"index": i, **audit.to_dict()}
+        records.append(record)
+    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    if args.out and args.out != "-":
+        Path(args.out).write_text(lines)
+    else:
+        sys.stdout.write(lines)
+    return 0
+
+
+def _cmd_evaluate(args) -> int:
+    ds = _load_data(args)
+    if ds.test_labels is None:
+        raise TransductError("evaluate requires labeled test rows")
+    cfg = RunConfig(
+        method=args.method,
+        selection_ratio=args.ratio,
+        interleave_by_class=args.interleave,
+        positive_class=args.positive_class,
+        backend=_backend_config(args),
+        serialization=SerializationConfig(decimals=args.decimals, token_budget=args.token_budget),
+        knn=KnnConfig(k_neighbors=args.k, metric=args.metric),
+        ubknn=UbKnnConfig(KnnConfig(k_neighbors=args.k, metric=args.metric), args.bags, args.seed),
+    )
+    val_probs = list(ds.reference.features)
+    val_true = list(ds.reference.labels)
+    test_probs = list(ds.test_features)
+    test_true = list(ds.test_labels)
+    if args.use_case == "error_detection":
+        report = run_error_detection(val_probs, val_true, test_probs, test_true, cfg)
+        payload = {"use_case": args.use_case, "method": args.method, "report": report.to_dict()}
+    else:
+        report, base = run_accuracy_improvement(
+            val_probs, val_true, test_probs, test_true, cfg, class_count=ds.reference.class_count
+        )
+        payload = {
+            "use_case": args.use_case,
+            "method": args.method,
+            "report": report.to_dict(),
+            "base_classifier": base.to_dict(),
+        }
+    _write_json(payload, args.report)
+    return 0
+
+
+def _cmd_oracle_check(args) -> int:
+    report = property_report(trials=args.trials, s=args.s, seed=args.seed)
+    _write_json(report, args.out)
+    return 0
+
+
+def _cmd_gen_toy(args) -> int:
+    features, labels = generate(
+        args.dataset, n=args.n, noise=args.noise, seed=args.seed,
+        equalize_norms=not args.no_equalize_norms,
+    )
+    ds = split_dataset(features, labels, class_count=2, reference_fraction=args.reference_fraction)
+    save_dataset(ds, args.out)
+    sys.stdout.write(
+        f"wrote {args.n} rows ({ds.reference.size} val / {len(ds.test_features)} test) to {args.out}\n"
+    )
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="transduct",
+        description="Transductive label propagation from a labeled reference set.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("plan", help="emit the selection plan as JSON")
+    _add_data_args(p)
+    _add_selection_args(p)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_plan)
+
+    p = sub.add_parser("prompt", help="render the two-part prompt for one test sample")
+    _add_data_args(p)
+    _add_selection_args(p)
+    p.add_argument("--test-index", type=int, default=0)
+    p.add_argument("--out-dir", help="write part1.txt/part2.txt here instead of stdout")
+    p.set_defaults(func=_cmd_prompt)
+
+    p = sub.add_parser("infer", help="classify every test sample, JSONL with audit records")
+    _add_data_args(p)
+    _add_selection_args(p)
+    _add_backend_args(p)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_infer)
+
+    p = sub.add_parser("evaluate", help="run a use-case pipeline and report metrics")
+    _add_data_args(p)
+    _add_selection_args(p)
+    _add_backend_args(p)
+    p.add_argument("--use-case", choices=["error_detection", "accuracy_improvement"], required=True)
+    p.add_argument("--method", choices=["prompt", "knn", "ubknn"], default="prompt")
+    p.add_argument("--positive-class", type=int, default=1)
+    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--metric", choices=["cosine", "euclidean"], default="cosine")
+    p.add_argument("--bags", type=int, default=11)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--report", default="-")
+    p.set_defaults(func=_cmd_evaluate)
+
+    p = sub.add_parser("oracle-check", help="run the attention property suites")
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--s", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default="-")
+    p.set_defaults(func=_cmd_oracle_check)
+
+    p = sub.add_parser("gen-toy", help="generate a seeded toy dataset CSV")
+    p.add_argument("--dataset", choices=["moons", "circles"], required=True)
+    p.add_argument("--n", type=int, default=200)
+    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reference-fraction", type=float, default=0.5)
+    p.add_argument(
+        "--no-equalize-norms",
+        action="store_true",
+        help="skip the norm-equalizing third coordinate",
+    )
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_gen_toy)
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        defaults = json.loads(Path(args.config).read_text())
+        parser.set_defaults(**defaults)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    known = {a.dest for a in sub._actions}
+                    sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+        args = parser.parse_args(argv)  # reparse so explicit flags still win
+    try:
+        return args.func(args)
+    except (CredentialError, TransportError, RequestBudgetError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except TransductError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+
+
+def entry() -> None:
+    raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,0 +1,189 @@
+"""Two-part prompt serialization and completion parsing.
+
+Grammar (one line per sample)::
+
+    line   := "[" number (", " number)* "] is in class" (" " int)? "\\n"
+
+Part 1 holds the planned reference samples, one labeled line each, in plan
+order. Part 2 is a single unlabeled line for the test sample ending in the
+completion cue ``is in class``. Floats are rendered with a fixed number of
+fractional digits (round-half-to-even) so identical inputs always yield
+byte-identical prompts.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+from dataclasses import dataclass
+
+from .core import FeatureVector, ReferenceSet
+from .errors import (
+    CompletionParseError,
+    ContractError,
+    GrammarError,
+    LabelOutOfRangeError,
+    TokenBudgetError,
+)
+from .selection import SelectionPlan
+
+LABEL_CUE = "is in class"
+
+_PART1_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class (?P<label>\d+)$")
+_PART2_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class$")
+
+
+@dataclass(frozen=True)
+class SerializationConfig:
+    """Rendering precision and token budgeting for prompts."""
+
+    decimals: int = 2
+    token_budget: int = 4000
+    chars_per_token: float = 4.0
+
+    def __post_init__(self):
+        if self.decimals < 1:
+            raise ContractError(f"decimals must be >= 1, got {self.decimals}")
+        if self.token_budget <= 0:
+            raise ContractError(f"token_budget must be positive, got {self.token_budget}")
+        if self.chars_per_token <= 0:
+            raise ContractError("chars_per_token must be positive")
+
+    def estimate_tokens(self, text: str) -> int:
+        return math.ceil(len(text) / self.chars_per_token)
+
+
+@dataclass(frozen=True)
+class PromptBundle:
+    """A complete prompt: labeled reference lines plus the test cue line."""
+
+    part1: str
+    part2: str
+    plan: SelectionPlan
+    token_estimate: int
+
+    @property
+    def prompt(self) -> str:
+        return self.part1 + self.part2
+
+
+def render_feature(f: FeatureVector, cfg: SerializationConfig = SerializationConfig()) -> str:
+    """Array-like text form, e.g. ``[0.50, 0.25]`` at decimals=2."""
+    body = ", ".join(format(v, f".{cfg.decimals}f") for v in f.values)
+    return f"[{body}]"
+
+
+def _part1_line(f: FeatureVector, label: int, cfg: SerializationConfig) -> str:
+    return f"{render_feature(f, cfg)} {LABEL_CUE} {label}\n"
+
+
+def _max_feasible_k(line_lengths: list[float], budget_chars: float) -> int:
+    # keep the tail of the plan (most representative samples) intact
+    total = 0.0
+    feasible = 0
+    for length in reversed(line_lengths):
+        if total + length > budget_chars:
+            break
+        total += length
+        feasible += 1
+    return feasible
+
+
+def build_part1(
+    ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig = SerializationConfig()
+) -> str:
+    """Labeled reference lines in plan order, most representative last."""
+    for i in plan.ordered_indices:
+        if not 0 <= i < ref.size:
+            raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
+    lines = [
+        _part1_line(ref.features[i], ref.labels[i], cfg) for i in plan.ordered_indices
+    ]
+    text = "".join(lines)
+    if cfg.estimate_tokens(text) > cfg.token_budget:
+        budget_chars = cfg.token_budget * cfg.chars_per_token
+        raise TokenBudgetError(
+            f"part 1 needs ~{cfg.estimate_tokens(text)} tokens, budget is {cfg.token_budget}",
+            max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
+        )
+    return text
+
+
+def build_part2(f_test: FeatureVector, cfg: SerializationConfig = SerializationConfig()) -> str:
+    """The unlabeled test line ending in the completion cue."""
+    return f"{render_feature(f_test, cfg)} {LABEL_CUE}\n"
+
+
+def build_bundle(
+    ref: ReferenceSet,
+    f_test: FeatureVector,
+    plan: SelectionPlan,
+    cfg: SerializationConfig = SerializationConfig(),
+) -> PromptBundle:
+    """Assemble part 1 + part 2, enforcing the total token budget."""
+    if len(f_test) != ref.dimension:
+        raise ContractError(
+            f"test feature dimension {len(f_test)} != reference dimension {ref.dimension}"
+        )
+    part1 = build_part1(ref, plan, cfg)
+    part2 = build_part2(f_test, cfg)
+    estimate = cfg.estimate_tokens(part1 + part2)
+    if estimate > cfg.token_budget:
+        lines = part1.splitlines(keepends=True)
+        budget_chars = cfg.token_budget * cfg.chars_per_token - len(part2)
+        raise TokenBudgetError(
+            f"prompt needs ~{estimate} tokens, budget is {cfg.token_budget}",
+            max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
+        )
+    return PromptBundle(part1, part2, plan, estimate)
+
+
+_FIRST_INT = re.compile(r"\d+")
+
+
+def parse_completion(completion: str, class_count: int) -> int:
+    """First non-negative integer in the completion, if it is a valid class."""
+    if not completion:
+        raise CompletionParseError("empty completion", completion)
+    match = _FIRST_INT.search(completion)
+    if match is None:
+        raise CompletionParseError(
+            f"no integer found in completion {completion!r}", completion
+        )
+    label = int(match.group(0))
+    if label >= class_count:
+        raise LabelOutOfRangeError(
+            f"completion label {label} >= class_count {class_count}", completion
+        )
+    return label
+
+
+def parse_prompt(prompt: str) -> tuple[ReferenceSet, FeatureVector]:
+    """Recover reference samples and the test feature from a rendered prompt.
+
+    Inverse of :func:`build_bundle` up to rendering precision; used by the
+    local attention backend.
+    """
+    lines = prompt.splitlines()
+    if len(lines) < 2:
+        raise GrammarError("prompt must contain at least one reference line and a test line")
+    features, labels = [], []
+    for line_no, line in enumerate(lines[:-1], start=1):
+        match = _PART1_LINE.match(line)
+        if match is None:
+            raise GrammarError(f"line {line_no} does not match the labeled-line grammar: {line!r}")
+        features.append(_parse_body(match.group("body"), line_no))
+        labels.append(int(match.group("label")))
+    match = _PART2_LINE.match(lines[-1])
+    if match is None:
+        raise GrammarError(f"final line does not match the test-line grammar: {lines[-1]!r}")
+    f_test = _parse_body(match.group("body"), len(lines))
+    class_count = max(2, max(labels) + 1)
+    return ReferenceSet.build(features, labels, class_count), f_test
+
+
+def _parse_body(body: str, line_no: int) -> FeatureVector:
+    try:
+        return FeatureVector.of(float(v) for v in body.split(", "))
+    except (ValueError, ContractError):
+        raise GrammarError(f"line {line_no}: malformed feature list [{body}]") from None

@@ -1,0 +1,142 @@
+"""Representativeness scoring and prompt-order planning.
+
+A sample's representativeness is its row sum of the cosine affinity matrix
+(self-similarity included; it adds a constant 1 and never changes ranking).
+The plan emits selected samples in reverse rank order so the most
+representative sample lands at the end of the prompt, where it has the
+most influence on the completion. For imbalanced problems the per-class
+rankings are joined round-robin before the reversal.
+
+Ties in any ranking are broken by ascending sample index (stable sort), so
+plans are fully deterministic.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .core import FeatureVector, ReferenceSet
+from .errors import ContractError, DegenerateInputError
+
+NORM_EPS = 0.0  # exact zero norm is the only degenerate case we reject
+
+
+@dataclass(frozen=True)
+class SelectionPlan:
+    """Ordered reference indices as they will appear in the prompt.
+
+    ``ordered_indices[0]`` is emitted first; the last index is the most
+    influential (most representative) sample. ``rep_scores`` covers all m
+    reference samples, not just the selected ones.
+    """
+
+    ordered_indices: tuple[int, ...]
+    rep_scores: tuple[float, ...]
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ContractError(f"plan must select at least one sample, k={self.k}")
+        if len(self.ordered_indices) != self.k:
+            raise ContractError(f"plan has {len(self.ordered_indices)} indices, k={self.k}")
+        if len(set(self.ordered_indices)) != self.k:
+            raise ContractError("plan contains duplicate indices")
+
+
+def _norms(matrix: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(matrix, axis=1)
+    for i, n in enumerate(norms):
+        if n <= NORM_EPS:
+            raise DegenerateInputError(
+                f"zero-norm feature vector at index {i}; cosine similarity undefined",
+                index=i,
+            )
+    return norms
+
+
+def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
+    """Cosine of the angle between two equal-dimension vectors."""
+    if len(a) != len(b):
+        raise ContractError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    av, bv = a.as_array(), b.as_array()
+    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
+    if na == 0.0 or nb == 0.0:
+        raise DegenerateInputError("cosine similarity undefined for a zero-norm vector")
+    return float(np.dot(av, bv) / (na * nb))
+
+
+def affinity_matrix(features: Sequence[FeatureVector]) -> np.ndarray:
+    """Pairwise cosine similarity matrix S with S[i, j] = sim(f_i, f_j)."""
+    if len(features) == 0:
+        raise ContractError("affinity matrix of an empty feature list")
+    matrix = np.asarray([f.values for f in features], dtype=float)
+    normed = matrix / _norms(matrix)[:, None]
+    sim = normed @ normed.T
+    return np.clip(sim, -1.0, 1.0)
+
+
+def representativeness(features: Sequence[FeatureVector]) -> list[float]:
+    """Row sums of the affinity matrix, self-term included."""
+    sim = affinity_matrix(features)
+    return [float(v) for v in sim.sum(axis=1)]
+
+
+def _rank_descending(scores: Sequence[float], candidates: Sequence[int]) -> list[int]:
+    # stable: equal scores keep ascending index order
+    return sorted(candidates, key=lambda i: (-scores[i], i))
+
+
+def _interleaved_indices(ref: ReferenceSet, rep: Sequence[float], k: int) -> list[int]:
+    per_class = [
+        _rank_descending(rep, ref.class_members(c)) for c in range(ref.class_count)
+    ]
+    # Allocate the k slots round-robin across classes (class index order),
+    # capped by class size; equivalent to ceil(k/C) per class trimmed to k
+    # by dropping the lowest-ranked picks whenever classes are large enough.
+    quota = [0] * ref.class_count
+    allocated = 0
+    while allocated < k:
+        progressed = False
+        for c in range(ref.class_count):
+            if allocated == k:
+                break
+            if quota[c] < len(per_class[c]):
+                quota[c] += 1
+                allocated += 1
+                progressed = True
+        if not progressed:
+            raise ContractError("cannot allocate k selections across classes")
+    joined = []
+    for rank in range(max(quota)):
+        for c in range(ref.class_count):
+            if rank < quota[c]:
+                joined.append(per_class[c][rank])
+    return joined
+
+
+def build_plan(
+    ref: ReferenceSet, selection_ratio: float = 0.25, interleave_by_class: bool = False
+) -> SelectionPlan:
+    """Select and order the reference samples to emit in the prompt.
+
+    k = max(1, floor(selection_ratio * m)). The selected samples are
+    emitted in reverse rank order (most representative last); with
+    ``interleave_by_class`` the per-class rankings are round-robin joined
+    from rank 1 downward before the reversal, so each class's top sample
+    sits near the prompt's end.
+    """
+    if not 0.0 < selection_ratio <= 1.0:
+        raise ContractError(f"selection_ratio must be in (0, 1], got {selection_ratio}")
+    m = ref.size
+    rep = representativeness(ref.features)
+    k = max(1, math.floor(selection_ratio * m))
+    if interleave_by_class:
+        picked = _interleaved_indices(ref, rep, k)
+    else:
+        picked = _rank_descending(rep, range(m))[:k]
+    ordered = tuple(reversed(picked))
+    return SelectionPlan(ordered, tuple(rep), k)

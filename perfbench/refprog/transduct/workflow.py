@@ -1,0 +1,238 @@
+"""Use-case pipelines and evaluation metrics.
+
+Two pipelines wrap an already-trained base classifier whose output
+probabilities are available for a labeled validation split and for the
+test split:
+
+* error detection: label each test prediction as correct (0) or wrong (1),
+  using the validation split's correctness labels as the reference set;
+* accuracy improvement: re-predict the test samples' classes directly,
+  using the validation probabilities with their true labels as the
+  reference set.
+
+The selection plan depends only on the reference set, so it is computed
+once per run and shared by every test sample.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable, Literal, Optional, Sequence
+
+from . import backends as backends_mod
+from .baselines import KnnConfig, UbKnnConfig, knn_classify, ubknn_classify
+from .core import FeatureVector, ReferenceSet, argmax_index, derive_error_detection_set
+from .errors import ContractError
+from .prompt import SerializationConfig
+from .selection import build_plan
+
+Method = Literal["prompt", "knn", "ubknn"]
+
+
+@dataclass(frozen=True)
+class EvalReport:
+    """Confusion counts plus the derived classification metrics.
+
+    ``confusion[t][p]`` counts test samples of true class t predicted as p.
+    Per-class accuracy is per-class recall; balanced accuracy is its mean
+    over classes that actually occur in the truth. Precision, recall and
+    F-score are reported for binary tasks only, with respect to the
+    configured positive class.
+    """
+
+    confusion: tuple[tuple[int, ...], ...]
+    per_class_accuracy: tuple[float, ...]
+    balanced_accuracy: float
+    precision: Optional[float]
+    recall: Optional[float]
+    f_score: Optional[float]
+    fallback_count: int
+    n_test: int
+
+    def to_dict(self) -> dict:
+        return {
+            "confusion": [list(row) for row in self.confusion],
+            "per_class_accuracy": list(self.per_class_accuracy),
+            "balanced_accuracy": self.balanced_accuracy,
+            "precision": self.precision,
+            "recall": self.recall,
+            "f_score": self.f_score,
+            "fallback_count": self.fallback_count,
+            "n_test": self.n_test,
+        }
+
+    @property
+    def accuracy(self) -> float:
+        correct = sum(self.confusion[c][c] for c in range(len(self.confusion)))
+        return correct / self.n_test
+
+
+def compute_metrics(
+    predictions: Sequence[int],
+    truths: Sequence[int],
+    class_count: int,
+    positive_class: int = 1,
+    fallback_count: int = 0,
+) -> EvalReport:
+    """Confusion matrix and derived metrics for one evaluation run."""
+    if len(predictions) != len(truths):
+        raise ContractError(f"{len(predictions)} predictions vs {len(truths)} truths")
+    if len(predictions) == 0:
+        raise ContractError("cannot evaluate an empty prediction set")
+    if not 0 <= positive_class < class_count:
+        raise ContractError(f"positive_class {positive_class} outside [0, {class_count})")
+    confusion = [[0] * class_count for _ in range(class_count)]
+    for p, t in zip(predictions, truths):
+        if not (0 <= p < class_count and 0 <= t < class_count):
+            raise ContractError(f"label pair ({p}, {t}) outside [0, {class_count})")
+        confusion[t][p] += 1
+    per_class = []
+    recalls_present = []
+    for c in range(class_count):
+        support = sum(confusion[c])
+        recall_c = confusion[c][c] / support if support else 0.0
+        per_class.append(recall_c)
+        if support:
+            recalls_present.append(recall_c)
+    balanced = sum(recalls_present) / len(recalls_present)
+    precision = recall = f_score = None
+    if class_count == 2:
+        pos = positive_class
+        tp = confusion[pos][pos]
+        fp = sum(confusion[t][pos] for t in range(class_count) if t != pos)
+        fn = sum(confusion[pos][p] for p in range(class_count) if p != pos)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f_score = (
+            2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        )
+    return EvalReport(
+        confusion=tuple(tuple(row) for row in confusion),
+        per_class_accuracy=tuple(per_class),
+        balanced_accuracy=balanced,
+        precision=precision,
+        recall=recall,
+        f_score=f_score,
+        fallback_count=fallback_count,
+        n_test=len(predictions),
+    )
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a pipeline run needs besides the data."""
+
+    method: Method = "prompt"
+    selection_ratio: float = 0.25
+    interleave_by_class: bool = True
+    positive_class: int = 1
+    backend: backends_mod.BackendConfig = field(default_factory=backends_mod.BackendConfig)
+    serialization: SerializationConfig = field(default_factory=SerializationConfig)
+    knn: KnnConfig = field(default_factory=KnnConfig)
+    ubknn: UbKnnConfig = field(default_factory=UbKnnConfig)
+
+
+def _prompt_classifier(ref: ReferenceSet, cfg: RunConfig):
+    plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
+    backend = backends_mod.make_backend(cfg.backend)
+
+    def classify_one(f_test: FeatureVector) -> tuple[int, bool]:
+        label, audit = backends_mod.classify(
+            ref, f_test, plan, backend, cfg.serialization, model_name=cfg.backend.model_name
+        )
+        return label, audit.fallback
+
+    return classify_one
+
+
+def _make_classifier(ref: ReferenceSet, cfg: RunConfig) -> Callable[[FeatureVector], tuple[int, bool]]:
+    if cfg.method == "prompt":
+        return _prompt_classifier(ref, cfg)
+    if cfg.method == "knn":
+        return lambda f: (knn_classify(ref, f, cfg.knn), False)
+    if cfg.method == "ubknn":
+        return lambda f: (ubknn_classify(ref, f, cfg.ubknn), False)
+    raise ContractError(f"unknown method {cfg.method!r}")
+
+
+def _run(
+    ref: ReferenceSet,
+    test_features: Sequence[FeatureVector],
+    truths: Sequence[int],
+    cfg: RunConfig,
+) -> EvalReport:
+    classify_one = _make_classifier(ref, cfg)
+    predictions = []
+    fallback_count = 0
+    for f in test_features:
+        label, fallback = classify_one(f)
+        predictions.append(label)
+        fallback_count += int(fallback)
+    return compute_metrics(
+        predictions,
+        truths,
+        ref.class_count,
+        positive_class=cfg.positive_class,
+        fallback_count=fallback_count,
+    )
+
+
+def run_error_detection(
+    val_probs: Sequence[FeatureVector],
+    val_true: Sequence[int],
+    test_probs: Sequence[FeatureVector],
+    test_true: Sequence[int],
+    cfg: RunConfig = RunConfig(),
+) -> EvalReport:
+    """Detect base-classifier mistakes on the test split.
+
+    Ground truth for scoring is whether the base classifier's argmax on
+    each test probability vector disagrees with the true class.
+    """
+    if len(test_probs) != len(test_true):
+        raise ContractError("test_probs and test_true length mismatch")
+    ref = derive_error_detection_set(list(val_probs), list(val_true))
+    truths = [
+        1 if argmax_index(p.values) != int(t) else 0 for p, t in zip(test_probs, test_true)
+    ]
+    return _run(ref, test_probs, truths, cfg)
+
+
+def base_classifier_report(
+    test_probs: Sequence[FeatureVector],
+    test_true: Sequence[int],
+    class_count: int,
+    positive_class: int = 1,
+) -> EvalReport:
+    """Metrics of the unmodified base classifier (plain argmax)."""
+    predictions = [argmax_index(p.values) for p in test_probs]
+    return compute_metrics(predictions, list(test_true), class_count, positive_class)
+
+
+def run_accuracy_improvement(
+    val_probs: Sequence[FeatureVector],
+    val_true: Sequence[int],
+    test_probs: Sequence[FeatureVector],
+    test_true: Sequence[int],
+    cfg: RunConfig = RunConfig(),
+    class_count: Optional[int] = None,
+) -> tuple[EvalReport, EvalReport]:
+    """Re-predict test labels from validation references.
+
+    Returns (adjusted report, base argmax report) so the adjustment can be
+    compared against leaving the classifier untouched.
+    """
+    if len(test_probs) != len(test_true):
+        raise ContractError("test_probs and test_true length mismatch")
+    if class_count is None:
+        class_count = max(max(val_true), max(test_true)) + 1
+    dim = len(val_probs[0]) if val_probs else 0
+    if dim != class_count:
+        raise ContractError(
+            f"accuracy improvement expects one probability per class: features"
+            f" have {dim} values but there are {class_count} classes"
+        )
+    ref = ReferenceSet.build(val_probs, val_true, class_count)
+    report = _run(ref, test_probs, list(test_true), cfg)
+    base = base_classifier_report(test_probs, test_true, class_count, cfg.positive_class)
+    return report, base
