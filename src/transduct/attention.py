@@ -40,7 +40,6 @@ class AttentionConfig:
     """
 
     scale_s: float = 1e-6
-    layers_L: int = 1
     convergence_tol: float = 1e-8
     max_layers: int = 256
     strict_setup2: bool = False
@@ -50,8 +49,8 @@ class AttentionConfig:
             raise ContractError(f"scale_s must be positive, got {self.scale_s}")
         if self.convergence_tol <= 0:
             raise ContractError("convergence_tol must be positive")
-        if self.layers_L < 1 or self.max_layers < 1:
-            raise ContractError("layer counts must be >= 1")
+        if self.max_layers < 1:
+            raise ContractError("max_layers must be >= 1")
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -84,6 +83,26 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms[:, None]
 
 
+def attention_memory(ref: ReferenceSet) -> tuple[np.ndarray, np.ndarray]:
+    """Keys and values of :func:`nn_attention_classify` for a reference set:
+    its unit-normalized features and one-hot labels."""
+    return _unit_rows(ref.feature_matrix()), ref.one_hot_labels()
+
+
+def attend(K: np.ndarray, V: np.ndarray, f_test: FeatureVector, s: float = 1e-6) -> np.ndarray:
+    """Class distribution of ``f_test`` over the keys and values of
+    :func:`attention_memory`; the query is the unit-normalized test feature."""
+    if len(f_test) != K.shape[1]:
+        raise ContractError(
+            f"test dimension {len(f_test)} != reference dimension {K.shape[1]}"
+        )
+    q = f_test.as_array()
+    norm = np.linalg.norm(q)
+    if norm == 0.0:
+        raise DegenerateInputError("zero-norm test feature")
+    return attention(q[None, :] / norm, K, V, s)[0]
+
+
 def nn_attention_classify(
     ref: ReferenceSet, f_test: FeatureVector, s: float = 1e-6
 ) -> np.ndarray:
@@ -93,17 +112,7 @@ def nn_attention_classify(
     labels, the query the unit-normalized test feature. For small ``s``
     the argmax coincides with the cosine nearest neighbor's label.
     """
-    if len(f_test) != ref.dimension:
-        raise ContractError(
-            f"test dimension {len(f_test)} != reference dimension {ref.dimension}"
-        )
-    K = _unit_rows(ref.feature_matrix())
-    V = ref.one_hot_labels()
-    q = f_test.as_array()
-    norm = np.linalg.norm(q)
-    if norm == 0.0:
-        raise DegenerateInputError("zero-norm test feature")
-    return attention(q[None, :] / norm, K, V, s)[0]
+    return attend(*attention_memory(ref), f_test, s)
 
 
 @dataclass(frozen=True)

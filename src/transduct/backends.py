@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Literal, Mapping, Optional
 
-from .attention import AttentionConfig, nn_attention_classify
+from .attention import AttentionConfig, attend, attention_memory
 from .baselines import KnnConfig, knn_classify
 from .core import FeatureVector, ReferenceSet, argmax_index
 from .errors import (
@@ -26,7 +26,14 @@ from .errors import (
     RequestBudgetError,
     TransportError,
 )
-from .prompt import PromptBundle, SerializationConfig, build_bundle, parse_completion, parse_prompt
+from .prompt import (
+    PromptBundle,
+    SerializationConfig,
+    build_bundle,
+    parse_completion,
+    parse_prompt,
+    parse_test_line,
+)
 from .selection import SelectionPlan
 
 BackendKind = Literal["remote", "local-attention", "mock"]
@@ -139,16 +146,36 @@ class MockBackend:
 
 class LocalAttentionBackend:
     """Answers prompts offline by re-parsing them and running the attention
-    reference model (cosine nearest neighbor in the small-scale limit)."""
+    reference model (cosine nearest neighbor in the small-scale limit).
+
+    The backend sees only the prompt text. It keeps the attention keys of
+    the last Part 1 it parsed, keyed by that exact text, so a run that
+    sends the same Part 1 with every test line parses it once.
+    """
 
     backend_id = "local-attention"
 
     def __init__(self, cfg: BackendConfig):
         self._attn = cfg.local
+        # (Part 1 text, its line count, keys, values), replaced as one tuple
+        self._cache: Optional[tuple] = None
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
-        ref, f_test = parse_prompt(req.prompt)  # raises GrammarError on mismatch
-        probs = nn_attention_classify(ref, f_test, self._attn.scale_s)
+        prompt = req.prompt
+        # Part 1 ends at the line break before the last line. It ends with
+        # "\n", so the prompt's lines are Part 1's followed by the tail's.
+        cut = prompt.rfind("\n", 0, len(prompt) - 1) + 1
+        part1, tail = prompt[:cut], prompt[cut:].splitlines()
+        cache = self._cache
+        if len(tail) == 1 and cache is not None and part1 == cache[0]:
+            _, lines, K, V = cache
+            f_test = parse_test_line(tail[0], lines + 1)
+        else:
+            ref, f_test = parse_prompt(prompt)  # raises GrammarError on mismatch
+            K, V = attention_memory(ref)
+            if len(tail) == 1:
+                self._cache = (part1, ref.size, K, V)
+        probs = attend(K, V, f_test, self._attn.scale_s)
         label = argmax_index(list(probs))
         return CompletionResponse(
             text=f" {label}",
@@ -165,7 +192,11 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float =
         resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
     except requests.RequestException as exc:
         raise TimeoutError(str(exc)) from exc
-    return resp.status_code, resp.json() if resp.content else {}
+    try:
+        body = resp.json() if resp.content else {}
+    except ValueError:  # an HTML error page, say: the status alone decides
+        body = {}
+    return resp.status_code, body
 
 
 class RemoteBackend:
@@ -202,10 +233,6 @@ class RemoteBackend:
             raise CredentialError(
                 f"environment variable {self._cfg.api_key_env} is not set"
             )
-        if self._requests_made >= self._cfg.request_budget:
-            raise RequestBudgetError(
-                f"request budget of {self._cfg.request_budget} exhausted"
-            )
         payload = {
             "model": req.model_name,
             "prompt": req.prompt,
@@ -218,6 +245,10 @@ class RemoteBackend:
         }
         last_error = "no attempts made"
         for attempt in range(1, self._cfg.retry.max_attempts + 1):
+            if self._requests_made >= self._cfg.request_budget:
+                raise RequestBudgetError(
+                    f"request budget of {self._cfg.request_budget} exhausted"
+                )
             self._limiter.acquire()
             self._requests_made += 1
             start = self._clock()
@@ -298,12 +329,13 @@ def classify(
     over the plan's selected samples is used and the fallback flag set.
     """
     bundle: PromptBundle = build_bundle(ref, f_test, plan, ser)
+    prompt = bundle.prompt
     completions: list[str] = []
     label = None
     fallback = False
     for tokens in (max_tokens, max_tokens + 4):
         resp = backend.complete(
-            CompletionRequest(bundle.prompt, max_tokens=tokens, model_name=model_name)
+            CompletionRequest(prompt, max_tokens=tokens, model_name=model_name)
         )
         completions.append(resp.text)
         try:
@@ -316,7 +348,7 @@ def classify(
         label = knn_classify(selected, f_test, KnnConfig(k_neighbors=1, metric="cosine"))
         fallback = True
     audit = ClassifyAudit(
-        prompt=bundle.prompt,
+        prompt=prompt,
         completions=tuple(completions),
         label=label,
         fallback=fallback,

@@ -9,6 +9,9 @@ order. Part 2 is a single unlabeled line for the test sample ending in the
 completion cue ``is in class``. Floats are rendered with a fixed number of
 fractional digits (round-half-to-even) so identical inputs always yield
 byte-identical prompts.
+
+Part 1 is the same for every test sample of a run, so :func:`build_part1`
+remembers its last result and a run renders it once.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Optional
 
 from .core import FeatureVector, ReferenceSet
 from .errors import (
@@ -49,8 +53,9 @@ class SerializationConfig:
         if self.chars_per_token <= 0:
             raise ContractError("chars_per_token must be positive")
 
-    def estimate_tokens(self, text: str) -> int:
-        return math.ceil(len(text) / self.chars_per_token)
+    def estimate_tokens(self, *texts: str) -> int:
+        """Token estimate of the concatenated texts."""
+        return math.ceil(sum(map(len, texts)) / self.chars_per_token)
 
 
 @dataclass(frozen=True)
@@ -89,10 +94,24 @@ def _max_feasible_k(line_lengths: list[float], budget_chars: float) -> int:
     return feasible
 
 
+# (ref, plan, cfg, text) of the last successful build_part1 call. The frozen
+# ref and plan are matched by identity, which the strong references held
+# here keep unambiguous.
+_last_part1: Optional[tuple[ReferenceSet, SelectionPlan, SerializationConfig, str]] = None
+
+
 def build_part1(
     ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig = SerializationConfig()
 ) -> str:
-    """Labeled reference lines in plan order, most representative last."""
+    """Labeled reference lines in plan order, most representative last.
+
+    Rendered once per (ref, plan, cfg): a repeat call with the same
+    reference set and plan objects and an equal config returns the last text.
+    """
+    global _last_part1
+    last = _last_part1
+    if last is not None and last[0] is ref and last[1] is plan and last[2] == cfg:
+        return last[3]
     for i in plan.ordered_indices:
         if not 0 <= i < ref.size:
             raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
@@ -106,6 +125,7 @@ def build_part1(
             f"part 1 needs ~{cfg.estimate_tokens(text)} tokens, budget is {cfg.token_budget}",
             max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
         )
+    _last_part1 = (ref, plan, cfg, text)
     return text
 
 
@@ -127,7 +147,7 @@ def build_bundle(
         )
     part1 = build_part1(ref, plan, cfg)
     part2 = build_part2(f_test, cfg)
-    estimate = cfg.estimate_tokens(part1 + part2)
+    estimate = cfg.estimate_tokens(part1, part2)
     if estimate > cfg.token_budget:
         lines = part1.splitlines(keepends=True)
         budget_chars = cfg.token_budget * cfg.chars_per_token - len(part2)
@@ -174,12 +194,18 @@ def parse_prompt(prompt: str) -> tuple[ReferenceSet, FeatureVector]:
             raise GrammarError(f"line {line_no} does not match the labeled-line grammar: {line!r}")
         features.append(_parse_body(match.group("body"), line_no))
         labels.append(int(match.group("label")))
-    match = _PART2_LINE.match(lines[-1])
-    if match is None:
-        raise GrammarError(f"final line does not match the test-line grammar: {lines[-1]!r}")
-    f_test = _parse_body(match.group("body"), len(lines))
+    f_test = parse_test_line(lines[-1], len(lines))
     class_count = max(2, max(labels) + 1)
     return ReferenceSet.build(features, labels, class_count), f_test
+
+
+def parse_test_line(line: str, line_no: int) -> FeatureVector:
+    """Test feature of a Part 2 line (without its line break), the prompt's
+    ``line_no``-th line."""
+    match = _PART2_LINE.match(line)
+    if match is None:
+        raise GrammarError(f"final line does not match the test-line grammar: {line!r}")
+    return _parse_body(match.group("body"), line_no)
 
 
 def _parse_body(body: str, line_no: int) -> FeatureVector:

@@ -2,6 +2,8 @@
 
 A sample's representativeness is its row sum of the cosine affinity matrix
 (self-similarity included; it adds a constant 1 and never changes ranking).
+With unit rows u_i that row sum is u_i . (sum_j u_j), so scoring takes
+O(md) time and memory instead of building the m x m matrix.
 The plan emits selected samples in reverse rank order so the most
 representative sample lands at the end of the prompt, where it has the
 most influence on the completion. For imbalanced problems the per-class
@@ -21,9 +23,6 @@ import numpy as np
 
 from .core import FeatureVector, ReferenceSet
 from .errors import ContractError, DegenerateInputError
-
-NORM_EPS = 0.0  # exact zero norm is the only degenerate case we reject
-
 
 @dataclass(frozen=True)
 class SelectionPlan:
@@ -47,15 +46,26 @@ class SelectionPlan:
             raise ContractError("plan contains duplicate indices")
 
 
-def _norms(matrix: np.ndarray) -> np.ndarray:
+# Scores closer than this times m may rank differently under the two
+# summation orders (each is off by at most ~(d + log2 m) * 2.2e-16 * m).
+_NEAR_TIE = 1e-12
+_ROW_BLOCK = 256  # affinity rows per block when recomputing near-ties
+
+
+def _unit_rows(features: Sequence[FeatureVector]) -> np.ndarray:
+    # exact zero norm is the only degenerate case we reject
+    if len(features) == 0:
+        raise ContractError("affinity matrix of an empty feature list")
+    matrix = np.asarray([f.values for f in features], dtype=float)
     norms = np.linalg.norm(matrix, axis=1)
-    for i, n in enumerate(norms):
-        if n <= NORM_EPS:
-            raise DegenerateInputError(
-                f"zero-norm feature vector at index {i}; cosine similarity undefined",
-                index=i,
-            )
-    return norms
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        raise DegenerateInputError(
+            f"zero-norm feature vector at index {i}; cosine similarity undefined",
+            index=i,
+        )
+    return matrix / norms[:, None]
 
 
 def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
@@ -71,18 +81,29 @@ def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
 
 def affinity_matrix(features: Sequence[FeatureVector]) -> np.ndarray:
     """Pairwise cosine similarity matrix S with S[i, j] = sim(f_i, f_j)."""
-    if len(features) == 0:
-        raise ContractError("affinity matrix of an empty feature list")
-    matrix = np.asarray([f.values for f in features], dtype=float)
-    normed = matrix / _norms(matrix)[:, None]
+    normed = _unit_rows(features)
     sim = normed @ normed.T
     return np.clip(sim, -1.0, 1.0)
 
 
 def representativeness(features: Sequence[FeatureVector]) -> list[float]:
-    """Row sums of the affinity matrix, self-term included."""
-    sim = affinity_matrix(features)
-    return [float(v) for v in sim.sum(axis=1)]
+    """Row sums of the affinity matrix, self-term included.
+
+    Computed as u_i . sum_j u_j. That rounds differently from the row sum,
+    and where scores are equal up to rounding (the two samples of any m = 2
+    set, say) the rounding decides their rank. So each score within
+    ``_NEAR_TIE`` * m of another is recomputed as its row sum, which ranks
+    near-ties as the pairwise definition does.
+    """
+    normed = _unit_rows(features)
+    rep = normed @ normed.sum(axis=0)
+    order = np.argsort(rep, kind="stable")
+    close = np.flatnonzero(np.diff(rep[order]) <= _NEAR_TIE * len(rep))
+    near = np.unique(np.concatenate([order[close], order[close + 1]]))
+    for start in range(0, near.size, _ROW_BLOCK):
+        rows = near[start : start + _ROW_BLOCK]
+        rep[rows] = np.clip(normed[rows] @ normed.T, -1.0, 1.0).sum(axis=1)
+    return rep.tolist()
 
 
 def _rank_descending(scores: Sequence[float], candidates: Sequence[int]) -> list[int]:

@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
+import requests
+
+import transduct.backends as backends_mod
 from transduct import (
     BackendConfig,
     CompletionRequest,
@@ -27,6 +32,9 @@ from transduct.errors import (
     RequestBudgetError,
     TransportError,
 )
+
+from transduct.attention import nn_attention_classify
+from transduct.prompt import SerializationConfig, build_part1, parse_prompt
 
 from conftest import oracle_1nn
 
@@ -214,6 +222,21 @@ class TestRemoteBackend:
         with pytest.raises(RequestBudgetError):
             backend.complete(CompletionRequest("p"))
 
+    def test_request_budget_caps_retries(self):
+        transport = ScriptedTransport([(503, {}), (503, {}), (200, OK_BODY)])
+        backend, _ = self.make(remote_cfg(request_budget=1), transport)
+        with pytest.raises(RequestBudgetError):
+            backend.complete(CompletionRequest("p"))
+        assert len(transport.calls) == 1
+
+    def test_request_budget_counts_every_attempt(self):
+        transport = ScriptedTransport([(429, {}), (200, OK_BODY), (200, OK_BODY)])
+        backend, _ = self.make(remote_cfg(request_budget=2), transport)
+        assert backend.complete(CompletionRequest("p")).text == " 1"
+        with pytest.raises(RequestBudgetError):
+            backend.complete(CompletionRequest("p"))
+        assert len(transport.calls) == 2
+
     def test_rate_limiter_admission(self):
         clock = FakeClock()
         limiter = RateLimiter(3, clock=clock, sleep=clock.sleep)
@@ -234,6 +257,148 @@ class TestRemoteBackend:
         limiter.acquire()
         limiter.acquire()
         assert clock.sleeps == [60.0]
+
+
+class FakeHttpResponse:
+    def __init__(self, status_code, content):
+        self.status_code = status_code
+        self.content = content.encode()
+
+    def json(self):
+        try:
+            return json.loads(self.content)
+        except ValueError as exc:
+            raise requests.JSONDecodeError(str(exc), self.content.decode(), 0) from None
+
+
+class TestRequestsTransport:
+    """The default transport, with ``requests.post`` replaced."""
+
+    HTML = "<html><body>Bad Gateway</body></html>"
+
+    def post_replies(self, monkeypatch, replies):
+        posts = []
+
+        def post(url, headers, json, timeout):
+            posts.append(json)
+            return FakeHttpResponse(*replies[len(posts) - 1])
+
+        monkeypatch.setattr(requests, "post", post)
+        return posts
+
+    def make(self, cfg):
+        clock = FakeClock()
+        return RemoteBackend(cfg, clock=clock, sleep=clock.sleep, env={"TEST_API_KEY": "sk-test"})
+
+    def test_html_error_pages_are_retried(self, monkeypatch):
+        posts = self.post_replies(
+            monkeypatch, [(502, self.HTML), (429, self.HTML), (200, json.dumps(OK_BODY))]
+        )
+        assert self.make(remote_cfg()).complete(CompletionRequest("p")).text == " 1"
+        assert len(posts) == 3
+
+    def test_html_client_error_is_transport_error(self, monkeypatch):
+        posts = self.post_replies(monkeypatch, [(404, self.HTML)])
+        with pytest.raises(TransportError):
+            self.make(remote_cfg()).complete(CompletionRequest("p"))
+        assert len(posts) == 1
+
+    def test_html_success_body_is_transport_error(self, monkeypatch):
+        self.post_replies(monkeypatch, [(200, self.HTML)])
+        with pytest.raises(TransportError):
+            self.make(remote_cfg()).complete(CompletionRequest("p"))
+
+
+def local_prompts(ref, plan, ser, tests):
+    return [build_bundle(ref, f, plan, ser).prompt for f in tests]
+
+
+class TestLocalBackendCache:
+    """The local backend parses each Part 1 once and answers as a full parse would."""
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(21)
+        feats = rng.dirichlet(np.ones(4), size=60)
+        labels = np.arange(60) % 4
+        ref = ReferenceSet.build(feats, labels, 4)
+        tests = [FeatureVector.of(r) for r in rng.dirichlet(np.ones(4), size=12)]
+        return ref, tests
+
+    @staticmethod
+    def expected_probs(prompt):
+        return [float(p) for p in nn_attention_classify(*parse_prompt(prompt))]
+
+    def test_cached_probs_equal_full_parse(self, data):
+        ref, tests = data
+        plan = build_plan(ref, 0.5, interleave_by_class=True)
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        for prompt in local_prompts(ref, plan, SerializationConfig(), tests):
+            resp = backend.complete(CompletionRequest(prompt))
+            assert resp.raw["class_probs"] == self.expected_probs(prompt)
+
+    def test_part1_parsed_once_per_run(self, data, monkeypatch):
+        ref, tests = data
+        calls = []
+
+        def spy(prompt):
+            calls.append(prompt)
+            return parse_prompt(prompt)
+
+        monkeypatch.setattr(backends_mod, "parse_prompt", spy)
+        plan = build_plan(ref, 0.25)
+        backend = make_backend(BackendConfig(kind="local-attention"))
+        labels = [classify(ref, f, plan, backend)[0] for f in tests]
+        assert len(calls) == 1
+        assert calls[0].startswith(build_part1(ref, plan))
+        for prompt, label in zip(local_prompts(ref, plan, SerializationConfig(), tests), labels):
+            assert label == oracle_1nn(*parse_prompt(prompt))
+
+    def test_two_part1_texts_never_share_keys(self, data):
+        ref, tests = data
+        plan_a = build_plan(ref, 0.25)
+        plan_b = build_plan(ref, 0.5, interleave_by_class=True)
+        runs = [
+            local_prompts(ref, plan_a, SerializationConfig(decimals=1), tests),
+            local_prompts(ref, plan_a, SerializationConfig(decimals=4), tests),
+            local_prompts(ref, plan_b, SerializationConfig(decimals=1), tests),
+        ]
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        answered = {}
+        for i in range(len(tests)):  # interleave the three runs prompt by prompt
+            for prompts in runs:
+                resp = backend.complete(CompletionRequest(prompts[i]))
+                assert resp.raw["class_probs"] == self.expected_probs(prompts[i])
+                answered[prompts[i]] = resp.text
+        assert len(answered) == 3 * len(tests)
+
+    def test_grammar_errors_after_caching(self, data):
+        ref, tests = data
+        plan = build_plan(ref, 0.25)
+        prompt = local_prompts(ref, plan, SerializationConfig(), tests[:1])[0]
+        part1 = prompt[: prompt.rindex("[")]
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        backend.complete(CompletionRequest(prompt))
+        for bad_tail in ("[0.10, x] is in class\n", "[0.25, 0.25, 0.25, 0.25] is in class 1\n", "\n"):
+            with pytest.raises(GrammarError):
+                backend.complete(CompletionRequest(part1 + bad_tail))
+            with pytest.raises(GrammarError):
+                parse_prompt(part1 + bad_tail)
+        with pytest.raises(ContractError):  # wrong test dimension
+            backend.complete(CompletionRequest(part1 + "[0.50, 0.50] is in class\n"))
+
+    def test_extra_line_break_in_tail_parses_like_full_prompt(self, data):
+        ref, tests = data
+        plan = build_plan(ref, 0.25)
+        prompt = local_prompts(ref, plan, SerializationConfig(), tests[:1])[0]
+        part1 = prompt[: prompt.rindex("[")]
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        backend.complete(CompletionRequest(prompt))
+        # "\r" splits the tail into a labeled line plus the test line
+        odd = part1 + "[0.25, 0.25, 0.25, 0.25] is in class 3\r[0.70, 0.10, 0.10, 0.10] is in class\n"
+        resp = backend.complete(CompletionRequest(odd))
+        assert resp.raw["class_probs"] == self.expected_probs(odd)
+        assert backend.complete(CompletionRequest(prompt)).raw["class_probs"] == self.expected_probs(prompt)
 
 
 class TestClassify:

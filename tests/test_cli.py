@@ -215,6 +215,29 @@ class TestConfigAndErrors:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_remote_html_error_page_exit_code(self, data_file, capsys, monkeypatch):
+        import requests
+
+        class HtmlPage:
+            status_code = 404
+            content = b"<html>Not Found</html>"
+
+            def json(self):
+                raise requests.JSONDecodeError("Expecting value", "<html>", 0)
+
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: HtmlPage())
+        monkeypatch.setenv("TRANSDUCT_TEST_KEY", "sk-test")
+        rc = main(
+            [
+                "infer", "--data", data_file, "--backend", "remote",
+                "--endpoint", "https://api.example.test/v1/completions",
+                "--api-key-env", "TRANSDUCT_TEST_KEY",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "HTTP status 404" in err and "Traceback" not in err
+
     def test_mock_unknown_prompt_exit_code(self, data_file, capsys):
         rc = main(["infer", "--data", data_file, "--backend", "mock"])
         assert rc == 2

@@ -81,6 +81,54 @@ class TestBuildPart1:
         assert err.value.max_feasible_k == 2
 
 
+class TestPart1Memo:
+    """build_part1 renders once per (ref, plan, cfg) and never serves stale text."""
+
+    @staticmethod
+    def fresh(ref, plan, cfg=SerializationConfig()):
+        # an equal but distinct reference set misses the memo, so this renders
+        copy = ReferenceSet.build(ref.features, ref.labels, ref.class_count)
+        return build_part1(copy, plan, cfg)
+
+    def test_repeat_call_returns_the_rendered_text(self, small_ref):
+        plan = build_plan(small_ref, 0.5)
+        first = build_part1(small_ref, plan)
+        assert build_part1(small_ref, plan, SerializationConfig()) is first
+        assert first == self.fresh(small_ref, plan)
+
+    def test_rerenders_when_ref_differs(self, small_ref):
+        plan = build_plan(small_ref, 0.5)
+        build_part1(small_ref, plan)
+        other = ReferenceSet.build([[0.3, 0.7]] * 4, [1, 1, 1, 1], 2)
+        assert build_part1(other, plan) == "[0.30, 0.70] is in class 1\n" * 2
+
+    def test_rerenders_when_plan_differs(self, small_ref):
+        half, full = build_plan(small_ref, 0.5), build_plan(small_ref, 1.0)
+        assert build_part1(small_ref, half).count("\n") == 2
+        text = build_part1(small_ref, full)
+        assert text.count("\n") == 4
+        assert text == self.fresh(small_ref, full)
+
+    def test_rerenders_when_cfg_differs(self, small_ref):
+        plan = build_plan(small_ref, 0.5)
+        two = build_part1(small_ref, plan, SerializationConfig(decimals=2))
+        three = build_part1(small_ref, plan, SerializationConfig(decimals=3))
+        assert "0.500" in three and "0.500" not in two
+        assert build_part1(small_ref, plan, SerializationConfig(decimals=2)) == two
+
+    def test_budget_is_checked_on_both_parts(self, small_ref):
+        plan = build_plan(small_ref, 1.0)
+        part1 = build_part1(small_ref, plan)
+        part2 = build_part2(fv(0.5, 0.5))
+        fits = SerializationConfig(token_budget=len(part1) + len(part2), chars_per_token=1.0)
+        bundle = build_bundle(small_ref, fv(0.5, 0.5), plan, fits)
+        assert bundle.token_estimate == len(part1) + len(part2)
+        short = SerializationConfig(token_budget=len(part1) + len(part2) - 1, chars_per_token=1.0)
+        build_part1(small_ref, plan, short)  # part 1 alone still fits
+        with pytest.raises(TokenBudgetError):
+            build_bundle(small_ref, fv(0.5, 0.5), plan, short)
+
+
 class TestBuildPart2:
     def test_format(self):
         assert build_part2(fv(1.0, 0.0), SerializationConfig(decimals=1)) == "[1.0, 0.0] is in class\n"
