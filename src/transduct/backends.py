@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Literal, Mapping, Optional
 
 from .attention import AttentionConfig, attend, attention_memory
-from .baselines import KnnConfig, knn_classify
+from .baselines import nearest_label
 from .core import FeatureVector, ReferenceSet, argmax_index
 from .errors import (
     CompletionParseError,
@@ -326,7 +326,8 @@ def classify(
 
     On an unparseable or out-of-range completion the backend is asked once
     more with a larger max_tokens; if that also fails, the cosine-1NN label
-    over the plan's selected samples is used and the fallback flag set.
+    over the plan's selected samples is used (distance ties go to the sample
+    first in plan order) and the fallback flag set.
     """
     bundle: PromptBundle = build_bundle(ref, f_test, plan, ser)
     prompt = bundle.prompt
@@ -344,8 +345,7 @@ def classify(
         except CompletionParseError:
             continue
     if label is None:
-        selected = ref.subset(list(plan.ordered_indices))
-        label = knn_classify(selected, f_test, KnnConfig(k_neighbors=1, metric="cosine"))
+        label = nearest_label(ref, f_test, plan.ordered_indices)
         fallback = True
     audit = ClassifyAudit(
         prompt=prompt,

@@ -20,6 +20,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -115,15 +117,38 @@ class ReferenceSet:
         return len(self.features[0])
 
     def feature_matrix(self) -> np.ndarray:
-        return np.asarray([f.values for f in self.features], dtype=float)
+        """Features as one read-only ``(m, d)`` float array, built on the first
+        call and kept on this instance (so it is freed with the instance)."""
+        return self._feature_matrix
+
+    def label_array(self) -> np.ndarray:
+        """Labels as one read-only ``(m,)`` int64 array, kept like
+        :meth:`feature_matrix`."""
+        return self._label_array
+
+    @cached_property
+    def _feature_matrix(self) -> np.ndarray:
+        m, d = self.size, self.dimension
+        values = chain.from_iterable(f.values for f in self.features)
+        return _read_only(np.fromiter(values, dtype=float, count=m * d).reshape(m, d))
+
+    @cached_property
+    def _label_array(self) -> np.ndarray:
+        return _read_only(np.array(self.labels, dtype=np.int64))
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Values other modules compute from this set alone (the UB-KNN bags),
+        cached on the instance so they live exactly as long as it does."""
+        return {}
 
     def one_hot_labels(self) -> np.ndarray:
         out = np.zeros((self.size, self.class_count))
-        out[np.arange(self.size), list(self.labels)] = 1.0
+        out[np.arange(self.size), self.label_array()] = 1.0
         return out
 
     def class_members(self, c: int) -> list[int]:
-        return [i for i, y in enumerate(self.labels) if y == c]
+        return np.flatnonzero(self.label_array() == c).tolist()
 
     def subset(self, indices: Sequence[int]) -> "ReferenceSet":
         return ReferenceSet(
@@ -131,6 +156,11 @@ class ReferenceSet:
             tuple(self.labels[i] for i in indices),
             self.class_count,
         )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

@@ -158,17 +158,29 @@ def build_bundle(
     return PromptBundle(part1, part2, plan, estimate)
 
 
-_FIRST_INT = re.compile(r"\d+")
+_FIRST_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)")
 
 
 def parse_completion(completion: str, class_count: int) -> int:
-    """First non-negative integer in the completion, if it is a valid class."""
+    """The first number in the completion, if it is a valid class index.
+
+    The first number (digits, with an optional sign and fractional part)
+    must be a plain non-negative integer: ``"class 2 because..."`` and
+    ``" 2."`` read as 2, while ``" -1"`` and ``" 1.7"`` raise
+    CompletionParseError rather than read as 1.
+    """
     if not completion:
         raise CompletionParseError("empty completion", completion)
-    match = _FIRST_INT.search(completion)
+    match = _FIRST_NUMBER.search(completion)
     if match is None:
         raise CompletionParseError(
             f"no integer found in completion {completion!r}", completion
+        )
+    if not match.group(0).isdigit():
+        raise CompletionParseError(
+            f"first number {match.group(0)!r} in completion {completion!r} "
+            "is not a non-negative integer",
+            completion,
         )
     label = int(match.group(0))
     if label >= class_count:

@@ -212,6 +212,16 @@ class TestParseCompletion:
         with pytest.raises(CompletionParseError):
             parse_completion("", 3)
 
+    @pytest.mark.parametrize("text", [" 2.", " 2", "2\n", "class 2 because...", "e.g. 2 or so"])
+    def test_plain_integer_first(self, text):
+        assert parse_completion(text, 3) == 2
+
+    @pytest.mark.parametrize("text", [" -1", " 1.7", "+1", " 0.5", " .5", "class -1", " 1.0"])
+    def test_signed_or_fractional_first_number_rejected(self, text):
+        with pytest.raises(CompletionParseError) as err:
+            parse_completion(text, 3)
+        assert not isinstance(err.value, LabelOutOfRangeError)
+
 
 class TestRoundTrip:
     def test_part1_lines_recover_labels_and_features(self, imbalanced_ref):
