@@ -25,7 +25,6 @@ from .backends import (
     CompletionResponse,
     RetryPolicy,
     classify,
-    complete,
     make_backend,
 )
 from .baselines import KnnConfig, UbKnnConfig, knn_classify, ubknn_classify
@@ -82,7 +81,6 @@ __all__ = [
     "build_part2",
     "build_plan",
     "classify",
-    "complete",
     "compute_metrics",
     "cosine_1nn_label",
     "cosine_similarity",

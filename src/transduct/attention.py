@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet
+from .baselines import KnnConfig, knn_classify
+from .core import FeatureVector, ReferenceSet, unit_rows
 from .errors import ContractError, DegenerateInputError, NumericError
 
 
@@ -75,18 +76,10 @@ def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarr
     return out
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1)
-    for i, n in enumerate(norms):
-        if n == 0.0:
-            raise DegenerateInputError(f"zero-norm feature at index {i}", index=i)
-    return matrix / norms[:, None]
-
-
 def attention_memory(ref: ReferenceSet) -> tuple[np.ndarray, np.ndarray]:
     """Keys and values of :func:`nn_attention_classify` for a reference set:
     its unit-normalized features and one-hot labels."""
-    return _unit_rows(ref.feature_matrix()), ref.one_hot_labels()
+    return unit_rows(ref.feature_matrix()), ref.one_hot_labels()
 
 
 def attend(K: np.ndarray, V: np.ndarray, f_test: FeatureVector, s: float = 1e-6) -> np.ndarray:
@@ -143,7 +136,7 @@ class FeatureLabelMatrix:
 
     @classmethod
     def from_reference(cls, ref: ReferenceSet, f_test: FeatureVector) -> "FeatureLabelMatrix":
-        feats = _unit_rows(np.vstack([ref.feature_matrix(), f_test.as_array()]))
+        feats = unit_rows(np.vstack([ref.feature_matrix(), f_test.as_array()]))
         labels = np.vstack([ref.one_hot_labels(), np.zeros(ref.class_count)])
         return cls(np.hstack([feats, labels]), ref.dimension, ref.class_count)
 
@@ -208,15 +201,11 @@ def iterate_self_attention(
 def cosine_1nn_label(ref: ReferenceSet, f_test: FeatureVector) -> int:
     """Label of the reference sample with the highest cosine similarity.
 
-    Ties go to the lowest sample index (stable argmax).
+    Ties go to the lowest sample index: this is ``knn_classify`` with k = 1
+    under the cosine metric, whose row-wise kernel gives identical rows
+    identical scores.
     """
-    K = _unit_rows(ref.feature_matrix())
-    q = f_test.as_array()
-    norm = np.linalg.norm(q)
-    if norm == 0.0:
-        raise DegenerateInputError("zero-norm test feature")
-    sims = K @ (q / norm)
-    return int(ref.labels[int(np.argmax(sims))])
+    return knn_classify(ref, f_test, KnnConfig(1, "cosine"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +227,7 @@ def _random_instance(rng: np.random.Generator):
 
 
 def _has_cosine_tie(ref: ReferenceSet, f_test: FeatureVector, tol: float = 1e-9) -> bool:
-    K = _unit_rows(ref.feature_matrix())
+    K = unit_rows(ref.feature_matrix())
     q = f_test.as_array()
     sims = np.sort(K @ (q / np.linalg.norm(q)))
     return bool(sims[-1] - sims[-2] < tol) if len(sims) > 1 else False

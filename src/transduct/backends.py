@@ -176,7 +176,7 @@ class LocalAttentionBackend:
             if len(tail) == 1:
                 self._cache = (part1, ref.size, K, V)
         probs = attend(K, V, f_test, self._attn.scale_s)
-        label = argmax_index(list(probs))
+        label = argmax_index(probs)
         return CompletionResponse(
             text=f" {label}",
             latency_ms=0,
@@ -284,11 +284,6 @@ def make_backend(cfg: BackendConfig, **remote_kwargs):
     if cfg.kind == "local-attention":
         return LocalAttentionBackend(cfg)
     return RemoteBackend(cfg, **remote_kwargs)
-
-
-def complete(req: CompletionRequest, cfg: BackendConfig) -> CompletionResponse:
-    """One-shot completion through a freshly constructed backend."""
-    return make_backend(cfg).complete(req)
 
 
 @dataclass(frozen=True)

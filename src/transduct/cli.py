@@ -24,9 +24,8 @@ from .baselines import KnnConfig, UbKnnConfig
 from .core import (
     IngestionSchema,
     LabeledDataset,
-    ReferenceSet,
     load_dataset,
-    load_feature_rows,
+    load_split_files,
     save_dataset,
 )
 from .errors import (
@@ -59,25 +58,7 @@ def _load_data(args) -> LabeledDataset:
         return load_dataset(args.data, schema)
     if not args.val:
         raise TransductError("provide --data or --val (optionally with --test)")
-    row_schema = IngestionSchema(
-        is_probability=args.probability, class_count=args.class_count, default_split="val"
-    )
-    val_feats, val_labels = load_feature_rows(args.val, row_schema)
-    if any(y is None for y in val_labels):
-        raise TransductError(f"{args.val}: every reference row needs a label")
-    test_feats: list = []
-    test_labels: list = []
-    if args.test:
-        test_feats, test_labels = load_feature_rows(args.test, row_schema)
-    observed = [y for y in val_labels + test_labels if y is not None]
-    class_count = args.class_count or max(max(observed) + 1, 2)
-    reference = ReferenceSet.build(val_feats, val_labels, class_count)
-    have_labels = test_labels and all(y is not None for y in test_labels)
-    return LabeledDataset(
-        reference,
-        tuple(test_feats),
-        tuple(int(y) for y in test_labels) if have_labels else None,
-    )
+    return load_split_files(args.val, args.test, schema)
 
 
 def _add_backend_args(p):
@@ -195,23 +176,13 @@ def _cmd_evaluate(args) -> int:
         knn=KnnConfig(k_neighbors=args.k, metric=args.metric),
         ubknn=UbKnnConfig(KnnConfig(k_neighbors=args.k, metric=args.metric), args.bags, args.seed),
     )
-    val_probs = list(ds.reference.features)
-    val_true = list(ds.reference.labels)
-    test_probs = list(ds.test_features)
-    test_true = list(ds.test_labels)
+    data = (ds.reference.feature_matrix(), ds.reference.label_array(), ds.test_features, ds.test_labels)
+    payload = {"use_case": args.use_case, "method": args.method}
     if args.use_case == "error_detection":
-        report = run_error_detection(val_probs, val_true, test_probs, test_true, cfg)
-        payload = {"use_case": args.use_case, "method": args.method, "report": report.to_dict()}
+        payload["report"] = run_error_detection(*data, cfg).to_dict()
     else:
-        report, base = run_accuracy_improvement(
-            val_probs, val_true, test_probs, test_true, cfg, class_count=ds.reference.class_count
-        )
-        payload = {
-            "use_case": args.use_case,
-            "method": args.method,
-            "report": report.to_dict(),
-            "base_classifier": base.to_dict(),
-        }
+        report, base = run_accuracy_improvement(*data, cfg, class_count=ds.reference.class_count)
+        payload.update(report=report.to_dict(), base_classifier=base.to_dict())
     _write_json(payload, args.report)
     return 0
 

@@ -12,6 +12,12 @@ Canonical file formats:
   ``label``, column ``split`` with values ``val`` or ``test``.
 * JSON mirror: ``{"class_count": C, "reference": [{"features": [...],
   "label": i}, ...], "test": [{"features": [...], "label": i?}, ...]}``.
+
+Ingestion streams a file once, converting each feature cell with Python
+``float`` into one flat buffer per split, and validates each split's
+``(m, d)`` matrix in one vectorised pass. Errors are reported as a
+row-by-row reader would: the first offending row in file order wins, and
+within a row the features are checked before the label and the split.
 """
 
 from __future__ import annotations
@@ -19,15 +25,22 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DatasetParseError, SchemaError, ValidationError
+from .errors import (
+    ContractError,
+    DatasetParseError,
+    DegenerateInputError,
+    SchemaError,
+    TransductError,
+    ValidationError,
+)
 
 PROBABILITY_SUM_TOL = 1e-6
 
@@ -58,83 +71,154 @@ class FeatureVector:
         return np.asarray(self.values, dtype=float)
 
 
+def _vectors(X: np.ndarray) -> tuple[FeatureVector, ...]:
+    """The rows of an already validated matrix as FeatureVectors, unchecked."""
+    vectors = tuple(object.__new__(FeatureVector) for _ in range(len(X)))
+    for f, row in zip(vectors, X.tolist()):
+        f.__dict__["values"] = tuple(row)
+    return vectors
+
+
+def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY_SUM_TOL):
+    """``(index, error type, message)`` of the first row of ``X`` that is not
+    finite or, with ``is_probability``, not on the probability simplex; None
+    if every row passes. Row sums run left to right, as Python's ``sum``."""
+    finite = np.isfinite(X).all(axis=1)
+    bad = ~finite
+    if is_probability and X.size:
+        with np.errstate(all="ignore"):
+            outside = ((X < 0.0) | (X > 1.0)).any(axis=1)
+            total = X[:, 0].copy()
+            for j in range(1, X.shape[1]):
+                total += X[:, j]
+            bad |= outside | (np.abs(total - 1.0) > tol)
+    hits = np.flatnonzero(bad)
+    if hits.size == 0:
+        return None
+    i = int(hits[0])
+    values = tuple(X[i].tolist())
+    if not finite[i]:
+        return i, DatasetParseError, f"feature vector contains non-finite values: {values}"
+    if outside[i]:
+        return i, ValidationError, f"probability values outside [0, 1]: {values}"
+    return i, ValidationError, f"probability vector sums to {float(total[i])!r}, expected 1 within {tol}"
+
+
 def check_probability_simplex(f: FeatureVector, tol: float = PROBABILITY_SUM_TOL) -> None:
     """Raise ValidationError unless ``f`` lies on the probability simplex."""
-    if any(v < 0.0 or v > 1.0 for v in f.values):
-        raise ValidationError(f"probability values outside [0, 1]: {f.values}")
-    total = sum(f.values)
-    if abs(total - 1.0) > tol:
-        raise ValidationError(f"probability vector sums to {total!r}, expected 1 within {tol}")
+    bad = _first_bad_row(f.as_array()[None, :], True, tol)
+    if bad is not None:
+        raise ValidationError(bad[2])
 
 
 def argmax_index(values: Sequence[float]) -> int:
     """Index of the largest value; ties go to the lowest index."""
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best]:
-            best = i
-    return best
+    return int(np.argmax(values))
 
 
-@dataclass(frozen=True)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def as_feature_matrix(features) -> np.ndarray:
+    """``features`` (an ``(m, d)`` array, nested sequences or FeatureVectors,
+    d >= 1) as a read-only float64 matrix. A read-only float64 matrix is
+    returned as is; anything else is copied."""
+    if isinstance(features, np.ndarray):
+        shared = features.dtype == np.float64 and not features.flags.writeable
+        X = features if shared else np.array(features, dtype=np.float64)
+    else:
+        rows = [f.values if isinstance(f, FeatureVector) else f for f in features]
+        try:
+            X = np.array(rows, dtype=np.float64)
+        except ValueError as exc:  # rows of unequal length, or not numbers
+            raise ContractError(f"features do not form an (m, d) matrix: {exc}") from None
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ContractError(f"features must form an (m, d >= 1) matrix, got shape {X.shape}")
+    return _read_only(X)
+
+
+def unit_rows(X: np.ndarray) -> np.ndarray:
+    """The rows of ``X`` scaled to unit norm. A zero-norm row (exact zero is
+    the only degenerate case) raises DegenerateInputError with its index."""
+    if X.shape[0] == 0:
+        raise ContractError("unit rows of an empty feature matrix")
+    norms = np.linalg.norm(X, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        i = int(zero[0])
+        raise DegenerateInputError(
+            f"zero-norm feature vector at index {i}; cosine similarity undefined",
+            index=i,
+        )
+    return X / norms[:, None]
+
+
+@dataclass(frozen=True, eq=False)
 class ReferenceSet:
-    """Known samples: features, integer class labels, and the class count."""
+    """Known samples: an ``(m, d)`` float64 feature matrix ``X``, int64 class
+    labels ``y`` and the class count.
 
-    features: tuple[FeatureVector, ...]
-    labels: tuple[int, ...]
+    ``X`` and ``y`` are validated once, on construction, and kept read-only;
+    a read-only float64 ``X`` (another set's, say) is shared, not copied.
+    ``features`` and ``labels`` are tuple views built on first use. Two
+    sets are equal only if they are the same object.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
     class_count: int
 
     def __post_init__(self):
-        if len(self.features) != len(self.labels):
-            raise ContractError(
-                f"{len(self.features)} features vs {len(self.labels)} labels"
-            )
-        if len(self.features) == 0:
+        X = as_feature_matrix(self.X)
+        y = self.y if isinstance(self.y, np.ndarray) else np.fromiter(map(int, self.y), np.int64)
+        if y.dtype != np.int64 or y.flags.writeable:
+            y = _read_only(y.astype(np.int64))
+        if y.ndim != 1 or len(y) != len(X):
+            raise ContractError(f"{len(X)} features vs {len(y)} labels")
+        if len(X) == 0:
             raise ContractError("reference set must contain at least one sample")
         if self.class_count < 2:
             raise ContractError(f"class_count must be >= 2, got {self.class_count}")
-        d = len(self.features[0])
-        for i, f in enumerate(self.features):
-            if len(f) != d:
-                raise ContractError(f"feature {i} has dimension {len(f)}, expected {d}")
-        for i, y in enumerate(self.labels):
-            if not 0 <= y < self.class_count:
-                raise SchemaError(f"label {y} at index {i} outside [0, {self.class_count})")
+        bad = _first_bad_row(X, False)
+        if bad is not None:
+            raise ContractError(f"feature {bad[0]}: {bad[2]}")
+        outside = np.flatnonzero((y < 0) | (y >= self.class_count))
+        if outside.size:
+            i = int(outside[0])
+            raise SchemaError(f"label {y[i]} at index {i} outside [0, {self.class_count})")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
 
     @classmethod
     def build(cls, features, labels, class_count) -> "ReferenceSet":
-        feats = tuple(
-            f if isinstance(f, FeatureVector) else FeatureVector.of(f) for f in features
-        )
-        return cls(feats, tuple(int(y) for y in labels), int(class_count))
+        """From an ``(m, d)`` array, nested sequences or FeatureVectors."""
+        return cls(features, labels, int(class_count))
 
     @property
     def size(self) -> int:
-        return len(self.features)
+        return self.X.shape[0]
 
     @property
     def dimension(self) -> int:
-        return len(self.features[0])
+        return self.X.shape[1]
 
     def feature_matrix(self) -> np.ndarray:
-        """Features as one read-only ``(m, d)`` float array, built on the first
-        call and kept on this instance (so it is freed with the instance)."""
-        return self._feature_matrix
+        """Features as one read-only ``(m, d)`` float array."""
+        return self.X
 
     def label_array(self) -> np.ndarray:
-        """Labels as one read-only ``(m,)`` int64 array, kept like
-        :meth:`feature_matrix`."""
-        return self._label_array
+        """Labels as one read-only ``(m,)`` int64 array."""
+        return self.y
 
     @cached_property
-    def _feature_matrix(self) -> np.ndarray:
-        m, d = self.size, self.dimension
-        values = chain.from_iterable(f.values for f in self.features)
-        return _read_only(np.fromiter(values, dtype=float, count=m * d).reshape(m, d))
+    def features(self) -> tuple[FeatureVector, ...]:
+        return _vectors(self.X)
 
     @cached_property
-    def _label_array(self) -> np.ndarray:
-        return _read_only(np.array(self.labels, dtype=np.int64))
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self.y.tolist())
 
     @cached_property
     def _derived(self) -> dict:
@@ -144,23 +228,15 @@ class ReferenceSet:
 
     def one_hot_labels(self) -> np.ndarray:
         out = np.zeros((self.size, self.class_count))
-        out[np.arange(self.size), self.label_array()] = 1.0
+        out[np.arange(self.size), self.y] = 1.0
         return out
 
     def class_members(self, c: int) -> list[int]:
-        return np.flatnonzero(self.label_array() == c).tolist()
+        return np.flatnonzero(self.y == c).tolist()
 
     def subset(self, indices: Sequence[int]) -> "ReferenceSet":
-        return ReferenceSet(
-            tuple(self.features[i] for i in indices),
-            tuple(self.labels[i] for i in indices),
-            self.class_count,
-        )
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        rows = np.asarray(indices, dtype=np.intp)
+        return ReferenceSet(_read_only(self.X[rows]), _read_only(self.y[rows]), self.class_count)
 
 
 @dataclass(frozen=True)
@@ -196,40 +272,54 @@ class IngestionSchema:
     default_split: Optional[str] = None  # role for files without a split column
 
 
-def _finish_dataset(
-    ref_rows, test_rows, test_labels, schema: IngestionSchema
-) -> LabeledDataset:
-    if not ref_rows:
-        raise SchemaError("no reference ('val') rows found")
-    labels = [y for _, y in ref_rows]
-    observed = labels + [y for y in test_labels if y is not None]
-    class_count = schema.class_count if schema.class_count is not None else max(observed) + 1
-    if class_count < 2:
-        class_count = 2
-    reference = ReferenceSet.build([f for f, _ in ref_rows], labels, class_count)
-    have_labels = test_labels and all(y is not None for y in test_labels)
-    return LabeledDataset(
-        reference,
-        tuple(test_rows),
-        tuple(int(y) for y in test_labels) if have_labels else None,
-    )
+class _Split:
+    """The rows of one split, streamed into flat arrays in input order."""
+
+    def __init__(self):
+        self.values = array("d")  # features, row after row
+        self.labels = array("q")  # -1 where a row has no label
+
+    def matrix(self) -> np.ndarray:
+        m = len(self.labels)
+        X = np.frombuffer(self.values, dtype=np.float64)
+        return _read_only(X.reshape(m, len(X) // m if m else 0))
 
 
-def _parse_feature_row(raw: Sequence[str], row_no: int, schema: IngestionSchema) -> FeatureVector:
+def _collect(read, is_probability: bool) -> tuple[_Split, _Split]:
+    """The val and test splits of the ``(split, features, label)`` rows that
+    ``read(check_each)`` yields, their features checked in one pass. If any
+    check fails, the rows are read again with ``check_each`` set, so that
+    each row's features are checked before its label and split and the
+    error raised is the first in input order."""
+    splits = {"val": _Split(), "test": _Split()}
     try:
-        f = FeatureVector.of(float(v) for v in raw)
-    except (ValueError, ContractError) as exc:
-        raise DatasetParseError(str(exc), row=row_no) from None
-    if schema.is_probability:
-        try:
-            check_probability_simplex(f)
-        except ValidationError as exc:
-            raise ValidationError(f"row {row_no}: {exc}") from None
-    return f
+        for split, features, label in read(False):
+            splits[split].values.extend(features)
+            splits[split].labels.append(-1 if label is None else label)
+        for part in splits.values():
+            bad = _first_bad_row(part.matrix(), is_probability)
+            if bad is not None:
+                raise bad[1](bad[2])
+    except (TransductError, LookupError, TypeError, ValueError):
+        for _ in read(True):  # raises the first error in input order
+            pass
+        raise
+    return splits["val"], splits["test"]
 
 
-def _read_csv_rows(path: Path, schema: IngestionSchema):
-    """Yield (feature, label-or-None, split) triples in file order."""
+def _check_row(features: list, row_no: int, is_probability: bool) -> None:
+    bad = _first_bad_row(np.array([features]), is_probability)
+    if bad is not None:
+        _, kind, message = bad
+        if kind is DatasetParseError:
+            raise DatasetParseError(message, row=row_no)
+        raise kind(f"row {row_no}: {message}")
+
+
+def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_each: bool):
+    """The rows of a CSV file for :func:`_collect`. With ``role`` every row
+    goes to that split whatever its split column says (the column is still
+    checked). Reference rows need a label."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -240,7 +330,7 @@ def _read_csv_rows(path: Path, schema: IngestionSchema):
         if schema.label_column not in header:
             raise SchemaError(f"header must contain {schema.label_column!r}: {header}")
         has_split = schema.split_column in header
-        if not has_split and schema.default_split is None:
+        if not has_split and role is None and schema.default_split is None:
             raise SchemaError(f"header must contain {schema.split_column!r}: {header}")
         if schema.feature_columns is not None:
             feat_cols = list(schema.feature_columns)
@@ -256,15 +346,22 @@ def _read_csv_rows(path: Path, schema: IngestionSchema):
         feat_idx = [header.index(c) for c in feat_cols]
         label_idx = header.index(schema.label_column)
         split_idx = header.index(schema.split_column) if has_split else None
+        width = len(header)
 
         for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DatasetParseError(
-                    f"expected {len(header)} cells, got {len(row)}", row=row_no
-                )
-            f = _parse_feature_row([row[i] for i in feat_idx], row_no, schema)
+            try:
+                if len(row) != width:
+                    raise DatasetParseError(f"expected {width} cells, got {len(row)}", row=row_no)
+                try:
+                    features = [float(row[i]) for i in feat_idx]
+                except ValueError as exc:
+                    raise DatasetParseError(str(exc), row=row_no) from None
+            except DatasetParseError:
+                if all(not cell.strip() for cell in row):  # blank rows land here
+                    continue
+                raise
+            if check_each:
+                _check_row(features, row_no, schema.is_probability)
             raw_label = row[label_idx].strip()
             label = None
             if raw_label not in ("", "?"):
@@ -278,35 +375,76 @@ def _read_csv_rows(path: Path, schema: IngestionSchema):
                     raise SchemaError(
                         f"row {row_no}: label {label} >= class_count {schema.class_count}"
                     )
-            split = row[split_idx].strip() if split_idx is not None else schema.default_split
+            split = row[split_idx].strip() if has_split else role or schema.default_split
             if split not in ("val", "test"):
                 raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {split!r}")
-            yield f, label, split
+            split = role or split
+            if split == "val" and label is None:
+                raise SchemaError(f"reference row {row_no} has no label")
+            yield split, features, label
 
 
-def _load_csv(path: Path, schema: IngestionSchema) -> LabeledDataset:
-    ref_rows, test_rows, test_labels = [], [], []
-    for row_no_offset, (f, label, split) in enumerate(_read_csv_rows(path, schema)):
-        if split == "val":
-            if label is None:
-                raise SchemaError(f"reference row {row_no_offset + 2} has no label")
-            ref_rows.append((f, label))
-        else:
-            test_rows.append(f)
-            test_labels.append(label)
-    return _finish_dataset(ref_rows, test_rows, test_labels, schema)
+def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, check_each: bool):
+    """The items of a JSON dataset for :func:`_collect`: reference items
+    first, each numbered from 0 in messages, then test items the same way."""
+    d = None
+    for split, items in (("val", payload["reference"]), ("test", payload.get("test", []))):
+        for i, item in enumerate(items):
+            try:
+                features = [float(str(v)) for v in item["features"]]
+            except ValueError as exc:
+                raise DatasetParseError(str(exc), row=i) from None
+            if not features:
+                raise DatasetParseError("feature vector must be non-empty", row=i)
+            if check_each:
+                _check_row(features, i, is_probability)
+            if split == "val":
+                label = int(item["label"])
+                if label < 0 or (class_count is not None and label >= class_count):
+                    raise SchemaError(f"reference item {i}: label {label} out of range")
+            else:
+                label = int(item["label"]) if item.get("label") is not None else None
+            d = d or len(features)
+            if len(features) != d:
+                kind = "feature" if split == "val" else "test feature"
+                raise ContractError(f"{kind} {i} has dimension {len(features)}, expected {d}")
+            yield split, features, label
+
+
+def _assemble(val: _Split, test: _Split, class_count: Optional[int]) -> LabeledDataset:
+    if len(val.labels) == 0:
+        raise SchemaError("no reference ('val') rows found")
+    y = np.frombuffer(val.labels, dtype=np.int64)
+    test_labels = tuple(test.labels)
+    if class_count is None:
+        class_count = max([int(y.max()), *test_labels]) + 1
+    reference = ReferenceSet(val.matrix(), _read_only(y), max(class_count, 2))
+    have_labels = test_labels and min(test_labels) >= 0
+    return LabeledDataset(
+        reference, _vectors(test.matrix()), test_labels if have_labels else None
+    )
+
+
+def _existing(path) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise DatasetParseError(f"no such file: {path}")
+    return path
 
 
 def load_feature_rows(path, schema: IngestionSchema = IngestionSchema(default_split="val")):
     """Low-level loader: (features, labels) in file order, labels may be None."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetParseError(f"no such file: {path}")
-    rows = list(_read_csv_rows(path, schema))
-    return [f for f, _, _ in rows], [y for _, y, _ in rows]
+    path = _existing(path)
+    _, rows = _collect(partial(_csv_rows, path, schema, "test"), schema.is_probability)
+    return list(_vectors(rows.matrix())), [None if y < 0 else y for y in rows.labels]
 
 
-def _load_json(path: Path, schema: IngestionSchema) -> LabeledDataset:
+def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDataset:
+    """Load a validated dataset from a CSV or JSON file, preserving row order."""
+    path = _existing(path)
+    if path.suffix.lower() != ".json":
+        splits = _collect(partial(_csv_rows, path, schema, None), schema.is_probability)
+        return _assemble(*splits, schema.class_count)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -314,31 +452,22 @@ def _load_json(path: Path, schema: IngestionSchema) -> LabeledDataset:
     if not isinstance(payload, dict) or "reference" not in payload:
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = payload.get("class_count", schema.class_count)
-    eff = IngestionSchema(
-        class_count=class_count,
-        is_probability=schema.is_probability,
-    )
-    ref_rows, test_rows, test_labels = [], [], []
-    for i, item in enumerate(payload["reference"]):
-        f = _parse_feature_row([str(v) for v in item["features"]], i, eff)
-        label = int(item["label"])
-        if label < 0 or (class_count is not None and label >= class_count):
-            raise SchemaError(f"reference item {i}: label {label} out of range")
-        ref_rows.append((f, label))
-    for i, item in enumerate(payload.get("test", [])):
-        test_rows.append(_parse_feature_row([str(v) for v in item["features"]], i, eff))
-        test_labels.append(int(item["label"]) if "label" in item and item["label"] is not None else None)
-    return _finish_dataset(ref_rows, test_rows, test_labels, eff)
+    read = partial(_json_rows, payload, class_count, schema.is_probability)
+    return _assemble(*_collect(read, schema.is_probability), class_count)
 
 
-def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDataset:
-    """Load a validated dataset from a CSV or JSON file, preserving row order."""
-    path = Path(path)
-    if not path.exists():
-        raise DatasetParseError(f"no such file: {path}")
-    if path.suffix.lower() == ".json":
-        return _load_json(path, schema)
-    return _load_csv(path, schema)
+def load_split_files(
+    val_path, test_path=None, schema: IngestionSchema = IngestionSchema()
+) -> LabeledDataset:
+    """Load a dataset from two CSV files: every row of ``val_path`` is a
+    reference row and every row of ``test_path`` (if given) a test row. A
+    split column is optional and, if present, checked but not used."""
+    read = partial(_csv_rows, _existing(val_path), schema, "val")
+    val, test = _collect(read, schema.is_probability)
+    if test_path is not None:
+        read = partial(_csv_rows, _existing(test_path), schema, "test")
+        test = _collect(read, schema.is_probability)[1]
+    return _assemble(val, test, schema.class_count)
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
@@ -355,21 +484,17 @@ def save_dataset(ds: LabeledDataset, path) -> None:
             writer.writerow([repr(v) for v in f.values] + [label, "test"])
 
 
-def derive_error_detection_set(
-    reference_probs: Sequence[FeatureVector], reference_true: Sequence[int]
-) -> ReferenceSet:
+def derive_error_detection_set(reference_probs, reference_true) -> ReferenceSet:
     """Binary reference set for error detection.
 
     Label 1 marks samples where the base classifier's argmax prediction
     disagrees with the true class ("prediction error"); label 0 marks
-    correct predictions. Features are the probability vectors unchanged.
+    correct predictions. Features are the probability vectors unchanged
+    (an ``(m, d)`` array or FeatureVectors; a read-only array is shared).
     """
-    if len(reference_probs) != len(reference_true):
-        raise ContractError(
-            f"{len(reference_probs)} probability vectors vs {len(reference_true)} labels"
-        )
-    labels = [
-        1 if argmax_index(p.values) != int(t) else 0
-        for p, t in zip(reference_probs, reference_true)
-    ]
-    return ReferenceSet(tuple(reference_probs), tuple(labels), 2)
+    X = as_feature_matrix(reference_probs)
+    y = np.asarray(reference_true)
+    if len(X) != len(y):
+        raise ContractError(f"{len(X)} probability vectors vs {len(y)} labels")
+    wrong = np.argmax(X, axis=1) != y
+    return ReferenceSet(X, _read_only(wrong.astype(np.int64)), 2)

@@ -72,14 +72,15 @@ class PromptBundle:
         return self.part1 + self.part2
 
 
-def render_feature(f: FeatureVector, cfg: SerializationConfig = SerializationConfig()) -> str:
-    """Array-like text form, e.g. ``[0.50, 0.25]`` at decimals=2."""
-    body = ", ".join(format(v, f".{cfg.decimals}f") for v in f.values)
+def render_feature(f, cfg: SerializationConfig = SerializationConfig()) -> str:
+    """Array-like text form of a FeatureVector or a list of floats, e.g.
+    ``[0.50, 0.25]`` at decimals=2."""
+    body = ", ".join(format(v, f".{cfg.decimals}f") for v in f)
     return f"[{body}]"
 
 
-def _part1_line(f: FeatureVector, label: int, cfg: SerializationConfig) -> str:
-    return f"{render_feature(f, cfg)} {LABEL_CUE} {label}\n"
+def _part1_line(values: list, label: int, cfg: SerializationConfig) -> str:
+    return f"{render_feature(values, cfg)} {LABEL_CUE} {label}\n"
 
 
 def _max_feasible_k(line_lengths: list[float], budget_chars: float) -> int:
@@ -115,9 +116,9 @@ def build_part1(
     for i in plan.ordered_indices:
         if not 0 <= i < ref.size:
             raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
-    lines = [
-        _part1_line(ref.features[i], ref.labels[i], cfg) for i in plan.ordered_indices
-    ]
+    rows = list(plan.ordered_indices)
+    values, labels = ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist()
+    lines = [_part1_line(f, y, cfg) for f, y in zip(values, labels)]
     text = "".join(lines)
     if cfg.estimate_tokens(text) > cfg.token_budget:
         budget_chars = cfg.token_budget * cfg.chars_per_token

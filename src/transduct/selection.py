@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet
+from .core import FeatureVector, ReferenceSet, as_feature_matrix, unit_rows
 from .errors import ContractError, DegenerateInputError
 
 @dataclass(frozen=True)
@@ -52,22 +52,6 @@ _NEAR_TIE = 1e-12
 _ROW_BLOCK = 256  # affinity rows per block when recomputing near-ties
 
 
-def _unit_rows(features: Sequence[FeatureVector]) -> np.ndarray:
-    # exact zero norm is the only degenerate case we reject
-    if len(features) == 0:
-        raise ContractError("affinity matrix of an empty feature list")
-    matrix = np.asarray([f.values for f in features], dtype=float)
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        i = int(zero[0])
-        raise DegenerateInputError(
-            f"zero-norm feature vector at index {i}; cosine similarity undefined",
-            index=i,
-        )
-    return matrix / norms[:, None]
-
-
 def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
     """Cosine of the angle between two equal-dimension vectors."""
     if len(a) != len(b):
@@ -79,15 +63,17 @@ def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
     return float(np.dot(av, bv) / (na * nb))
 
 
-def affinity_matrix(features: Sequence[FeatureVector]) -> np.ndarray:
-    """Pairwise cosine similarity matrix S with S[i, j] = sim(f_i, f_j)."""
-    normed = _unit_rows(features)
+def affinity_matrix(features) -> np.ndarray:
+    """Pairwise cosine similarity matrix S with S[i, j] = sim(f_i, f_j) of
+    ``features``, an ``(m, d)`` array or FeatureVectors."""
+    normed = unit_rows(as_feature_matrix(features))
     sim = normed @ normed.T
     return np.clip(sim, -1.0, 1.0)
 
 
-def representativeness(features: Sequence[FeatureVector]) -> list[float]:
-    """Row sums of the affinity matrix, self-term included.
+def representativeness(features) -> list[float]:
+    """Row sums of the affinity matrix of ``features`` (an ``(m, d)`` array or
+    FeatureVectors), self-term included.
 
     Computed as u_i . sum_j u_j. That rounds differently from the row sum,
     and where scores are equal up to rounding (the two samples of any m = 2
@@ -95,7 +81,7 @@ def representativeness(features: Sequence[FeatureVector]) -> list[float]:
     ``_NEAR_TIE`` * m of another is recomputed as its row sum, which ranks
     near-ties as the pairwise definition does.
     """
-    normed = _unit_rows(features)
+    normed = unit_rows(as_feature_matrix(features))
     rep = normed @ normed.sum(axis=0)
     order = np.argsort(rep, kind="stable")
     close = np.flatnonzero(np.diff(rep[order]) <= _NEAR_TIE * len(rep))
@@ -153,7 +139,7 @@ def build_plan(
     if not 0.0 < selection_ratio <= 1.0:
         raise ContractError(f"selection_ratio must be in (0, 1], got {selection_ratio}")
     m = ref.size
-    rep = representativeness(ref.features)
+    rep = representativeness(ref.feature_matrix())
     k = max(1, math.floor(selection_ratio * m))
     if interleave_by_class:
         picked = _interleaved_indices(ref, rep, k)

@@ -17,16 +17,20 @@ once per run and shared by every test sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence, Union
+
+import numpy as np
 
 from . import backends as backends_mod
 from .baselines import KnnConfig, UbKnnConfig, knn_classify, ubknn_classify
-from .core import FeatureVector, ReferenceSet, argmax_index, derive_error_detection_set
+from .core import FeatureVector, ReferenceSet, as_feature_matrix, derive_error_detection_set
 from .errors import ContractError
 from .prompt import SerializationConfig
 from .selection import build_plan
 
 Method = Literal["prompt", "knn", "ubknn"]
+# reference probability vectors: an (m, d) array or a sequence of FeatureVectors
+Probs = Union[np.ndarray, Sequence[FeatureVector]]
 
 
 @dataclass(frozen=True)
@@ -155,6 +159,11 @@ def _make_classifier(ref: ReferenceSet, cfg: RunConfig) -> Callable[[FeatureVect
     raise ContractError(f"unknown method {cfg.method!r}")
 
 
+def _predictions(probs: Probs) -> np.ndarray:
+    """The base classifier's argmax per row; ties go to the lowest index."""
+    return np.argmax(as_feature_matrix(probs), axis=1)
+
+
 def _run(
     ref: ReferenceSet,
     test_features: Sequence[FeatureVector],
@@ -178,7 +187,7 @@ def _run(
 
 
 def run_error_detection(
-    val_probs: Sequence[FeatureVector],
+    val_probs: Probs,
     val_true: Sequence[int],
     test_probs: Sequence[FeatureVector],
     test_true: Sequence[int],
@@ -191,10 +200,8 @@ def run_error_detection(
     """
     if len(test_probs) != len(test_true):
         raise ContractError("test_probs and test_true length mismatch")
-    ref = derive_error_detection_set(list(val_probs), list(val_true))
-    truths = [
-        1 if argmax_index(p.values) != int(t) else 0 for p, t in zip(test_probs, test_true)
-    ]
+    ref = derive_error_detection_set(val_probs, val_true)
+    truths = (_predictions(test_probs) != np.asarray(test_true)).astype(int).tolist()
     return _run(ref, test_probs, truths, cfg)
 
 
@@ -205,12 +212,12 @@ def base_classifier_report(
     positive_class: int = 1,
 ) -> EvalReport:
     """Metrics of the unmodified base classifier (plain argmax)."""
-    predictions = [argmax_index(p.values) for p in test_probs]
+    predictions = _predictions(test_probs).tolist()
     return compute_metrics(predictions, list(test_true), class_count, positive_class)
 
 
 def run_accuracy_improvement(
-    val_probs: Sequence[FeatureVector],
+    val_probs: Probs,
     val_true: Sequence[int],
     test_probs: Sequence[FeatureVector],
     test_true: Sequence[int],
@@ -225,14 +232,15 @@ def run_accuracy_improvement(
     if len(test_probs) != len(test_true):
         raise ContractError("test_probs and test_true length mismatch")
     if class_count is None:
-        class_count = max(max(val_true), max(test_true)) + 1
-    dim = len(val_probs[0]) if val_probs else 0
+        class_count = int(max(np.max(val_true), np.max(test_true))) + 1
+    val_probs = as_feature_matrix(val_probs)
+    dim = val_probs.shape[1]
     if dim != class_count:
         raise ContractError(
             f"accuracy improvement expects one probability per class: features"
             f" have {dim} values but there are {class_count} classes"
         )
-    ref = ReferenceSet.build(val_probs, val_true, class_count)
+    ref = ReferenceSet(val_probs, val_true, class_count)
     report = _run(ref, test_probs, list(test_true), cfg)
     base = base_classifier_report(test_probs, test_true, class_count, cfg.positive_class)
     return report, base

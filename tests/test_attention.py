@@ -9,6 +9,7 @@ from transduct import (
     FeatureVector,
     ReferenceSet,
     attention,
+    cosine_1nn_label,
     iterate_self_attention,
     nn_attention_classify,
     self_attention_classify,
@@ -20,6 +21,7 @@ from transduct.attention import (
     setup_equivalence_suite,
     two_cluster_fixture,
 )
+from transduct.core import unit_rows
 from transduct.errors import ContractError, DegenerateInputError
 
 from conftest import oracle_1nn
@@ -115,6 +117,55 @@ class TestNnAttentionClassify:
         ref = ReferenceSet.build([[1.0, 0.0]], [0], 2)
         with pytest.raises(DegenerateInputError):
             nn_attention_classify(ref, fv(0.0, 0.0))
+
+
+class TestCosine1nnLabel:
+    def test_duplicate_rows_tie_to_smaller_index(self):
+        # Row j repeats row 0 with the other label; the query is row 0, so the
+        # two rows tie exactly and the label of row 0 must win.
+        rng = np.random.default_rng(3)
+        for _ in range(4000):
+            m = int(rng.integers(5, 41))
+            d = int(rng.choice([3, 4, 7, 10]))
+            feats = rng.uniform(0.0, 1.0, size=(m, d))
+            j = int(rng.integers(1, m))
+            feats[j] = feats[0]
+            labels = np.zeros(m, dtype=int)
+            labels[j] = 1
+            ref = ReferenceSet.build(feats, labels, 2)
+            assert cosine_1nn_label(ref, FeatureVector.of(feats[0])) == 0, (m, d, j)
+
+    def test_matches_plain_python_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            ref = random_ref(rng, c=3)
+            f = FeatureVector.of(rng.normal(size=ref.dimension))
+            assert cosine_1nn_label(ref, f) == oracle_1nn(ref, f)
+
+    def test_zero_norm_rejected(self):
+        ref = ReferenceSet.build([[1.0, 0.0], [0.0, 0.0]], [0, 1], 2)
+        with pytest.raises(DegenerateInputError):
+            cosine_1nn_label(ref, fv(1.0, 0.0))
+        with pytest.raises(DegenerateInputError):
+            cosine_1nn_label(ReferenceSet.build([[1.0, 0.0]], [0], 2), fv(0.0, 0.0))
+
+
+class TestUnitRows:
+    def test_rows_have_unit_norm(self):
+        X = np.random.default_rng(2).normal(size=(6, 3))
+        U = unit_rows(X)
+        assert np.allclose(np.linalg.norm(U, axis=1), 1.0)
+        assert np.allclose(U * np.linalg.norm(X, axis=1)[:, None], X)
+
+    def test_first_zero_norm_row_is_reported(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.0]])
+        with pytest.raises(DegenerateInputError) as info:
+            unit_rows(X)
+        assert info.value.index == 1
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ContractError):
+            unit_rows(np.zeros((0, 3)))
 
 
 class TestFeatureLabelMatrix:

@@ -15,7 +15,6 @@ from transduct import (
     build_bundle,
     build_plan,
     classify,
-    complete,
     make_backend,
 )
 from transduct.backends import (
@@ -102,7 +101,7 @@ class TestMockBackend:
     def test_scripted_response(self):
         prompt = "[0.10, 0.90] is in class 1\n[0.50, 0.50] is in class\n"
         cfg = BackendConfig(kind="mock", mock_fixtures={prompt_hash(prompt): " 1"})
-        resp = complete(CompletionRequest(prompt), cfg)
+        resp = make_backend(cfg).complete(CompletionRequest(prompt))
         assert resp.text == " 1"
         assert resp.backend_id == "mock"
 

@@ -177,6 +177,46 @@ class TestSeparateSplitFiles:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k"] == 2
 
+    VAL = "f0,f1,f2,label\n0.7,0.2,0.1,0\n0.2,0.7,0.1,1\n0.6,0.3,0.1,0\n0.1,0.8,0.1,1\n"
+
+    def evaluate(self, tmp_path, test_rows, *extra):
+        val, test = tmp_path / "val.csv", tmp_path / "test.csv"
+        val.write_text(self.VAL)
+        test.write_text("f0,f1,f2,label\n" + test_rows)
+        report = tmp_path / "report.json"
+        rc = main([
+            "evaluate", "--val", str(val), "--test", str(test), "--use-case",
+            "accuracy_improvement", "--method", "knn", "--k", "1", "--report", str(report), *extra,
+        ])
+        return rc, json.loads(report.read_text()) if rc == 0 else None
+
+    def test_class_count_given(self, tmp_path):
+        rc, payload = self.evaluate(tmp_path, "0.8,0.1,0.1,0\n0.1,0.8,0.1,1\n", "--class-count", "3")
+        assert rc == 0
+        assert len(payload["report"]["confusion"]) == 3
+
+    def test_class_count_absent_is_largest_label_plus_one(self, tmp_path, capsys):
+        rc, _ = self.evaluate(tmp_path, "0.8,0.1,0.1,0\n0.1,0.8,0.1,1\n")
+        assert rc == 1  # two classes, three probabilities per row
+        assert "one probability per class" in capsys.readouterr().err
+
+    def test_class_count_counts_labels_only_in_the_test_file(self, tmp_path):
+        rc, payload = self.evaluate(tmp_path, "0.8,0.1,0.1,0\n0.1,0.2,0.7,2\n")
+        assert rc == 0
+        assert payload["report"]["confusion"] == [[1, 0, 0], [0, 0, 0], [0, 1, 0]]
+
+    def test_same_report_as_one_file_with_a_split_column(self, tmp_path, data_file):
+        rows = DATA_CSV.splitlines()[1:]
+        val, test = tmp_path / "val.csv", tmp_path / "test.csv"
+        val.write_text("f0,f1,label\n" + "".join(r[: -len(",val")] + "\n" for r in rows if r.endswith("val")))
+        test.write_text("f0,f1,label\n" + "".join(r[: -len(",test")] + "\n" for r in rows if r.endswith("test")))
+        reports = []
+        for data in (["--data", data_file], ["--val", str(val), "--test", str(test)]):
+            out = tmp_path / "r.json"
+            assert main(["evaluate", *data, "--use-case", "error_detection", "--report", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
     def test_missing_data_args(self, capsys):
         rc = main(["plan"])
         assert rc == 1

@@ -1,0 +1,309 @@
+"""Array-native ingestion: error parity with the row-by-row reader, bit-exact
+values, and the array-backed ReferenceSet.
+
+The row-by-row reader is the frozen copy of the package under
+``perfbench/refprog/transduct``, imported here under another name.
+"""
+
+import importlib.util
+import json
+import re
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from transduct import FeatureVector, IngestionSchema, ReferenceSet, derive_error_detection_set
+from transduct.core import load_dataset, load_split_files
+from transduct.errors import ContractError, TransductError
+
+REFPROG = Path(__file__).resolve().parents[1] / "perfbench" / "refprog" / "transduct"
+
+
+def _import_refprog():
+    spec = importlib.util.spec_from_file_location(
+        "transduct_rowwise", REFPROG / "__init__.py", submodule_search_locations=[str(REFPROG)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+rowwise = _import_refprog()
+
+HEADER = "f0,f1,label,split\n"
+
+# (file name, content, schema options, error type, row number in the message).
+# Each expectation is what the row-by-row reader raises for the same file.
+MALFORMED = [
+    ("bad-float.csv", HEADER + "0.9,0.1,0,val\n0.9,oops,1,val\n", {}, "DatasetParseError", 3),
+    ("nan.csv", HEADER + "0.9,0.1,0,val\n0.5,nan,0,val\n", {}, "DatasetParseError", 3),
+    ("inf.csv", HEADER + "-inf,0.5,0,val\n", {}, "DatasetParseError", 2),
+    ("arity.csv", HEADER + "0.9,0.1,0,val\n0.9,0.1,0\n", {}, "DatasetParseError", 3),
+    ("negative-label.csv", HEADER + "0.9,0.1,-1,val\n", {}, "SchemaError", 2),
+    ("label-range.csv", HEADER + "0.9,0.1,1,val\n0.9,0.1,2,test\n", {"class_count": 2}, "SchemaError", 3),
+    ("bad-split.csv", HEADER + "0.9,0.1,0,train\n", {}, "SchemaError", 2),
+    ("sum-off.csv", HEADER + "0.9,0.1,0,val\n0.5,0.6,0,val\n", {"is_probability": True}, "ValidationError", 3),
+    ("above-one.csv", HEADER + "1.5,-0.5,0,val\n", {"is_probability": True}, "ValidationError", 2),
+    # two bad rows: the earlier one wins, whichever check finds it
+    ("nan-then-split.csv", HEADER + "0.5,nan,0,test\n0.9,0.1,0,train\n", {}, "DatasetParseError", 2),
+    ("split-then-nan.csv", HEADER + "0.9,0.1,0,train\n0.5,nan,0,val\n", {}, "SchemaError", 2),
+    ("sum-then-label.csv", HEADER + "0.5,0.6,0,val\n0.9,0.1,x,val\n", {"is_probability": True}, "ValidationError", 2),
+    ("label-then-sum.csv", HEADER + "0.9,0.1,x,val\n0.5,0.6,0,val\n", {"is_probability": True}, "DatasetParseError", 2),
+    # one bad row: its features are checked before its label and split
+    ("nan-and-label.csv", HEADER + "0.9,0.1,0,val\ninf,0.1,-3,val\n", {}, "DatasetParseError", 3),
+    ("sum-and-split.csv", HEADER + "0.2,0.2,0,nope\n", {"is_probability": True}, "ValidationError", 2),
+    # blank lines count as rows
+    ("blank-line.csv", HEADER + "0.9,0.1,0,val\n\n,,,\n0.5,0.6,0,val\n", {"is_probability": True}, "ValidationError", 5),
+    ("json-bad-float.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": ["x", 0.1], "label": 1}]}, {}, "DatasetParseError", 1),
+    ("json-sum-off.json", {"reference": [{"features": [0.5, 0.6], "label": 0}]}, {"is_probability": True}, "ValidationError", 0),
+    ("json-label-range.json", {"class_count": 2, "reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [0.9, 0.1], "label": 2}]}, {}, "SchemaError", 1),
+    ("json-test-nan.json", {"reference": [{"features": [0.9, 0.1], "label": 0}], "test": [{"features": [0.5, 0.5]}, {"features": [float("nan"), 0.5]}]}, {}, "DatasetParseError", 1),
+    ("json-ref-before-test.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [0.5, float("inf")], "label": 0}], "test": [{"features": [float("nan"), 0.5]}]}, {}, "DatasetParseError", 1),
+    ("json-ragged.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [0.9], "label": 1}]}, {}, "ContractError", 1),
+    ("json-label-then-nan.json", {"reference": [{"features": [0.9, 0.1], "label": -1}, {"features": [float("nan"), 0.1], "label": 0}]}, {}, "SchemaError", 0),
+]
+
+
+def _write(tmp_path, name, content) -> Path:
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return path
+
+
+def _error(load, path, schema):
+    with pytest.raises(Exception) as info:
+        load(path, schema)
+    return info.value
+
+
+def _row_number(exc) -> int:
+    return int(re.search(r"(?:row|item|feature) (\d+)", str(exc)).group(1))
+
+
+@pytest.mark.parametrize("name, content, options, kind, row", MALFORMED, ids=[c[0] for c in MALFORMED])
+def test_malformed_input_raises_like_the_row_by_row_reader(tmp_path, name, content, options, kind, row):
+    path = _write(tmp_path, name, content)
+    got = _error(load_dataset, path, IngestionSchema(**options))
+    expected = _error(rowwise.load_dataset, path, rowwise.IngestionSchema(**options))
+    assert (type(got).__name__, _row_number(got)) == (kind, row)
+    assert (type(expected).__name__, _row_number(expected)) == (kind, row)
+    assert str(got) == str(expected)
+    assert getattr(got, "row", None) == getattr(expected, "row", None)
+
+
+def test_missing_reference_label_reports_its_file_row(tmp_path):
+    # the row-by-row reader counted data rows here, not file rows ("row 3")
+    path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n\n0.5,0.5,,val\n")
+    with pytest.raises(TransductError, match="reference row 4 has no label"):
+        load_dataset(path)
+
+
+def test_json_item_of_another_dimension_is_reported_at_its_row(tmp_path):
+    # the row-by-row reader compared shapes only after reading every item, so
+    # here it reported the NaN of item 2 instead
+    items = [[0.9, 0.1, 0.0], [0.9, 0.1], [float("nan"), 0.1]]
+    payload = {"reference": [{"features": f, "label": 0} for f in items]}
+    path = _write(tmp_path, "d.json", payload)
+    with pytest.raises(ContractError, match="feature 1 has dimension 2, expected 3"):
+        load_dataset(path)
+
+
+# --- bit-exact values --------------------------------------------------------
+
+_CELL_FORMATS = [repr, "{:.3g}".format, "{:.17e}".format, lambda v: f" {v!r} "]
+
+
+def _values(vectors) -> list:
+    return [f.values for f in vectors]
+
+
+@st.composite
+def csv_files(draw):
+    d = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 30))
+    values = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-50, 50).map(float)
+    lines = [",".join([f"f{j}" for j in range(d)] + ["label", "split"])]
+    has_val = False
+    for _ in range(rows):
+        cells = [draw(st.sampled_from(_CELL_FORMATS))(draw(values)) for _ in range(d)]
+        split = draw(st.sampled_from(["val", "test", " val"]))
+        label = draw(st.integers(0, 3))
+        has_val |= split.strip() == "val"
+        lines.append(",".join(cells + [str(label), split]))
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")
+    if not has_val:
+        lines.append(",".join(["1"] * d + ["0", "val"]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=csv_files())
+def test_feature_matrix_is_float_of_the_cells(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text)
+    ds = load_dataset(path)
+    old = rowwise.load_dataset(path)
+    rows = [line.split(",") for line in text.splitlines()[1:] if line]
+    val = [r for r in rows if r[-1].strip() == "val"]
+    expected = np.array([[float(c) for c in r[:-2]] for r in val])
+    assert ds.reference.feature_matrix().tobytes() == expected.tobytes()
+    assert _values(ds.reference.features) == _values(old.reference.features)
+    assert ds.reference.labels == old.reference.labels
+    assert ds.reference.class_count == old.reference.class_count
+    assert _values(ds.test_features) == _values(old.test_features)
+    assert ds.test_labels == old.test_labels
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="from 3.12 on sum() is compensated, so the row-by-row reader rounds otherwise",
+)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 12),
+    nudge=st.sampled_from([0.0, 1e-7, -1e-7, 9.9e-7, -9.9e-7, 1e-6, -1e-6, 1.01e-6, -1.01e-6]),
+)
+def test_probability_check_agrees_with_the_row_by_row_reader(tmp_path_factory, seed, d, nudge):
+    # sums within about 1e-6 of 1: the vectorised check must round as Python's sum
+    rng = np.random.default_rng(seed)
+    P = rng.dirichlet(np.ones(d), size=40)
+    P[:, 0] += nudge
+    lines = [",".join(repr(float(v)) for v in row) + ",0,val" for row in P]
+    path = tmp_path_factory.mktemp("csv") / "p.csv"
+    path.write_text(",".join(f"f{j}" for j in range(d)) + ",label,split\n" + "\n".join(lines) + "\n")
+    try:
+        expected = rowwise.load_dataset(path, rowwise.IngestionSchema(is_probability=True))
+    except rowwise.errors.TransductError as exc:
+        with pytest.raises(TransductError) as info:
+            load_dataset(path, IngestionSchema(is_probability=True))
+        assert (type(info.value).__name__, str(info.value)) == (type(exc).__name__, str(exc))
+    else:
+        got = load_dataset(path, IngestionSchema(is_probability=True))
+        assert _values(got.reference.features) == _values(expected.reference.features)
+
+
+def test_ingest_streams_rows_into_one_matrix(tmp_path):
+    # keeping every row's cells as Python objects costs several times the
+    # matrix (the row-by-row reader peaked at about 7x on this file)
+    P = np.random.default_rng(0).dirichlet(np.ones(10), size=4000)
+    lines = [",".join(map(repr, row.tolist())) + f",{i % 10},val" for i, row in enumerate(P)]
+    path = _write(tmp_path, "p.csv", ",".join(f"f{j}" for j in range(10)) + ",label,split\n" + "\n".join(lines))
+    tracemalloc.start()
+    try:
+        ds = load_dataset(path, IngestionSchema(is_probability=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ds.reference.feature_matrix().nbytes
+
+
+# --- the array-backed ReferenceSet ------------------------------------------
+
+
+class TestArrayBackedReferenceSet:
+    def test_build_accepts_arrays_lists_and_vectors(self):
+        rows = [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
+        sets = [
+            ReferenceSet.build(np.array(rows), [0, 1, 0], 2),
+            ReferenceSet.build(rows, (0, 1, 0), 2),
+            ReferenceSet.build([FeatureVector.of(r) for r in rows], np.array([0, 1, 0]), 2),
+        ]
+        for ref in sets:
+            assert ref.feature_matrix().tolist() == rows
+            assert ref.feature_matrix().dtype == np.float64
+            assert ref.label_array().dtype == np.int64
+            assert ref.labels == (0, 1, 0)
+            assert ref.features == tuple(FeatureVector.of(r) for r in rows)
+
+    def test_arrays_are_read_only_and_copied_from_writable_input(self):
+        X = np.array([[0.9, 0.1], [0.2, 0.8]])
+        ref = ReferenceSet.build(X, [0, 1], 2)
+        X[0, 0] = 5.0
+        assert ref.feature_matrix()[0, 0] == 0.9
+        for a in (ref.feature_matrix(), ref.label_array()):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_views_are_built_once(self, small_ref):
+        assert small_ref.features is small_ref.features
+        assert small_ref.labels is small_ref.labels
+
+    def test_equality_is_identity(self, small_ref):
+        same = ReferenceSet(small_ref.feature_matrix(), small_ref.label_array(), 2)
+        assert same.feature_matrix() is small_ref.feature_matrix()
+        assert same != small_ref and small_ref == small_ref
+
+    def test_subset_slices_the_arrays(self, small_ref):
+        sub = small_ref.subset([3, 1])
+        assert sub.feature_matrix().tolist() == [[0.8, 0.2], [0.1, 0.9]]
+        assert sub.labels == (0, 1)
+        assert not sub.feature_matrix().flags.writeable
+
+    @pytest.mark.parametrize(
+        "features, labels, error",
+        [
+            ([[0.5, float("nan")]], [0], ContractError),
+            ([[]], [0], ContractError),
+            ([], [], ContractError),
+            ([[1.0, 0.0], [1.0]], [0, 1], ContractError),
+            ([[1.0, 0.0]], [-1], TransductError),
+        ],
+    )
+    def test_rejects_what_feature_vectors_rejected(self, features, labels, error):
+        with pytest.raises(error):
+            ReferenceSet.build(features, labels, 2)
+
+    def test_error_detection_set_shares_the_matrix(self, tmp_path):
+        path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n0.3,0.7,0,val\n0.2,0.8,1,val\n")
+        ref = load_dataset(path).reference
+        derived = derive_error_detection_set(ref.feature_matrix(), ref.label_array())
+        assert derived.feature_matrix() is ref.feature_matrix()
+        assert derived.labels == (0, 1, 0)
+
+
+# --- --val / --test files ----------------------------------------------------
+
+
+class TestSplitFiles:
+    def write(self, tmp_path, val, test):
+        v = _write(tmp_path, "val.csv", "f0,f1,label\n" + val)
+        t = _write(tmp_path, "test.csv", "f0,f1,label\n" + test)
+        return v, t
+
+    def test_rows_keep_their_file_roles(self, tmp_path):
+        v = _write(tmp_path, "val.csv", HEADER + "0.9,0.1,0,test\n0.1,0.9,1,val\n")
+        t = _write(tmp_path, "test.csv", HEADER + "0.8,0.2,0,val\n")
+        ds = load_split_files(v, t)
+        assert ds.reference.labels == (0, 1)
+        assert ds.test_features == (FeatureVector.of([0.8, 0.2]),)
+        assert ds.test_labels == (0,)
+
+    def test_test_labels_are_optional(self, tmp_path):
+        v, t = self.write(tmp_path, "0.9,0.1,0\n0.1,0.9,1\n", "0.8,0.2,\n0.3,0.7,1\n")
+        assert load_split_files(v, t).test_labels is None
+        assert load_split_files(v).test_features == ()
+
+    def test_reference_rows_need_labels(self, tmp_path):
+        v, _ = self.write(tmp_path, "0.9,0.1,0\n0.1,0.9,?\n", "")
+        with pytest.raises(TransductError, match="reference row 3 has no label"):
+            load_split_files(v)
+
+    def test_earlier_file_is_checked_first(self, tmp_path):
+        v, t = self.write(tmp_path, "0.9,0.1,0\n0.1,nan,1\n", "0.8,oops,0\n")
+        with pytest.raises(TransductError, match="row 3") as info:
+            load_split_files(v, t)
+        assert "non-finite" in str(info.value)
+
+    def test_dimension_mismatch(self, tmp_path):
+        v = _write(tmp_path, "val.csv", "f0,f1,label\n0.9,0.1,0\n")
+        t = _write(tmp_path, "test.csv", "f0,f1,f2,label\n0.8,0.1,0.1,0\n")
+        with pytest.raises(ContractError):
+            load_split_files(v, t)

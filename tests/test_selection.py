@@ -45,6 +45,17 @@ class TestAffinityMatrix:
 
 
 class TestRepresentativeness:
+    def test_array_and_feature_vectors_agree(self):
+        X = np.random.default_rng(4).normal(size=(7, 3))
+        feats = [FeatureVector.of(r) for r in X]
+        assert representativeness(X) == representativeness(feats)
+        assert np.array_equal(affinity_matrix(X), affinity_matrix(feats))
+
+    def test_zero_norm_index_reported(self):
+        with pytest.raises(DegenerateInputError) as info:
+            representativeness(np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 0.0]]))
+        assert info.value.index == 2
+
     def test_single_sample(self):
         assert representativeness([fv(0.3, 0.7)]) == pytest.approx([1.0])
 
