@@ -288,24 +288,16 @@ def make_backend(cfg: BackendConfig, **remote_kwargs):
 
 @dataclass(frozen=True)
 class ClassifyAudit:
-    """Everything needed to audit one classification after the fact."""
+    """Everything needed to audit one classification after the fact. The
+    prompt sent was ``part1 + part2``; ``part1`` is the run's shared text."""
 
-    prompt: str
+    part1: str
+    part2: str
     completions: tuple[str, ...]
     label: int
     fallback: bool
     backend_id: str
     token_estimate: int
-
-    def to_dict(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "completions": list(self.completions),
-            "label": self.label,
-            "fallback": self.fallback,
-            "backend_id": self.backend_id,
-            "token_estimate": self.token_estimate,
-        }
 
 
 def classify(
@@ -343,7 +335,8 @@ def classify(
         label = nearest_label(ref, f_test, plan.ordered_indices)
         fallback = True
     audit = ClassifyAudit(
-        prompt=prompt,
+        part1=bundle.part1,
+        part2=bundle.part2,
         completions=tuple(completions),
         label=label,
         fallback=fallback,

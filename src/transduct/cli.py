@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .attention import AttentionConfig, property_report
-from .backends import BackendConfig, RetryPolicy, make_backend, classify
+from .backends import BackendConfig, RetryPolicy, prompt_hash
 from .baselines import KnnConfig, UbKnnConfig
 from .core import (
     IngestionSchema,
@@ -39,6 +40,7 @@ from .selection import build_plan
 from .toydata import generate, split_dataset
 from .workflow import (
     RunConfig,
+    predict,
     run_accuracy_improvement,
     run_error_detection,
 )
@@ -75,11 +77,21 @@ def _add_backend_args(p):
     p.add_argument("--mock-default", help="mock completion for unknown prompts")
 
 
+def _read_json_object(path: str, flag: str) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise TransductError(f"{flag} {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise TransductError(f"{flag} {path}: expected a JSON object")
+    return payload
+
+
 def _backend_config(args) -> BackendConfig:
     kind = {"mock": "mock", "local": "local-attention", "remote": "remote"}[args.backend]
     fixtures = None
     if args.mock_fixtures:
-        fixtures = json.loads(Path(args.mock_fixtures).read_text())
+        fixtures = _read_json_object(args.mock_fixtures, "--mock-fixtures")
     return BackendConfig(
         kind=kind,
         endpoint_url=args.endpoint,
@@ -103,12 +115,29 @@ def _add_selection_args(p):
     p.add_argument("--token-budget", type=int, default=4000)
 
 
-def _write_json(payload, out: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _run_config(args, **method) -> RunConfig:
+    """The selection, serialization and backend flags as a RunConfig; the
+    method and its settings come as keyword fields."""
+    return RunConfig(
+        selection_ratio=args.ratio,
+        interleave_by_class=args.interleave,
+        backend=_backend_config(args),
+        serialization=SerializationConfig(decimals=args.decimals, token_budget=args.token_budget),
+        **method,
+    )
+
+
+def _write_lines(lines, out: str | None):
+    """Write each line as it comes, to ``out`` or to stdout for ``-``."""
     if out and out != "-":
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
+
+
+def _write_json(payload, out: str | None):
+    _write_lines([json.dumps(payload, indent=2, sort_keys=True) + "\n"], out)
 
 
 def _cmd_plan(args) -> int:
@@ -128,11 +157,13 @@ def _cmd_plan(args) -> int:
 def _cmd_prompt(args) -> int:
     ds = _load_data(args)
     ser = SerializationConfig(decimals=args.decimals, token_budget=args.token_budget)
+    n = len(ds.test_features)
+    if not 0 <= args.test_index < n:
+        raise TransductError(
+            f"--test-index {args.test_index} outside [0, {n}): the dataset has {n} test rows"
+        )
     plan = build_plan(ds.reference, args.ratio, args.interleave)
-    if not ds.test_features:
-        raise TransductError("dataset has no test rows to prompt for")
-    f_test = ds.test_features[args.test_index]
-    bundle = build_bundle(ds.reference, f_test, plan, ser)
+    bundle = build_bundle(ds.reference, ds.test_features[args.test_index], plan, ser)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -144,21 +175,23 @@ def _cmd_prompt(args) -> int:
     return 0
 
 
+def _jsonl_records(results):
+    """One JSONL audit record per ``(label, audit)`` of :func:`predict`. Each
+    carries the SHA-256 of the run's Part 1; the first also carries its text."""
+    for index, (_, audit) in enumerate(results):
+        record = {"index": index, **asdict(audit)}
+        part1 = record.pop("part1")
+        if index == 0:
+            record["part1"] = part1
+            part1_sha256 = prompt_hash(part1)
+        record["part1_sha256"] = part1_sha256
+        yield json.dumps(record, sort_keys=True) + "\n"
+
+
 def _cmd_infer(args) -> int:
     ds = _load_data(args)
-    ser = SerializationConfig(decimals=args.decimals, token_budget=args.token_budget)
-    plan = build_plan(ds.reference, args.ratio, args.interleave)
-    backend = make_backend(_backend_config(args))
-    records = []
-    for i, f_test in enumerate(ds.test_features):
-        label, audit = classify(ds.reference, f_test, plan, backend, ser, model_name=args.model)
-        record = {"index": i, **audit.to_dict()}
-        records.append(record)
-    lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    if args.out and args.out != "-":
-        Path(args.out).write_text(lines)
-    else:
-        sys.stdout.write(lines)
+    results = predict(ds.reference, ds.test_features, _run_config(args))
+    _write_lines(_jsonl_records(results), args.out)
     return 0
 
 
@@ -166,23 +199,18 @@ def _cmd_evaluate(args) -> int:
     ds = _load_data(args)
     if ds.test_labels is None:
         raise TransductError("evaluate requires labeled test rows")
-    cfg = RunConfig(
-        method=args.method,
-        selection_ratio=args.ratio,
-        interleave_by_class=args.interleave,
-        positive_class=args.positive_class,
-        backend=_backend_config(args),
-        serialization=SerializationConfig(decimals=args.decimals, token_budget=args.token_budget),
-        knn=KnnConfig(k_neighbors=args.k, metric=args.metric),
-        ubknn=UbKnnConfig(KnnConfig(k_neighbors=args.k, metric=args.metric), args.bags, args.seed),
+    knn = KnnConfig(k_neighbors=args.k, metric=args.metric)
+    cfg = _run_config(
+        args, method=args.method, positive_class=args.positive_class,
+        knn=knn, ubknn=UbKnnConfig(knn, args.bags, args.seed),
     )
     data = (ds.reference.feature_matrix(), ds.reference.label_array(), ds.test_features, ds.test_labels)
     payload = {"use_case": args.use_case, "method": args.method}
     if args.use_case == "error_detection":
-        payload["report"] = run_error_detection(*data, cfg).to_dict()
+        payload["report"] = asdict(run_error_detection(*data, cfg))
     else:
         report, base = run_accuracy_improvement(*data, cfg, class_count=ds.reference.class_count)
-        payload.update(report=report.to_dict(), base_classifier=base.to_dict())
+        payload.update(report=asdict(report), base_classifier=asdict(base))
     _write_json(payload, args.report)
     return 0
 
@@ -275,16 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        defaults = json.loads(Path(args.config).read_text())
-        parser.set_defaults(**defaults)
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    known = {a.dest for a in sub._actions}
-                    sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        args = parser.parse_args(argv)  # reparse so explicit flags still win
     try:
+        if args.config:
+            defaults = _read_json_object(args.config, "--config")
+            (commands,) = [
+                a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            ]
+            sub = commands[args.command]
+            known = {a.dest for a in sub._actions}
+            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            args = parser.parse_args(argv)  # reparse so explicit flags still win
         return args.func(args)
     except (CredentialError, TransportError, RequestBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -28,6 +28,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -260,16 +261,22 @@ class LabeledDataset:
                     raise SchemaError(f"test label {y} outside class range")
 
 
+def _checked_class_count(class_count):
+    """A class count given by the caller or a file: None, or an integer >= 2."""
+    if class_count is not None and not (isinstance(class_count, Integral) and class_count >= 2):
+        raise SchemaError(f"class_count must be an integer >= 2, got {class_count!r}")
+    return class_count
+
+
 @dataclass(frozen=True)
 class IngestionSchema:
-    """Column layout and validation switches for dataset files."""
+    """Validation switches for dataset files."""
 
-    label_column: str = "label"
-    split_column: str = "split"
-    feature_columns: Optional[tuple[str, ...]] = None  # default: f0..f{d-1} in header order
-    class_count: Optional[int] = None  # default: max label + 1
+    class_count: Optional[int] = None  # default: max label + 1, at least 2
     is_probability: bool = False
-    default_split: Optional[str] = None  # role for files without a split column
+
+    def __post_init__(self):
+        _checked_class_count(self.class_count)
 
 
 class _Split:
@@ -327,25 +334,16 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_ea
         except StopIteration:
             raise DatasetParseError("empty file") from None
         header = [h.strip() for h in header]
-        if schema.label_column not in header:
-            raise SchemaError(f"header must contain {schema.label_column!r}: {header}")
-        has_split = schema.split_column in header
-        if not has_split and role is None and schema.default_split is None:
-            raise SchemaError(f"header must contain {schema.split_column!r}: {header}")
-        if schema.feature_columns is not None:
-            feat_cols = list(schema.feature_columns)
-            missing = [c for c in feat_cols if c not in header]
-            if missing:
-                raise SchemaError(f"feature columns missing from header: {missing}")
-        else:
-            feat_cols = [
-                c for c in header if c not in (schema.label_column, schema.split_column)
-            ]
-        if not feat_cols:
+        if "label" not in header:
+            raise SchemaError(f"header must contain 'label': {header}")
+        has_split = "split" in header
+        if not has_split and role is None:
+            raise SchemaError(f"header must contain 'split': {header}")
+        feat_idx = [i for i, c in enumerate(header) if c not in ("label", "split")]
+        if not feat_idx:
             raise SchemaError("no feature columns in header")
-        feat_idx = [header.index(c) for c in feat_cols]
-        label_idx = header.index(schema.label_column)
-        split_idx = header.index(schema.split_column) if has_split else None
+        label_idx = header.index("label")
+        split_idx = header.index("split") if has_split else None
         width = len(header)
 
         for row_no, row in enumerate(reader, start=2):
@@ -375,7 +373,7 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_ea
                     raise SchemaError(
                         f"row {row_no}: label {label} >= class_count {schema.class_count}"
                     )
-            split = row[split_idx].strip() if has_split else role or schema.default_split
+            split = row[split_idx].strip() if has_split else role
             if split not in ("val", "test"):
                 raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {split!r}")
             split = role or split
@@ -388,8 +386,13 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
     """The items of a JSON dataset for :func:`_collect`: reference items
     first, each numbered from 0 in messages, then test items the same way."""
     d = None
-    for split, items in (("val", payload["reference"]), ("test", payload.get("test", []))):
+    for split, key in (("val", "reference"), ("test", "test")):
+        items = payload.get(key, [])
+        if not isinstance(items, list):
+            raise SchemaError(f"JSON dataset: {key!r} must be a list")
         for i, item in enumerate(items):
+            if not isinstance(item, dict) or not isinstance(item.get("features"), list):
+                raise DatasetParseError(f"{key} item {i}: expected an object with a 'features' list")
             try:
                 features = [float(str(v)) for v in item["features"]]
             except ValueError as exc:
@@ -398,12 +401,12 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
                 raise DatasetParseError("feature vector must be non-empty", row=i)
             if check_each:
                 _check_row(features, i, is_probability)
-            if split == "val":
-                label = int(item["label"])
-                if label < 0 or (class_count is not None and label >= class_count):
+            label = item.get("label")
+            if label is not None or split == "val":  # test items may omit it
+                if isinstance(label, bool) or not isinstance(label, int):
+                    raise DatasetParseError(f"{key} item {i}: label must be an integer, got {label!r}")
+                if split == "val" and (label < 0 or (class_count is not None and label >= class_count)):
                     raise SchemaError(f"reference item {i}: label {label} out of range")
-            else:
-                label = int(item["label"]) if item.get("label") is not None else None
             d = d or len(features)
             if len(features) != d:
                 kind = "feature" if split == "val" else "test feature"
@@ -417,8 +420,8 @@ def _assemble(val: _Split, test: _Split, class_count: Optional[int]) -> LabeledD
     y = np.frombuffer(val.labels, dtype=np.int64)
     test_labels = tuple(test.labels)
     if class_count is None:
-        class_count = max([int(y.max()), *test_labels]) + 1
-    reference = ReferenceSet(val.matrix(), _read_only(y), max(class_count, 2))
+        class_count = max(int(y.max()), *test_labels, 1) + 1
+    reference = ReferenceSet(val.matrix(), _read_only(y), class_count)
     have_labels = test_labels and min(test_labels) >= 0
     return LabeledDataset(
         reference, _vectors(test.matrix()), test_labels if have_labels else None
@@ -430,13 +433,6 @@ def _existing(path) -> Path:
     if not path.exists():
         raise DatasetParseError(f"no such file: {path}")
     return path
-
-
-def load_feature_rows(path, schema: IngestionSchema = IngestionSchema(default_split="val")):
-    """Low-level loader: (features, labels) in file order, labels may be None."""
-    path = _existing(path)
-    _, rows = _collect(partial(_csv_rows, path, schema, "test"), schema.is_probability)
-    return list(_vectors(rows.matrix())), [None if y < 0 else y for y in rows.labels]
 
 
 def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDataset:
@@ -451,7 +447,7 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
         raise DatasetParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "reference" not in payload:
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
-    class_count = payload.get("class_count", schema.class_count)
+    class_count = _checked_class_count(payload.get("class_count", schema.class_count))
     read = partial(_json_rows, payload, class_count, schema.is_probability)
     return _assemble(*_collect(read, schema.is_probability), class_count)
 

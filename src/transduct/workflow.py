@@ -17,7 +17,7 @@ once per run and shared by every test sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence, Union
+from typing import Iterator, Literal, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,23 +52,6 @@ class EvalReport:
     f_score: Optional[float]
     fallback_count: int
     n_test: int
-
-    def to_dict(self) -> dict:
-        return {
-            "confusion": [list(row) for row in self.confusion],
-            "per_class_accuracy": list(self.per_class_accuracy),
-            "balanced_accuracy": self.balanced_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "fallback_count": self.fallback_count,
-            "n_test": self.n_test,
-        }
-
-    @property
-    def accuracy(self) -> float:
-        correct = sum(self.confusion[c][c] for c in range(len(self.confusion)))
-        return correct / self.n_test
 
 
 def compute_metrics(
@@ -136,27 +119,30 @@ class RunConfig:
     ubknn: UbKnnConfig = field(default_factory=UbKnnConfig)
 
 
-def _prompt_classifier(ref: ReferenceSet, cfg: RunConfig):
-    plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
-    backend = backends_mod.make_backend(cfg.backend)
+def predict(
+    ref: ReferenceSet, test_features: Sequence[FeatureVector], cfg: RunConfig
+) -> Iterator[tuple[int, Optional[backends_mod.ClassifyAudit]]]:
+    """Each test sample's label, in order, with its ClassifyAudit for the
+    ``prompt`` method (None for ``knn`` and ``ubknn``).
 
-    def classify_one(f_test: FeatureVector) -> tuple[int, bool]:
-        label, audit = backends_mod.classify(
-            ref, f_test, plan, backend, cfg.serialization, model_name=cfg.backend.model_name
-        )
-        return label, audit.fallback
-
-    return classify_one
-
-
-def _make_classifier(ref: ReferenceSet, cfg: RunConfig) -> Callable[[FeatureVector], tuple[int, bool]]:
+    The prompt method builds the selection plan and the backend once, when
+    the first sample is asked for, and every sample shares them.
+    """
     if cfg.method == "prompt":
-        return _prompt_classifier(ref, cfg)
-    if cfg.method == "knn":
-        return lambda f: (knn_classify(ref, f, cfg.knn), False)
-    if cfg.method == "ubknn":
-        return lambda f: (ubknn_classify(ref, f, cfg.ubknn), False)
-    raise ContractError(f"unknown method {cfg.method!r}")
+        plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
+        backend = backends_mod.make_backend(cfg.backend)
+        for f in test_features:
+            yield backends_mod.classify(
+                ref, f, plan, backend, cfg.serialization, model_name=cfg.backend.model_name
+            )
+    elif cfg.method == "knn":
+        for f in test_features:
+            yield knn_classify(ref, f, cfg.knn), None
+    elif cfg.method == "ubknn":
+        for f in test_features:
+            yield ubknn_classify(ref, f, cfg.ubknn), None
+    else:
+        raise ContractError(f"unknown method {cfg.method!r}")
 
 
 def _predictions(probs: Probs) -> np.ndarray:
@@ -170,19 +156,13 @@ def _run(
     truths: Sequence[int],
     cfg: RunConfig,
 ) -> EvalReport:
-    classify_one = _make_classifier(ref, cfg)
-    predictions = []
-    fallback_count = 0
-    for f in test_features:
-        label, fallback = classify_one(f)
-        predictions.append(label)
-        fallback_count += int(fallback)
+    results = list(predict(ref, test_features, cfg))
     return compute_metrics(
-        predictions,
+        [label for label, _ in results],
         truths,
         ref.class_count,
         positive_class=cfg.positive_class,
-        fallback_count=fallback_count,
+        fallback_count=sum(audit is not None and audit.fallback for _, audit in results),
     )
 
 

@@ -3,7 +3,11 @@ import json
 
 import pytest
 
+from transduct.backends import prompt_hash
 from transduct.cli import main
+from transduct.core import load_dataset
+from transduct.prompt import SerializationConfig, build_bundle
+from transduct.selection import build_plan
 
 DATA_CSV = """f0,f1,label,split
 0.9,0.1,0,val
@@ -68,6 +72,9 @@ class TestPlan:
         assert payload["k"] == 1
 
 
+ONE_TEST_ROW_CSV = DATA_CSV.replace("0.2,0.8,1,test\n", "")
+
+
 class TestPrompt:
     def test_prompt_to_stdout(self, data_file, capsys):
         rc = main(["prompt", "--data", data_file, "--ratio", "0.5", "--test-index", "0"])
@@ -86,6 +93,15 @@ class TestPrompt:
         part2 = (out_dir / "part2.txt").read_text()
         assert part1.endswith("\n") and part2.endswith("\n")
         assert part2 == "[0.70, 0.30] is in class\n"
+
+    @pytest.mark.parametrize("index", ["1", "5", "-1"])
+    def test_index_outside_the_test_split(self, tmp_path, capsys, index):
+        path = tmp_path / "one.csv"
+        path.write_text(ONE_TEST_ROW_CSV)
+        rc = main(["prompt", "--data", str(path), "--test-index", index])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: --test-index {index} outside [0, 1)" in err and "Traceback" not in err
 
 
 class TestInfer:
@@ -108,6 +124,46 @@ class TestInfer:
         assert rc == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["label"] for r in records] == [1, 1]
+
+
+def infer_records(data_file, tmp_path, *flags):
+    out = tmp_path / "preds.jsonl"
+    rc = main(["infer", "--data", data_file, "--ratio", "0.5", "--out", str(out), *flags])
+    return rc, [json.loads(line) for line in out.read_text().splitlines()]
+
+
+class TestInferRecords:
+    """Each record holds Part 2 and the SHA-256 of Part 1; only the first
+    holds the Part 1 text, and records reach --out one by one."""
+
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "local"], ["--backend", "mock", "--mock-default", " 1"]],
+        ids=["local", "mock"],
+    )
+    def test_part1_written_once(self, data_file, tmp_path, flags):
+        rc, records = infer_records(data_file, tmp_path, *flags)
+        assert rc == 0
+        ds = load_dataset(data_file)
+        plan = build_plan(ds.reference, 0.5, True)
+        part1 = records[0]["part1"]
+        assert [r["index"] for r in records] == [0, 1]
+        for r, f in zip(records, ds.test_features):
+            assert part1 + r["part2"] == build_bundle(ds.reference, f, plan, SerializationConfig()).prompt
+            assert r["part1_sha256"] == prompt_hash(part1)
+            assert set(r) >= {"label", "fallback", "completions", "backend_id", "token_estimate"}
+            assert "prompt" not in r
+        assert all("part1" not in r for r in records[1:])
+
+    def test_records_before_an_error_stay_in_out(self, data_file, tmp_path, capsys):
+        ds = load_dataset(data_file)
+        plan = build_plan(ds.reference, 0.5, True)
+        first = build_bundle(ds.reference, ds.test_features[0], plan, SerializationConfig()).prompt
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({prompt_hash(first): " 0"}))
+        rc, records = infer_records(data_file, tmp_path, "--backend", "mock", "--mock-fixtures", str(fixtures))
+        assert rc == 2
+        assert "error: no mock fixture" in capsys.readouterr().err
+        assert [(r["index"], r["label"]) for r in records] == [(0, 0)]
 
 
 class TestEvaluate:
@@ -281,6 +337,29 @@ class TestConfigAndErrors:
     def test_mock_unknown_prompt_exit_code(self, data_file, capsys):
         rc = main(["infer", "--data", data_file, "--backend", "mock"])
         assert rc == 2
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"], ids=["missing", "not-json", "not-object"])
+    @pytest.mark.parametrize("flag", ["--config", "--mock-fixtures"])
+    def test_unreadable_json_file(self, data_file, tmp_path, capsys, flag, content):
+        path = tmp_path / "file.json"
+        if content is not None:
+            path.write_text(content)
+        args = ["infer", "--data", data_file, "--backend", "mock", "--mock-default", " 1"]
+        argv = [flag, str(path), *args] if flag == "--config" else [*args, flag, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path}") and "Traceback" not in err
+
+    def test_class_count_below_two(self, data_file, capsys):
+        assert main(["plan", "--data", data_file, "--class-count", "1"]) == 1
+        assert "error: class_count must be an integer >= 2, got 1" in capsys.readouterr().err
+
+    def test_malformed_json_item(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"reference": [{"features": [0.9, 0.1], "label": "x"}]}))
+        assert main(["plan", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: reference item 0: label must be an integer, got 'x'\n"
 
 
 class TestVersion:

@@ -10,7 +10,7 @@ from transduct import (
     load_dataset,
     save_dataset,
 )
-from transduct.core import argmax_index, check_probability_simplex, load_feature_rows
+from transduct.core import argmax_index, check_probability_simplex, load_split_files
 from transduct.errors import (
     ContractError,
     DatasetParseError,
@@ -120,13 +120,15 @@ class TestCsvIngestion:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
-    def test_default_split_for_headerless_split(self, tmp_path):
+    def test_split_column_optional_only_for_split_files(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("f0,f1,label\n0.9,0.1,0\n0.1,0.9,1\n")
-        feats, labels = load_feature_rows(path)
-        assert len(feats) == 2 and labels == [0, 1]
+        ds = load_split_files(path)
+        assert len(ds.reference.features) == 2 and ds.reference.labels == (0, 1)
+        ds = load_split_files(path, path)
+        assert len(ds.test_features) == 2 and ds.test_labels == (0, 1)
         with pytest.raises(SchemaError):
-            load_dataset(path)  # split column required without a default
+            load_dataset(path)  # one file needs its split column
 
 
 class TestJsonIngestion:

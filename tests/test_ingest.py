@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from transduct import FeatureVector, IngestionSchema, ReferenceSet, derive_error_detection_set
 from transduct.core import load_dataset, load_split_files
-from transduct.errors import ContractError, TransductError
+from transduct.errors import ContractError, DatasetParseError, SchemaError, TransductError
 
 REFPROG = Path(__file__).resolve().parents[1] / "perfbench" / "refprog" / "transduct"
 
@@ -102,6 +102,36 @@ def test_missing_reference_label_reports_its_file_row(tmp_path):
     path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n\n0.5,0.5,,val\n")
     with pytest.raises(TransductError, match="reference row 4 has no label"):
         load_dataset(path)
+
+
+GOOD_ITEM = {"features": [0.9, 0.1], "label": 0}
+
+# (file name, content, schema options, error type, message pattern): inputs
+# the row-by-row reader let out as a raw ValueError / KeyError / TypeError or
+# accepted with a class count raised to 2
+TYPED_ERRORS = [
+    ("json-label-not-int.json", {"reference": [GOOD_ITEM, {"features": [0.5, 0.5], "label": "x"}]}, {}, DatasetParseError, "reference item 1: label must be an integer, got 'x'"),
+    ("json-test-label-not-int.json", {"reference": [GOOD_ITEM], "test": [{"features": [0.5, 0.5], "label": "x"}]}, {}, DatasetParseError, "test item 0: label must be an integer"),
+    ("json-missing-features.json", {"reference": [GOOD_ITEM, {"label": 1}]}, {}, DatasetParseError, "reference item 1: expected an object with a 'features' list"),
+    ("json-missing-label.json", {"reference": [GOOD_ITEM, {"features": [0.5, 0.5]}]}, {}, DatasetParseError, "reference item 1: label must be an integer, got None"),
+    ("json-features-not-list.json", {"reference": [{"features": 0.5, "label": 0}]}, {}, DatasetParseError, "reference item 0: expected an object"),
+    ("json-item-not-object.json", {"reference": [GOOD_ITEM], "test": [[0.5, 0.5]]}, {}, DatasetParseError, "test item 0: expected an object"),
+    ("json-class-count-1.json", {"class_count": 1, "reference": [GOOD_ITEM]}, {}, SchemaError, "class_count must be an integer >= 2, got 1"),
+    ("schema-class-count-1.csv", HEADER + "0.9,0.1,0,val\n", {"class_count": 1}, SchemaError, "class_count must be an integer >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("name, content, options, kind, message", TYPED_ERRORS, ids=[c[0] for c in TYPED_ERRORS])
+def test_malformed_item_or_class_count_is_a_typed_error(tmp_path, name, content, options, kind, message):
+    path = _write(tmp_path, name, content)
+    with pytest.raises(kind, match=re.escape(message)):
+        load_dataset(path, IngestionSchema(**options))
+
+
+def test_inferred_class_count_is_at_least_two(tmp_path):
+    path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,,test\n")
+    assert load_dataset(path).reference.class_count == 2
+    assert load_dataset(path, IngestionSchema(class_count=3)).reference.class_count == 3
 
 
 def test_json_item_of_another_dimension_is_reported_at_its_row(tmp_path):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transduct import (
     FeatureVector,
@@ -221,6 +223,75 @@ class TestParseCompletion:
         with pytest.raises(CompletionParseError) as err:
             parse_completion(text, 3)
         assert not isinstance(err.value, LabelOutOfRangeError)
+
+
+# Text in which the completion grammar sees no number: no decimal digit
+# (any script, as the parser's \d), no sign and no decimal point.
+NO_NUMBER = st.text(
+    st.characters(exclude_categories=("Cs", "Nd"), exclude_characters="+-.")
+)
+
+
+class TestParseCompletionProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=NO_NUMBER, class_count=st.integers(1, 12))
+    def test_no_number_is_unparseable(self, text, class_count):
+        with pytest.raises(CompletionParseError) as err:
+            parse_completion(text, class_count)
+        assert not isinstance(err.value, LabelOutOfRangeError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=NO_NUMBER,
+        sign=st.sampled_from(["", "+", "-"]),
+        digits=st.text("0123456789", min_size=1, max_size=6),
+        fraction=st.just("") | st.text("0123456789", min_size=1, max_size=3).map(".".__add__),
+        suffix=st.text().filter(lambda t: re.match(r"\.?\d", t) is None),
+        class_count=st.integers(1, 12),
+    )
+    def test_label_only_for_a_plain_in_range_first_integer(
+        self, prefix, sign, digits, fraction, suffix, class_count
+    ):
+        text = prefix + sign + digits + fraction + suffix
+        plain = sign == "" and fraction == ""
+        if plain and int(digits) < class_count:
+            assert parse_completion(text, class_count) == int(digits)
+            return
+        with pytest.raises(CompletionParseError) as err:
+            parse_completion(text, class_count)
+        assert isinstance(err.value, LabelOutOfRangeError) == plain
+
+
+FEATURE_VALUES = st.floats(-1e12, 1e12, allow_nan=False) | st.sampled_from(
+    [-0.0, -1e-9, -0.004, -0.5e-8, 0.125, 1e12, -1e12]
+)
+
+
+class TestRenderParseRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        decimals=st.integers(1, 8),
+        rows=st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.lists(FEATURE_VALUES, min_size=d, max_size=d), min_size=2, max_size=5)
+        ),
+    )
+    @example(decimals=2, rows=[[-0.001, 0.5], [-0.0, 1e12]])
+    def test_every_feature_within_half_a_unit_in_the_last_decimal(self, decimals, rows):
+        *reference, test_row = rows
+        ref = ReferenceSet.build(reference, [i % 2 for i in range(len(reference))], 2)
+        plan = SelectionPlan(tuple(range(ref.size)), (0.0,) * ref.size, ref.size)
+        cfg = SerializationConfig(decimals=decimals, token_budget=10**6)
+        ref_back, f_back = parse_prompt(build_bundle(ref, fv(*test_row), plan, cfg).prompt)
+        assert ref_back.labels == ref.labels
+        half_unit = 0.5 * 10**-decimals
+        for got, want in zip([*ref_back.features, f_back], [*reference, test_row]):
+            for g, w in zip(got.values, want):
+                assert abs(g - w) <= half_unit + math.ulp(max(abs(w), 1.0)), (g, w)
+
+    def test_negative_zero_renders_and_parses(self):
+        assert render_feature(fv(-0.001, 0.5)) == "[-0.00, 0.50]"
+        ref_back, _ = parse_prompt("[-0.00, 0.50] is in class 1\n[0.10, 0.90] is in class\n")
+        assert ref_back.features[0].values == (-0.0, 0.5)
 
 
 class TestRoundTrip:

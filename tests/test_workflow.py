@@ -15,10 +15,12 @@ from transduct import (
     run_accuracy_improvement,
     run_error_detection,
 )
+from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backend, ubknn_classify
+from transduct import workflow
 from transduct.backends import prompt_hash
 from transduct.core import argmax_index
 from transduct.errors import ContractError
-from transduct.workflow import base_classifier_report
+from transduct.workflow import base_classifier_report, predict
 
 
 def fv(*v):
@@ -269,3 +271,47 @@ class TestWorkflowProperties:
             report = run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS, TEST_TRUE, cfg)
             assert report.n_test == len(TEST_PROBS)
             assert report.fallback_count == 0
+
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestPredict:
+    def test_prompt_method_shares_one_plan_and_backend(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(workflow, "build_plan", counting(calls, "plan", build_plan))
+        monkeypatch.setattr(workflow.backends_mod, "make_backend", counting(calls, "backend", make_backend))
+        ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
+        cfg = RunConfig(backend=BackendConfig(kind="local-attention"), selection_ratio=0.5)
+        results = list(predict(ref, TEST_PROBS, cfg))
+        assert calls == ["plan", "backend"]
+        plan = build_plan(ref, 0.5, True)
+        backend = make_backend(cfg.backend)
+        for f, (label, audit) in zip(TEST_PROBS, results):
+            assert (label, audit) == classify(ref, f, plan, backend)
+            assert audit.label == label
+        assert len({id(audit.part1) for _, audit in results}) == 1
+
+    def test_baselines_yield_no_audit(self):
+        ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
+        knn, ubknn = KnnConfig(k_neighbors=3), UbKnnConfig(KnnConfig(k_neighbors=1), 5, 7)
+        cfg = RunConfig(method="knn", knn=knn, ubknn=ubknn)
+        assert list(predict(ref, TEST_PROBS, cfg)) == [(knn_classify(ref, f, knn), None) for f in TEST_PROBS]
+        cfg = RunConfig(method="ubknn", knn=knn, ubknn=ubknn)
+        assert list(predict(ref, TEST_PROBS, cfg)) == [(ubknn_classify(ref, f, ubknn), None) for f in TEST_PROBS]
+
+    def test_unknown_method(self):
+        ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
+        with pytest.raises(ContractError, match="unknown method"):
+            list(predict(ref, TEST_PROBS, RunConfig(method="svm")))
+
+    def test_fallbacks_are_counted(self):
+        cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default="??"), selection_ratio=0.5)
+        report = run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS, TEST_TRUE, cfg)
+        assert report.fallback_count == len(TEST_PROBS)
