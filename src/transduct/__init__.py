@@ -46,7 +46,7 @@ from .prompt import (
     parse_completion,
     render_feature,
 )
-from .selection import SelectionPlan, build_plan, cosine_similarity, representativeness
+from .selection import SelectionPlan, build_plan, representativeness
 from .toydata import generate, make_circles, make_moons, split_dataset
 from .workflow import (
     EvalReport,
@@ -83,7 +83,6 @@ __all__ = [
     "classify",
     "compute_metrics",
     "cosine_1nn_label",
-    "cosine_similarity",
     "derive_error_detection_set",
     "generate",
     "iterate_self_attention",

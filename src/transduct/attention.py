@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, unit_rows
-from .errors import ContractError, DegenerateInputError, NumericError
+from .core import FeatureVector, ReferenceSet, cosine_scores, unit_rows
+from .errors import ContractError, NumericError
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,9 @@ def attention_memory(ref: ReferenceSet) -> tuple[np.ndarray, np.ndarray]:
 
 def attend(K: np.ndarray, V: np.ndarray, f_test: FeatureVector, s: float = 1e-6) -> np.ndarray:
     """Class distribution of ``f_test`` over the keys and values of
-    :func:`attention_memory`; the query is the unit-normalized test feature."""
-    if len(f_test) != K.shape[1]:
-        raise ContractError(
-            f"test dimension {len(f_test)} != reference dimension {K.shape[1]}"
-        )
-    q = f_test.as_array()
-    norm = np.linalg.norm(q)
-    if norm == 0.0:
-        raise DegenerateInputError("zero-norm test feature")
-    return attention(q[None, :] / norm, K, V, s)[0]
+    :func:`attention_memory`; the query is the unit-normalized test feature
+    (a dimension other than the keys' is a ContractError of :func:`attention`)."""
+    return attention(unit_rows(f_test.as_array()[None, :]), K, V, s)[0]
 
 
 def nn_attention_classify(
@@ -217,8 +210,7 @@ def _random_instance(rng: np.random.Generator):
     m = int(rng.integers(5, 51))
     d = int(rng.integers(2, 17))
     c = int(rng.integers(2, 5))
-    feats = rng.normal(size=(m, d))
-    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    feats = unit_rows(rng.normal(size=(m, d)))
     labels = rng.integers(0, c, size=m)
     labels[: c] = np.arange(c)  # every class populated
     ref = ReferenceSet.build(feats, labels, c)
@@ -227,9 +219,7 @@ def _random_instance(rng: np.random.Generator):
 
 
 def _has_cosine_tie(ref: ReferenceSet, f_test: FeatureVector, tol: float = 1e-9) -> bool:
-    K = unit_rows(ref.feature_matrix())
-    q = f_test.as_array()
-    sims = np.sort(K @ (q / np.linalg.norm(q)))
+    sims = np.sort(cosine_scores(unit_rows(ref.feature_matrix()), f_test))
     return bool(sims[-1] - sims[-2] < tol) if len(sims) > 1 else False
 
 
@@ -270,22 +260,13 @@ def two_cluster_fixture(seed: int = 0, per_cluster: int = 5, spread: float = 0.0
     """Two orthogonal feature clusters; the test row belongs to the second."""
     rng = np.random.default_rng(seed)
     d, c = 4, 2
-    rows = []
-    for axis, label, count in ((0, 0, per_cluster), (1, 1, per_cluster - 1)):
-        for _ in range(count):
-            f = np.zeros(d)
-            f[axis] = 1.0
-            f = f + spread * rng.normal(size=d)
-            f /= np.linalg.norm(f)
-            one_hot = np.zeros(c)
-            one_hot[label] = 1.0
-            rows.append(np.r_[f, one_hot])
-    f = np.zeros(d)
-    f[1] = 1.0
-    f = f + spread * rng.normal(size=d)
-    f /= np.linalg.norm(f)
-    rows.append(np.r_[f, np.zeros(c)])
-    return FeatureLabelMatrix(np.array(rows), d, c)
+    n = 2 * per_cluster  # the test row is the last of the second cluster
+    centres = np.zeros((n, d))
+    centres[:per_cluster, 0] = centres[per_cluster:, 1] = 1.0
+    feats = unit_rows(centres + spread * rng.normal(size=(n, d)))
+    labels = np.zeros((n, c))
+    labels[:per_cluster, 0] = labels[per_cluster:-1, 1] = 1.0
+    return FeatureLabelMatrix(np.hstack([feats, labels]), d, c)
 
 
 def cluster_separation(final: np.ndarray, cluster_a: Sequence[int], cluster_b: Sequence[int]) -> tuple[float, float]:

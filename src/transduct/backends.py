@@ -16,9 +16,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Literal, Mapping, Optional
 
+import numpy as np
+
 from .attention import AttentionConfig, attend, attention_memory
 from .baselines import nearest_label
-from .core import FeatureVector, ReferenceSet, argmax_index
+from .core import FeatureVector, ReferenceSet
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -43,16 +45,12 @@ BackendKind = Literal["remote", "local-attention", "mock"]
 class CompletionRequest:
     prompt: str
     max_tokens: int = 4
-    temperature: float = 0.0
-    model_name: str = "text-davinci-003"
 
     def __post_init__(self):
         if not self.prompt:
             raise ContractError("prompt must be non-empty")
         if self.max_tokens < 1:
             raise ContractError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ContractError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -119,14 +117,22 @@ class RateLimiter:
 class MockBackend:
     """Scripted completions keyed by SHA-256 of the prompt.
 
-    A fixture value may be a single string or a list consumed in order
-    (the last entry repeats once exhausted).
+    A fixture value may be a single string or a non-empty list of strings
+    consumed in order (the last entry repeats once exhausted). Any other
+    fixture or ``mock_default`` is a ContractError when the backend is built.
     """
 
     backend_id = "mock"
 
     def __init__(self, cfg: BackendConfig):
-        self._fixtures = {k: list(v) if isinstance(v, (list, tuple)) else [v] for k, v in (cfg.mock_fixtures or {}).items()}
+        self._fixtures = {k: [v] if isinstance(v, str) else v for k, v in (cfg.mock_fixtures or {}).items()}
+        for key, texts in self._fixtures.items():
+            if not (isinstance(texts, (list, tuple)) and texts and all(isinstance(t, str) for t in texts)):
+                raise ContractError(
+                    f"mock fixture {key}: expected a string or a non-empty list of strings, got {texts!r}"
+                )
+        if not isinstance(cfg.mock_default, (str, type(None))):
+            raise ContractError(f"mock_default must be a string, got {cfg.mock_default!r}")
         self._cursor: dict[str, int] = {}
         self._default = cfg.mock_default
 
@@ -176,7 +182,7 @@ class LocalAttentionBackend:
             if len(tail) == 1:
                 self._cache = (part1, ref.size, K, V)
         probs = attend(K, V, f_test, self._attn.scale_s)
-        label = argmax_index(probs)
+        label = int(np.argmax(probs))
         return CompletionResponse(
             text=f" {label}",
             latency_ms=0,
@@ -202,9 +208,10 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float =
 class RemoteBackend:
     """OpenAI-compatible completions client.
 
-    Wire format: POST {model, prompt, max_tokens, temperature}; the reply
-    is read from ``choices[0].text``. 401/403 fail immediately; 429/5xx
-    and timeouts are retried with exponential backoff.
+    Wire format: POST {model, prompt, max_tokens, temperature}, with the
+    configured ``model_name`` and temperature 0; the reply is read from
+    ``choices[0].text``. 401/403 fail immediately; 429/5xx and timeouts are
+    retried with exponential backoff.
     """
 
     backend_id = "remote"
@@ -234,10 +241,10 @@ class RemoteBackend:
                 f"environment variable {self._cfg.api_key_env} is not set"
             )
         payload = {
-            "model": req.model_name,
+            "model": self._cfg.model_name,
             "prompt": req.prompt,
             "max_tokens": req.max_tokens,
-            "temperature": req.temperature,
+            "temperature": 0.0,
         }
         headers = {
             "Authorization": f"Bearer {self._api_key}",
@@ -306,25 +313,22 @@ def classify(
     plan: SelectionPlan,
     backend,
     ser: SerializationConfig = SerializationConfig(),
-    model_name: str = "text-davinci-003",
-    max_tokens: int = 4,
 ) -> tuple[int, ClassifyAudit]:
     """Prompt-based classification of one test sample.
 
-    On an unparseable or out-of-range completion the backend is asked once
-    more with a larger max_tokens; if that also fails, the cosine-1NN label
-    over the plan's selected samples is used (distance ties go to the sample
-    first in plan order) and the fallback flag set.
+    The completion is asked for with max_tokens 4. On an unparseable or
+    out-of-range completion the backend is asked once more with 8; if that
+    also fails, the cosine-1NN label over the plan's selected samples is
+    used (distance ties go to the sample first in plan order) and the
+    fallback flag set.
     """
     bundle: PromptBundle = build_bundle(ref, f_test, plan, ser)
     prompt = bundle.prompt
     completions: list[str] = []
     label = None
     fallback = False
-    for tokens in (max_tokens, max_tokens + 4):
-        resp = backend.complete(
-            CompletionRequest(prompt, max_tokens=tokens, model_name=model_name)
-        )
+    for tokens in (4, 8):
+        resp = backend.complete(CompletionRequest(prompt, max_tokens=tokens))
         completions.append(resp.text)
         try:
             label = parse_completion(resp.text, ref.class_count)

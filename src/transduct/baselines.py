@@ -15,8 +15,8 @@ from typing import Literal
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet
-from .errors import ContractError, DegenerateInputError
+from .core import FeatureVector, ReferenceSet, cosine_scores, unit_rows
+from .errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -47,25 +47,20 @@ def _distances(
 ) -> np.ndarray:
     """Distance from ``f_test`` to every row of ``ref``'s feature matrix.
 
-    Both kernels work row by row (``einsum``, not a BLAS matrix-vector
-    product), so a row's distance does not depend on the rows around it: a
-    subset of the matrix gets the same values as the full matrix, and
-    identical rows get identical distances. Under cosine, a zero-norm query
-    or a zero-norm row among the ``used`` rows (an index array or a row
-    mask) raises DegenerateInputError; zero-norm rows outside ``used`` get a
-    meaningless distance.
+    Both kernels work row by row (``einsum`` in :func:`core.cosine_scores`,
+    not a BLAS matrix-vector product), so a row's distance does not depend
+    on the rows around it: a subset of the matrix gets the same values as
+    the full matrix, and identical rows get identical distances. Under
+    cosine, a zero-norm query or a zero-norm row among the ``used`` rows
+    (an index array or a row mask) raises DegenerateInputError; zero-norm
+    rows outside ``used`` get a NaN distance.
     """
+    X = ref.feature_matrix()
+    if metric == "cosine":
+        return 1.0 - cosine_scores(unit_rows(X, used), f_test)
     if len(f_test) != ref.dimension:
         raise ContractError("test feature dimension mismatch")
-    X, q = ref.feature_matrix(), f_test.as_array()
-    if metric == "euclidean":
-        return np.linalg.norm(X - q, axis=1)
-    norms = np.linalg.norm(X, axis=1)
-    qn = np.linalg.norm(q)
-    if qn == 0.0 or np.any(norms[used] == 0.0):
-        raise DegenerateInputError("cosine distance undefined for zero-norm vectors")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 - np.einsum("ij,j->i", X, q) / (norms * qn)
+    return np.linalg.norm(X - f_test.as_array(), axis=1)
 
 
 def _vote(dist: np.ndarray, labels: np.ndarray, k: int, class_count: int) -> int:

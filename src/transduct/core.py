@@ -105,18 +105,6 @@ def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY
     return i, ValidationError, f"probability vector sums to {float(total[i])!r}, expected 1 within {tol}"
 
 
-def check_probability_simplex(f: FeatureVector, tol: float = PROBABILITY_SUM_TOL) -> None:
-    """Raise ValidationError unless ``f`` lies on the probability simplex."""
-    bad = _first_bad_row(f.as_array()[None, :], True, tol)
-    if bad is not None:
-        raise ValidationError(bad[2])
-
-
-def argmax_index(values: Sequence[float]) -> int:
-    """Index of the largest value; ties go to the lowest index."""
-    return int(np.argmax(values))
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -140,20 +128,39 @@ def as_feature_matrix(features) -> np.ndarray:
     return _read_only(X)
 
 
-def unit_rows(X: np.ndarray) -> np.ndarray:
-    """The rows of ``X`` scaled to unit norm. A zero-norm row (exact zero is
-    the only degenerate case) raises DegenerateInputError with its index."""
+def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
+    """The rows of ``X`` scaled to unit norm: the one place a cosine divides
+    by a norm. A zero-norm row (exact zero is the only degenerate case)
+    among the ``used`` rows (an index array or a row mask; default all)
+    raises DegenerateInputError with its index; any other comes back NaN."""
     if X.shape[0] == 0:
         raise ContractError("unit rows of an empty feature matrix")
     norms = np.linalg.norm(X, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        i = int(zero[0])
-        raise DegenerateInputError(
-            f"zero-norm feature vector at index {i}; cosine similarity undefined",
-            index=i,
+    zero = norms == 0.0
+    if zero.any():  # cheaper than selecting the used rows on every call
+        rows = np.arange(len(X))[used]
+        hits = rows[zero[rows]]
+        if hits.size:
+            i = int(hits[0])
+            raise DegenerateInputError(
+                f"zero-norm feature vector at index {i}; cosine similarity undefined",
+                index=i,
+            )
+    with np.errstate(invalid="ignore"):
+        return X / norms[:, None]
+
+
+def cosine_scores(U: np.ndarray, f: FeatureVector) -> np.ndarray:
+    """Cosine similarity of ``f`` to each of the unit rows ``U`` (from
+    :func:`unit_rows`). Each score is computed row by row (``einsum``, not a
+    BLAS product), so it does not depend on the rows around it and
+    identical rows tie exactly. A zero-norm ``f`` raises
+    DegenerateInputError."""
+    if len(f) != U.shape[1]:
+        raise ContractError(
+            f"test feature dimension {len(f)} != reference dimension {U.shape[1]}"
         )
-    return X / norms[:, None]
+    return np.einsum("ij,j->i", U, unit_rows(f.as_array()[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,6 +414,8 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
                     raise DatasetParseError(f"{key} item {i}: label must be an integer, got {label!r}")
                 if split == "val" and (label < 0 or (class_count is not None and label >= class_count)):
                     raise SchemaError(f"reference item {i}: label {label} out of range")
+                if label < 0:
+                    raise SchemaError(f"test item {i}: negative label {label}")
             d = d or len(features)
             if len(features) != d:
                 kind = "feature" if split == "val" else "test feature"

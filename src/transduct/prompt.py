@@ -33,7 +33,7 @@ from .selection import SelectionPlan
 
 LABEL_CUE = "is in class"
 
-_PART1_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class (?P<label>\d+)$")
+_PART1_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class (?P<label>\d+)$", re.ASCII)
 _PART2_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class$")
 
 
@@ -159,13 +159,13 @@ def build_bundle(
     return PromptBundle(part1, part2, plan, estimate)
 
 
-_FIRST_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)")
+_FIRST_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)", re.ASCII)
 
 
 def parse_completion(completion: str, class_count: int) -> int:
     """The first number in the completion, if it is a valid class index.
 
-    The first number (digits, with an optional sign and fractional part)
+    The first number (ASCII digits, with an optional sign and fractional part)
     must be a plain non-negative integer: ``"class 2 because..."`` and
     ``" 2."`` read as 2, while ``" -1"`` and ``" 1.7"`` raise
     CompletionParseError rather than read as 1.

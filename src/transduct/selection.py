@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, as_feature_matrix, unit_rows
-from .errors import ContractError, DegenerateInputError
+from .core import ReferenceSet, as_feature_matrix, unit_rows
+from .errors import ContractError
 
 @dataclass(frozen=True)
 class SelectionPlan:
@@ -50,17 +50,6 @@ class SelectionPlan:
 # summation orders (each is off by at most ~(d + log2 m) * 2.2e-16 * m).
 _NEAR_TIE = 1e-12
 _ROW_BLOCK = 256  # affinity rows per block when recomputing near-ties
-
-
-def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
-    """Cosine of the angle between two equal-dimension vectors."""
-    if len(a) != len(b):
-        raise ContractError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    av, bv = a.as_array(), b.as_array()
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for a zero-norm vector")
-    return float(np.dot(av, bv) / (na * nb))
 
 
 def affinity_matrix(features) -> np.ndarray:

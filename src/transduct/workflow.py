@@ -132,9 +132,7 @@ def predict(
         plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
         backend = backends_mod.make_backend(cfg.backend)
         for f in test_features:
-            yield backends_mod.classify(
-                ref, f, plan, backend, cfg.serialization, model_name=cfg.backend.model_name
-            )
+            yield backends_mod.classify(ref, f, plan, backend, cfg.serialization)
     elif cfg.method == "knn":
         for f in test_features:
             yield knn_classify(ref, f, cfg.knn), None

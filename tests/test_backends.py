@@ -93,8 +93,6 @@ class TestConfigValidation:
             CompletionRequest("")
         with pytest.raises(ContractError):
             CompletionRequest("x", max_tokens=0)
-        with pytest.raises(ContractError):
-            CompletionRequest("x", temperature=-1)
 
 
 class TestMockBackend:
@@ -119,6 +117,16 @@ class TestMockBackend:
         backend = MockBackend(BackendConfig(kind="mock"))
         with pytest.raises(TransportError):
             backend.complete(CompletionRequest("nope"))
+
+    @pytest.mark.parametrize("value", [5, ["x", 7], [], None, {"text": "1"}])
+    def test_non_string_fixture_rejected_when_built(self, value):
+        key = prompt_hash("p")
+        with pytest.raises(ContractError, match=key):
+            make_backend(BackendConfig(kind="mock", mock_fixtures={key: value}))
+
+    def test_non_string_default_rejected_when_built(self):
+        with pytest.raises(ContractError, match="mock_default"):
+            make_backend(BackendConfig(kind="mock", mock_default=5))
 
 
 class TestLocalBackend:
@@ -173,6 +181,14 @@ class TestRemoteBackend:
         url, headers, payload = transport.calls[0]
         assert headers["Authorization"] == "Bearer sk-test"
         assert payload == {"model": "text-davinci-003", "prompt": "p", "max_tokens": 4, "temperature": 0.0}
+
+    def test_configured_model_is_sent(self, small_ref):
+        transport = ScriptedTransport([(200, OK_BODY)])
+        backend, _ = self.make(remote_cfg(model_name="m"), transport)
+        plan = build_plan(small_ref, 1.0)
+        label, _ = classify(small_ref, fv(0.2, 0.8), plan, backend)
+        assert label == 1
+        assert transport.calls[0][2]["model"] == "m"
 
     def test_missing_key_is_credential_error(self):
         transport = ScriptedTransport([])

@@ -165,6 +165,16 @@ class TestInferRecords:
         assert "error: no mock fixture" in capsys.readouterr().err
         assert [(r["index"], r["label"]) for r in records] == [(0, 0)]
 
+    @pytest.mark.parametrize("value", [5, ["x", 7], []])
+    def test_bad_mock_fixture_fails_before_the_first_sample(self, data_file, tmp_path, capsys, value):
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"a" * 64: value}))
+        rc, records = infer_records(data_file, tmp_path, "--backend", "mock", "--mock-fixtures", str(fixtures))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mock fixture {'a' * 64}:") and "Traceback" not in err
+        assert records == []
+
 
 class TestEvaluate:
     def test_error_detection_local(self, data_file, tmp_path):
@@ -360,6 +370,19 @@ class TestConfigAndErrors:
         assert main(["plan", "--data", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: reference item 0: label must be an integer, got 'x'\n"
+
+
+class TestOracleCheck:
+    def test_every_suite_agrees(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        assert main(["oracle-check", "--trials", "50", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        nn, setup, clustering = report["nn_limit"], report["setup_equivalence"], report["clustering"]
+        assert nn["agreements"] == nn["trials"] == 50
+        assert setup["argmax_agreements"] == setup["trials"] == 50
+        assert setup["max_elementwise_diff"] < 1e-9
+        assert clustering["separated"] == clustering["trials"]
+        assert "-1" not in clustering["converged_at_histogram"]
 
 
 class TestVersion:

@@ -10,10 +10,11 @@ from transduct import (
     load_dataset,
     save_dataset,
 )
-from transduct.core import argmax_index, check_probability_simplex, load_split_files
+from transduct.core import cosine_scores, load_split_files, unit_rows
 from transduct.errors import (
     ContractError,
     DatasetParseError,
+    DegenerateInputError,
     SchemaError,
     ValidationError,
 )
@@ -34,16 +35,54 @@ class TestFeatureVector:
         with pytest.raises(ContractError):
             fv(float("inf"))
 
-    def test_probability_check(self):
-        check_probability_simplex(fv(0.25, 0.75))
+    def test_probability_check(self, tmp_path):
+        # the ingest check; tests/test_ingest.py holds the full error table
+        def load(row):
+            path = tmp_path / "p.csv"
+            path.write_text(f"f0,f1,label,split\n{row},0,val\n")
+            return load_dataset(path, IngestionSchema(is_probability=True))
+
+        load("0.25,0.75")
         with pytest.raises(ValidationError):
-            check_probability_simplex(fv(0.5, 0.6))  # sum 1.1
+            load("0.5,0.6")  # sum 1.1
         with pytest.raises(ValidationError):
-            check_probability_simplex(fv(-0.1, 1.1))
+            load("-0.1,1.1")
 
     def test_argmax_tie_lowest_index(self):
-        assert argmax_index([0.5, 0.5]) == 0
-        assert argmax_index([0.1, 0.4, 0.4, 0.1]) == 1
+        # the tie rule the base-classifier argmax and the local backend rely on
+        assert np.argmax([0.5, 0.5]) == 0
+        assert np.argmax([0.1, 0.4, 0.4, 0.1]) == 1
+
+
+class TestCosineScores:
+    def test_identical_unit_vectors(self):
+        assert cosine_scores(unit_rows(np.array([[1.0, 0.0]])), fv(1, 0)) == pytest.approx([1.0])
+
+    def test_orthogonal(self):
+        assert cosine_scores(unit_rows(np.array([[1.0, 0.0]])), fv(0, 1)) == pytest.approx([0.0])
+
+    def test_hand_value(self):
+        # (0.6*0.8 + 0.8*0.6) / (1 * 1)
+        assert cosine_scores(unit_rows(np.array([[0.6, 0.8]])), fv(0.8, 0.6)) == pytest.approx([0.96])
+
+    def test_zero_norm_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            cosine_scores(unit_rows(np.array([[1.0, 0.0]])), fv(0, 0))
+        with pytest.raises(DegenerateInputError):
+            unit_rows(np.array([[0.0, 0.0]]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ContractError):
+            cosine_scores(unit_rows(np.array([[1.0, 0.0]])), fv(1, 0, 0))
+
+    def test_zero_norm_rows_outside_used_are_nan(self):
+        X = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 0.0]])
+        U = unit_rows(X, used=[1])
+        assert np.isnan(U[[0, 2]]).all() and U[1].tolist() == [0.6, 0.8]
+        assert np.isnan(unit_rows(X, used=np.array([False, True, False]))[0]).all()
+        with pytest.raises(DegenerateInputError) as info:
+            unit_rows(X, used=[1, 2])
+        assert info.value.index == 2
 
 
 class TestReferenceSet:

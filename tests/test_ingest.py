@@ -107,8 +107,8 @@ def test_missing_reference_label_reports_its_file_row(tmp_path):
 GOOD_ITEM = {"features": [0.9, 0.1], "label": 0}
 
 # (file name, content, schema options, error type, message pattern): inputs
-# the row-by-row reader let out as a raw ValueError / KeyError / TypeError or
-# accepted with a class count raised to 2
+# the row-by-row reader let out as a raw ValueError / KeyError / TypeError,
+# accepted with a class count raised to 2, or read with the test labels dropped
 TYPED_ERRORS = [
     ("json-label-not-int.json", {"reference": [GOOD_ITEM, {"features": [0.5, 0.5], "label": "x"}]}, {}, DatasetParseError, "reference item 1: label must be an integer, got 'x'"),
     ("json-test-label-not-int.json", {"reference": [GOOD_ITEM], "test": [{"features": [0.5, 0.5], "label": "x"}]}, {}, DatasetParseError, "test item 0: label must be an integer"),
@@ -117,6 +117,7 @@ TYPED_ERRORS = [
     ("json-features-not-list.json", {"reference": [{"features": 0.5, "label": 0}]}, {}, DatasetParseError, "reference item 0: expected an object"),
     ("json-item-not-object.json", {"reference": [GOOD_ITEM], "test": [[0.5, 0.5]]}, {}, DatasetParseError, "test item 0: expected an object"),
     ("json-class-count-1.json", {"class_count": 1, "reference": [GOOD_ITEM]}, {}, SchemaError, "class_count must be an integer >= 2, got 1"),
+    ("json-test-negative-label.json", {"reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.5, 0.5], "label": -3}]}, {}, SchemaError, "test item 1: negative label -3"),
     ("schema-class-count-1.csv", HEADER + "0.9,0.1,0,val\n", {"class_count": 1}, SchemaError, "class_count must be an integer >= 2, got 1"),
 ]
 

@@ -224,11 +224,17 @@ class TestParseCompletion:
             parse_completion(text, 3)
         assert not isinstance(err.value, LabelOutOfRangeError)
 
+    @pytest.mark.parametrize("text", [" \u0661", " \uff11", "class \u06f1", "\u0967"])
+    def test_non_ascii_digits_are_not_a_label(self, text):
+        with pytest.raises(CompletionParseError) as err:
+            parse_completion(text, 3)
+        assert not isinstance(err.value, LabelOutOfRangeError)
 
-# Text in which the completion grammar sees no number: no decimal digit
-# (any script, as the parser's \d), no sign and no decimal point.
+
+# Text in which the completion grammar sees no number: no ASCII digit (the
+# parser reads no other script's digits), no sign and no decimal point.
 NO_NUMBER = st.text(
-    st.characters(exclude_categories=("Cs", "Nd"), exclude_characters="+-.")
+    st.characters(exclude_categories=("Cs",), exclude_characters="0123456789+-.")
 )
 
 
@@ -246,7 +252,7 @@ class TestParseCompletionProperties:
         sign=st.sampled_from(["", "+", "-"]),
         digits=st.text("0123456789", min_size=1, max_size=6),
         fraction=st.just("") | st.text("0123456789", min_size=1, max_size=3).map(".".__add__),
-        suffix=st.text().filter(lambda t: re.match(r"\.?\d", t) is None),
+        suffix=st.text().filter(lambda t: re.match(r"\.?\d", t, re.ASCII) is None),
         class_count=st.integers(1, 12),
     )
     def test_label_only_for_a_plain_in_range_first_integer(
@@ -313,3 +319,7 @@ class TestRoundTrip:
             parse_prompt("hello\nworld\n")
         with pytest.raises(GrammarError):
             parse_prompt("[0.50] is in class 1\n[0.40] is in class 2\n")  # no cue line
+
+    def test_non_ascii_part1_label_is_a_grammar_error(self):
+        with pytest.raises(GrammarError):
+            parse_prompt("[0.50, 0.50] is in class \u0661\n[0.40, 0.60] is in class\n")

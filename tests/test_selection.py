@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from transduct import FeatureVector, ReferenceSet, build_plan, cosine_similarity, representativeness
+from transduct import FeatureVector, ReferenceSet, build_plan, representativeness
 from transduct.errors import ContractError, DegenerateInputError
 from transduct.selection import affinity_matrix
 
@@ -12,26 +12,6 @@ from conftest import oracle_plan_indices, oracle_representativeness
 
 def fv(*v):
     return FeatureVector.of(v)
-
-
-class TestCosineSimilarity:
-    def test_identical_unit_vectors(self):
-        assert cosine_similarity(fv(1, 0), fv(1, 0)) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity(fv(1, 0), fv(0, 1)) == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        # (0.6*0.8 + 0.8*0.6) / (1 * 1)
-        assert cosine_similarity(fv(0.6, 0.8), fv(0.8, 0.6)) == pytest.approx(0.96)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            cosine_similarity(fv(0, 0), fv(1, 0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            cosine_similarity(fv(1, 0), fv(1, 0, 0))
 
 
 class TestAffinityMatrix:

@@ -18,7 +18,6 @@ from transduct import (
 from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backend, ubknn_classify
 from transduct import workflow
 from transduct.backends import prompt_hash
-from transduct.core import argmax_index
 from transduct.errors import ContractError
 from transduct.workflow import base_classifier_report, predict
 
@@ -123,7 +122,7 @@ TEST_TRUE = [0, 1, 0, 1, 1, 0, 0, 0, 1, 1]
 
 
 def error_truths():
-    return [1 if argmax_index(p.values) != t else 0 for p, t in zip(TEST_PROBS, TEST_TRUE)]
+    return [1 if np.argmax(p.values) != t else 0 for p, t in zip(TEST_PROBS, TEST_TRUE)]
 
 
 class TestRunErrorDetection:
@@ -202,7 +201,7 @@ class TestRunAccuracyImprovement:
         from transduct.core import ReferenceSet
 
         ref = ReferenceSet.build(val_probs, val_true, 3)
-        argmaxes = [argmax_index(p.values) for p in test_probs]
+        argmaxes = [np.argmax(p.values) for p in test_probs]
         table = echo_truth_fixtures(ref, test_probs, argmaxes)
         cfg = RunConfig(
             backend=BackendConfig(kind="mock", mock_fixtures=table), selection_ratio=0.5
