@@ -11,12 +11,19 @@ config and kept on the reference set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterator, Literal, Union
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, cosine_scores, unit_rows
-from .errors import ContractError
+from .core import FeatureVector, ReferenceSet, as_feature_matrix, unit_cosines, unit_rows
+from .errors import ContractError, DegenerateInputError
+
+# Cap on the bytes of the largest temporary a chunk of c test rows makes:
+# the (c, G, g) distances gathered for G row groups of g rows (or the
+# (c, m) distance block, if larger), or under euclidean the (c, m, d)
+# differences; a chunk holds at least one row. At m = 4000, d = 10 one row
+# per chunk was as fast as 2 to 16, whose blocks only add peak memory.
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -42,41 +49,94 @@ class UbKnnConfig:
             raise ContractError(f"n_bags must be >= 1, got {self.n_bags}")
 
 
-def _distances(
-    ref: ReferenceSet, f_test: FeatureVector, metric: str, used=slice(None)
-) -> np.ndarray:
-    """Distance from ``f_test`` to every row of ``ref``'s feature matrix.
+def _unit_rows(ref: ReferenceSet, used) -> np.ndarray:
+    """``ref``'s unit rows, kept on it (zero-norm rows NaN); a zero-norm row
+    among ``used`` raises as in :func:`core.unit_rows`."""
+    U = ref._derived.get("unit_rows")
+    if U is None:
+        U = ref._derived["unit_rows"] = unit_rows(ref.feature_matrix(), used=[])
+    if np.isnan(U[:, 0]).any():  # rare: unit_rows finds a used one
+        unit_rows(ref.feature_matrix(), used)
+    return U
 
-    Both kernels work row by row (``einsum`` in :func:`core.cosine_scores`,
-    not a BLAS matrix-vector product), so a row's distance does not depend
-    on the rows around it: a subset of the matrix gets the same values as
-    the full matrix, and identical rows get identical distances. Under
-    cosine, a zero-norm query or a zero-norm row among the ``used`` rows
-    (an index array or a row mask) raises DegenerateInputError; zero-norm
-    rows outside ``used`` get a NaN distance.
-    """
+
+def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count: int) -> np.ndarray:
+    """``(c, G)`` majority labels (``y``) of the k nearest rows of each row
+    group (``groups``: ``(G, g)`` indices) for each row of the ``(c, m)``
+    distances ``D``. The rows at or below each k-th distance
+    (``np.partition``) are the k nearest unless ties leave more; only those
+    are then stable-sorted, so a distance tie goes to the row earlier in
+    its group. Vote ties go to the smaller class."""
+    (c, _), (G, g), C = D.shape, groups.shape, class_count
+    Dg = D[:, groups]
+    near = Dg <= np.partition(Dg, k - 1, axis=2)[:, :, k - 1, None]
+    hit = np.flatnonzero(near)
+    block = hit // g  # q * G + group
+    votes = np.bincount(block * C + y[groups.ravel()[hit % (G * g)]], minlength=c * G * C).reshape(-1, C)
+    for b in np.flatnonzero(np.bincount(block, minlength=c * G) > k):
+        q, group = divmod(int(b), G)
+        rows = groups[group, near[q, group]]
+        rows = rows[np.argsort(D[q, rows], kind="stable")[:k]]
+        votes[b] = np.bincount(y[rows], minlength=C)
+    return np.argmax(votes, axis=1).reshape(c, G)
+
+
+def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str, used) -> Iterator[int]:
+    """Each query's label (queries: an ``(n, d)`` matrix or FeatureVectors),
+    in order, a chunk at a time (:data:`_CHUNK_BYTES`): the majority over
+    ``ref``'s row groups (``groups``: ``(G, g)`` indices, a group per row in
+    vote order) of each group's k-NN label. Distances are row-wise, so they
+    do not depend on the chunk. Under cosine a zero-norm row among ``used``
+    raises first; a query of another dimension or with a non-finite value
+    (ContractError) or of zero norm (DegenerateInputError) raises after the
+    labels before it."""
+    U = _unit_rows(ref, used) if metric == "cosine" else None
     X = ref.feature_matrix()
-    if metric == "cosine":
-        return 1.0 - cosine_scores(unit_rows(X, used), f_test)
-    if len(f_test) != ref.dimension:
-        raise ContractError("test feature dimension mismatch")
-    return np.linalg.norm(X - f_test.as_array(), axis=1)
+    m, d = X.shape
+    n = next((i for i, f in enumerate(queries) if len(f) != d), len(queries))
+    Q = as_feature_matrix(queries[:n]) if n else np.empty((0, d))
+    finite = np.isfinite(Q).all(axis=1)
+    stop = n if finite.all() else int(np.argmin(finite))
+    classes = np.arange(ref.class_count)
+    step = max(1, _CHUNK_BYTES // (8 * max(groups.size, m * d if U is None else m)))
+    for start in range(0, stop, step):
+        chunk, bad = Q[start : min(start + step, stop)], None
+        if U is None:
+            D = np.linalg.norm(X - chunk[:, None, :], axis=2)
+        else:
+            V = unit_rows(chunk, used=[])
+            zero = np.flatnonzero(np.isnan(V[:, 0]))
+            if zero.size:
+                bad, V = start + int(zero[0]), V[: zero[0]]
+            D = 1.0 - unit_cosines(U, V)
+        votes = _vote(D, groups, ref.label_array(), k, ref.class_count)[:, :, None] == classes
+        yield from np.argmax(np.count_nonzero(votes, axis=1), axis=1).tolist()
+        if bad is not None:
+            raise DegenerateInputError(
+                f"test feature {bad} has zero norm; cosine similarity undefined", index=bad
+            )
+    if stop < n:
+        raise ContractError(f"test feature {stop} contains non-finite values")
+    if n < len(queries):
+        raise ContractError(f"test feature {n} has dimension {len(queries[n])}, expected {d}")
 
 
-def _vote(dist: np.ndarray, labels: np.ndarray, k: int, class_count: int) -> int:
-    """Majority label of the k smallest distances; distance ties go to the
-    earlier position, vote ties to the smaller class."""
-    nearest = np.argsort(dist, kind="stable")[:k]
-    return int(np.argmax(np.bincount(labels[nearest], minlength=class_count)))
+def batch_classify(ref: ReferenceSet, queries, cfg: Union[KnnConfig, UbKnnConfig]) -> Iterator[int]:
+    """:func:`knn_classify` (or, for a UbKnnConfig, :func:`ubknn_classify`)
+    of each query (an ``(n, d)`` matrix or FeatureVectors), in order."""
+    if isinstance(cfg, UbKnnConfig):
+        bags = _bags(ref, cfg)
+        return _labels(ref, queries, bags.rows, cfg.base.k_neighbors, cfg.base.metric, bags.drawn)
+    if cfg.k_neighbors > ref.size:
+        raise ContractError(f"k_neighbors {cfg.k_neighbors} > reference size {ref.size}")
+    all_rows = np.arange(ref.size)[None, :]
+    return _labels(ref, queries, all_rows, cfg.k_neighbors, cfg.metric, slice(None))
 
 
 def knn_classify(ref: ReferenceSet, f_test: FeatureVector, cfg: KnnConfig = KnnConfig()) -> int:
     """Majority vote among the k nearest references; vote ties go to the
     smaller class index, distance ties to the smaller sample index."""
-    if cfg.k_neighbors > ref.size:
-        raise ContractError(f"k_neighbors {cfg.k_neighbors} > reference size {ref.size}")
-    dist = _distances(ref, f_test, cfg.metric)
-    return _vote(dist, ref.label_array(), cfg.k_neighbors, ref.class_count)
+    return next(batch_classify(ref, [f_test], cfg))
 
 
 def nearest_label(ref: ReferenceSet, f_test: FeatureVector, rows) -> int:
@@ -84,14 +144,12 @@ def nearest_label(ref: ReferenceSet, f_test: FeatureVector, rows) -> int:
     go to the row listed first. Equals ``knn_classify(ref.subset(rows),
     f_test, KnnConfig(1, "cosine"))`` without building the subset."""
     rows = np.asarray(rows, dtype=np.intp)
-    dist = _distances(ref, f_test, "cosine", rows)
-    return _vote(dist[rows], ref.label_array()[rows], 1, ref.class_count)
+    return next(_labels(ref, [f_test], rows[None, :], 1, "cosine", rows))
 
 
 @dataclass(frozen=True)
 class _Bags:
-    rows: tuple[np.ndarray, ...]  # each bag's reference indices, ascending
-    labels: tuple[np.ndarray, ...]  # their labels
+    rows: np.ndarray  # (n_bags, bag size): each bag's reference indices, ascending
     drawn: np.ndarray  # row mask: held by some bag
 
 
@@ -113,13 +171,14 @@ def _bags(ref: ReferenceSet, cfg: UbKnnConfig) -> _Bags:
             f"k_neighbors {cfg.base.k_neighbors} exceeds balanced subsample size"
         )
     rows = []
-    drawn = np.zeros(ref.size, dtype=bool)
     for bag in range(cfg.n_bags):
         rng = np.random.default_rng(cfg.seed + bag)
         chosen = np.concatenate([rng.choice(m, size=minority, replace=False) for m in members])
         rows.append(np.sort(chosen))
-        drawn[chosen] = True
-    bags = _Bags(tuple(rows), tuple(y[r] for r in rows), drawn)
+    rows = np.stack(rows)
+    drawn = np.zeros(ref.size, dtype=bool)
+    drawn[rows] = True
+    bags = _Bags(rows, drawn)
     ref._derived[key] = bags
     return bags
 
@@ -127,15 +186,6 @@ def _bags(ref: ReferenceSet, cfg: UbKnnConfig) -> _Bags:
 def ubknn_classify(
     ref: ReferenceSet, f_test: FeatureVector, cfg: UbKnnConfig = UbKnnConfig()
 ) -> int:
-    """Majority vote of KNN over n_bags class-balanced undersamples.
-
-    The bags are drawn once per reference set and config; each call
-    computes one distance vector over all rows and votes within every bag,
-    which gives the label that KNN on each bag's subset would.
-    """
-    bags = _bags(ref, cfg)
-    dist = _distances(ref, f_test, cfg.base.metric, bags.drawn)
-    votes = np.zeros(ref.class_count, dtype=int)
-    for rows, labels in zip(bags.rows, bags.labels):
-        votes[_vote(dist[rows], labels, cfg.base.k_neighbors, ref.class_count)] += 1
-    return int(np.argmax(votes))
+    """Majority vote of KNN over n_bags class-balanced undersamples; each
+    bag votes the label KNN on its subset would."""
+    return next(batch_classify(ref, [f_test], cfg))

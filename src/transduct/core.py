@@ -152,15 +152,20 @@ def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
 
 def cosine_scores(U: np.ndarray, f: FeatureVector) -> np.ndarray:
     """Cosine similarity of ``f`` to each of the unit rows ``U`` (from
-    :func:`unit_rows`). Each score is computed row by row (``einsum``, not a
-    BLAS product), so it does not depend on the rows around it and
-    identical rows tie exactly. A zero-norm ``f`` raises
-    DegenerateInputError."""
+    :func:`unit_rows`); a zero-norm ``f`` raises DegenerateInputError."""
     if len(f) != U.shape[1]:
         raise ContractError(
             f"test feature dimension {len(f)} != reference dimension {U.shape[1]}"
         )
-    return np.einsum("ij,j->i", U, unit_rows(f.as_array()[None, :])[0])
+    return unit_cosines(U, unit_rows(f.as_array()[None, :]))[0]
+
+
+def unit_cosines(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The ``(n, m)`` cosines of the unit rows ``V`` to the unit rows ``U``.
+    Each is computed row by row (``einsum``, not a BLAS product), so it does
+    not depend on the rows around it in ``U`` or ``V``, and identical rows
+    tie exactly."""
+    return np.einsum("ij,nj->ni", U, V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +235,7 @@ class ReferenceSet:
 
     @cached_property
     def _derived(self) -> dict:
-        """Values other modules compute from this set alone (the UB-KNN bags),
+        """Values other modules compute from this set alone (UB-KNN bags, unit rows),
         cached on the instance so they live exactly as long as it does."""
         return {}
 
@@ -352,6 +357,7 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_ea
         label_idx = header.index("label")
         split_idx = header.index("split") if has_split else None
         width = len(header)
+        labelled, unlabelled = False, None  # any test row with a label; the first without
 
         for row_no, row in enumerate(reader, start=2):
             try:
@@ -386,13 +392,20 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_ea
             split = role or split
             if split == "val" and label is None:
                 raise SchemaError(f"reference row {row_no} has no label")
+            if split == "test":
+                labelled |= label is not None
+                if label is None and unlabelled is None:
+                    unlabelled = row_no
             yield split, features, label
+        if labelled and unlabelled is not None:
+            raise SchemaError(f"test row {unlabelled} has no label but other test rows have one")
 
 
 def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, check_each: bool):
     """The items of a JSON dataset for :func:`_collect`: reference items
     first, each numbered from 0 in messages, then test items the same way."""
     d = None
+    labelled, unlabelled = False, None  # any test item with a label; the first without
     for split, key in (("val", "reference"), ("test", "test")):
         items = payload.get(key, [])
         if not isinstance(items, list):
@@ -420,7 +433,13 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
             if len(features) != d:
                 kind = "feature" if split == "val" else "test feature"
                 raise ContractError(f"{kind} {i} has dimension {len(features)}, expected {d}")
+            if split == "test":
+                labelled |= label is not None
+                if label is None and unlabelled is None:
+                    unlabelled = i
             yield split, features, label
+    if labelled and unlabelled is not None:
+        raise SchemaError(f"test item {unlabelled} has no label but other test items have one")
 
 
 def _assemble(val: _Split, test: _Split, class_count: Optional[int]) -> LabeledDataset:
@@ -431,10 +450,8 @@ def _assemble(val: _Split, test: _Split, class_count: Optional[int]) -> LabeledD
     if class_count is None:
         class_count = max(int(y.max()), *test_labels, 1) + 1
     reference = ReferenceSet(val.matrix(), _read_only(y), class_count)
-    have_labels = test_labels and min(test_labels) >= 0
-    return LabeledDataset(
-        reference, _vectors(test.matrix()), test_labels if have_labels else None
-    )
+    labelled = test_labels and test_labels[0] >= 0  # all or none: the readers check
+    return LabeledDataset(reference, _vectors(test.matrix()), test_labels if labelled else None)
 
 
 def _existing(path) -> Path:

@@ -4,6 +4,9 @@ Grammar (one line per sample)::
 
     line   := "[" number (", " number)* "] is in class" (" " int)? "\\n"
 
+where ``number`` is a finite decimal number and ``int`` a non-negative
+integer, both in ASCII digits.
+
 Part 1 holds the planned reference samples, one labeled line each, in plan
 order. Part 2 is a single unlabeled line for the test sample ending in the
 completion cue ``is in class``. Floats are rendered with a fixed number of
@@ -222,7 +225,11 @@ def parse_test_line(line: str, line_no: int) -> FeatureVector:
 
 
 def _parse_body(body: str, line_no: int) -> FeatureVector:
-    try:
-        return FeatureVector.of(float(v) for v in body.split(", "))
-    except (ValueError, ContractError):
-        raise GrammarError(f"line {line_no}: malformed feature list [{body}]") from None
+    """The features of a line's ``[...]`` body: finite numbers separated by
+    ``", "``, in ASCII digits (``float`` alone reads other scripts' digits)."""
+    if body.isascii():
+        try:
+            return FeatureVector.of(float(v) for v in body.split(", "))
+        except (ValueError, ContractError):
+            pass
+    raise GrammarError(f"line {line_no}: malformed feature list [{body}]")

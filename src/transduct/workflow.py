@@ -22,7 +22,7 @@ from typing import Iterator, Literal, Optional, Sequence, Union
 import numpy as np
 
 from . import backends as backends_mod
-from .baselines import KnnConfig, UbKnnConfig, knn_classify, ubknn_classify
+from .baselines import KnnConfig, UbKnnConfig, batch_classify
 from .core import FeatureVector, ReferenceSet, as_feature_matrix, derive_error_detection_set
 from .errors import ContractError
 from .prompt import SerializationConfig
@@ -126,19 +126,19 @@ def predict(
     ``prompt`` method (None for ``knn`` and ``ubknn``).
 
     The prompt method builds the selection plan and the backend once, when
-    the first sample is asked for, and every sample shares them.
+    the first sample is asked for, and every sample shares them. The
+    baselines classify the test features as one ``(n, d)`` matrix, a few
+    rows at a time; a bad test row raises after the labels before it.
     """
     if cfg.method == "prompt":
         plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
         backend = backends_mod.make_backend(cfg.backend)
         for f in test_features:
             yield backends_mod.classify(ref, f, plan, backend, cfg.serialization)
-    elif cfg.method == "knn":
-        for f in test_features:
-            yield knn_classify(ref, f, cfg.knn), None
-    elif cfg.method == "ubknn":
-        for f in test_features:
-            yield ubknn_classify(ref, f, cfg.ubknn), None
+    elif cfg.method in ("knn", "ubknn"):
+        method_cfg = cfg.knn if cfg.method == "knn" else cfg.ubknn
+        for label in batch_classify(ref, test_features, method_cfg):
+            yield label, None
     else:
         raise ContractError(f"unknown method {cfg.method!r}")
 

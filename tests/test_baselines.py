@@ -1,12 +1,19 @@
 import gc
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transduct import FeatureVector, KnnConfig, ReferenceSet, UbKnnConfig, knn_classify, ubknn_classify
-from transduct.baselines import nearest_label
+from transduct import baselines
+from transduct.baselines import _labels, nearest_label
+from transduct.core import cosine_scores, unit_cosines, unit_rows
 from transduct.errors import ContractError, DegenerateInputError
+from transduct.workflow import RunConfig, predict
 
 from conftest import oracle_cosine
 
@@ -23,13 +30,16 @@ def blob_ref(rng, n_major=30, n_minor=3):
     return ReferenceSet.build(feats, labels, 2)
 
 
-def oracle_knn(ref, f_test, k, metric="cosine"):
-    """Exhaustive sort + vote, plain Python."""
-    if metric == "cosine":
+def oracle_knn(ref, f_test, k, metric="cosine", dist=None):
+    """Exhaustive sort + vote, plain Python, over ``dist`` (one distance per
+    reference row; by default computed here in plain Python)."""
+    if dist is not None:
+        pass
+    elif metric == "cosine":
         dist = [1.0 - oracle_cosine(f.values, f_test.values) for f in ref.features]
     else:
         dist = [
-            sum((a - b) ** 2 for a, b in zip(f.values, f_test.values)) ** 0.5
+            math.sqrt(sum((a - b) ** 2 for a, b in zip(f.values, f_test.values)))
             for f in ref.features
         ]
     order = sorted(range(ref.size), key=lambda i: (dist[i], i))[:k]
@@ -52,11 +62,12 @@ def oracle_bags(ref, n_bags, seed):
     return bags
 
 
-def oracle_ubknn(ref, f_test, cfg):
+def oracle_ubknn(ref, f_test, cfg, dist=None):
     """KNN on each bag's subset (in index order), then a vote across bags."""
     votes = [0] * ref.class_count
     for rows in oracle_bags(ref, cfg.n_bags, cfg.seed):
-        votes[oracle_knn(ref.subset(rows), f_test, cfg.base.k_neighbors, cfg.base.metric)] += 1
+        bag_dist = None if dist is None else [dist[i] for i in rows]
+        votes[oracle_knn(ref.subset(rows), f_test, cfg.base.k_neighbors, cfg.base.metric, bag_dist)] += 1
     return max(range(ref.class_count), key=lambda c: (votes[c], -c))
 
 
@@ -256,3 +267,204 @@ class TestNearestLabel:
         ref = ReferenceSet.build([[0.3, 0.7], [1.0, 0.0], [0.3, 0.7]], [0, 0, 1], 2)
         assert nearest_label(ref, fv(0.3, 0.7), [2, 1, 0]) == 1
         assert nearest_label(ref, fv(0.3, 0.7), [0, 1, 2]) == 0
+
+
+def kernel_dist(ref, f_test, metric):
+    """One query's distances from the per-sample row-wise kernels."""
+    X = ref.feature_matrix()
+    if metric == "cosine":
+        return (1.0 - cosine_scores(unit_rows(X, used=[]), f_test)).tolist()
+    return np.linalg.norm(X - f_test.as_array(), axis=1).tolist()
+
+
+class TestBatchedCore:
+    """``predict`` classifies the test features chunk by chunk through one
+    batched core; every label must equal the per-sample oracles'."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        metric=st.sampled_from(["cosine", "euclidean"]),
+        rounded=st.booleans(),
+        k_is_bag_size=st.booleans(),
+        cap=st.integers(1, 3000),
+    )
+    def test_predict_equals_per_sample_oracles(self, seed, metric, rounded, k_is_bag_size, cap):
+        rng = np.random.default_rng(seed)
+        classes = int(rng.integers(2, 4))
+        ref = dup_ref(rng, int(rng.integers(6, 30)), int(rng.integers(1, 5)), classes)
+        queries = rng.uniform(0.05, 1.0, size=(int(rng.integers(1, 13)), ref.dimension))
+        for i in np.flatnonzero(rng.random(len(queries)) < 0.4):
+            queries[i] = ref.feature_matrix()[rng.integers(0, ref.size)]
+        if rounded:  # many rows tie, parallel rows among them
+            ref = ReferenceSet.build(np.round(ref.feature_matrix(), 1), ref.label_array(), classes)
+            queries = np.round(queries, 1)
+        tests = [FeatureVector.of(q) for q in queries]
+        bag_size = classes * min(np.bincount(ref.label_array(), minlength=classes))
+        k = bag_size if k_is_bag_size else int(rng.integers(1, bag_size + 1))
+        knn = KnnConfig(int(rng.integers(1, ref.size + 1)), metric)
+        ubknn = UbKnnConfig(KnnConfig(k, metric), int(rng.integers(1, 6)), int(rng.integers(0, 50)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_CHUNK_BYTES", cap)  # chunks of 1 to ~60 queries
+            got_knn = [label for label, _ in predict(ref, tests, RunConfig(method="knn", knn=knn))]
+            got_ub = [label for label, _ in predict(ref, tests, RunConfig(method="ubknn", ubknn=ubknn))]
+        for f, a, b in zip(tests, got_knn, got_ub):
+            # Parallel rounded rows tie in exact arithmetic; the plain-Python
+            # cosine may round such a tie differently from the row-wise
+            # kernel, so rounded sets vote over the per-sample kernel's
+            # distances instead.
+            dist = kernel_dist(ref, f, metric) if rounded else None
+            assert a == oracle_knn(ref, f, knn.k_neighbors, metric, dist)
+            assert b == oracle_ubknn(ref, f, ubknn, dist)
+        assert len(got_knn) == len(got_ub) == len(tests)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rounded=st.booleans())
+    def test_cosine_block_is_bit_equal_to_per_sample_scores(self, seed, rounded):
+        rng = np.random.default_rng(seed)
+        m, d, n = int(rng.integers(1, 200)), int(rng.integers(1, 40)), int(rng.integers(1, 17))
+        X = rng.dirichlet(np.ones(d), size=m)
+        Q = rng.dirichlet(np.ones(d), size=n)
+        if rounded:
+            X, Q = np.round(X, 1) + 0.05, np.round(Q, 1) + 0.05
+        U = unit_rows(X)
+        block = unit_cosines(U, unit_rows(Q))
+        for i, q in enumerate(Q):
+            assert np.array_equal(block[i], cosine_scores(U, FeatureVector.of(q)))
+            assert np.array_equal(block[i], np.einsum("ij,j->i", U, unit_rows(q[None, :])[0]))
+        a, b = sorted(rng.integers(0, n + 1, size=2))
+        assert np.array_equal(unit_cosines(U, unit_rows(Q))[a:b], block[a:b])
+        rows = rng.permutation(m)[: max(1, m // 2)]
+        assert np.array_equal(unit_cosines(U[rows], unit_rows(Q)), block[:, rows])
+
+    @pytest.mark.parametrize(
+        "metric, groups, per_query",
+        [
+            ("cosine", None, lambda m, d, g: m),
+            ("euclidean", None, lambda m, d, g: m * d),
+            ("cosine", (9, 30), lambda m, d, g: g),  # bags hold more rows than the set
+        ],
+    )
+    def test_chunks_keep_the_largest_temporary_under_the_cap(self, monkeypatch, metric, groups, per_query):
+        rng = np.random.default_rng(4)
+        ref = dup_ref(rng, 40, 3, 2)
+        rows = np.arange(40)[None, :] if groups is None else rng.integers(0, 40, size=groups)
+        Q = rng.uniform(0.05, 1.0, size=(10, 3))
+        chunks = []
+        def recording(D, *args):
+            chunks.append(len(D))
+            return vote(D, *args)
+        vote = baselines._vote
+        monkeypatch.setattr(baselines, "_vote", recording)
+        monkeypatch.setattr(baselines, "_CHUNK_BYTES", 3 * 8 * per_query(40, 3, rows.size))
+        labels = list(_labels(ref, Q, rows, 2, metric, slice(None)))
+        assert chunks == [3, 3, 3, 1]
+        monkeypatch.setattr(baselines, "_CHUNK_BYTES", 1)
+        assert list(_labels(ref, Q, rows, 2, metric, slice(None))) == labels
+        assert chunks[4:] == [1] * 10
+
+    def test_peak_memory_does_not_grow_with_the_test_split(self):
+        rng = np.random.default_rng(5)
+        ref = dup_ref(rng, 3000, 4, 2)
+        cfg = RunConfig(method="ubknn", ubknn=UbKnnConfig(KnnConfig(5), 7))
+        peaks = []
+        for n in (20, 400):
+            tests = [FeatureVector.of(q) for q in rng.uniform(0.05, 1.0, size=(n, 4))]
+            list(predict(ref, tests[:1], cfg))  # bags and unit rows are cached on ref
+            tracemalloc.start()
+            list(predict(ref, tests, cfg))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 200_000, peaks
+
+    def test_unit_rows_are_computed_once_per_set(self, monkeypatch):
+        calls = []
+        def counting(X, used=slice(None)):
+            calls.append(len(X))
+            return unit_rows(X, used)
+        monkeypatch.setattr(baselines, "unit_rows", counting)
+        ref = dup_ref(np.random.default_rng(6), 25, 3, 2)
+        for _ in range(3):
+            knn_classify(ref, fv(0.2, 0.5, 0.7))
+            ubknn_classify(ref, fv(0.2, 0.5, 0.7), UbKnnConfig(KnnConfig(1), 3))
+            nearest_label(ref, fv(0.2, 0.5, 0.7), [3, 1, 2])
+        assert calls.count(25) == 1 and calls.count(1) == 9
+
+    @pytest.mark.parametrize("method", ["knn", "ubknn"])
+    def test_zero_norm_test_row_is_named_by_its_test_index(self, monkeypatch, method):
+        ref = blob_ref(np.random.default_rng(2))
+        cfg = RunConfig(method=method, knn=KnnConfig(3), ubknn=UbKnnConfig(KnnConfig(3), 3))
+        results = predict(ref, [fv(0.7, 0.5), fv(0.0, 0.0), fv(0.5, 0.7)], cfg)
+        oracle = oracle_knn(ref, fv(0.7, 0.5), 3) if method == "knn" else oracle_ubknn(ref, fv(0.7, 0.5), cfg.ubknn)
+        assert next(results) == (oracle, None)
+        with pytest.raises(DegenerateInputError, match="test feature 1") as info:
+            next(results)
+        assert info.value.index == 1
+        # a later chunk: every label before the bad row first, then its index
+        monkeypatch.setattr(baselines, "_CHUNK_BYTES", 1)
+        tests = [fv(0.7, 0.5 + i / 10) for i in range(5)] + [fv(0.0, 0.0), fv(0.5, 0.7)]
+        labels = []
+        with pytest.raises(DegenerateInputError, match="test feature 5") as info:
+            for label, _ in predict(ref, tests, cfg):
+                labels.append(label)
+        assert info.value.index == 5 and len(labels) == 5
+
+    def test_errors_keep_their_precedence(self):
+        ok = ReferenceSet.build([[1.0, 0.1], [0.2, 1.0], [0.5, 0.5]], [0, 1, 0], 2)
+        bad = ReferenceSet.build([[1.0, 0.1], [0.0, 0.0], [0.5, 0.5]], [0, 1, 0], 2)
+        for call in (
+            lambda ref, f: knn_classify(ref, f, KnnConfig(1)),
+            lambda ref, f: nearest_label(ref, f, [2, 1]),
+            lambda ref, f: list(predict(ref, [f, f], RunConfig(method="knn", knn=KnnConfig(1)))),
+            lambda ref, f: list(predict(ref, [f], RunConfig(method="ubknn", ubknn=UbKnnConfig(KnnConfig(1), 1, 1)))),
+        ):
+            with pytest.raises(DegenerateInputError) as info:
+                call(bad, fv(0.0, 0.0, 0.0))  # zero-norm used row first
+            assert info.value.index == 1
+            with pytest.raises(ContractError) as info:
+                call(ok, fv(0.0, 0.0, 0.0))  # then the dimension
+            assert type(info.value) is ContractError
+            with pytest.raises(DegenerateInputError):
+                call(ok, fv(0.0, 0.0))  # then the zero-norm query
+        assert nearest_label(bad, fv(0.5, 0.5), [2, 0]) == 0  # an unused zero row is fine
+
+    def test_a_row_of_another_dimension_raises_after_the_labels_before_it(self):
+        ref = blob_ref(np.random.default_rng(3))
+        tests = [fv(0.7, 0.5), fv(0.5, 0.7), fv(0.5, 0.7, 0.1), fv(0.1, 0.9)]
+        for method in ("knn", "ubknn"):
+            labels = []
+            with pytest.raises(ContractError, match="test feature 2 has dimension 3, expected 2"):
+                for label, _ in predict(ref, tests, RunConfig(method=method)):
+                    labels.append(label)
+            assert len(labels) == 2
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_test_matrix_with_a_non_finite_row_raises_after_the_labels_before_it(self, metric):
+        ref = blob_ref(np.random.default_rng(3))
+        Q = np.array([[0.7, 0.5], [0.5, 0.7], [np.nan, 0.5], [0.0, 0.0]])
+        cfg = RunConfig(method="knn", knn=KnnConfig(3, metric))
+        labels = []
+        with pytest.raises(ContractError, match="test feature 2 contains non-finite values") as info:
+            for label, _ in predict(ref, Q, cfg):
+                labels.append(label)
+        assert type(info.value) is ContractError
+        assert labels == [label for label, _ in predict(ref, [fv(0.7, 0.5), fv(0.5, 0.7)], cfg)]
+
+    def test_empty_test_split_yields_nothing(self):
+        ref = blob_ref(np.random.default_rng(3))
+        for method in ("knn", "ubknn"):
+            assert list(predict(ref, [], RunConfig(method=method))) == []
+            assert list(predict(ref, (), RunConfig(method=method))) == []
+
+
+class TestNearestLabelOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_first_listed_of_the_nearest_wins(self, seed):
+        rng = np.random.default_rng(seed)
+        ref = dup_ref(rng, int(rng.integers(3, 30)), int(rng.integers(1, 4)), 3)
+        rows = [int(i) for i in rng.permutation(ref.size)[: int(rng.integers(1, ref.size + 1))]]
+        f = ref.features[rows[int(rng.integers(0, len(rows)))]]  # a listed row: exact ties
+        dist = kernel_dist(ref, f, "cosine")
+        first = min(range(len(rows)), key=lambda p: (dist[rows[p]], p))
+        assert nearest_label(ref, f, rows) == ref.labels[rows[first]]

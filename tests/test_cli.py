@@ -177,6 +177,20 @@ class TestInferRecords:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("method", ["knn", "ubknn"])
+    def test_zero_norm_test_row_is_named(self, tmp_path, capsys, method):
+        path = tmp_path / "zero.csv"
+        path.write_text(DATA_CSV + "0.0,0.0,0,test\n")
+        argv = ["evaluate", "--data", str(path), "--use-case", "accuracy_improvement", "--method", method, "--k", "1"]
+        assert main(argv) == 1
+        assert "test feature 2 has zero norm" in capsys.readouterr().err
+
+    def test_partly_labelled_test_split_names_the_row(self, tmp_path, capsys):
+        path = tmp_path / "partly.csv"
+        path.write_text(DATA_CSV + "0.6,0.4,?,test\n")
+        assert main(["evaluate", "--data", str(path), "--use-case", "error_detection", "--method", "knn"]) == 1
+        assert "test row 8 has no label" in capsys.readouterr().err
+
     def test_error_detection_local(self, data_file, tmp_path):
         report_path = tmp_path / "report.json"
         rc = main(

@@ -119,6 +119,10 @@ TYPED_ERRORS = [
     ("json-class-count-1.json", {"class_count": 1, "reference": [GOOD_ITEM]}, {}, SchemaError, "class_count must be an integer >= 2, got 1"),
     ("json-test-negative-label.json", {"reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.5, 0.5], "label": -3}]}, {}, SchemaError, "test item 1: negative label -3"),
     ("schema-class-count-1.csv", HEADER + "0.9,0.1,0,val\n", {"class_count": 1}, SchemaError, "class_count must be an integer >= 2, got 1"),
+    ("csv-test-partly-labelled.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,1,test\n\n0.2,0.8,?,test\n0.1,0.9,,test\n", {}, SchemaError, "test row 5 has no label but other test rows have one"),
+    ("csv-test-first-unlabelled.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,,test\n0.1,0.9,1,val\n0.2,0.8,1,test\n", {}, SchemaError, "test row 3 has no label"),
+    ("json-test-partly-labelled.json", {"reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.5, 0.5]}]}, {}, SchemaError, "test item 1 has no label but other test items have one"),
+    ("json-test-first-unlabelled.json", {"reference": [GOOD_ITEM], "test": [{"features": [0.5, 0.5], "label": None}, GOOD_ITEM]}, {}, SchemaError, "test item 0 has no label"),
 ]
 
 
@@ -127,6 +131,15 @@ def test_malformed_item_or_class_count_is_a_typed_error(tmp_path, name, content,
     path = _write(tmp_path, name, content)
     with pytest.raises(kind, match=re.escape(message)):
         load_dataset(path, IngestionSchema(**options))
+
+
+def test_row_errors_come_before_a_partly_labelled_test_split(tmp_path):
+    path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,1,test\n0.2,0.8,,test\n0.1,nan,0,val\n")
+    with pytest.raises(DatasetParseError) as info:
+        load_dataset(path)
+    assert info.value.row == 5
+    path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,,test\n0.2,0.8,,test\n")
+    assert load_dataset(path).test_labels is None
 
 
 def test_inferred_class_count_is_at_least_two(tmp_path):
@@ -318,9 +331,14 @@ class TestSplitFiles:
         assert ds.test_labels == (0,)
 
     def test_test_labels_are_optional(self, tmp_path):
-        v, t = self.write(tmp_path, "0.9,0.1,0\n0.1,0.9,1\n", "0.8,0.2,\n0.3,0.7,1\n")
+        v, t = self.write(tmp_path, "0.9,0.1,0\n0.1,0.9,1\n", "0.8,0.2,\n0.3,0.7,?\n")
         assert load_split_files(v, t).test_labels is None
         assert load_split_files(v).test_features == ()
+
+    def test_partly_labelled_test_file_names_its_row(self, tmp_path):
+        v, t = self.write(tmp_path, "0.9,0.1,0\n0.1,0.9,1\n", "0.8,0.2,1\n0.3,0.7,\n")
+        with pytest.raises(SchemaError, match="test row 3 has no label"):
+            load_split_files(v, t)
 
     def test_reference_rows_need_labels(self, tmp_path):
         v, _ = self.write(tmp_path, "0.9,0.1,0\n0.1,0.9,?\n", "")

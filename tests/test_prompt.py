@@ -323,3 +323,15 @@ class TestRoundTrip:
     def test_non_ascii_part1_label_is_a_grammar_error(self):
         with pytest.raises(GrammarError):
             parse_prompt("[0.50, 0.50] is in class \u0661\n[0.40, 0.60] is in class\n")
+
+    @pytest.mark.parametrize(
+        "prompt",
+        [
+            "[\u0661.\u0665, 0.50] is in class 1\n[\uff10.40, 0.60] is in class\n",
+            "[1.5, 0.50] is in class 1\n[\uff10.40, 0.60] is in class\n",
+            "[0.5, \u0665.0] is in class 1\n[0.40, 0.60] is in class\n",
+        ],
+    )
+    def test_non_ascii_feature_digits_are_a_grammar_error(self, prompt):
+        with pytest.raises(GrammarError):
+            parse_prompt(prompt)
