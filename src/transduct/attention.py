@@ -76,29 +76,18 @@ def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarr
     return out
 
 
-def attention_memory(ref: ReferenceSet) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and values of :func:`nn_attention_classify` for a reference set:
-    its unit-normalized features and one-hot labels."""
-    return unit_rows(ref.feature_matrix()), ref.one_hot_labels()
-
-
-def attend(K: np.ndarray, V: np.ndarray, f_test: FeatureVector, s: float = 1e-6) -> np.ndarray:
-    """Class distribution of ``f_test`` over the keys and values of
-    :func:`attention_memory`; the query is the unit-normalized test feature
-    (a dimension other than the keys' is a ContractError of :func:`attention`)."""
-    return attention(unit_rows(f_test.as_array()[None, :]), K, V, s)[0]
-
-
 def nn_attention_classify(
     ref: ReferenceSet, f_test: FeatureVector, s: float = 1e-6
 ) -> np.ndarray:
     """Class distribution from attention over the reference set.
 
     Keys are the unit-normalized reference features, values their one-hot
-    labels, the query the unit-normalized test feature. For small ``s``
-    the argmax coincides with the cosine nearest neighbor's label.
+    labels (both kept on ``ref``), the query the unit-normalized test
+    feature (a dimension other than the keys' is a ContractError). For
+    small ``s`` the argmax coincides with the cosine nearest neighbor's label.
     """
-    return attend(*attention_memory(ref), f_test, s)
+    query = unit_rows(f_test.as_array()[None, :])
+    return attention(query, ref.unit_rows(), ref.one_hot_labels(), s)[0]
 
 
 @dataclass(frozen=True)
@@ -150,16 +139,8 @@ def self_attention_classify(
     makes the feature-only similarity explicit.
     """
     rows = np.asarray(M.rows, float)
-    known, test = rows[:-1], rows[-1]
-    if strict_setup2:
-        logits = test[: M.feature_dim] @ known[:, : M.feature_dim].T
-    else:
-        logits = test @ known.T
-    weights = _softmax_rows(logits[None, :] / s)[0]
-    out = weights @ known[:, M.feature_dim :]
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite self-attention output")
-    return out
+    known, cols = rows[:-1], slice(M.feature_dim) if strict_setup2 else slice(None)
+    return attention(rows[-1:, cols], known[:, cols], known[:, M.feature_dim :], s)[0]
 
 
 def iterate_self_attention(
@@ -172,17 +153,14 @@ def iterate_self_attention(
     ``cfg.convergence_tol`` (None if ``cfg.max_layers`` was hit first).
     """
     current = np.asarray(M.rows, float)
+    cols = slice(M.feature_dim) if cfg.strict_setup2 else slice(None)  # similarity columns
     outputs: list[np.ndarray] = []
     converged_at = None
     for layer in range(1, cfg.max_layers + 1):
-        if cfg.strict_setup2:
-            logits = current[:, : M.feature_dim] @ current[:, : M.feature_dim].T
-        else:
-            logits = current @ current.T
-        weights = _softmax_rows(logits / cfg.scale_s)
-        nxt = weights @ current
-        if not np.all(np.isfinite(nxt)):
-            raise NumericError("non-finite iterate", layer=layer)
+        try:
+            nxt = attention(current[:, cols], current[:, cols], current, cfg.scale_s)
+        except NumericError:
+            raise NumericError("non-finite iterate", layer=layer) from None
         outputs.append(nxt)
         if np.abs(nxt - current).max() < cfg.convergence_tol:
             converged_at = layer
@@ -219,7 +197,7 @@ def _random_instance(rng: np.random.Generator):
 
 
 def _has_cosine_tie(ref: ReferenceSet, f_test: FeatureVector, tol: float = 1e-9) -> bool:
-    sims = np.sort(cosine_scores(unit_rows(ref.feature_matrix()), f_test))
+    sims = np.sort(cosine_scores(ref.unit_rows(), f_test))
     return bool(sims[-1] - sims[-2] < tol) if len(sims) > 1 else False
 
 

@@ -18,7 +18,7 @@ from typing import Any, Callable, Literal, Mapping, Optional
 
 import numpy as np
 
-from .attention import AttentionConfig, attend, attention_memory
+from .attention import nn_attention_classify
 from .baselines import nearest_label
 from .core import FeatureVector, ReferenceSet
 from .errors import (
@@ -76,7 +76,7 @@ class BackendConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     rate_limit_rpm: int = 60
     request_budget: int = 500
-    local: AttentionConfig = field(default_factory=AttentionConfig)
+    attention_scale: float = 1e-6  # softmax scale s of the local-attention backend
     mock_fixtures: Optional[Mapping[str, Any]] = None  # prompt hash -> text or list of texts
     mock_default: Optional[str] = None
 
@@ -85,6 +85,8 @@ class BackendConfig:
             raise ContractError(f"unknown backend kind {self.kind!r}")
         if self.kind == "remote" and (not self.endpoint_url or not self.api_key_env):
             raise ContractError("remote backend requires endpoint_url and api_key_env")
+        if not self.attention_scale > 0:
+            raise ContractError(f"attention_scale must be positive, got {self.attention_scale}")
 
 
 def prompt_hash(prompt: str) -> str:
@@ -154,17 +156,17 @@ class LocalAttentionBackend:
     """Answers prompts offline by re-parsing them and running the attention
     reference model (cosine nearest neighbor in the small-scale limit).
 
-    The backend sees only the prompt text. It keeps the attention keys of
+    The backend sees only the prompt text. It keeps the reference set of
     the last Part 1 it parsed, keyed by that exact text, so a run that
-    sends the same Part 1 with every test line parses it once.
+    sends the same Part 1 with every test line parses it once; the set
+    keeps its own unit rows and one-hot labels, the attention keys and values.
     """
 
     backend_id = "local-attention"
 
     def __init__(self, cfg: BackendConfig):
-        self._attn = cfg.local
-        # (Part 1 text, its line count, keys, values), replaced as one tuple
-        self._cache: Optional[tuple] = None
+        self._scale = cfg.attention_scale
+        self._cache: Optional[tuple[str, ReferenceSet]] = None  # (Part 1 text, its set)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         prompt = req.prompt
@@ -174,14 +176,13 @@ class LocalAttentionBackend:
         part1, tail = prompt[:cut], prompt[cut:].splitlines()
         cache = self._cache
         if len(tail) == 1 and cache is not None and part1 == cache[0]:
-            _, lines, K, V = cache
-            f_test = parse_test_line(tail[0], lines + 1)
+            ref = cache[1]
+            f_test = parse_test_line(tail[0], ref.size + 1)
         else:
             ref, f_test = parse_prompt(prompt)  # raises GrammarError on mismatch
-            K, V = attention_memory(ref)
             if len(tail) == 1:
-                self._cache = (part1, ref.size, K, V)
-        probs = attend(K, V, f_test, self._attn.scale_s)
+                self._cache = (part1, ref)
+        probs = nn_attention_classify(ref, f_test, self._scale)
         label = int(np.argmax(probs))
         return CompletionResponse(
             text=f" {label}",

@@ -49,17 +49,6 @@ class UbKnnConfig:
             raise ContractError(f"n_bags must be >= 1, got {self.n_bags}")
 
 
-def _unit_rows(ref: ReferenceSet, used) -> np.ndarray:
-    """``ref``'s unit rows, kept on it (zero-norm rows NaN); a zero-norm row
-    among ``used`` raises as in :func:`core.unit_rows`."""
-    U = ref._derived.get("unit_rows")
-    if U is None:
-        U = ref._derived["unit_rows"] = unit_rows(ref.feature_matrix(), used=[])
-    if np.isnan(U[:, 0]).any():  # rare: unit_rows finds a used one
-        unit_rows(ref.feature_matrix(), used)
-    return U
-
-
 def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count: int) -> np.ndarray:
     """``(c, G)`` majority labels (``y``) of the k nearest rows of each row
     group (``groups``: ``(G, g)`` indices) for each row of the ``(c, m)``
@@ -90,7 +79,7 @@ def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str,
     raises first; a query of another dimension or with a non-finite value
     (ContractError) or of zero norm (DegenerateInputError) raises after the
     labels before it."""
-    U = _unit_rows(ref, used) if metric == "cosine" else None
+    U = ref.unit_rows(used) if metric == "cosine" else None
     X = ref.feature_matrix()
     m, d = X.shape
     n = next((i for i, f in enumerate(queries) if len(f) != d), len(queries))

@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .attention import AttentionConfig, property_report
+from .attention import property_report
 from .backends import BackendConfig, RetryPolicy, prompt_hash
 from .baselines import KnnConfig, UbKnnConfig
 from .core import (
@@ -100,7 +100,7 @@ def _backend_config(args) -> BackendConfig:
         retry=RetryPolicy(args.max_attempts, args.base_backoff_ms),
         rate_limit_rpm=args.rpm,
         request_budget=args.budget,
-        local=AttentionConfig(scale_s=args.s),
+        attention_scale=args.s,
         mock_fixtures=fixtures,
         mock_default=args.mock_default,
     )
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-equalize-norms",
         action="store_true",
-        help="skip the norm-equalizing third coordinate",
+        help="skip the norm-equalizing third coordinate (accuracy_improvement needs one column per class)",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_toy)

@@ -235,14 +235,30 @@ class ReferenceSet:
 
     @cached_property
     def _derived(self) -> dict:
-        """Values other modules compute from this set alone (UB-KNN bags, unit rows),
-        cached on the instance so they live exactly as long as it does."""
+        """Values computed from this set alone (unit rows, one-hot labels,
+        UB-KNN bags, the last Part 1), cached on the instance so they live
+        exactly as long as it does."""
         return {}
 
+    def unit_rows(self, used=slice(None)) -> np.ndarray:
+        """The rows of ``X`` scaled to unit norm (:func:`unit_rows`), computed
+        once and kept read-only with zero-norm rows NaN; a zero-norm row among
+        ``used`` (default all) raises DegenerateInputError with its index."""
+        U = self._derived.get("unit_rows")
+        if U is None:
+            U = self._derived["unit_rows"] = _read_only(unit_rows(self.X, used=[]))
+        if np.isnan(U[:, 0]).any():  # rare: unit_rows finds a used one
+            unit_rows(self.X, used)
+        return U
+
     def one_hot_labels(self) -> np.ndarray:
-        out = np.zeros((self.size, self.class_count))
-        out[np.arange(self.size), self.y] = 1.0
-        return out
+        """Labels as one read-only ``(m, class_count)`` one-hot float array."""
+        V = self._derived.get("one_hot")
+        if V is None:
+            V = np.zeros((self.size, self.class_count))
+            V[np.arange(self.size), self.y] = 1.0
+            V = self._derived["one_hot"] = _read_only(V)
+        return V
 
     def class_members(self, c: int) -> list[int]:
         return np.flatnonzero(self.y == c).tolist()
@@ -425,8 +441,8 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
             if label is not None or split == "val":  # test items may omit it
                 if isinstance(label, bool) or not isinstance(label, int):
                     raise DatasetParseError(f"{key} item {i}: label must be an integer, got {label!r}")
-                if split == "val" and (label < 0 or (class_count is not None and label >= class_count)):
-                    raise SchemaError(f"reference item {i}: label {label} out of range")
+                if (split == "val" and label < 0) or (class_count is not None and label >= class_count):
+                    raise SchemaError(f"{key} item {i}: label {label} out of range")
                 if label < 0:
                     raise SchemaError(f"test item {i}: negative label {label}")
             d = d or len(features)

@@ -14,7 +14,7 @@ fractional digits (round-half-to-even) so identical inputs always yield
 byte-identical prompts.
 
 Part 1 is the same for every test sample of a run, so :func:`build_part1`
-remembers its last result and a run renders it once.
+keeps its last result on the reference set and a run renders it once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import FeatureVector, ReferenceSet
 from .errors import (
@@ -98,12 +97,6 @@ def _max_feasible_k(line_lengths: list[float], budget_chars: float) -> int:
     return feasible
 
 
-# (ref, plan, cfg, text) of the last successful build_part1 call. The frozen
-# ref and plan are matched by identity, which the strong references held
-# here keep unambiguous.
-_last_part1: Optional[tuple[ReferenceSet, SelectionPlan, SerializationConfig, str]] = None
-
-
 def build_part1(
     ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig = SerializationConfig()
 ) -> str:
@@ -111,11 +104,13 @@ def build_part1(
 
     Rendered once per (ref, plan, cfg): a repeat call with the same
     reference set and plan objects and an equal config returns the last text.
+    That text is kept on ``ref`` as ``(plan, cfg, text)``, so it is freed
+    with the set; the plan is matched by identity, which the strong
+    reference held there keeps unambiguous.
     """
-    global _last_part1
-    last = _last_part1
-    if last is not None and last[0] is ref and last[1] is plan and last[2] == cfg:
-        return last[3]
+    last = ref._derived.get("part1")
+    if last is not None and last[0] is plan and last[1] == cfg:
+        return last[2]
     for i in plan.ordered_indices:
         if not 0 <= i < ref.size:
             raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
@@ -129,7 +124,7 @@ def build_part1(
             f"part 1 needs ~{cfg.estimate_tokens(text)} tokens, budget is {cfg.token_budget}",
             max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
         )
-    _last_part1 = (ref, plan, cfg, text)
+    ref._derived["part1"] = (plan, cfg, text)
     return text
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -87,31 +88,11 @@ def _rank_descending(scores: Sequence[float], candidates: Sequence[int]) -> list
 
 
 def _interleaved_indices(ref: ReferenceSet, rep: Sequence[float], k: int) -> list[int]:
-    per_class = [
-        _rank_descending(rep, ref.class_members(c)) for c in range(ref.class_count)
-    ]
-    # Allocate the k slots round-robin across classes (class index order),
-    # capped by class size; equivalent to ceil(k/C) per class trimmed to k
-    # by dropping the lowest-ranked picks whenever classes are large enough.
-    quota = [0] * ref.class_count
-    allocated = 0
-    while allocated < k:
-        progressed = False
-        for c in range(ref.class_count):
-            if allocated == k:
-                break
-            if quota[c] < len(per_class[c]):
-                quota[c] += 1
-                allocated += 1
-                progressed = True
-        if not progressed:
-            raise ContractError("cannot allocate k selections across classes")
-    joined = []
-    for rank in range(max(quota)):
-        for c in range(ref.class_count):
-            if rank < quota[c]:
-                joined.append(per_class[c][rank])
-    return joined
+    # rank-major round-robin over the per-class rankings (class index order
+    # within a rank), cut at k: each class gives its next sample in turn
+    per_class = [_rank_descending(rep, ref.class_members(c)) for c in range(ref.class_count)]
+    joined = [i for rank in zip_longest(*per_class) for i in rank if i is not None]
+    return joined[:k]
 
 
 def build_plan(

@@ -88,6 +88,11 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             BackendConfig(kind="remote")
 
+    @pytest.mark.parametrize("scale", [0.0, -1e-6, float("nan")])
+    def test_attention_scale_must_be_positive(self, scale):
+        with pytest.raises(ContractError, match="attention_scale must be positive"):
+            BackendConfig(kind="local-attention", attention_scale=scale)
+
     def test_request_validation(self):
         with pytest.raises(ContractError):
             CompletionRequest("")
@@ -136,6 +141,11 @@ class TestLocalBackend:
         backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
         resp = backend.complete(CompletionRequest(bundle.prompt))
         assert resp.text == " 1"  # test line equals the known sample labeled 1
+
+    def test_attention_scale_is_the_softmax_scale(self):
+        prompt = "[0.90, 0.10] is in class 0\n[0.80, 0.20] is in class 0\n[0.70, 0.30] is in class 0\n[0.10, 0.90] is in class 1\n[0.50, 0.50] is in class\n"
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention", attention_scale=1e9))
+        assert backend.complete(CompletionRequest(prompt)).raw["class_probs"] == pytest.approx([0.75, 0.25], abs=1e-6)
 
     def test_grammar_error_on_bad_prompt(self):
         backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))

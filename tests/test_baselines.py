@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transduct import FeatureVector, KnnConfig, ReferenceSet, UbKnnConfig, knn_classify, ubknn_classify
-from transduct import baselines
+from transduct import baselines, core
 from transduct.baselines import _labels, nearest_label
 from transduct.core import cosine_scores, unit_cosines, unit_rows
 from transduct.errors import ContractError, DegenerateInputError
@@ -382,7 +382,9 @@ class TestBatchedCore:
         def counting(X, used=slice(None)):
             calls.append(len(X))
             return unit_rows(X, used)
-        monkeypatch.setattr(baselines, "unit_rows", counting)
+        # the set's rows are normalised by ReferenceSet.unit_rows, the queries in baselines
+        for module in (core, baselines):
+            monkeypatch.setattr(module, "unit_rows", counting)
         ref = dup_ref(np.random.default_rng(6), 25, 3, 2)
         for _ in range(3):
             knn_classify(ref, fv(0.2, 0.5, 0.7))

@@ -176,6 +176,24 @@ class TestInferRecords:
         assert records == []
 
 
+class TestInferErrors:
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "local"], ["--backend", "mock", "--mock-default", " x"]],
+        ids=["local", "mock-fallback"],
+    )
+    def test_zero_norm_test_row_is_named(self, tmp_path, capsys, flags):
+        path = tmp_path / "zero.csv"
+        path.write_text(DATA_CSV + "0.0,0.0,0,test\n")
+        rc, records = infer_records(str(path), tmp_path, *flags)
+        assert rc == 1
+        assert "error: test feature 2 has zero norm" in capsys.readouterr().err
+        assert [r["index"] for r in records] == [0, 1]
+
+    def test_non_positive_attention_scale_exits_1(self, data_file, capsys):
+        assert main(["infer", "--data", data_file, "--backend", "local", "--s", "0"]) == 1
+        assert "attention_scale must be positive" in capsys.readouterr().err
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("method", ["knn", "ubknn"])
     def test_zero_norm_test_row_is_named(self, tmp_path, capsys, method):

@@ -108,7 +108,8 @@ GOOD_ITEM = {"features": [0.9, 0.1], "label": 0}
 
 # (file name, content, schema options, error type, message pattern): inputs
 # the row-by-row reader let out as a raw ValueError / KeyError / TypeError,
-# accepted with a class count raised to 2, or read with the test labels dropped
+# accepted with a class count raised to 2, read with the test labels dropped,
+# or reported without naming the item
 TYPED_ERRORS = [
     ("json-label-not-int.json", {"reference": [GOOD_ITEM, {"features": [0.5, 0.5], "label": "x"}]}, {}, DatasetParseError, "reference item 1: label must be an integer, got 'x'"),
     ("json-test-label-not-int.json", {"reference": [GOOD_ITEM], "test": [{"features": [0.5, 0.5], "label": "x"}]}, {}, DatasetParseError, "test item 0: label must be an integer"),
@@ -118,6 +119,7 @@ TYPED_ERRORS = [
     ("json-item-not-object.json", {"reference": [GOOD_ITEM], "test": [[0.5, 0.5]]}, {}, DatasetParseError, "test item 0: expected an object"),
     ("json-class-count-1.json", {"class_count": 1, "reference": [GOOD_ITEM]}, {}, SchemaError, "class_count must be an integer >= 2, got 1"),
     ("json-test-negative-label.json", {"reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.5, 0.5], "label": -3}]}, {}, SchemaError, "test item 1: negative label -3"),
+    ("json-test-label-over-class-count.json", {"class_count": 2, "reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.4, 0.6], "label": 5}]}, {}, SchemaError, "test item 1: label 5 out of range"),
     ("schema-class-count-1.csv", HEADER + "0.9,0.1,0,val\n", {"class_count": 1}, SchemaError, "class_count must be an integer >= 2, got 1"),
     ("csv-test-partly-labelled.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,1,test\n\n0.2,0.8,?,test\n0.1,0.9,,test\n", {}, SchemaError, "test row 5 has no label but other test rows have one"),
     ("csv-test-first-unlabelled.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,,test\n0.1,0.9,1,val\n0.2,0.8,1,test\n", {}, SchemaError, "test row 3 has no label"),

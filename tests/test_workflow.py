@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from transduct import (
     BackendConfig,
     FeatureVector,
+    ReferenceSet,
     RunConfig,
     SerializationConfig,
     build_bundle,
@@ -18,7 +22,7 @@ from transduct import (
 from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backend, ubknn_classify
 from transduct import workflow
 from transduct.backends import prompt_hash
-from transduct.errors import ContractError
+from transduct.errors import ContractError, DegenerateInputError
 from transduct.workflow import base_classifier_report, predict
 
 
@@ -309,6 +313,36 @@ class TestPredict:
         ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
         with pytest.raises(ContractError, match="unknown method"):
             list(predict(ref, TEST_PROBS, RunConfig(method="svm")))
+
+    @pytest.mark.parametrize(
+        "backend", [BackendConfig(kind="local-attention"), BackendConfig(kind="mock", mock_default=" x")],
+        ids=["local", "mock-fallback"],
+    )
+    def test_zero_norm_test_row_is_named_by_its_test_index(self, backend):
+        ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
+        tests = [fv(0.7, 0.3), fv(0.4, 0.6), fv(0.0, 0.0)]
+        results = predict(ref, tests, RunConfig(backend=backend, selection_ratio=1.0))
+        assert [next(results)[0] for _ in range(2)] == [0, 1]
+        with pytest.raises(DegenerateInputError, match="test feature 2 has zero norm") as info:
+            next(results)
+        assert info.value.index == 2
+
+    def test_reference_row_rendered_to_zeros_keeps_its_message(self):
+        ref = ReferenceSet.build([[0.9, 0.1], [0.001, 0.002], [0.1, 0.9]], [0, 0, 1], 2)
+        cfg = RunConfig(backend=BackendConfig(kind="local-attention"), selection_ratio=1.0)
+        with pytest.raises(DegenerateInputError, match="zero-norm feature vector at index"):
+            list(predict(ref, [fv(0.7, 0.3)], cfg))
+
+    def test_reference_set_is_freed_after_a_local_run(self):
+        rng = np.random.default_rng(5)
+        ref = ReferenceSet.build(rng.dirichlet(np.ones(3), size=40), np.arange(40) % 3, 3)
+        tests = [FeatureVector.of(r) for r in rng.dirichlet(np.ones(3), size=5)]
+        cfg = RunConfig(backend=BackendConfig(kind="local-attention"))
+        assert len(list(predict(ref, tests, cfg))) == 5
+        alive = weakref.ref(ref)
+        del ref
+        gc.collect()
+        assert alive() is None
 
     def test_fallbacks_are_counted(self):
         cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default="??"), selection_ratio=0.5)
