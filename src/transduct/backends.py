@@ -11,6 +11,7 @@ those behaviors are testable without waiting.
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -321,24 +322,23 @@ def classify(
     out-of-range completion the backend is asked once more with 8; if that
     also fails, the cosine-1NN label over the plan's selected samples is
     used (distance ties go to the sample first in plan order) and the
-    fallback flag set.
+    fallback flag set. If every value of Part 2 renders as zero (no digit
+    1-9), no request is sent and the fallback is taken at once.
     """
     bundle: PromptBundle = build_bundle(ref, f_test, plan, ser)
-    prompt = bundle.prompt
     completions: list[str] = []
     label = None
-    fallback = False
-    for tokens in (4, 8):
-        resp = backend.complete(CompletionRequest(prompt, max_tokens=tokens))
+    for tokens in (4, 8) if re.search("[1-9]", bundle.part2) else ():
+        resp = backend.complete(CompletionRequest(bundle.prompt, max_tokens=tokens))
         completions.append(resp.text)
         try:
             label = parse_completion(resp.text, ref.class_count)
             break
         except CompletionParseError:
             continue
-    if label is None:
+    fallback = label is None
+    if fallback:
         label = nearest_label(ref, f_test, plan.ordered_indices)
-        fallback = True
     audit = ClassifyAudit(
         part1=bundle.part1,
         part2=bundle.part2,

@@ -11,7 +11,7 @@ config and kept on the reference set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Union
+from typing import Iterator, Literal, Optional, Union
 
 import numpy as np
 
@@ -70,44 +70,50 @@ def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count:
     return np.argmax(votes, axis=1).reshape(c, G)
 
 
+def checked_prefix(queries, d: int, cosine: bool) -> tuple[np.ndarray, Optional[ContractError]]:
+    """The test rows ``queries`` (an ``(n, d)`` matrix or FeatureVectors) before
+    the first bad one as a matrix, and the error naming that row, if any: a
+    ContractError for another dimension than ``d`` or a non-finite value,
+    with ``cosine`` a DegenerateInputError for zero norm."""
+    n = next((i for i, f in enumerate(queries) if len(f) != d), len(queries))
+    Q = as_feature_matrix(queries[:n]) if n else np.empty((0, d))
+    finite = np.isfinite(Q).all(axis=1)
+    good = finite & (np.linalg.norm(Q, axis=1) > 0.0) if cosine else finite
+    stop = n if good.all() else int(np.argmin(good))
+    if stop < n and not finite[stop]:
+        return Q[:stop], ContractError(f"test feature {stop} contains non-finite values")
+    if stop < n:
+        message = f"test feature {stop} has zero norm; cosine similarity undefined"
+        return Q[:stop], DegenerateInputError(message, index=stop)
+    if n < len(queries):
+        return Q, ContractError(f"test feature {n} has dimension {len(queries[n])}, expected {d}")
+    return Q, None
+
+
 def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str, used) -> Iterator[int]:
     """Each query's label (queries: an ``(n, d)`` matrix or FeatureVectors),
     in order, a chunk at a time (:data:`_CHUNK_BYTES`): the majority over
     ``ref``'s row groups (``groups``: ``(G, g)`` indices, a group per row in
     vote order) of each group's k-NN label. Distances are row-wise, so they
     do not depend on the chunk. Under cosine a zero-norm row among ``used``
-    raises first; a query of another dimension or with a non-finite value
-    (ContractError) or of zero norm (DegenerateInputError) raises after the
-    labels before it."""
+    raises first; a query that :func:`checked_prefix` rejects raises after
+    the labels before it."""
     U = ref.unit_rows(used) if metric == "cosine" else None
     X = ref.feature_matrix()
     m, d = X.shape
-    n = next((i for i, f in enumerate(queries) if len(f) != d), len(queries))
-    Q = as_feature_matrix(queries[:n]) if n else np.empty((0, d))
-    finite = np.isfinite(Q).all(axis=1)
-    stop = n if finite.all() else int(np.argmin(finite))
+    Q, error = checked_prefix(queries, d, cosine=U is not None)
     classes = np.arange(ref.class_count)
     step = max(1, _CHUNK_BYTES // (8 * max(groups.size, m * d if U is None else m)))
-    for start in range(0, stop, step):
-        chunk, bad = Q[start : min(start + step, stop)], None
+    for start in range(0, len(Q), step):
+        chunk = Q[start : start + step]
         if U is None:
             D = np.linalg.norm(X - chunk[:, None, :], axis=2)
         else:
-            V = unit_rows(chunk, used=[])
-            zero = np.flatnonzero(np.isnan(V[:, 0]))
-            if zero.size:
-                bad, V = start + int(zero[0]), V[: zero[0]]
-            D = 1.0 - unit_cosines(U, V)
+            D = 1.0 - unit_cosines(U, unit_rows(chunk))
         votes = _vote(D, groups, ref.label_array(), k, ref.class_count)[:, :, None] == classes
         yield from np.argmax(np.count_nonzero(votes, axis=1), axis=1).tolist()
-        if bad is not None:
-            raise DegenerateInputError(
-                f"test feature {bad} has zero norm; cosine similarity undefined", index=bad
-            )
-    if stop < n:
-        raise ContractError(f"test feature {stop} contains non-finite values")
-    if n < len(queries):
-        raise ContractError(f"test feature {n} has dimension {len(queries[n])}, expected {d}")
+    if error is not None:
+        raise error
 
 
 def batch_classify(ref: ReferenceSet, queries, cfg: Union[KnnConfig, UbKnnConfig]) -> Iterator[int]:

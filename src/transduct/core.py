@@ -13,11 +13,11 @@ Canonical file formats:
 * JSON mirror: ``{"class_count": C, "reference": [{"features": [...],
   "label": i}, ...], "test": [{"features": [...], "label": i?}, ...]}``.
 
-Ingestion streams a file once, converting each feature cell with Python
-``float`` into one flat buffer per split, and validates each split's
-``(m, d)`` matrix in one vectorised pass. Errors are reported as a
-row-by-row reader would: the first offending row in file order wins, and
-within a row the features are checked before the label and the split.
+Ingestion reads a file once, converting each feature cell with Python
+``float`` into one buffer in file order, and checks its features in one
+vectorised pass. Errors are reported as a row-by-row reader would: the
+first bad row in file order wins, and within a row the features are
+checked before the label and the split.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
     DatasetParseError,
     DegenerateInputError,
     SchemaError,
-    TransductError,
     ValidationError,
 )
 
@@ -307,61 +306,67 @@ class IngestionSchema:
         _checked_class_count(self.class_count)
 
 
-class _Split:
-    """The rows of one split, streamed into flat arrays in input order."""
+class _Rows:
+    """The rows of one file as flat arrays, in file order. A reader appends a
+    row's features and number before it reads the row's label and split, and
+    its flag and label after: a row whose label or split fails is still checked."""
 
     def __init__(self):
         self.values = array("d")  # features, row after row
+        self.numbers = array("q")  # each row's number in messages
+        self.tests = array("b")  # 1 for a test row
         self.labels = array("q")  # -1 where a row has no label
 
     def matrix(self) -> np.ndarray:
-        m = len(self.labels)
-        X = np.frombuffer(self.values, dtype=np.float64)
-        return _read_only(X.reshape(m, len(X) // m if m else 0))
+        m = len(self.numbers)
+        return np.frombuffer(self.values, dtype=np.float64).reshape(m, len(self.values) // max(m, 1))
+
+    def split(self, test: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only feature matrix and labels of the test (or val) rows."""
+        chosen = np.frombuffer(self.tests, dtype=bool) == test
+        y = np.frombuffer(self.labels, dtype=np.int64)[chosen]
+        return _read_only(self.matrix()[chosen]), _read_only(y)
 
 
-def _collect(read, is_probability: bool) -> tuple[_Split, _Split]:
-    """The val and test splits of the ``(split, features, label)`` rows that
-    ``read(check_each)`` yields, their features checked in one pass. If any
-    check fails, the rows are read again with ``check_each`` set, so that
-    each row's features are checked before its label and split and the
-    error raised is the first in input order."""
-    splits = {"val": _Split(), "test": _Split()}
-    try:
-        for split, features, label in read(False):
-            splits[split].values.extend(features)
-            splits[split].labels.append(-1 if label is None else label)
-        for part in splits.values():
-            bad = _first_bad_row(part.matrix(), is_probability)
-            if bad is not None:
-                raise bad[1](bad[2])
-    except (TransductError, LookupError, TypeError, ValueError):
-        for _ in read(True):  # raises the first error in input order
-            pass
-        raise
-    return splits["val"], splits["test"]
-
-
-def _check_row(features: list, row_no: int, is_probability: bool) -> None:
-    bad = _first_bad_row(np.array([features]), is_probability)
+def _check_features(X: np.ndarray, numbers, is_probability: bool) -> None:
+    """Raise the error of :func:`_first_bad_row` of ``X``, naming the row by ``numbers``."""
+    bad = _first_bad_row(X, is_probability)
     if bad is not None:
-        _, kind, message = bad
+        i, kind, message = bad
         if kind is DatasetParseError:
-            raise DatasetParseError(message, row=row_no)
-        raise kind(f"row {row_no}: {message}")
+            raise DatasetParseError(message, row=numbers[i]) from None
+        raise kind(f"row {numbers[i]}: {message}") from None
 
 
-def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_each: bool):
-    """The rows of a CSV file for :func:`_collect`. With ``role`` every row
-    goes to that split whatever its split column says (the column is still
-    checked). Reference rows need a label."""
+def _collect(read, is_probability: bool, noun: str = "row") -> _Rows:
+    """The rows ``read(rows)`` appends to a fresh buffer, their features checked
+    in one pass when it returns or raises (a reader raises at its current row,
+    so a bad row found here wins); then the test labels must be all or none."""
+    rows = _Rows()
+    try:
+        read(rows)
+    except Exception:
+        _check_features(rows.matrix(), rows.numbers, is_probability)
+        raise
+    _check_features(rows.matrix(), rows.numbers, is_probability)
+    tests = np.frombuffer(rows.tests, dtype=bool)
+    unlabelled = np.frombuffer(rows.labels, dtype=np.int64)[tests] < 0
+    if 0 < unlabelled.sum() < len(unlabelled):
+        first = np.frombuffer(rows.numbers, dtype=np.int64)[tests][unlabelled][0]
+        raise SchemaError(f"test {noun} {first} has no label but other test {noun}s have one")
+    return rows
+
+
+def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], rows: _Rows) -> None:
+    """Read a CSV file into ``rows`` for :func:`_collect`. With ``role`` every
+    row goes to that split whatever its split column says (the column is
+    still checked). Reference rows need a label."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DatasetParseError("empty file") from None
-        header = [h.strip() for h in header]
         if "label" not in header:
             raise SchemaError(f"header must contain 'label': {header}")
         has_split = "split" in header
@@ -372,13 +377,11 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_ea
             raise SchemaError("no feature columns in header")
         label_idx = header.index("label")
         split_idx = header.index("split") if has_split else None
-        width = len(header)
-        labelled, unlabelled = False, None  # any test row with a label; the first without
 
         for row_no, row in enumerate(reader, start=2):
             try:
-                if len(row) != width:
-                    raise DatasetParseError(f"expected {width} cells, got {len(row)}", row=row_no)
+                if len(row) != len(header):
+                    raise DatasetParseError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
                 try:
                     features = [float(row[i]) for i in feat_idx]
                 except ValueError as exc:
@@ -387,8 +390,8 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_ea
                 if all(not cell.strip() for cell in row):  # blank rows land here
                     continue
                 raise
-            if check_each:
-                _check_row(features, row_no, schema.is_probability)
+            rows.values.extend(features)
+            rows.numbers.append(row_no)
             raw_label = row[label_idx].strip()
             label = None
             if raw_label not in ("", "?"):
@@ -399,29 +402,22 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], check_ea
                 if label < 0:
                     raise SchemaError(f"row {row_no}: negative label {label}")
                 if schema.class_count is not None and label >= schema.class_count:
-                    raise SchemaError(
-                        f"row {row_no}: label {label} >= class_count {schema.class_count}"
-                    )
+                    raise SchemaError(f"row {row_no}: label {label} >= class_count {schema.class_count}")
             split = row[split_idx].strip() if has_split else role
             if split not in ("val", "test"):
                 raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {split!r}")
             split = role or split
             if split == "val" and label is None:
                 raise SchemaError(f"reference row {row_no} has no label")
-            if split == "test":
-                labelled |= label is not None
-                if label is None and unlabelled is None:
-                    unlabelled = row_no
-            yield split, features, label
-        if labelled and unlabelled is not None:
-            raise SchemaError(f"test row {unlabelled} has no label but other test rows have one")
+            rows.tests.append(split == "test")
+            rows.labels.append(-1 if label is None else label)
 
 
-def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, check_each: bool):
-    """The items of a JSON dataset for :func:`_collect`: reference items
-    first, each numbered from 0 in messages, then test items the same way."""
+def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, rows: _Rows) -> None:
+    """Read a JSON dataset into ``rows`` for :func:`_collect`: reference items,
+    each numbered from 0 in messages, then test items the same way. An item
+    of another dimension is not buffered; its features are checked here."""
     d = None
-    labelled, unlabelled = False, None  # any test item with a label; the first without
     for split, key in (("val", "reference"), ("test", "test")):
         items = payload.get(key, [])
         if not isinstance(items, list):
@@ -435,8 +431,12 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
                 raise DatasetParseError(str(exc), row=i) from None
             if not features:
                 raise DatasetParseError("feature vector must be non-empty", row=i)
-            if check_each:
-                _check_row(features, i, is_probability)
+            d = d or len(features)
+            if len(features) == d:
+                rows.values.extend(features)
+                rows.numbers.append(i)
+            else:
+                _check_features(np.array([features]), [i], is_probability)
             label = item.get("label")
             if label is not None or split == "val":  # test items may omit it
                 if isinstance(label, bool) or not isinstance(label, int):
@@ -445,29 +445,23 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
                     raise SchemaError(f"{key} item {i}: label {label} out of range")
                 if label < 0:
                     raise SchemaError(f"test item {i}: negative label {label}")
-            d = d or len(features)
             if len(features) != d:
                 kind = "feature" if split == "val" else "test feature"
                 raise ContractError(f"{kind} {i} has dimension {len(features)}, expected {d}")
-            if split == "test":
-                labelled |= label is not None
-                if label is None and unlabelled is None:
-                    unlabelled = i
-            yield split, features, label
-    if labelled and unlabelled is not None:
-        raise SchemaError(f"test item {unlabelled} has no label but other test items have one")
+            rows.tests.append(split == "test")
+            rows.labels.append(-1 if label is None else label)
 
 
-def _assemble(val: _Split, test: _Split, class_count: Optional[int]) -> LabeledDataset:
-    if len(val.labels) == 0:
+def _assemble(val: _Rows, test: _Rows, class_count: Optional[int]) -> LabeledDataset:
+    """The dataset of ``val``'s reference rows and ``test``'s test rows."""
+    (X, y), (T, t) = val.split(test=False), test.split(test=True)
+    if len(y) == 0:
         raise SchemaError("no reference ('val') rows found")
-    y = np.frombuffer(val.labels, dtype=np.int64)
-    test_labels = tuple(test.labels)
     if class_count is None:
-        class_count = max(int(y.max()), *test_labels, 1) + 1
-    reference = ReferenceSet(val.matrix(), _read_only(y), class_count)
-    labelled = test_labels and test_labels[0] >= 0  # all or none: the readers check
-    return LabeledDataset(reference, _vectors(test.matrix()), test_labels if labelled else None)
+        class_count = max(int(y.max()), int(t.max(initial=1))) + 1
+    reference = ReferenceSet(X, y, class_count)
+    labelled = t.size and t[0] >= 0  # all or none: _collect checks
+    return LabeledDataset(reference, _vectors(T), tuple(t.tolist()) if labelled else None)
 
 
 def _existing(path) -> Path:
@@ -481,8 +475,8 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
     """Load a validated dataset from a CSV or JSON file, preserving row order."""
     path = _existing(path)
     if path.suffix.lower() != ".json":
-        splits = _collect(partial(_csv_rows, path, schema, None), schema.is_probability)
-        return _assemble(*splits, schema.class_count)
+        rows = _collect(partial(_csv_rows, path, schema, None), schema.is_probability)
+        return _assemble(rows, rows, schema.class_count)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -491,7 +485,8 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = _checked_class_count(payload.get("class_count", schema.class_count))
     read = partial(_json_rows, payload, class_count, schema.is_probability)
-    return _assemble(*_collect(read, schema.is_probability), class_count)
+    rows = _collect(read, schema.is_probability, "item")
+    return _assemble(rows, rows, class_count)
 
 
 def load_split_files(
@@ -501,10 +496,10 @@ def load_split_files(
     reference row and every row of ``test_path`` (if given) a test row. A
     split column is optional and, if present, checked but not used."""
     read = partial(_csv_rows, _existing(val_path), schema, "val")
-    val, test = _collect(read, schema.is_probability)
+    val = test = _collect(read, schema.is_probability)
     if test_path is not None:
         read = partial(_csv_rows, _existing(test_path), schema, "test")
-        test = _collect(read, schema.is_probability)[1]
+        test = _collect(read, schema.is_probability)
     return _assemble(val, test, schema.class_count)
 
 

@@ -22,9 +22,9 @@ from typing import Iterator, Literal, Optional, Sequence, Union
 import numpy as np
 
 from . import backends as backends_mod
-from .baselines import KnnConfig, UbKnnConfig, batch_classify
+from .baselines import KnnConfig, UbKnnConfig, batch_classify, checked_prefix
 from .core import FeatureVector, ReferenceSet, as_feature_matrix, derive_error_detection_set
-from .errors import ContractError, DegenerateInputError
+from .errors import ContractError
 from .prompt import SerializationConfig
 from .selection import build_plan
 
@@ -128,20 +128,19 @@ def predict(
     The prompt method builds the selection plan and the backend once, when
     the first sample is asked for, and every sample shares them. The
     baselines classify the test features as one ``(n, d)`` matrix, a few
-    rows at a time. Under every method a bad test row raises after the
-    labels before it; an all-zero one is a DegenerateInputError naming its
-    test index (the prompt method raises before sending its prompt, as
-    neither the local model nor the fallback can rank it by cosine).
+    rows at a time. Under every method a bad test row (another dimension, a
+    non-finite value or, where a cosine ranks it, zero norm; see
+    :func:`~transduct.baselines.checked_prefix`) raises after the labels
+    before it, naming its test index: the prompt method never sends its prompt.
     """
     if cfg.method == "prompt":
         plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
         backend = backends_mod.make_backend(cfg.backend)
-        for i, f in enumerate(test_features):
-            if not any(f):
-                raise DegenerateInputError(
-                    f"test feature {i} has zero norm; cosine similarity undefined", index=i
-                )
+        Q, error = checked_prefix(test_features, ref.dimension, cosine=True)
+        for f in test_features[: len(Q)]:
             yield backends_mod.classify(ref, f, plan, backend, cfg.serialization)
+        if error is not None:
+            raise error
     elif cfg.method in ("knn", "ubknn"):
         method_cfg = cfg.knn if cfg.method == "knn" else cfg.ubknn
         for label in batch_classify(ref, test_features, method_cfg):

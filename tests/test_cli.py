@@ -189,6 +189,16 @@ class TestInferErrors:
         assert "error: test feature 2 has zero norm" in capsys.readouterr().err
         assert [r["index"] for r in records] == [0, 1]
 
+    @pytest.mark.parametrize("backend", ["local", "mock"])
+    def test_test_row_rendered_to_zeros_takes_the_fallback(self, tmp_path, backend):
+        # Part 2 reads [0.00, 0.00]; the mock has no completion, so a request would
+        # exit 2. The cosine-nearest reference row is [0.5, 0.5], of class 0.
+        path = tmp_path / "tiny.csv"
+        path.write_text(DATA_CSV.replace("0.7,0.3,0,test\n0.2,0.8,1,test\n", "0.001,0.002,1,test\n"))
+        rc, records = infer_records(str(path), tmp_path, "--backend", backend, "--ratio", "1.0")
+        assert rc == 0
+        assert [(r["label"], r["fallback"], r["completions"]) for r in records] == [(0, True, [])]
+
     def test_non_positive_attention_scale_exits_1(self, data_file, capsys):
         assert main(["infer", "--data", data_file, "--backend", "local", "--s", "0"]) == 1
         assert "attention_scale must be positive" in capsys.readouterr().err

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import FeatureVector, IngestionSchema, ReferenceSet, derive_error_detection_set
+from transduct import FeatureVector, IngestionSchema, ReferenceSet, core, derive_error_detection_set
 from transduct.core import load_dataset, load_split_files
 from transduct.errors import ContractError, DatasetParseError, SchemaError, TransductError
 
@@ -67,6 +67,9 @@ MALFORMED = [
     ("json-ref-before-test.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [0.5, float("inf")], "label": 0}], "test": [{"features": [float("nan"), 0.5]}]}, {}, "DatasetParseError", 1),
     ("json-ragged.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [0.9], "label": 1}]}, {}, "ContractError", 1),
     ("json-label-then-nan.json", {"reference": [{"features": [0.9, 0.1], "label": -1}, {"features": [float("nan"), 0.1], "label": 0}]}, {}, "SchemaError", 0),
+    # an item of another dimension: its label and features are still checked first
+    ("json-ragged-bad-label.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [0.9], "label": -1}]}, {}, "SchemaError", 1),
+    ("json-ragged-nan.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [float("nan")], "label": -1}]}, {}, "DatasetParseError", 1),
 ]
 
 
@@ -95,6 +98,26 @@ def test_malformed_input_raises_like_the_row_by_row_reader(tmp_path, name, conte
     assert (type(expected).__name__, _row_number(expected)) == (kind, row)
     assert str(got) == str(expected)
     assert getattr(got, "row", None) == getattr(expected, "row", None)
+
+
+def test_malformed_file_is_opened_once(tmp_path, monkeypatch):
+    # a NaN in row 3 and a bad label in the last row: the first bad row is
+    # reported without reading the file a second time
+    lines = [f"0.{i % 9 + 1},0.5,{i % 2},val" for i in range(40)]
+    lines[1] = "0.5,nan,0,val"
+    lines[-1] = "0.5,0.5,x,val"
+    path = _write(tmp_path, "d.csv", HEADER + "\n".join(lines) + "\n")
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(core, "open", counting_open, raising=False)
+    with pytest.raises(DatasetParseError) as info:
+        load_dataset(path)
+    assert info.value.row == 3 and "non-finite" in str(info.value)
+    assert opened == [path]
 
 
 def test_missing_reference_label_reports_its_file_row(tmp_path):

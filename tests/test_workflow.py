@@ -327,6 +327,43 @@ class TestPredict:
             next(results)
         assert info.value.index == 2
 
+    @pytest.mark.parametrize(
+        "backend", [BackendConfig(kind="local-attention"), BackendConfig(kind="mock")], ids=["local", "mock"]
+    )
+    def test_test_row_rendered_to_zeros_takes_the_fallback_unsent(self, backend):
+        # the mock has no fixture and no default: a request would raise TransportError
+        ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
+        [(label, audit)] = predict(ref, [fv(0.001, 0.002)], RunConfig(backend=backend, selection_ratio=1.0))
+        assert audit.part2 == "[0.00, 0.00] is in class\n"
+        assert (audit.completions, audit.fallback, label) == ((), True, 1)
+
+    @pytest.mark.parametrize(
+        "tests, message",
+        [
+            (np.array([[0.7, 0.3], [np.nan, 0.5], [0.0, 0.0]]), "test feature 1 contains non-finite values"),
+            ([fv(0.7, 0.3), fv(0.5, 0.3, 0.2), fv(0.2, 0.8)], "test feature 1 has dimension 3, expected 2"),
+        ],
+        ids=["non-finite", "dimension"],
+    )
+    @pytest.mark.parametrize("method", ["prompt-local", "prompt-mock", "knn", "ubknn"])
+    def test_bad_test_row_is_named_under_every_method(self, tests, message, method):
+        ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
+        plan = build_plan(ref, 1.0, True)
+        first = build_bundle(ref, fv(0.7, 0.3), plan).prompt
+        backend = {
+            "prompt-local": BackendConfig(kind="local-attention"),
+            "prompt-mock": BackendConfig(kind="mock", mock_fixtures={prompt_hash(first): " 0"}),
+        }.get(method, BackendConfig())
+        cfg = RunConfig(
+            method=method.split("-")[0], backend=backend, selection_ratio=1.0,
+            knn=KnnConfig(k_neighbors=1), ubknn=UbKnnConfig(KnnConfig(k_neighbors=1), 3, 0),
+        )
+        results = predict(ref, tests, cfg)
+        assert next(results)[0] == 0
+        # the mock holds no completion for row 1: sending its prompt would raise TransportError
+        with pytest.raises(ContractError, match=message):
+            next(results)
+
     def test_reference_row_rendered_to_zeros_keeps_its_message(self):
         ref = ReferenceSet.build([[0.9, 0.1], [0.001, 0.002], [0.1, 0.9]], [0, 0, 1], 2)
         cfg = RunConfig(backend=BackendConfig(kind="local-attention"), selection_ratio=1.0)
