@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, cosine_scores, unit_rows
+from .core import FeatureVector, ReferenceSet, unit_cosines, unit_rows
 from .errors import ContractError, NumericError
 
 
@@ -118,13 +118,11 @@ class FeatureLabelMatrix:
 
     @classmethod
     def from_reference(cls, ref: ReferenceSet, f_test: FeatureVector) -> "FeatureLabelMatrix":
+        if len(f_test) != ref.dimension:
+            raise ContractError(f"test feature has dimension {len(f_test)}, expected {ref.dimension}")
         feats = unit_rows(np.vstack([ref.feature_matrix(), f_test.as_array()]))
         labels = np.vstack([ref.one_hot_labels(), np.zeros(ref.class_count)])
         return cls(np.hstack([feats, labels]), ref.dimension, ref.class_count)
-
-    @property
-    def known_count(self) -> int:
-        return self.rows.shape[0] - 1
 
 
 def self_attention_classify(
@@ -197,7 +195,7 @@ def _random_instance(rng: np.random.Generator):
 
 
 def _has_cosine_tie(ref: ReferenceSet, f_test: FeatureVector, tol: float = 1e-9) -> bool:
-    sims = np.sort(cosine_scores(ref.unit_rows(), f_test))
+    sims = np.sort(unit_cosines(ref.unit_rows(), unit_rows(f_test.as_array()[None, :]))[0])
     return bool(sims[-1] - sims[-2] < tol) if len(sims) > 1 else False
 
 
@@ -234,16 +232,16 @@ def setup_equivalence_suite(trials: int = 100, s: float = 1e-6, seed: int = 1) -
     return {"trials": trials, "max_elementwise_diff": max_diff, "argmax_agreements": argmax_agreements}
 
 
-def two_cluster_fixture(seed: int = 0, per_cluster: int = 5, spread: float = 0.02) -> FeatureLabelMatrix:
-    """Two orthogonal feature clusters; the test row belongs to the second."""
+def two_cluster_fixture(seed: int = 0) -> FeatureLabelMatrix:
+    """Two orthogonal clusters of 5 rows with spread 0.02: rows 0-4 and
+    5-9, the test row last in the second."""
     rng = np.random.default_rng(seed)
-    d, c = 4, 2
-    n = 2 * per_cluster  # the test row is the last of the second cluster
+    d, c, n = 4, 2, 10
     centres = np.zeros((n, d))
-    centres[:per_cluster, 0] = centres[per_cluster:, 1] = 1.0
-    feats = unit_rows(centres + spread * rng.normal(size=(n, d)))
+    centres[:5, 0] = centres[5:, 1] = 1.0
+    feats = unit_rows(centres + 0.02 * rng.normal(size=(n, d)))
     labels = np.zeros((n, c))
-    labels[:per_cluster, 0] = labels[per_cluster:-1, 1] = 1.0
+    labels[:5, 0] = labels[5:-1, 1] = 1.0
     return FeatureLabelMatrix(np.hstack([feats, labels]), d, c)
 
 

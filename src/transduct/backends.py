@@ -58,7 +58,6 @@ class CompletionRequest:
 class CompletionResponse:
     text: str
     latency_ms: int
-    backend_id: str
     raw: Any = None
 
 
@@ -150,7 +149,7 @@ class MockBackend:
             text = self._default
         else:
             raise TransportError(f"no mock fixture for prompt hash {key}")
-        return CompletionResponse(text=text, latency_ms=0, backend_id=self.backend_id, raw={"hash": key})
+        return CompletionResponse(text=text, latency_ms=0, raw={"hash": key})
 
 
 class LocalAttentionBackend:
@@ -188,7 +187,6 @@ class LocalAttentionBackend:
         return CompletionResponse(
             text=f" {label}",
             latency_ms=0,
-            backend_id=self.backend_id,
             raw={"class_probs": [float(p) for p in probs]},
         )
 
@@ -275,7 +273,7 @@ class RemoteBackend:
                     except (KeyError, IndexError, TypeError):
                         raise TransportError(f"malformed completion payload: {body!r}")
                     latency = int((self._clock() - start) * 1000)
-                    return CompletionResponse(text=text, latency_ms=latency, backend_id=self.backend_id, raw=body)
+                    return CompletionResponse(text=text, latency_ms=latency, raw=body)
                 if status == 429 or status >= 500:
                     last_error = f"HTTP {status}"
                 else:

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .attention import property_report
 from .backends import BackendConfig, RetryPolicy, prompt_hash
-from .baselines import KnnConfig, UbKnnConfig
+from .baselines import KnnConfig
 from .core import (
     IngestionSchema,
     LabeledDataset,
@@ -199,10 +199,9 @@ def _cmd_evaluate(args) -> int:
     ds = _load_data(args)
     if ds.test_labels is None:
         raise TransductError("evaluate requires labeled test rows")
-    knn = KnnConfig(k_neighbors=args.k, metric=args.metric)
     cfg = _run_config(
         args, method=args.method, positive_class=args.positive_class,
-        knn=knn, ubknn=UbKnnConfig(knn, args.bags, args.seed),
+        knn=KnnConfig(k_neighbors=args.k, metric=args.metric), bags=args.bags, seed=args.seed,
     )
     data = (ds.reference.feature_matrix(), ds.reference.label_array(), ds.test_features, ds.test_labels)
     payload = {"use_case": args.use_case, "method": args.method}
@@ -226,7 +225,7 @@ def _cmd_gen_toy(args) -> int:
         args.dataset, n=args.n, noise=args.noise, seed=args.seed,
         equalize_norms=not args.no_equalize_norms,
     )
-    ds = split_dataset(features, labels, class_count=2, reference_fraction=args.reference_fraction)
+    ds = split_dataset(features, labels, reference_fraction=args.reference_fraction)
     save_dataset(ds, args.out)
     sys.stdout.write(
         f"wrote {args.n} rows ({ds.reference.size} val / {len(ds.test_features)} test) to {args.out}\n"

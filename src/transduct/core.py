@@ -43,6 +43,7 @@ from .errors import (
 )
 
 PROBABILITY_SUM_TOL = 1e-6
+_LABEL_MAX = 2**63 - 1  # labels are kept as int64
 
 
 @dataclass(frozen=True)
@@ -149,16 +150,6 @@ def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
         return X / norms[:, None]
 
 
-def cosine_scores(U: np.ndarray, f: FeatureVector) -> np.ndarray:
-    """Cosine similarity of ``f`` to each of the unit rows ``U`` (from
-    :func:`unit_rows`); a zero-norm ``f`` raises DegenerateInputError."""
-    if len(f) != U.shape[1]:
-        raise ContractError(
-            f"test feature dimension {len(f)} != reference dimension {U.shape[1]}"
-        )
-    return unit_cosines(U, unit_rows(f.as_array()[None, :]))[0]
-
-
 def unit_cosines(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The ``(n, m)`` cosines of the unit rows ``V`` to the unit rows ``U``.
     Each is computed row by row (``einsum``, not a BLAS product), so it does
@@ -258,9 +249,6 @@ class ReferenceSet:
             V[np.arange(self.size), self.y] = 1.0
             V = self._derived["one_hot"] = _read_only(V)
         return V
-
-    def class_members(self, c: int) -> list[int]:
-        return np.flatnonzero(self.y == c).tolist()
 
     def subset(self, indices: Sequence[int]) -> "ReferenceSet":
         rows = np.asarray(indices, dtype=np.intp)
@@ -403,6 +391,8 @@ def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], rows: _R
                     raise SchemaError(f"row {row_no}: negative label {label}")
                 if schema.class_count is not None and label >= schema.class_count:
                     raise SchemaError(f"row {row_no}: label {label} >= class_count {schema.class_count}")
+                if label > _LABEL_MAX:
+                    raise SchemaError(f"row {row_no}: label {label} does not fit in int64")
             split = row[split_idx].strip() if has_split else role
             if split not in ("val", "test"):
                 raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {split!r}")
@@ -441,7 +431,8 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
             if label is not None or split == "val":  # test items may omit it
                 if isinstance(label, bool) or not isinstance(label, int):
                     raise DatasetParseError(f"{key} item {i}: label must be an integer, got {label!r}")
-                if (split == "val" and label < 0) or (class_count is not None and label >= class_count):
+                too_large = label > _LABEL_MAX or (class_count is not None and label >= class_count)
+                if too_large or (split == "val" and label < 0):
                     raise SchemaError(f"{key} item {i}: label {label} out of range")
                 if label < 0:
                     raise SchemaError(f"test item {i}: negative label {label}")

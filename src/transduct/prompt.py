@@ -34,6 +34,7 @@ from .errors import (
 from .selection import SelectionPlan
 
 LABEL_CUE = "is in class"
+CHARS_PER_TOKEN = 4  # a prompt's token estimate: its characters / 4, rounded up
 
 _PART1_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class (?P<label>\d+)$", re.ASCII)
 _PART2_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class$")
@@ -45,19 +46,17 @@ class SerializationConfig:
 
     decimals: int = 2
     token_budget: int = 4000
-    chars_per_token: float = 4.0
 
     def __post_init__(self):
         if self.decimals < 1:
             raise ContractError(f"decimals must be >= 1, got {self.decimals}")
         if self.token_budget <= 0:
             raise ContractError(f"token_budget must be positive, got {self.token_budget}")
-        if self.chars_per_token <= 0:
-            raise ContractError("chars_per_token must be positive")
 
-    def estimate_tokens(self, *texts: str) -> int:
-        """Token estimate of the concatenated texts."""
-        return math.ceil(sum(map(len, texts)) / self.chars_per_token)
+
+def _estimate_tokens(*texts: str) -> int:
+    """Token estimate of the concatenated texts."""
+    return math.ceil(sum(map(len, texts)) / CHARS_PER_TOKEN)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class PromptBundle:
 
     part1: str
     part2: str
-    plan: SelectionPlan
     token_estimate: int
 
     @property
@@ -118,10 +116,10 @@ def build_part1(
     values, labels = ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist()
     lines = [_part1_line(f, y, cfg) for f, y in zip(values, labels)]
     text = "".join(lines)
-    if cfg.estimate_tokens(text) > cfg.token_budget:
-        budget_chars = cfg.token_budget * cfg.chars_per_token
+    if _estimate_tokens(text) > cfg.token_budget:
+        budget_chars = cfg.token_budget * CHARS_PER_TOKEN
         raise TokenBudgetError(
-            f"part 1 needs ~{cfg.estimate_tokens(text)} tokens, budget is {cfg.token_budget}",
+            f"part 1 needs ~{_estimate_tokens(text)} tokens, budget is {cfg.token_budget}",
             max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
         )
     ref._derived["part1"] = (plan, cfg, text)
@@ -146,15 +144,15 @@ def build_bundle(
         )
     part1 = build_part1(ref, plan, cfg)
     part2 = build_part2(f_test, cfg)
-    estimate = cfg.estimate_tokens(part1, part2)
+    estimate = _estimate_tokens(part1, part2)
     if estimate > cfg.token_budget:
         lines = part1.splitlines(keepends=True)
-        budget_chars = cfg.token_budget * cfg.chars_per_token - len(part2)
+        budget_chars = cfg.token_budget * CHARS_PER_TOKEN - len(part2)
         raise TokenBudgetError(
             f"prompt needs ~{estimate} tokens, budget is {cfg.token_budget}",
             max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
         )
-    return PromptBundle(part1, part2, plan, estimate)
+    return PromptBundle(part1, part2, estimate)
 
 
 _FIRST_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)", re.ASCII)

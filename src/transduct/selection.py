@@ -53,14 +53,6 @@ _NEAR_TIE = 1e-12
 _ROW_BLOCK = 256  # affinity rows per block when recomputing near-ties
 
 
-def affinity_matrix(features) -> np.ndarray:
-    """Pairwise cosine similarity matrix S with S[i, j] = sim(f_i, f_j) of
-    ``features``, an ``(m, d)`` array or FeatureVectors."""
-    normed = unit_rows(as_feature_matrix(features))
-    sim = normed @ normed.T
-    return np.clip(sim, -1.0, 1.0)
-
-
 def representativeness(features) -> list[float]:
     """Row sums of the affinity matrix of ``features`` (an ``(m, d)`` array or
     FeatureVectors), self-term included.
@@ -90,7 +82,8 @@ def _rank_descending(scores: Sequence[float], candidates: Sequence[int]) -> list
 def _interleaved_indices(ref: ReferenceSet, rep: Sequence[float], k: int) -> list[int]:
     # rank-major round-robin over the per-class rankings (class index order
     # within a rank), cut at k: each class gives its next sample in turn
-    per_class = [_rank_descending(rep, ref.class_members(c)) for c in range(ref.class_count)]
+    y = ref.label_array()
+    per_class = [_rank_descending(rep, np.flatnonzero(y == c).tolist()) for c in range(ref.class_count)]
     joined = [i for rank in zip_longest(*per_class) for i in rank if i is not None]
     return joined[:k]
 

@@ -4,8 +4,8 @@ Formulas:
 
 * moons: class 0 on the upper half-circle (cos t, sin t), class 1 on the
   shifted lower half-circle (1 - cos t, 0.5 - sin t), t in [0, pi];
-* circles: class 0 on the unit circle, class 1 on a circle of radius
-  ``inner_radius``, angles evenly spaced over [0, 2pi).
+* circles: class 0 on the unit circle, class 1 on a circle of radius 0.5,
+  angles evenly spaced over [0, 2pi).
 
 Gaussian noise is added to both coordinates, then rows are shuffled with
 the same seed. By default a norm-equalizing third coordinate
@@ -58,18 +58,10 @@ def make_moons(n: int = 200, noise: float = 0.05, seed: int = 0, equalize_norms:
     return _finish(X, y, noise, rng, equalize_norms)
 
 
-def make_circles(
-    n: int = 200,
-    noise: float = 0.05,
-    seed: int = 0,
-    inner_radius: float = 0.5,
-    equalize_norms: bool = True,
-):
-    """Two concentric circles; returns (features, labels)."""
+def make_circles(n: int = 200, noise: float = 0.05, seed: int = 0, equalize_norms: bool = True):
+    """Two concentric circles, radii 1 and 0.5; returns (features, labels)."""
     if n < 4:
         raise ContractError("need at least 4 samples")
-    if not 0 < inner_radius < 1:
-        raise ContractError("inner_radius must be in (0, 1)")
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0
@@ -78,7 +70,7 @@ def make_circles(
     X = np.vstack(
         [
             np.column_stack([np.cos(t0), np.sin(t0)]),
-            inner_radius * np.column_stack([np.cos(t1), np.sin(t1)]),
+            0.5 * np.column_stack([np.cos(t1), np.sin(t1)]),
         ]
     )
     y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
@@ -89,18 +81,19 @@ def generate(dataset: str, n: int = 200, noise: float = 0.05, seed: int = 0, equ
     if dataset == "moons":
         return make_moons(n, noise, seed, equalize_norms)
     if dataset == "circles":
-        return make_circles(n, noise, seed, equalize_norms=equalize_norms)
+        return make_circles(n, noise, seed, equalize_norms)
     raise ContractError(f"unknown toy dataset {dataset!r}")
 
 
-def split_dataset(features, labels, class_count: int = 2, reference_fraction: float = 0.5) -> LabeledDataset:
-    """Deterministic stratified split: the first ``reference_fraction`` of
-    each class (in row order) becomes the reference split."""
+def split_dataset(features, labels, reference_fraction: float = 0.5) -> LabeledDataset:
+    """Deterministic stratified split of two-class toy data: the first
+    ``reference_fraction`` of each class (in row order) becomes the
+    reference split."""
     if not 0 < reference_fraction < 1:
         raise ContractError("reference_fraction must be in (0, 1)")
     val_idx: list[int] = []
     test_idx: list[int] = []
-    for c in range(class_count):
+    for c in range(2):
         members = [i for i, y in enumerate(labels) if y == c]
         cut = int(len(members) * reference_fraction)
         val_idx.extend(members[:cut])
@@ -108,7 +101,7 @@ def split_dataset(features, labels, class_count: int = 2, reference_fraction: fl
     val_idx.sort()
     test_idx.sort()
     reference = ReferenceSet.build(
-        [features[i] for i in val_idx], [labels[i] for i in val_idx], class_count
+        [features[i] for i in val_idx], [labels[i] for i in val_idx], 2
     )
     return LabeledDataset(
         reference,

@@ -54,6 +54,14 @@ class EvalReport:
     n_test: int
 
 
+def _check_counts(predictions: Sequence, truths: Sequence) -> None:
+    """Predictions and truths must pair up, and there must be some."""
+    if len(predictions) != len(truths):
+        raise ContractError(f"{len(predictions)} predictions vs {len(truths)} truths")
+    if len(predictions) == 0:
+        raise ContractError("cannot evaluate an empty prediction set")
+
+
 def compute_metrics(
     predictions: Sequence[int],
     truths: Sequence[int],
@@ -62,10 +70,7 @@ def compute_metrics(
     fallback_count: int = 0,
 ) -> EvalReport:
     """Confusion matrix and derived metrics for one evaluation run."""
-    if len(predictions) != len(truths):
-        raise ContractError(f"{len(predictions)} predictions vs {len(truths)} truths")
-    if len(predictions) == 0:
-        raise ContractError("cannot evaluate an empty prediction set")
+    _check_counts(predictions, truths)
     if not 0 <= positive_class < class_count:
         raise ContractError(f"positive_class {positive_class} outside [0, {class_count})")
     confusion = [[0] * class_count for _ in range(class_count)]
@@ -107,7 +112,8 @@ def compute_metrics(
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs besides the data."""
+    """Everything a pipeline run needs besides the data. ``knn`` sets k and
+    the metric of both baselines; ``bags`` and ``seed`` are UB-KNN's."""
 
     method: Method = "prompt"
     selection_ratio: float = 0.25
@@ -116,7 +122,8 @@ class RunConfig:
     backend: backends_mod.BackendConfig = field(default_factory=backends_mod.BackendConfig)
     serialization: SerializationConfig = field(default_factory=SerializationConfig)
     knn: KnnConfig = field(default_factory=KnnConfig)
-    ubknn: UbKnnConfig = field(default_factory=UbKnnConfig)
+    bags: int = 11
+    seed: int = 0
 
 
 def predict(
@@ -142,7 +149,7 @@ def predict(
         if error is not None:
             raise error
     elif cfg.method in ("knn", "ubknn"):
-        method_cfg = cfg.knn if cfg.method == "knn" else cfg.ubknn
+        method_cfg = cfg.knn if cfg.method == "knn" else UbKnnConfig(cfg.knn, cfg.bags, cfg.seed)
         for label in batch_classify(ref, test_features, method_cfg):
             yield label, None
     else:
@@ -182,8 +189,7 @@ def run_error_detection(
     Ground truth for scoring is whether the base classifier's argmax on
     each test probability vector disagrees with the true class.
     """
-    if len(test_probs) != len(test_true):
-        raise ContractError("test_probs and test_true length mismatch")
+    _check_counts(test_probs, test_true)
     ref = derive_error_detection_set(val_probs, val_true)
     truths = (_predictions(test_probs) != np.asarray(test_true)).astype(int).tolist()
     return _run(ref, test_probs, truths, cfg)
@@ -213,8 +219,7 @@ def run_accuracy_improvement(
     Returns (adjusted report, base argmax report) so the adjustment can be
     compared against leaving the classifier untouched.
     """
-    if len(test_probs) != len(test_true):
-        raise ContractError("test_probs and test_true length mismatch")
+    _check_counts(test_probs, test_true)
     if class_count is None:
         class_count = int(max(np.max(val_true), np.max(test_true))) + 1
     val_probs = as_feature_matrix(val_probs)

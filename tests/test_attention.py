@@ -175,6 +175,10 @@ class TestFeatureLabelMatrix:
         assert np.allclose(np.linalg.norm(M.rows[:, :2], axis=1), 1.0, atol=1e-9)
         assert np.allclose(M.rows[-1, 2:], 0.0)
 
+    def test_from_reference_rejects_a_test_feature_of_another_dimension(self, small_ref):
+        with pytest.raises(ContractError, match="test feature has dimension 3, expected 2"):
+            FeatureLabelMatrix.from_reference(small_ref, fv(0.7, 0.2, 0.1))
+
     def test_rejects_unnormalized(self):
         rows = np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         with pytest.raises(ContractError):

@@ -104,9 +104,9 @@ class TestMockBackend:
     def test_scripted_response(self):
         prompt = "[0.10, 0.90] is in class 1\n[0.50, 0.50] is in class\n"
         cfg = BackendConfig(kind="mock", mock_fixtures={prompt_hash(prompt): " 1"})
-        resp = make_backend(cfg).complete(CompletionRequest(prompt))
-        assert resp.text == " 1"
-        assert resp.backend_id == "mock"
+        backend = make_backend(cfg)
+        assert backend.complete(CompletionRequest(prompt)).text == " 1"
+        assert backend.backend_id == "mock"
 
     def test_sequence_consumed_in_order(self):
         prompt = "p"

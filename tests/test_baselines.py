@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from transduct import FeatureVector, KnnConfig, ReferenceSet, UbKnnConfig, knn_classify, ubknn_classify
 from transduct import baselines, core
 from transduct.baselines import _labels, nearest_label
-from transduct.core import cosine_scores, unit_cosines, unit_rows
+from transduct.core import unit_cosines, unit_rows
 from transduct.errors import ContractError, DegenerateInputError
 from transduct.workflow import RunConfig, predict
 
@@ -273,7 +273,8 @@ def kernel_dist(ref, f_test, metric):
     """One query's distances from the per-sample row-wise kernels."""
     X = ref.feature_matrix()
     if metric == "cosine":
-        return (1.0 - cosine_scores(unit_rows(X, used=[]), f_test)).tolist()
+        q = unit_rows(f_test.as_array()[None, :])
+        return (1.0 - unit_cosines(unit_rows(X, used=[]), q)[0]).tolist()
     return np.linalg.norm(X - f_test.as_array(), axis=1).tolist()
 
 
@@ -304,10 +305,11 @@ class TestBatchedCore:
         k = bag_size if k_is_bag_size else int(rng.integers(1, bag_size + 1))
         knn = KnnConfig(int(rng.integers(1, ref.size + 1)), metric)
         ubknn = UbKnnConfig(KnnConfig(k, metric), int(rng.integers(1, 6)), int(rng.integers(0, 50)))
+        ub_run = RunConfig(method="ubknn", knn=ubknn.base, bags=ubknn.n_bags, seed=ubknn.seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(baselines, "_CHUNK_BYTES", cap)  # chunks of 1 to ~60 queries
             got_knn = [label for label, _ in predict(ref, tests, RunConfig(method="knn", knn=knn))]
-            got_ub = [label for label, _ in predict(ref, tests, RunConfig(method="ubknn", ubknn=ubknn))]
+            got_ub = [label for label, _ in predict(ref, tests, ub_run)]
         for f, a, b in zip(tests, got_knn, got_ub):
             # Parallel rounded rows tie in exact arithmetic; the plain-Python
             # cosine may round such a tie differently from the row-wise
@@ -330,7 +332,7 @@ class TestBatchedCore:
         U = unit_rows(X)
         block = unit_cosines(U, unit_rows(Q))
         for i, q in enumerate(Q):
-            assert np.array_equal(block[i], cosine_scores(U, FeatureVector.of(q)))
+            assert np.array_equal(block[i], unit_cosines(U, unit_rows(q[None, :]))[0])
             assert np.array_equal(block[i], np.einsum("ij,j->i", U, unit_rows(q[None, :])[0]))
         a, b = sorted(rng.integers(0, n + 1, size=2))
         assert np.array_equal(unit_cosines(U, unit_rows(Q))[a:b], block[a:b])
@@ -366,7 +368,7 @@ class TestBatchedCore:
     def test_peak_memory_does_not_grow_with_the_test_split(self):
         rng = np.random.default_rng(5)
         ref = dup_ref(rng, 3000, 4, 2)
-        cfg = RunConfig(method="ubknn", ubknn=UbKnnConfig(KnnConfig(5), 7))
+        cfg = RunConfig(method="ubknn", knn=KnnConfig(5), bags=7)
         peaks = []
         for n in (20, 400):
             tests = [FeatureVector.of(q) for q in rng.uniform(0.05, 1.0, size=(n, 4))]
@@ -395,9 +397,9 @@ class TestBatchedCore:
     @pytest.mark.parametrize("method", ["knn", "ubknn"])
     def test_zero_norm_test_row_is_named_by_its_test_index(self, monkeypatch, method):
         ref = blob_ref(np.random.default_rng(2))
-        cfg = RunConfig(method=method, knn=KnnConfig(3), ubknn=UbKnnConfig(KnnConfig(3), 3))
+        cfg = RunConfig(method=method, knn=KnnConfig(3), bags=3)
         results = predict(ref, [fv(0.7, 0.5), fv(0.0, 0.0), fv(0.5, 0.7)], cfg)
-        oracle = oracle_knn(ref, fv(0.7, 0.5), 3) if method == "knn" else oracle_ubknn(ref, fv(0.7, 0.5), cfg.ubknn)
+        oracle = oracle_knn(ref, fv(0.7, 0.5), 3) if method == "knn" else oracle_ubknn(ref, fv(0.7, 0.5), UbKnnConfig(KnnConfig(3), 3))
         assert next(results) == (oracle, None)
         with pytest.raises(DegenerateInputError, match="test feature 1") as info:
             next(results)
@@ -418,7 +420,7 @@ class TestBatchedCore:
             lambda ref, f: knn_classify(ref, f, KnnConfig(1)),
             lambda ref, f: nearest_label(ref, f, [2, 1]),
             lambda ref, f: list(predict(ref, [f, f], RunConfig(method="knn", knn=KnnConfig(1)))),
-            lambda ref, f: list(predict(ref, [f], RunConfig(method="ubknn", ubknn=UbKnnConfig(KnnConfig(1), 1, 1)))),
+            lambda ref, f: list(predict(ref, [f], RunConfig(method="ubknn", knn=KnnConfig(1), bags=1, seed=1))),
         ):
             with pytest.raises(DegenerateInputError) as info:
                 call(bad, fv(0.0, 0.0, 0.0))  # zero-norm used row first

@@ -249,6 +249,12 @@ class TestEvaluate:
         # both test rows have argmax equal to their label
         assert payload["base_classifier"]["balanced_accuracy"] == 1.0
 
+    @pytest.mark.parametrize("method, rc", [("ubknn", 1), ("knn", 0)])
+    def test_bags_below_one_fails_only_the_method_that_bags(self, data_file, capsys, method, rc):
+        argv = ["evaluate", "--data", data_file, "--use-case", "accuracy_improvement", "--method", method, "--k", "1"]
+        assert main([*argv, "--bags", "0"]) == rc
+        assert ("error: n_bags must be >= 1, got 0" in capsys.readouterr().err) == (rc == 1)
+
     def test_knn_method(self, data_file, capsys):
         rc = main(
             [
@@ -412,6 +418,13 @@ class TestConfigAndErrors:
         assert main(["plan", "--data", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: reference item 0: label must be an integer, got 'x'\n"
+
+    def test_label_too_large_for_int64(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text(DATA_CSV.replace("0.1,0.9,1,val", "0.1,0.9,100000000000000000000,val"))
+        assert main(["plan", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: row 3: label 100000000000000000000 does not fit in int64\n"
 
 
 class TestOracleCheck:

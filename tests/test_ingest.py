@@ -70,6 +70,10 @@ MALFORMED = [
     # an item of another dimension: its label and features are still checked first
     ("json-ragged-bad-label.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [0.9], "label": -1}]}, {}, "SchemaError", 1),
     ("json-ragged-nan.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [float("nan")], "label": -1}]}, {}, "DatasetParseError", 1),
+    # a label too large for int64 comes after the rows and features before it
+    ("nan-then-huge-label.csv", HEADER + "0.5,nan,0,val\n0.9,0.1,100000000000000000000,val\n", {}, "DatasetParseError", 2),
+    ("nan-and-huge-label.csv", HEADER + "0.9,0.1,0,val\ninf,0.1,100000000000000000000,val\n", {}, "DatasetParseError", 3),
+    ("json-nan-then-huge-label.json", {"reference": [{"features": [0.9, 0.1], "label": 0}, {"features": [float("nan"), 0.1], "label": 0}], "test": [{"features": [0.5, 0.5], "label": 10**20}]}, {}, "DatasetParseError", 1),
 ]
 
 
@@ -148,6 +152,14 @@ TYPED_ERRORS = [
     ("csv-test-first-unlabelled.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,,test\n0.1,0.9,1,val\n0.2,0.8,1,test\n", {}, SchemaError, "test row 3 has no label"),
     ("json-test-partly-labelled.json", {"reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.5, 0.5]}]}, {}, SchemaError, "test item 1 has no label but other test items have one"),
     ("json-test-first-unlabelled.json", {"reference": [GOOD_ITEM], "test": [{"features": [0.5, 0.5], "label": None}, GOOD_ITEM]}, {}, SchemaError, "test item 0 has no label"),
+    # labels too large for int64 (the reader buffers int64 labels)
+    ("csv-huge-label.csv", HEADER + "0.9,0.1,0,val\n0.9,0.1,100000000000000000000,val\n0.5,0.5,1,test\n", {}, SchemaError, "row 3: label 100000000000000000000 does not fit in int64"),
+    ("csv-huge-test-label.csv", HEADER + "0.9,0.1,0,val\n0.5,0.5,9223372036854775808,test\n", {}, SchemaError, "row 3: label 9223372036854775808 does not fit in int64"),
+    ("csv-huge-label-huger-class-count.csv", HEADER + "0.9,0.1,100000000000000000000,val\n", {"class_count": 10**21}, SchemaError, "row 2: label 100000000000000000000 does not fit"),
+    ("csv-huge-label-then-nan.csv", HEADER + "0.9,0.1,100000000000000000000,val\n0.5,nan,0,val\n", {}, SchemaError, "row 2: label 100000000000000000000"),
+    ("json-huge-label.json", {"reference": [GOOD_ITEM, {"features": [0.5, 0.5], "label": 10**20}]}, {}, SchemaError, "reference item 1: label 100000000000000000000 out of range"),
+    ("json-huge-test-label.json", {"reference": [GOOD_ITEM], "test": [{"features": [0.5, 0.5], "label": 2**63}]}, {}, SchemaError, "test item 0: label 9223372036854775808 out of range"),
+    ("json-huge-label-huger-class-count.json", {"class_count": 10**21, "reference": [{"features": [0.5, 0.5], "label": 10**20}]}, {}, SchemaError, "reference item 0: label 100000000000000000000 out of range"),
 ]
 
 

@@ -72,12 +72,13 @@ class TestBuildPart1:
 
     def test_budget_error_carries_feasible_k(self, small_ref):
         plan = build_plan(small_ref, 1.0)
-        cfg = SerializationConfig(decimals=2, token_budget=15, chars_per_token=1.0)
+        cfg = SerializationConfig(decimals=2, token_budget=4)
         with pytest.raises(TokenBudgetError) as err:
             build_part1(small_ref, plan, cfg)
-        # at ~27 chars per line, budget of 15 chars fits no full line
+        # at 27 chars per line, a budget of 4 tokens (16 chars) fits no full line
         assert err.value.max_feasible_k == 0
-        cfg = SerializationConfig(decimals=2, token_budget=60, chars_per_token=1.0)
+        # 15 tokens are 60 chars: two lines (54 chars) fit, three (81) do not
+        cfg = SerializationConfig(decimals=2, token_budget=15)
         with pytest.raises(TokenBudgetError) as err:
             build_part1(small_ref, plan, cfg)
         assert err.value.max_feasible_k == 2
@@ -122,10 +123,11 @@ class TestPart1Memo:
         plan = build_plan(small_ref, 1.0)
         part1 = build_part1(small_ref, plan)
         part2 = build_part2(fv(0.5, 0.5))
-        fits = SerializationConfig(token_budget=len(part1) + len(part2), chars_per_token=1.0)
+        tokens = math.ceil((len(part1) + len(part2)) / 4)
+        fits = SerializationConfig(token_budget=tokens)
         bundle = build_bundle(small_ref, fv(0.5, 0.5), plan, fits)
-        assert bundle.token_estimate == len(part1) + len(part2)
-        short = SerializationConfig(token_budget=len(part1) + len(part2) - 1, chars_per_token=1.0)
+        assert bundle.token_estimate == tokens
+        short = SerializationConfig(token_budget=tokens - 1)
         build_part1(small_ref, plan, short)  # part 1 alone still fits
         with pytest.raises(TokenBudgetError):
             build_bundle(small_ref, fv(0.5, 0.5), plan, short)
@@ -149,9 +151,7 @@ class TestBundle:
         plan = build_plan(small_ref, 0.5)
         cfg = SerializationConfig()
         bundle = build_bundle(small_ref, fv(0.7, 0.3), plan, cfg)
-        assert bundle.token_estimate == math.ceil(
-            len(bundle.part1 + bundle.part2) / cfg.chars_per_token
-        )
+        assert bundle.token_estimate == math.ceil(len(bundle.part1 + bundle.part2) / 4)
         assert bundle.token_estimate <= cfg.token_budget
 
     def test_budget_rejects_exactly_at_threshold(self, small_ref):

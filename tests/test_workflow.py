@@ -249,6 +249,11 @@ class TestRunAccuracyImprovement:
 
 
 class TestWorkflowProperties:
+    @pytest.mark.parametrize("run", [run_error_detection, run_accuracy_improvement])
+    def test_empty_test_split_is_an_empty_prediction_set(self, run):
+        with pytest.raises(ContractError, match="cannot evaluate an empty prediction set"):
+            run(VAL_PROBS, VAL_TRUE, [], [])
+
     def test_part1_shared_across_test_samples(self, small_ref):
         plan = build_plan(small_ref, 0.5)
         b1 = build_bundle(small_ref, fv(0.7, 0.3), plan)
@@ -263,12 +268,10 @@ class TestWorkflowProperties:
         assert first == second
 
     def test_knn_and_ubknn_methods_run(self):
-        from transduct import KnnConfig, UbKnnConfig
-
         # the derived reference has only 2 error samples, so keep k small
         configs = [
             RunConfig(method="knn", knn=KnnConfig(k_neighbors=3)),
-            RunConfig(method="ubknn", ubknn=UbKnnConfig(KnnConfig(k_neighbors=3))),
+            RunConfig(method="ubknn", knn=KnnConfig(k_neighbors=3)),
         ]
         for cfg in configs:
             report = run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS, TEST_TRUE, cfg)
@@ -303,11 +306,22 @@ class TestPredict:
 
     def test_baselines_yield_no_audit(self):
         ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
-        knn, ubknn = KnnConfig(k_neighbors=3), UbKnnConfig(KnnConfig(k_neighbors=1), 5, 7)
-        cfg = RunConfig(method="knn", knn=knn, ubknn=ubknn)
+        knn, ubknn = KnnConfig(k_neighbors=3), UbKnnConfig(KnnConfig(k_neighbors=3), 5, 7)
+        cfg = RunConfig(method="knn", knn=knn, bags=5, seed=7)
         assert list(predict(ref, TEST_PROBS, cfg)) == [(knn_classify(ref, f, knn), None) for f in TEST_PROBS]
-        cfg = RunConfig(method="ubknn", knn=knn, ubknn=ubknn)
+        cfg = RunConfig(method="ubknn", knn=knn, bags=5, seed=7)
         assert list(predict(ref, TEST_PROBS, cfg)) == [(ubknn_classify(ref, f, ubknn), None) for f in TEST_PROBS]
+
+    def test_ubknn_reads_k_and_metric_from_knn(self):
+        # a seeded set where UB-KNN's labels at k = 1 and k = 5 differ
+        rng = np.random.default_rng(3)
+        ref = ReferenceSet.build(rng.uniform(0.05, 1.0, size=(48, 3)), rng.integers(0, 2, size=48), 2)
+        tests = [FeatureVector.of(q) for q in rng.uniform(0.05, 1.0, size=(200, 3))]
+        k1, k5 = UbKnnConfig(KnnConfig(1), 3), UbKnnConfig(KnnConfig(5), 3)
+        expected = [ubknn_classify(ref, f, k1) for f in tests]
+        assert expected != [ubknn_classify(ref, f, k5) for f in tests]
+        cfg = RunConfig(method="ubknn", knn=KnnConfig(1), bags=3)
+        assert [label for label, _ in predict(ref, tests, cfg)] == expected
 
     def test_unknown_method(self):
         ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
@@ -356,7 +370,7 @@ class TestPredict:
         }.get(method, BackendConfig())
         cfg = RunConfig(
             method=method.split("-")[0], backend=backend, selection_ratio=1.0,
-            knn=KnnConfig(k_neighbors=1), ubknn=UbKnnConfig(KnnConfig(k_neighbors=1), 3, 0),
+            knn=KnnConfig(k_neighbors=1), bags=3, seed=0,
         )
         results = predict(ref, tests, cfg)
         assert next(results)[0] == 0
