@@ -13,11 +13,16 @@ Canonical file formats:
 * JSON mirror: ``{"class_count": C, "reference": [{"features": [...],
   "label": i}, ...], "test": [{"features": [...], "label": i?}, ...]}``.
 
-Ingestion reads a file once, converting each feature cell with Python
-``float`` into one buffer in file order, and checks its features in one
-vectorised pass. Errors are reported as a row-by-row reader would: the
-first bad row in file order wins, and within a row the features are
-checked before the label and the split.
+Ingestion opens a file once. A CSV body is first read as whole columns by
+numpy's C reader and checked column by column; any cell or row those
+checks do not pass, and any body the C reader rejects, sends the same
+handle back to the start for the row reader, the only code that words an
+error. The row reader converts each feature cell with Python ``float``
+into one buffer in file order and checks its features in one vectorised
+pass. Errors are reported as a row-by-row reader would: the first bad row
+in file order wins, and within a row the features are checked before the
+label and the split. A label is an optional minus sign and ASCII digits,
+or blank or ``?`` for none.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -33,6 +39,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import numpy.strings  # imported with the package, not on the first CSV read
 
 from .errors import (
     ContractError,
@@ -105,6 +112,16 @@ def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY
     return i, ValidationError, f"probability vector sums to {float(total[i])!r}, expected 1 within {tol}"
 
 
+def _int64_labels(labels, class_count) -> np.ndarray:
+    """``labels`` (integers) as an int64 array; one that does not fit is a SchemaError."""
+    labels = list(map(int, labels))
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, v in enumerate(labels) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
+        raise SchemaError(f"label {labels[i]} at index {i} outside [0, {class_count})") from None
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -175,7 +192,9 @@ class ReferenceSet:
 
     def __post_init__(self):
         X = as_feature_matrix(self.X)
-        y = self.y if isinstance(self.y, np.ndarray) else np.fromiter(map(int, self.y), np.int64)
+        y = self.y
+        if not isinstance(y, np.ndarray) or y.dtype == object:
+            y = _int64_labels(y, self.class_count)
         if y.dtype != np.int64 or y.flags.writeable:
             y = _read_only(y.astype(np.int64))
         if y.ndim != 1 or len(y) != len(X):
@@ -294,10 +313,26 @@ class IngestionSchema:
         _checked_class_count(self.class_count)
 
 
+@dataclass(frozen=True)
+class _Table:
+    """The rows of one file, in file order: features, test flags and labels."""
+
+    X: np.ndarray  # (m, d) float64
+    tests: np.ndarray  # (m,) bool
+    labels: np.ndarray  # (m,) int64, -1 where a row has no label
+
+    def split(self, test: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only feature matrix and labels of the test (or val) rows."""
+        chosen = self.tests == test
+        if chosen.all():  # one split: no copy
+            return _read_only(self.X), _read_only(self.labels)
+        return _read_only(self.X[chosen]), _read_only(self.labels[chosen])
+
+
 class _Rows:
-    """The rows of one file as flat arrays, in file order. A reader appends a
-    row's features and number before it reads the row's label and split, and
-    its flag and label after: a row whose label or split fails is still checked."""
+    """A row reader's buffers, in file order. A reader appends a row's features
+    and number before it reads the row's label and split, and its flag and
+    label after: a row whose label or split fails is still checked."""
 
     def __init__(self):
         self.values = array("d")  # features, row after row
@@ -309,11 +344,11 @@ class _Rows:
         m = len(self.numbers)
         return np.frombuffer(self.values, dtype=np.float64).reshape(m, len(self.values) // max(m, 1))
 
-    def split(self, test: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only feature matrix and labels of the test (or val) rows."""
-        chosen = np.frombuffer(self.tests, dtype=bool) == test
-        y = np.frombuffer(self.labels, dtype=np.int64)[chosen]
-        return _read_only(self.matrix()[chosen]), _read_only(y)
+
+def _partly_labelled(tests: np.ndarray, labels: np.ndarray) -> Optional[np.ndarray]:
+    """The unlabelled-row mask of the test rows if some but not all have a label."""
+    unlabelled = labels[tests] < 0
+    return unlabelled if 0 < unlabelled.sum() < len(unlabelled) else None
 
 
 def _check_features(X: np.ndarray, numbers, is_probability: bool) -> None:
@@ -326,7 +361,7 @@ def _check_features(X: np.ndarray, numbers, is_probability: bool) -> None:
         raise kind(f"row {numbers[i]}: {message}") from None
 
 
-def _collect(read, is_probability: bool, noun: str = "row") -> _Rows:
+def _collect(read, is_probability: bool, noun: str = "row") -> _Table:
     """The rows ``read(rows)`` appends to a fresh buffer, their features checked
     in one pass when it returns or raises (a reader raises at its current row,
     so a bad row found here wins); then the test labels must be all or none."""
@@ -336,71 +371,159 @@ def _collect(read, is_probability: bool, noun: str = "row") -> _Rows:
     except Exception:
         _check_features(rows.matrix(), rows.numbers, is_probability)
         raise
-    _check_features(rows.matrix(), rows.numbers, is_probability)
+    X = rows.matrix()
+    _check_features(X, rows.numbers, is_probability)
     tests = np.frombuffer(rows.tests, dtype=bool)
-    unlabelled = np.frombuffer(rows.labels, dtype=np.int64)[tests] < 0
-    if 0 < unlabelled.sum() < len(unlabelled):
+    labels = np.frombuffer(rows.labels, dtype=np.int64)
+    unlabelled = _partly_labelled(tests, labels)
+    if unlabelled is not None:
         first = np.frombuffer(rows.numbers, dtype=np.int64)[tests][unlabelled][0]
         raise SchemaError(f"test {noun} {first} has no label but other test {noun}s have one")
-    return rows
+    return _Table(X, tests, labels)
 
 
-def _csv_rows(path: Path, schema: IngestionSchema, role: Optional[str], rows: _Rows) -> None:
-    """Read a CSV file into ``rows`` for :func:`_collect`. With ``role`` every
-    row goes to that split whatever its split column says (the column is
-    still checked). Reference rows need a label."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+def _csv_header(fh, role: Optional[str]) -> tuple[int, list[int], int, Optional[int]]:
+    """The header record at ``fh`` as (cell count, feature columns, label
+    column, split column or None). Without ``role`` a split column is needed."""
+    try:
+        header = [h.strip() for h in next(csv.reader(fh))]
+    except StopIteration:
+        raise DatasetParseError("empty file") from None
+    if "label" not in header:
+        raise SchemaError(f"header must contain 'label': {header}")
+    has_split = "split" in header
+    if not has_split and role is None:
+        raise SchemaError(f"header must contain 'split': {header}")
+    feat_idx = [i for i, c in enumerate(header) if c not in ("label", "split")]
+    if not feat_idx:
+        raise SchemaError("no feature columns in header")
+    return len(header), feat_idx, header.index("label"), header.index("split") if has_split else None
+
+
+def _csv_rows(fh, schema: IngestionSchema, role: Optional[str], rows: _Rows) -> None:
+    """The row reader: read the CSV file at ``fh`` into ``rows`` for
+    :func:`_collect`. With ``role`` every row goes to that split whatever
+    its split column says (the column is still checked). Reference rows
+    need a label."""
+    width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
+    for row_no, row in enumerate(csv.reader(fh), start=2):
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DatasetParseError("empty file") from None
-        if "label" not in header:
-            raise SchemaError(f"header must contain 'label': {header}")
-        has_split = "split" in header
-        if not has_split and role is None:
-            raise SchemaError(f"header must contain 'split': {header}")
-        feat_idx = [i for i, c in enumerate(header) if c not in ("label", "split")]
-        if not feat_idx:
-            raise SchemaError("no feature columns in header")
-        label_idx = header.index("label")
-        split_idx = header.index("split") if has_split else None
-
-        for row_no, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise DatasetParseError(f"expected {width} cells, got {len(row)}", row=row_no)
             try:
-                if len(row) != len(header):
-                    raise DatasetParseError(f"expected {len(header)} cells, got {len(row)}", row=row_no)
-                try:
-                    features = [float(row[i]) for i in feat_idx]
-                except ValueError as exc:
-                    raise DatasetParseError(str(exc), row=row_no) from None
-            except DatasetParseError:
-                if all(not cell.strip() for cell in row):  # blank rows land here
-                    continue
-                raise
-            rows.values.extend(features)
-            rows.numbers.append(row_no)
-            raw_label = row[label_idx].strip()
-            label = None
-            if raw_label not in ("", "?"):
-                try:
-                    label = int(raw_label)
-                except ValueError:
-                    raise DatasetParseError(f"non-integer label {raw_label!r}", row=row_no)
-                if label < 0:
-                    raise SchemaError(f"row {row_no}: negative label {label}")
-                if schema.class_count is not None and label >= schema.class_count:
-                    raise SchemaError(f"row {row_no}: label {label} >= class_count {schema.class_count}")
-                if label > _LABEL_MAX:
-                    raise SchemaError(f"row {row_no}: label {label} does not fit in int64")
-            split = row[split_idx].strip() if has_split else role
-            if split not in ("val", "test"):
-                raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {split!r}")
-            split = role or split
-            if split == "val" and label is None:
-                raise SchemaError(f"reference row {row_no} has no label")
-            rows.tests.append(split == "test")
-            rows.labels.append(-1 if label is None else label)
+                features = [float(row[i]) for i in feat_idx]
+            except ValueError as exc:
+                raise DatasetParseError(str(exc), row=row_no) from None
+        except DatasetParseError:
+            if all(not cell.strip() for cell in row):  # blank rows land here
+                continue
+            raise
+        rows.values.extend(features)
+        rows.numbers.append(row_no)
+        raw_label = row[label_idx].strip()
+        label = None
+        if raw_label not in ("", "?"):
+            digits = raw_label[1:] if raw_label.startswith("-") else raw_label
+            if not (digits.isascii() and digits.isdigit()):
+                raise DatasetParseError(f"non-integer label {raw_label!r}", row=row_no)
+            label = int(raw_label)
+            if label < 0:
+                raise SchemaError(f"row {row_no}: negative label {label}")
+            if schema.class_count is not None and label >= schema.class_count:
+                raise SchemaError(f"row {row_no}: label {label} >= class_count {schema.class_count}")
+            if label > _LABEL_MAX:
+                raise SchemaError(f"row {row_no}: label {label} does not fit in int64")
+        split = row[split_idx].strip() if split_idx is not None else role
+        if split not in ("val", "test"):
+            raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {split!r}")
+        split = role or split
+        if split == "val" and label is None:
+            raise SchemaError(f"reference row {row_no} has no label")
+        rows.tests.append(split == "test")
+        rows.labels.append(-1 if label is None else label)
+
+
+_LABEL_CELL, _SPLIT_CELL = 20, 5  # bytes; a cell that fills its field may have been cut
+
+
+def _without_nul(lines):
+    # an S field drops trailing NULs, which the row reader keeps
+    for line in lines:
+        if "\x00" in line:
+            raise ValueError("NUL in CSV body")
+        yield line
+
+
+def _label_column(cells: np.ndarray) -> Optional[np.ndarray]:
+    """Label cells as int64, -1 for blank or ``?``; None unless every cell is
+    that or ASCII digits that fit int64, uncut."""
+    raw = np.strings.strip(cells)
+    blank = (raw == b"") | (raw == b"?")
+    digits = np.strings.isdigit(raw) & (np.strings.str_len(raw) <= 18)  # fits int64
+    if not (blank | digits).all() or (np.strings.str_len(cells) >= _LABEL_CELL).any():
+        return None
+    return np.where(blank, b"-1", raw).astype(np.int64)
+
+
+def _test_column(cells: np.ndarray) -> Optional[np.ndarray]:
+    """Split cells as test flags; None unless every cell strips to val or test, uncut."""
+    split = np.strings.strip(cells)
+    tests = split == b"test"
+    if not (tests | (split == b"val")).all() or (np.strings.str_len(cells) >= _SPLIT_CELL).any():
+        return None
+    return tests
+
+
+def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Table]:
+    """The CSV body after the header at ``fh`` read as whole columns by numpy's
+    C reader, or None where the row reader must decide: a body the C reader
+    rejects or that is empty, or any cell or row the column checks here do
+    not pass. What is returned is what the row reader would return."""
+    width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
+    kinds = {label_idx: f"S{_LABEL_CELL}", split_idx: f"S{_SPLIT_CELL}"}
+    features = set(feat_idx)
+    dtype = [(f"c{i}", "f8" if i in features else kinds.get(i, "S1")) for i in range(width)]
+    try:  # every column is named: loadtxt then rejects rows of another width
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body warns
+            body = np.loadtxt(
+                _without_nul(fh), dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+            )
+    except ValueError:
+        return None
+    if body.size == 0:
+        return None
+    labels = _label_column(body[f"c{label_idx}"])
+    if split_idx is None:
+        tests = np.full(len(body), role == "test")
+    else:
+        tests = _test_column(body[f"c{split_idx}"])
+        if tests is not None and role is not None:
+            tests[:] = role == "test"
+    if labels is None or tests is None:
+        return None
+    if (labels[~tests] < 0).any() or _partly_labelled(tests, labels) is not None:
+        return None
+    if schema.class_count is not None and (labels >= schema.class_count).any():
+        return None
+    X = np.empty((len(body), len(feat_idx)))
+    for j, i in enumerate(feat_idx):
+        X[:, j] = body[f"c{i}"]
+    del body  # the check below needs room
+    if _first_bad_row(X, schema.is_probability) is not None:
+        return None
+    return _Table(X, tests, labels)
+
+
+def _read_csv(path: Path, schema: IngestionSchema, role: Optional[str]) -> _Table:
+    """A CSV file, opened once: its columns if :func:`_columns` keeps them,
+    else the same handle rewound and read by the row reader."""
+    with open(path, newline="") as fh:
+        table = _columns(fh, schema, role)
+        if table is None:
+            fh.seek(0)
+            table = _collect(partial(_csv_rows, fh, schema, role), schema.is_probability)
+    return table
 
 
 def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, rows: _Rows) -> None:
@@ -443,7 +566,7 @@ def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, 
             rows.labels.append(-1 if label is None else label)
 
 
-def _assemble(val: _Rows, test: _Rows, class_count: Optional[int]) -> LabeledDataset:
+def _assemble(val: _Table, test: _Table, class_count: Optional[int]) -> LabeledDataset:
     """The dataset of ``val``'s reference rows and ``test``'s test rows."""
     (X, y), (T, t) = val.split(test=False), test.split(test=True)
     if len(y) == 0:
@@ -451,7 +574,7 @@ def _assemble(val: _Rows, test: _Rows, class_count: Optional[int]) -> LabeledDat
     if class_count is None:
         class_count = max(int(y.max()), int(t.max(initial=1))) + 1
     reference = ReferenceSet(X, y, class_count)
-    labelled = t.size and t[0] >= 0  # all or none: _collect checks
+    labelled = t.size and t[0] >= 0  # all or none: both readers check
     return LabeledDataset(reference, _vectors(T), tuple(t.tolist()) if labelled else None)
 
 
@@ -466,8 +589,8 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
     """Load a validated dataset from a CSV or JSON file, preserving row order."""
     path = _existing(path)
     if path.suffix.lower() != ".json":
-        rows = _collect(partial(_csv_rows, path, schema, None), schema.is_probability)
-        return _assemble(rows, rows, schema.class_count)
+        table = _read_csv(path, schema, None)
+        return _assemble(table, table, schema.class_count)
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -476,8 +599,8 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = _checked_class_count(payload.get("class_count", schema.class_count))
     read = partial(_json_rows, payload, class_count, schema.is_probability)
-    rows = _collect(read, schema.is_probability, "item")
-    return _assemble(rows, rows, class_count)
+    table = _collect(read, schema.is_probability, "item")
+    return _assemble(table, table, class_count)
 
 
 def load_split_files(
@@ -486,11 +609,9 @@ def load_split_files(
     """Load a dataset from two CSV files: every row of ``val_path`` is a
     reference row and every row of ``test_path`` (if given) a test row. A
     split column is optional and, if present, checked but not used."""
-    read = partial(_csv_rows, _existing(val_path), schema, "val")
-    val = test = _collect(read, schema.is_probability)
+    val = test = _read_csv(_existing(val_path), schema, "val")
     if test_path is not None:
-        read = partial(_csv_rows, _existing(test_path), schema, "test")
-        test = _collect(read, schema.is_probability)
+        test = _read_csv(_existing(test_path), schema, "test")
     return _assemble(val, test, schema.class_count)
 
 

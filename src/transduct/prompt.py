@@ -22,6 +22,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .core import FeatureVector, ReferenceSet
 from .errors import (
@@ -36,7 +39,8 @@ from .selection import SelectionPlan
 LABEL_CUE = "is in class"
 CHARS_PER_TOKEN = 4  # a prompt's token estimate: its characters / 4, rounded up
 
-_PART1_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class (?P<label>\d+)$", re.ASCII)
+# one labeled line, or each line of a text of them: (body, label)
+_PART1_LINE = re.compile(r"^\[([^\]\n]*)\] is in class (\d+)$", re.ASCII | re.MULTILINE)
 _PART2_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class$")
 
 
@@ -79,8 +83,10 @@ def render_feature(f, cfg: SerializationConfig = SerializationConfig()) -> str:
     return f"[{body}]"
 
 
-def _part1_line(values: list, label: int, cfg: SerializationConfig) -> str:
-    return f"{render_feature(values, cfg)} {LABEL_CUE} {label}\n"
+def _part1_format(d: int, decimals: int) -> str:
+    """The ``%`` format of one Part 1 line of ``d`` features and a label."""
+    number = f"%.{decimals}f"  # renders as format(v, f".{decimals}f")
+    return f"[{', '.join([number] * d)}] {LABEL_CUE} %d\n"
 
 
 def _max_feasible_k(line_lengths: list[float], budget_chars: float) -> int:
@@ -114,7 +120,8 @@ def build_part1(
             raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
     rows = list(plan.ordered_indices)
     values, labels = ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist()
-    lines = [_part1_line(f, y, cfg) for f, y in zip(values, labels)]
+    line = _part1_format(ref.dimension, cfg.decimals)
+    lines = [line % (*f, y) for f, y in zip(values, labels)]
     text = "".join(lines)
     if _estimate_tokens(text) > cfg.token_budget:
         budget_chars = cfg.token_budget * CHARS_PER_TOKEN
@@ -191,21 +198,52 @@ def parse_prompt(prompt: str) -> tuple[ReferenceSet, FeatureVector]:
     """Recover reference samples and the test feature from a rendered prompt.
 
     Inverse of :func:`build_bundle` up to rendering precision; used by the
-    local attention backend.
+    local attention backend. Part 1 is parsed as columns; where that parse
+    rejects it, the per-line parse names the first malformed line.
     """
     lines = prompt.splitlines()
     if len(lines) < 2:
         raise GrammarError("prompt must contain at least one reference line and a test line")
-    features, labels = [], []
-    for line_no, line in enumerate(lines[:-1], start=1):
-        match = _PART1_LINE.match(line)
-        if match is None:
-            raise GrammarError(f"line {line_no} does not match the labeled-line grammar: {line!r}")
-        features.append(_parse_body(match.group("body"), line_no))
-        labels.append(int(match.group("label")))
+    features, labels = _parse_columns(lines[:-1]) or _parse_lines(lines[:-1])
     f_test = parse_test_line(lines[-1], len(lines))
     class_count = max(2, max(labels) + 1)
     return ReferenceSet.build(features, labels, class_count), f_test
+
+
+def _parse_columns(lines: list[str]):
+    """The features (an ``(m, d)`` array) and labels of Part 1 ``lines``, all
+    read at once, or None unless every line matches the labeled-line grammar
+    in ASCII with ``d`` finite numbers."""
+    text = "\n".join(lines)
+    found = _PART1_LINE.findall(text)
+    if len(found) != len(lines) or not text.isascii():
+        return None
+    bodies, labels = zip(*found)
+    d = bodies[0].count(", ") + 1
+    if any(body.count(", ") != d - 1 for body in bodies):
+        return None
+    try:
+        values = chain.from_iterable(map(float, body.split(", ")) for body in bodies)
+        X = np.fromiter(values, np.float64, len(bodies) * d)
+    except ValueError:
+        return None
+    if not np.isfinite(X).all():
+        return None
+    X.flags.writeable = False  # shared by the reference set, not copied
+    return X.reshape(len(bodies), d), list(map(int, labels))
+
+
+def _parse_lines(lines: list[str]):
+    """The features and labels of Part 1 ``lines`` parsed line by line,
+    raising GrammarError at the first malformed one."""
+    features, labels = [], []
+    for line_no, line in enumerate(lines, start=1):
+        match = _PART1_LINE.match(line)
+        if match is None:
+            raise GrammarError(f"line {line_no} does not match the labeled-line grammar: {line!r}")
+        features.append(_parse_body(match.group(1), line_no))
+        labels.append(int(match.group(2)))
+    return features, labels
 
 
 def parse_test_line(line: str, line_no: int) -> FeatureVector:

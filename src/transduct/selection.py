@@ -81,9 +81,10 @@ def _rank_descending(scores: Sequence[float], candidates: Sequence[int]) -> list
 
 def _interleaved_indices(ref: ReferenceSet, rep: Sequence[float], k: int) -> list[int]:
     # rank-major round-robin over the per-class rankings (class index order
-    # within a rank), cut at k: each class gives its next sample in turn
+    # within a rank), cut at k: each class gives its next sample in turn. Only
+    # the classes present are ranked; an absent one would add nothing.
     y = ref.label_array()
-    per_class = [_rank_descending(rep, np.flatnonzero(y == c).tolist()) for c in range(ref.class_count)]
+    per_class = [_rank_descending(rep, np.flatnonzero(y == c).tolist()) for c in np.unique(y)]
     joined = [i for rank in zip_longest(*per_class) for i in rank if i is not None]
     return joined[:k]
 

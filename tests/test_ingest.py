@@ -1,15 +1,16 @@
 """Array-native ingestion: error parity with the row-by-row reader, bit-exact
-values, and the array-backed ReferenceSet.
+values, the column read against the package's own row reader, and the
+array-backed ReferenceSet.
 
 The row-by-row reader is the frozen copy of the package under
-``perfbench/refprog/transduct``, imported here under another name.
+``perfbench/refprog/transduct`` (``seed_copy.rowwise``).
 """
 
-import importlib.util
 import json
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,20 +22,7 @@ from transduct import FeatureVector, IngestionSchema, ReferenceSet, core, derive
 from transduct.core import load_dataset, load_split_files
 from transduct.errors import ContractError, DatasetParseError, SchemaError, TransductError
 
-REFPROG = Path(__file__).resolve().parents[1] / "perfbench" / "refprog" / "transduct"
-
-
-def _import_refprog():
-    spec = importlib.util.spec_from_file_location(
-        "transduct_rowwise", REFPROG / "__init__.py", submodule_search_locations=[str(REFPROG)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-rowwise = _import_refprog()
+from seed_copy import rowwise
 
 HEADER = "f0,f1,label,split\n"
 
@@ -160,6 +148,12 @@ TYPED_ERRORS = [
     ("json-huge-label.json", {"reference": [GOOD_ITEM, {"features": [0.5, 0.5], "label": 10**20}]}, {}, SchemaError, "reference item 1: label 100000000000000000000 out of range"),
     ("json-huge-test-label.json", {"reference": [GOOD_ITEM], "test": [{"features": [0.5, 0.5], "label": 2**63}]}, {}, SchemaError, "test item 0: label 9223372036854775808 out of range"),
     ("json-huge-label-huger-class-count.json", {"class_count": 10**21, "reference": [{"features": [0.5, 0.5], "label": 10**20}]}, {}, SchemaError, "reference item 0: label 100000000000000000000 out of range"),
+    # a CSV label is ASCII digits (the row-by-row reader took Python int(): 10, 0 and 1 here)
+    ("csv-underscore-label.csv", HEADER + "0.9,0.1,0,val\n0.1,0.9,1_0,val\n", {}, DatasetParseError, "row 3: non-integer label '1_0'"),
+    ("csv-plus-label.csv", HEADER + "0.9,0.1,1,val\n0.1,0.9,+0,val\n", {}, DatasetParseError, "row 3: non-integer label '+0'"),
+    ("csv-arabic-indic-label.csv", HEADER + "0.9,0.1,0,val\n0.1,0.9,\u0661,val\n", {}, DatasetParseError, "row 3: non-integer label '\u0661'"),
+    ("csv-arabic-indic-test-label.csv", HEADER + "0.9,0.1,0,val\n0.1,0.9,1,val\n0.5,0.5,\u0661,test\n", {}, DatasetParseError, "row 4: non-integer label '\u0661'"),
+    ("csv-fullwidth-label.csv", HEADER + "0.9,0.1,0,val\n0.1,0.9,\uff11,val\n", {}, DatasetParseError, "row 3: non-integer label '\uff11'"),
 ]
 
 
@@ -168,6 +162,17 @@ def test_malformed_item_or_class_count_is_a_typed_error(tmp_path, name, content,
     path = _write(tmp_path, name, content)
     with pytest.raises(kind, match=re.escape(message)):
         load_dataset(path, IngestionSchema(**options))
+
+
+def test_blank_question_mark_and_padded_labels_keep_their_meaning(tmp_path):
+    path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1, 1 ,val\n0.1,0.9,\t0,val\n0.5,0.5,?,test\n0.4,0.6,,test\n")
+    ds = load_dataset(path)
+    assert ds.reference.labels == (1, 0) and ds.test_labels is None
+    v = _write(tmp_path, "v.csv", "f0,f1,label\n0.9,0.1,007\n0.1,0.9, 1\n")
+    t = _write(tmp_path, "t.csv", "f0,f1,label\n0.9,0.1,\u0661\n")
+    assert load_split_files(v).reference.labels == (7, 1)
+    with pytest.raises(DatasetParseError, match="row 2: non-integer label"):
+        load_split_files(v, t)
 
 
 def test_row_errors_come_before_a_partly_labelled_test_split(tmp_path):
@@ -271,6 +276,98 @@ def test_probability_check_agrees_with_the_row_by_row_reader(tmp_path_factory, s
         assert _values(got.reference.features) == _values(expected.reference.features)
 
 
+# --- the column read against the row reader ----------------------------------
+
+# Cells the two readers must agree on: quoted and doubled quotes, padding, a
+# quoted line break, float() spellings numpy's C reader rejects, labels that
+# fill or overflow the label field, and NULs.
+_GOOD_FEATURES = ["0.25", "0.5", "3", "-0.0", "1e-3", " 0.75 ", '"0.125"', "\t1.5"]
+_ODD_FEATURES = ['"1"2', '"1""2"', '"0.5\n"', "1_0", "\u0661", "nan", "inf", "", "x", "0x1p3", "1\x00"]
+_GOOD_LABELS = ["0", "1", "2", " 1 ", '"2"', "007"]
+_NO_LABELS = ["", "?", " ? "]
+_ODD_LABELS = ["1_0", "+0", "-1", "-0", "\u0661", "\xe9", "0" * 19 + "1", "1" * 20, "9" * 19, "x", '"1\n"', "1\x00"]
+_GOOD_SPLITS = ["val", "test", " val", "test ", '"test"']
+_ODD_SPLITS = ["  val  ", "train", "Val", "", "val\x00", "val\x1c"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text with a header and up to 8 lines: a well-formed file (val
+    rows labelled, test rows all or none, blank lines) with up to two edits,
+    each an odd cell or line in place of a good one."""
+    d = draw(st.integers(1, 3))
+    test_labels = _GOOD_LABELS if draw(st.booleans()) else _NO_LABELS
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 6)) == 0:
+            rows.append([])
+            continue
+        split = draw(st.sampled_from(_GOOD_SPLITS))
+        label = draw(st.sampled_from(test_labels if "test" in split else _GOOD_LABELS))
+        rows.append([draw(st.sampled_from(_GOOD_FEATURES)) for _ in range(d)] + [label, split])
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        edit = draw(st.sampled_from(["feature", "label", "label", "split", "line"]))
+        if edit == "line" or len(row) != d + 2:
+            row[:] = draw(st.sampled_from([[], ["  "], [""] * (d + 2), [*row, "0"], row[:-1]]))
+        elif edit == "feature":
+            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from(_ODD_FEATURES))
+        else:
+            odd = _NO_LABELS + _ODD_LABELS if edit == "label" else _ODD_SPLITS
+            row[d if edit == "label" else d + 1] = draw(st.sampled_from(odd))
+    lines = [",".join([f"f{j}" for j in range(d)] + ["label", "split"])] + [",".join(r) for r in rows]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    ends = [draw(st.sampled_from([end, end, "\n", "\r"])) for _ in lines]
+    text = "".join(line + e for line, e in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+def _outcome(load):
+    """What a load returns, or the type, message and row of what it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            ds = load()
+        except Exception as exc:
+            return type(exc).__name__, str(exc), getattr(exc, "row", None)
+    ref = ds.reference
+    tests = np.array([f.values for f in ds.test_features])
+    return ref.feature_matrix().tobytes(), ref.X.shape, ref.labels, ref.class_count, tests.tobytes(), ds.test_labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=csv_texts(),
+    options=st.sampled_from([{}, {"class_count": 2}, {"class_count": 3}, {"is_probability": True}]),
+    files=st.sampled_from(["data", "val", "val and test"]),
+)
+def test_column_read_agrees_with_the_row_reader(tmp_path_factory, text, options, files):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    schema = IngestionSchema(**options)
+    load = {
+        "data": lambda: load_dataset(path, schema),
+        "val": lambda: load_split_files(path, schema=schema),
+        "val and test": lambda: load_split_files(path, path, schema),
+    }[files]
+    got = _outcome(load)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_columns", lambda *args: None)
+        assert got == _outcome(load)
+
+
+def test_well_formed_csv_is_read_as_columns_and_a_rejected_one_by_rows(tmp_path, monkeypatch):
+    read = []
+    row_reader = core._csv_rows
+    monkeypatch.setattr(core, "_csv_rows", lambda *args: read.append(1) or row_reader(*args))
+    quoted = HEADER.replace("\n", "\r\n") + '0.9,"0.1",0,val\r\n0.1,0.9,1,"test"\r\n'
+    assert load_dataset(_write(tmp_path, "q.csv", quoted)).test_labels == (1,)
+    assert read == []
+    blank_cells = HEADER + "0.9,0.1,0,val\n,,,\n0.1,0.9,1,test\n"
+    assert load_dataset(_write(tmp_path, "b.csv", blank_cells)).test_labels == (1,)
+    assert read == [1]
+
+
 def test_ingest_streams_rows_into_one_matrix(tmp_path):
     # keeping every row's cells as Python objects costs several times the
     # matrix (the row-by-row reader peaked at about 7x on this file)
@@ -341,6 +438,12 @@ class TestArrayBackedReferenceSet:
     def test_rejects_what_feature_vectors_rejected(self, features, labels, error):
         with pytest.raises(error):
             ReferenceSet.build(features, labels, 2)
+
+    @pytest.mark.parametrize("labels", [[0, 10**20], [0, -(10**20)], np.array([0, 10**20], dtype=object)])
+    def test_label_too_large_for_int64_is_a_schema_error(self, labels):
+        # it used to let a raw OverflowError out
+        with pytest.raises(SchemaError, match="at index 1 outside"):
+            ReferenceSet.build([[0.1, 0.9], [0.9, 0.1]], labels, 2)
 
     def test_error_detection_set_shares_the_matrix(self, tmp_path):
         path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n0.3,0.7,0,val\n0.2,0.8,1,val\n")

@@ -24,7 +24,9 @@ from transduct.errors import (
     GrammarError,
     LabelOutOfRangeError,
     TokenBudgetError,
+    TransductError,
 )
+from transduct import prompt as prompt_module
 from transduct.prompt import parse_prompt
 from transduct.selection import SelectionPlan
 
@@ -335,3 +337,66 @@ class TestRoundTrip:
     def test_non_ascii_feature_digits_are_a_grammar_error(self, prompt):
         with pytest.raises(GrammarError):
             parse_prompt(prompt)
+
+
+# --- the columnar Part 1 parse against the per-line parse ---------------------
+
+_GOOD_NUMBERS = ["0.50", "0.25", "-0.00", "1.00", "12.5", "0.125"]
+_ODD_NUMBERS = ["1_0", "١", "nan", "inf", "", "x", " 1.5", "1e5", "+1.0", "0.5 ", "１", "1,5"]
+_ODD_LABELS = ["١", "-1", "1.0", "", "x", str(10**20), "1000"]
+_ODD_LINES = ["hello", "", "[0.5] is in class", "[0.5] is in class 1 x", "[0.5]] is in class 1", "[0.5 is in class 1"]
+
+
+@st.composite
+def prompts(draw):
+    """Part 1 lines of d numbers and a test line, well formed or with up to
+    two edits: an odd number, label or line, or a line of another arity."""
+    d = draw(st.integers(1, 4))
+    rows = [[[draw(st.sampled_from(_GOOD_NUMBERS)) for _ in range(d)], draw(st.sampled_from(["0", "1", "2", "007"]))]
+            for _ in range(draw(st.integers(1, 8)))]
+    lines = [f"[{', '.join(values)}] is in class {label}" for values, label in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        values, label = rows[i]
+        edit = draw(st.sampled_from(["number", "label", "line", "arity", "arity"]))
+        if edit == "number":
+            values[draw(st.integers(0, d - 1))] = draw(st.sampled_from(_ODD_NUMBERS))
+        elif edit == "label":
+            label = draw(st.sampled_from(_ODD_LABELS))
+        elif edit == "arity":
+            values = values[1:] if d > 1 and draw(st.booleans()) else [*values, "0.50"]
+        lines[i] = draw(st.sampled_from(_ODD_LINES)) if edit == "line" else f"[{', '.join(values)}] is in class {label}"
+    test_values = [draw(st.sampled_from(_GOOD_NUMBERS)) for _ in range(d)]
+    if draw(st.integers(0, 3)) == 0:
+        test_values[0] = draw(st.sampled_from(_ODD_NUMBERS))
+    lines.append(f"[{', '.join(test_values)}] is in class")
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parse_outcome(prompt):
+    """What parse_prompt returns, or the type and message of what it raises."""
+    try:
+        ref, f_test = parse_prompt(prompt)
+    except TransductError as exc:
+        return type(exc).__name__, str(exc)
+    X = ref.feature_matrix()
+    return X.tobytes(), X.shape, ref.labels, ref.class_count, f_test.values
+
+
+@settings(max_examples=300, deadline=None)
+@given(prompt=prompts())
+def test_columnar_parse_agrees_with_the_per_line_parse(prompt):
+    got = _parse_outcome(prompt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prompt_module, "_parse_columns", lambda lines: None)
+        assert got == _parse_outcome(prompt)
+
+
+def test_rendered_part1_is_parsed_as_columns(imbalanced_ref, monkeypatch):
+    plan = build_plan(imbalanced_ref, 1.0, interleave_by_class=True)
+    prompt = build_bundle(imbalanced_ref, fv(0.55, 0.45), plan).prompt
+    monkeypatch.setattr(prompt_module, "_parse_lines", None)  # never called
+    ref_back, _ = parse_prompt(prompt)
+    assert ref_back.labels == tuple(imbalanced_ref.labels[i] for i in plan.ordered_indices)
+    assert not ref_back.feature_matrix().flags.writeable

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from transduct import FeatureVector, ReferenceSet, build_plan, representativenes
 from transduct.errors import ContractError, DegenerateInputError
 
 from conftest import oracle_plan_indices, oracle_representativeness
+from seed_copy import rowwise
 
 
 def fv(*v):
@@ -138,3 +141,36 @@ class TestPlanProperties:
         assert np.allclose(rep, representativeness(ref_s.features), atol=1e-9)
         assume(min(np.diff(np.sort(rep))) > 1e-6)  # near-ties may flip under rescaling
         assert build_plan(ref, 0.5).ordered_indices == build_plan(ref_s, 0.5).ordered_indices
+
+
+class TestPlanCostFollowsTheData:
+    def test_large_label_plans_in_little_memory(self):
+        # ranking every class up to the largest label took 27 MB and 5.6 s
+        # for a label of 200000
+        ref = ReferenceSet.build([[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]], [0, 1, 10**6], 10**6 + 1)
+        build_plan(ref, 1.0, interleave_by_class=True)  # first-use allocations
+        tracemalloc.start()
+        try:
+            plan = build_plan(ref, 1.0, interleave_by_class=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sorted(plan.ordered_indices) == [0, 1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        class_count=st.integers(2, 12),
+        ratio=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+        interleave=st.booleans(),
+    )
+    def test_plans_equal_the_seed_programs(self, seed, class_count, ratio, interleave):
+        # labels drawn from a few of the classes, so some classes are absent
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 40))
+        present = rng.choice(class_count, size=int(rng.integers(1, class_count + 1)), replace=False)
+        X, y = rng.dirichlet(np.ones(3), size=m), rng.choice(present, size=m)
+        got = build_plan(ReferenceSet.build(X, y, class_count), ratio, interleave)
+        old = rowwise.build_plan(rowwise.ReferenceSet.build(X.tolist(), y.tolist(), class_count), ratio, interleave)
+        assert got.ordered_indices == old.ordered_indices
