@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import numpy.strings  # imported with the package, not on the first CSV read
 
 from .errors import (
     ContractError,
@@ -114,10 +113,10 @@ def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY
 
 def _int64_labels(labels, class_count) -> np.ndarray:
     """``labels`` (integers) as an int64 array; one that does not fit is a SchemaError."""
-    labels = list(map(int, labels))
     try:
-        return np.array(labels, dtype=np.int64)
+        return np.fromiter(map(int, labels), np.int64)
     except OverflowError:
+        labels = list(map(int, labels))
         i = next(i for i, v in enumerate(labels) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
         raise SchemaError(f"label {labels[i]} at index {i} outside [0, {class_count})") from None
 
@@ -382,11 +381,23 @@ def _collect(read, is_probability: bool, noun: str = "row") -> _Table:
     return _Table(X, tests, labels)
 
 
+def _records(fh, start: int):
+    """``(number, cells)`` of each CSV record at ``fh``, numbered from
+    ``start``; a record the csv module cannot read (a cell longer than its
+    field limit) is a DatasetParseError naming it."""
+    row_no = start - 1
+    try:
+        for row_no, row in enumerate(csv.reader(fh), start):
+            yield row_no, row
+    except csv.Error as exc:
+        raise DatasetParseError(str(exc), row=row_no + 1) from None
+
+
 def _csv_header(fh, role: Optional[str]) -> tuple[int, list[int], int, Optional[int]]:
     """The header record at ``fh`` as (cell count, feature columns, label
     column, split column or None). Without ``role`` a split column is needed."""
     try:
-        header = [h.strip() for h in next(csv.reader(fh))]
+        header = [h.strip() for h in next(_records(fh, 1))[1]]
     except StopIteration:
         raise DatasetParseError("empty file") from None
     if "label" not in header:
@@ -406,7 +417,7 @@ def _csv_rows(fh, schema: IngestionSchema, role: Optional[str], rows: _Rows) -> 
     its split column says (the column is still checked). Reference rows
     need a label."""
     width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
-    for row_no, row in enumerate(csv.reader(fh), start=2):
+    for row_no, row in _records(fh, 2):
         try:
             if len(row) != width:
                 raise DatasetParseError(f"expected {width} cells, got {len(row)}", row=row_no)
@@ -444,32 +455,47 @@ def _csv_rows(fh, schema: IngestionSchema, role: Optional[str], rows: _Rows) -> 
 
 
 _LABEL_CELL, _SPLIT_CELL = 20, 5  # bytes; a cell that fills its field may have been cut
+# bound with the package: numpy 2 loads np.char on first use, inside a CSV read
+_strip, _isdigit, _str_len = np.char.strip, np.char.isdigit, np.char.str_len
 
 
-def _without_nul(lines):
-    # an S field drops trailing NULs, which the row reader keeps
-    for line in lines:
-        if "\x00" in line:
-            raise ValueError("NUL in CSV body")
-        yield line
+class _BodyLines:
+    """The lines at a handle, for numpy's C reader, counting those it does
+    not skip: a record read from more than one line (a quoted line break)
+    leaves fewer records than that. A NUL, which an S field drops and the row
+    reader keeps, or a line longer than the csv module's field limit, at which
+    the row reader stops, raises ValueError."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        limit = csv.field_size_limit()
+        for line in self.fh:
+            if "\x00" in line or len(line) > limit:
+                raise ValueError("a line the row reader must read")
+            if len(line) > 2 or line.strip():  # loadtxt skips an empty line
+                self.count += 1
+            yield line
 
 
 def _label_column(cells: np.ndarray) -> Optional[np.ndarray]:
     """Label cells as int64, -1 for blank or ``?``; None unless every cell is
     that or ASCII digits that fit int64, uncut."""
-    raw = np.strings.strip(cells)
+    raw = _strip(cells)
     blank = (raw == b"") | (raw == b"?")
-    digits = np.strings.isdigit(raw) & (np.strings.str_len(raw) <= 18)  # fits int64
-    if not (blank | digits).all() or (np.strings.str_len(cells) >= _LABEL_CELL).any():
+    digits = _isdigit(raw) & (_str_len(raw) <= 18)  # fits int64
+    if not (blank | digits).all() or (_str_len(cells) >= _LABEL_CELL).any():
         return None
     return np.where(blank, b"-1", raw).astype(np.int64)
 
 
 def _test_column(cells: np.ndarray) -> Optional[np.ndarray]:
     """Split cells as test flags; None unless every cell strips to val or test, uncut."""
-    split = np.strings.strip(cells)
+    split = _strip(cells)
     tests = split == b"test"
-    if not (tests | (split == b"val")).all() or (np.strings.str_len(cells) >= _SPLIT_CELL).any():
+    if not (tests | (split == b"val")).all() or (_str_len(cells) >= _SPLIT_CELL).any():
         return None
     return tests
 
@@ -477,21 +503,21 @@ def _test_column(cells: np.ndarray) -> Optional[np.ndarray]:
 def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Table]:
     """The CSV body after the header at ``fh`` read as whole columns by numpy's
     C reader, or None where the row reader must decide: a body the C reader
-    rejects or that is empty, or any cell or row the column checks here do
-    not pass. What is returned is what the row reader would return."""
+    rejects, that is empty or that has a record on more than one line, or
+    any cell or row the column checks here do not pass. What is returned is
+    what the row reader would return."""
     width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
     kinds = {label_idx: f"S{_LABEL_CELL}", split_idx: f"S{_SPLIT_CELL}"}
     features = set(feat_idx)
     dtype = [(f"c{i}", "f8" if i in features else kinds.get(i, "S1")) for i in range(width)]
+    lines = _BodyLines(fh)
     try:  # every column is named: loadtxt then rejects rows of another width
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty body warns
-            body = np.loadtxt(
-                _without_nul(fh), dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
-            )
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError:
         return None
-    if body.size == 0:
+    if body.size == 0 or len(body) != lines.count:
         return None
     labels = _label_column(body[f"c{label_idx}"])
     if split_idx is None:

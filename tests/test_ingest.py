@@ -6,6 +6,7 @@ The row-by-row reader is the frozen copy of the package under
 ``perfbench/refprog/transduct`` (``seed_copy.rowwise``).
 """
 
+import csv
 import json
 import re
 import sys
@@ -280,9 +281,11 @@ def test_probability_check_agrees_with_the_row_by_row_reader(tmp_path_factory, s
 
 # Cells the two readers must agree on: quoted and doubled quotes, padding, a
 # quoted line break, float() spellings numpy's C reader rejects, labels that
-# fill or overflow the label field, and NULs.
+# fill or overflow the label field, NULs, and cells past the csv module's
+# field limit, on one line and across lines.
+_LONG_CELLS = [" " * csv.field_size_limit() + "0.5", '"0.5' + "\n" * csv.field_size_limit() + '"']
 _GOOD_FEATURES = ["0.25", "0.5", "3", "-0.0", "1e-3", " 0.75 ", '"0.125"', "\t1.5"]
-_ODD_FEATURES = ['"1"2', '"1""2"', '"0.5\n"', "1_0", "\u0661", "nan", "inf", "", "x", "0x1p3", "1\x00"]
+_ODD_FEATURES = ['"1"2', '"1""2"', '"0.5\n"', "1_0", "\u0661", "nan", "inf", "", "x", "0x1p3", "1\x00", *_LONG_CELLS]
 _GOOD_LABELS = ["0", "1", "2", " 1 ", '"2"', "007"]
 _NO_LABELS = ["", "?", " ? "]
 _ODD_LABELS = ["1_0", "+0", "-1", "-0", "\u0661", "\xe9", "0" * 19 + "1", "1" * 20, "9" * 19, "x", '"1\n"', "1\x00"]
@@ -366,6 +369,18 @@ def test_well_formed_csv_is_read_as_columns_and_a_rejected_one_by_rows(tmp_path,
     blank_cells = HEADER + "0.9,0.1,0,val\n,,,\n0.1,0.9,1,test\n"
     assert load_dataset(_write(tmp_path, "b.csv", blank_cells)).test_labels == (1,)
     assert read == [1]
+
+
+@pytest.mark.parametrize("cell", _LONG_CELLS, ids=["one line", "across lines"])
+def test_a_cell_past_the_csv_field_limit_is_a_parse_error_on_both_paths(tmp_path, monkeypatch, cell):
+    # the row reader let the csv module's own error out, and the column read took the file
+    path = _write(tmp_path, "d.csv", HEADER + f"0.9,0.1,0,val\n{cell},0.5,1,val\n0.2,0.8,1,test\n")
+    message = r"^row 3: field larger than field limit"
+    with pytest.raises(DatasetParseError, match=message):
+        load_dataset(path)
+    monkeypatch.setattr(core, "_columns", lambda *args: None)
+    with pytest.raises(DatasetParseError, match=message):
+        load_dataset(path)
 
 
 def test_ingest_streams_rows_into_one_matrix(tmp_path):
