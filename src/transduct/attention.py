@@ -77,7 +77,7 @@ def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarr
 
 
 def nn_attention_classify(
-    ref: ReferenceSet, f_test: FeatureVector, s: float = 1e-6
+    ref: ReferenceSet, f_test: FeatureVector, s: float = 1e-6, present_only: bool = False
 ) -> np.ndarray:
     """Class distribution from attention over the reference set.
 
@@ -85,9 +85,11 @@ def nn_attention_classify(
     labels (both kept on ``ref``), the query the unit-normalized test
     feature (a dimension other than the keys' is a ContractError). For
     small ``s`` the argmax coincides with the cosine nearest neighbor's label.
+    The distribution covers all ``ref.class_count`` classes, or with
+    ``present_only`` the classes of ``ref.present_classes()`` in that order.
     """
     query = unit_rows(f_test.as_array()[None, :])
-    return attention(query, ref.unit_rows(), ref.one_hot_labels(), s)[0]
+    return attention(query, ref.unit_rows(), ref.one_hot_labels(present_only), s)[0]
 
 
 @dataclass(frozen=True)

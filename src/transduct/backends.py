@@ -160,6 +160,8 @@ class LocalAttentionBackend:
     the last Part 1 it parsed, keyed by that exact text, so a run that
     sends the same Part 1 with every test line parses it once; the set
     keeps its own unit rows and one-hot labels, the attention keys and values.
+    The reply's ``raw["class_probs"]`` are the attention values over the
+    classes present in Part 1, ascending, which ``raw["classes"]`` names.
     """
 
     backend_id = "local-attention"
@@ -182,12 +184,14 @@ class LocalAttentionBackend:
             ref, f_test = parse_prompt(prompt)  # raises GrammarError on mismatch
             if len(tail) == 1:
                 self._cache = (part1, ref)
-        probs = nn_attention_classify(ref, f_test, self._scale)
-        label = int(np.argmax(probs))
+        # only the classes in Part 1 can be attended to; a distribution over
+        # every class up to the largest label would grow with that label
+        probs = nn_attention_classify(ref, f_test, self._scale, present_only=True)
+        classes = ref.present_classes()
         return CompletionResponse(
-            text=f" {label}",
+            text=f" {classes[np.argmax(probs)]}",
             latency_ms=0,
-            raw={"class_probs": [float(p) for p in probs]},
+            raw={"class_probs": probs.tolist(), "classes": classes.tolist()},
         )
 
 

@@ -243,9 +243,9 @@ class ReferenceSet:
 
     @cached_property
     def _derived(self) -> dict:
-        """Values computed from this set alone (unit rows, one-hot labels,
-        UB-KNN bags, the last Part 1), cached on the instance so they live
-        exactly as long as it does."""
+        """Values computed from this set alone (unit rows, present classes,
+        one-hot labels, UB-KNN bags, the last Part 1), cached on the instance
+        so they live exactly as long as it does."""
         return {}
 
     def unit_rows(self, used=slice(None)) -> np.ndarray:
@@ -259,13 +259,22 @@ class ReferenceSet:
             unit_rows(self.X, used)
         return U
 
-    def one_hot_labels(self) -> np.ndarray:
-        """Labels as one read-only ``(m, class_count)`` one-hot float array."""
-        V = self._derived.get("one_hot")
+    def present_classes(self) -> np.ndarray:
+        """The labels that occur in the set, ascending, as one read-only array."""
+        classes = self._derived.get("classes")
+        if classes is None:  # np.unique would import numpy.ma (numpy 2), ~0.6 MB
+            y = np.sort(self.y)
+            classes = self._derived["classes"] = _read_only(y[np.r_[True, y[1:] != y[:-1]]])
+        return classes
+
+    def one_hot_labels(self, present_only: bool = False) -> np.ndarray:
+        """Labels as one read-only one-hot float array: ``(m, class_count)``,
+        or with ``present_only`` ``(m, c)`` over the c :meth:`present_classes`,
+        whose size does not grow with the largest label."""
+        V = self._derived.get(("one_hot", present_only))
         if V is None:
-            V = np.zeros((self.size, self.class_count))
-            V[np.arange(self.size), self.y] = 1.0
-            V = self._derived["one_hot"] = _read_only(V)
+            classes = self.present_classes() if present_only else np.arange(self.class_count)
+            V = self._derived[("one_hot", present_only)] = _read_only((self.y[:, None] == classes).astype(float))
         return V
 
     def subset(self, indices: Sequence[int]) -> "ReferenceSet":

@@ -3,22 +3,26 @@
 A sample's representativeness is its row sum of the cosine affinity matrix
 (self-similarity included; it adds a constant 1 and never changes ranking).
 With unit rows u_i that row sum is u_i . (sum_j u_j), so scoring takes
-O(md) time and memory instead of building the m x m matrix.
+O(md) time and memory instead of building the m x m matrix. Rows whose
+scores are near-tied are grouped by identical unit row, and only a group
+near-tied with another group is re-summed row by row (see
+:func:`representativeness`); with stable array sorts for the ranking, a plan
+costs O(m log m + r m d) for r such groups, so rounded or repeated rows
+plan about as fast as distinct ones.
 The plan emits selected samples in reverse rank order so the most
 representative sample lands at the end of the prompt, where it has the
 most influence on the completion. For imbalanced problems the per-class
 rankings are joined round-robin before the reversal.
 
 Ties in any ranking are broken by ascending sample index (stable sort), so
-plans are fully deterministic.
+plans are fully deterministic. Identical unit rows always get bit-equal
+scores, so duplicates too rank by ascending index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Sequence
 
 import numpy as np
 
@@ -53,40 +57,54 @@ _NEAR_TIE = 1e-12
 _ROW_BLOCK = 256  # affinity rows per block when recomputing near-ties
 
 
+def _near_ties(scores: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending indices of the scores within ``tol`` of another score."""
+    order = np.argsort(scores)  # equal scores are all in, whatever their order
+    close = np.flatnonzero(np.diff(scores[order]) <= tol)
+    near = np.zeros(scores.size, dtype=bool)
+    near[order[close]] = near[order[close + 1]] = True
+    return np.flatnonzero(near)
+
+
+def _scores(normed: np.ndarray) -> np.ndarray:
+    rep = normed @ normed.sum(axis=0)
+    tol = _NEAR_TIE * len(rep)
+    near = _near_ties(rep, tol)
+    if near.size == 0:
+        return rep
+    # Group the near-tied rows by identical unit row. The sort is stable and
+    # ``near`` ascending, so a group's first row in sorted order is its
+    # smallest index, its head; the head's score stands for the group.
+    rows = normed[near]
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    new = np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]
+    heads = near[order[new]]
+    # Only heads near-tied with another head are re-summed, in ascending
+    # index order, by the same blocks as when no rows repeat.
+    tied = np.sort(heads[_near_ties(rep[heads], tol)])
+    for start in range(0, tied.size, _ROW_BLOCK):
+        block = tied[start : start + _ROW_BLOCK]
+        rep[block] = np.clip(normed[block] @ normed.T, -1.0, 1.0).sum(axis=1)
+    rep[near[order]] = rep[heads][np.cumsum(new) - 1]
+    return rep
+
+
 def representativeness(features) -> list[float]:
     """Row sums of the affinity matrix of ``features`` (an ``(m, d)`` array or
     FeatureVectors), self-term included.
 
     Computed as u_i . sum_j u_j. That rounds differently from the row sum,
     and where scores are equal up to rounding (the two samples of any m = 2
-    set, say) the rounding decides their rank. So each score within
-    ``_NEAR_TIE`` * m of another is recomputed as its row sum, which ranks
-    near-ties as the pairwise definition does.
+    set, say) the rounding decides their rank. So the rows whose scores are
+    within ``_NEAR_TIE`` * m of another are grouped by identical unit row,
+    each group takes one score, and a group within that distance of another
+    group is recomputed as its row sum, which ranks near-ties as the
+    pairwise definition does. Identical rows get bit-equal scores, and the
+    cost is O(m log m + r m d) for r such groups, so rounded or repeated
+    rows cost about what distinct ones do.
     """
-    normed = unit_rows(as_feature_matrix(features))
-    rep = normed @ normed.sum(axis=0)
-    order = np.argsort(rep, kind="stable")
-    close = np.flatnonzero(np.diff(rep[order]) <= _NEAR_TIE * len(rep))
-    near = np.unique(np.concatenate([order[close], order[close + 1]]))
-    for start in range(0, near.size, _ROW_BLOCK):
-        rows = near[start : start + _ROW_BLOCK]
-        rep[rows] = np.clip(normed[rows] @ normed.T, -1.0, 1.0).sum(axis=1)
-    return rep.tolist()
-
-
-def _rank_descending(scores: Sequence[float], candidates: Sequence[int]) -> list[int]:
-    # stable: equal scores keep ascending index order
-    return sorted(candidates, key=lambda i: (-scores[i], i))
-
-
-def _interleaved_indices(ref: ReferenceSet, rep: Sequence[float], k: int) -> list[int]:
-    # rank-major round-robin over the per-class rankings (class index order
-    # within a rank), cut at k: each class gives its next sample in turn. Only
-    # the classes present are ranked; an absent one would add nothing.
-    y = ref.label_array()
-    per_class = [_rank_descending(rep, np.flatnonzero(y == c).tolist()) for c in np.unique(y)]
-    joined = [i for rank in zip_longest(*per_class) for i in rank if i is not None]
-    return joined[:k]
+    return _scores(unit_rows(as_feature_matrix(features))).tolist()
 
 
 def build_plan(
@@ -102,12 +120,17 @@ def build_plan(
     """
     if not 0.0 < selection_ratio <= 1.0:
         raise ContractError(f"selection_ratio must be in (0, 1], got {selection_ratio}")
-    m = ref.size
-    rep = representativeness(ref.feature_matrix())
-    k = max(1, math.floor(selection_ratio * m))
+    rep = _scores(unit_rows(ref.feature_matrix()))
+    k = max(1, math.floor(selection_ratio * ref.size))
     if interleave_by_class:
-        picked = _interleaved_indices(ref, rep, k)
+        # rank within each class (stable: by class, score descending, index),
+        # then rank-major with classes ascending within a rank; only the
+        # classes present take part
+        y = ref.label_array()
+        by_class = np.lexsort((-rep, y))
+        labels = y[by_class]
+        rank = np.arange(labels.size) - np.searchsorted(labels, labels)
+        picked = by_class[np.argsort(rank, kind="stable")[:k]]
     else:
-        picked = _rank_descending(rep, range(m))[:k]
-    ordered = tuple(reversed(picked))
-    return SelectionPlan(ordered, tuple(rep), k)
+        picked = np.argsort(-rep, kind="stable")[:k]
+    return SelectionPlan(tuple(picked[::-1].tolist()), tuple(rep.tolist()), k)

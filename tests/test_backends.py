@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from transduct import (
     build_bundle,
     build_plan,
     classify,
+    load_dataset,
     make_backend,
 )
 from transduct.backends import (
@@ -169,6 +171,29 @@ class TestLocalBackend:
             resp = backend.complete(CompletionRequest(bundle.prompt))
             ref_parsed, f_parsed = parse_prompt(bundle.prompt)
             assert resp.text == f" {oracle_1nn(ref_parsed, f_parsed)}"
+
+    def test_cost_does_not_grow_with_the_largest_label(self, small_ref, tmp_path):
+        # one-hot values and a distribution over all 200001 classes up to the
+        # largest label made each classify peak at 12.8 MB for this file
+        path = tmp_path / "big-label.csv"
+        path.write_text("f0,f1,label,split\n0.9,0.1,0,val\n0.2,0.8,200000,val\n0.6,0.4,3,val\n0.3,0.7,,test\n")
+        data = load_dataset(path)
+        ref = data.reference
+        plan = build_plan(ref, 1.0, interleave_by_class=True)
+        backend = make_backend(BackendConfig(kind="local-attention"))
+        classify(small_ref, fv(0.3, 0.7), build_plan(small_ref, 1.0), backend)  # first-use imports
+        for _ in range(2):  # the first call parses Part 1 and builds its values
+            tracemalloc.start()
+            try:
+                label, audit = classify(ref, data.test_features[0], plan, backend)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert (label, audit.fallback) == (200000, False)
+        resp = backend.complete(CompletionRequest(audit.part1 + audit.part2))
+        assert resp.raw["classes"] == [0, 3, 200000]
+        assert resp.raw["class_probs"] == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
 
 
 class TestRemoteBackend:
