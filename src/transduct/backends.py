@@ -214,8 +214,9 @@ class RemoteBackend:
 
     Wire format: POST {model, prompt, max_tokens, temperature}, with the
     configured ``model_name`` and temperature 0; the reply is read from
-    ``choices[0].text``. 401/403 fail immediately; 429/5xx and timeouts are
-    retried with exponential backoff.
+    ``choices[0].text``, a string or null (an empty completion); any other
+    text is a TransportError. 401/403 fail immediately; 429/5xx and
+    timeouts are retried with exponential backoff.
     """
 
     backend_id = "remote"
@@ -274,10 +275,12 @@ class RemoteBackend:
                 if status == 200:
                     try:
                         text = body["choices"][0]["text"]
+                        if not isinstance(text, (str, type(None))):  # null: an empty completion
+                            raise TypeError(text)
                     except (KeyError, IndexError, TypeError):
                         raise TransportError(f"malformed completion payload: {body!r}")
                     latency = int((self._clock() - start) * 1000)
-                    return CompletionResponse(text=text, latency_ms=latency, raw=body)
+                    return CompletionResponse(text=text or "", latency_ms=latency, raw=body)
                 if status == 429 or status >= 500:
                     last_error = f"HTTP {status}"
                 else:

@@ -13,15 +13,10 @@ Canonical file formats:
 * JSON mirror: ``{"class_count": C, "reference": [{"features": [...],
   "label": i}, ...], "test": [{"features": [...], "label": i?}, ...]}``.
 
-Ingestion opens a file once. A CSV body is first read as whole columns by
-numpy's C reader and checked column by column; any cell or row those
-checks do not pass, and any body the C reader rejects, sends the same
-handle back to the start for the row reader, the only code that words an
-error. The row reader converts each feature cell with Python ``float``
-into one buffer in file order and checks its features in one vectorised
-pass. Errors are reported as a row-by-row reader would: the first bad row
-in file order wins, and within a row the features are checked before the
-label and the split. A label is an optional minus sign and ASCII digits,
+Ingestion opens a file once. numpy's C reader tokenises a CSV body, or the
+csv module does where it cannot; one checker checks either result. The first
+bad row in file order wins, and within a row the features are checked before
+the label and the split. A label is an optional minus sign and ASCII digits,
 or blank or ``?`` for none.
 """
 
@@ -33,7 +28,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -45,6 +40,7 @@ from .errors import (
     DatasetParseError,
     DegenerateInputError,
     SchemaError,
+    TransductError,
     ValidationError,
 )
 
@@ -337,57 +333,27 @@ class _Table:
         return _read_only(self.X[chosen]), _read_only(self.labels[chosen])
 
 
-class _Rows:
-    """A row reader's buffers, in file order. A reader appends a row's features
-    and number before it reads the row's label and split, and its flag and
-    label after: a row whose label or split fails is still checked."""
-
-    def __init__(self):
-        self.values = array("d")  # features, row after row
-        self.numbers = array("q")  # each row's number in messages
-        self.tests = array("b")  # 1 for a test row
-        self.labels = array("q")  # -1 where a row has no label
-
-    def matrix(self) -> np.ndarray:
-        m = len(self.numbers)
-        return np.frombuffer(self.values, dtype=np.float64).reshape(m, len(self.values) // max(m, 1))
-
-
-def _partly_labelled(tests: np.ndarray, labels: np.ndarray) -> Optional[np.ndarray]:
-    """The unlabelled-row mask of the test rows if some but not all have a label."""
-    unlabelled = labels[tests] < 0
-    return unlabelled if 0 < unlabelled.sum() < len(unlabelled) else None
-
-
-def _check_features(X: np.ndarray, numbers, is_probability: bool) -> None:
-    """Raise the error of :func:`_first_bad_row` of ``X``, naming the row by ``numbers``."""
-    bad = _first_bad_row(X, is_probability)
+def _raise_bad_row(bad, numbers) -> None:
+    """Raise ``bad``, a :func:`_first_bad_row` result, naming its row by ``numbers``."""
     if bad is not None:
         i, kind, message = bad
         if kind is DatasetParseError:
-            raise DatasetParseError(message, row=numbers[i]) from None
+            raise DatasetParseError(message, row=int(numbers[i])) from None
         raise kind(f"row {numbers[i]}: {message}") from None
 
 
-def _collect(read, is_probability: bool, noun: str = "row") -> _Table:
-    """The rows ``read(rows)`` appends to a fresh buffer, their features checked
-    in one pass when it returns or raises (a reader raises at its current row,
-    so a bad row found here wins); then the test labels must be all or none."""
-    rows = _Rows()
-    try:
-        read(rows)
-    except Exception:
-        _check_features(rows.matrix(), rows.numbers, is_probability)
-        raise
-    X = rows.matrix()
-    _check_features(X, rows.numbers, is_probability)
-    tests = np.frombuffer(rows.tests, dtype=bool)
-    labels = np.frombuffer(rows.labels, dtype=np.int64)
-    unlabelled = _partly_labelled(tests, labels)
-    if unlabelled is not None:
-        first = np.frombuffer(rows.numbers, dtype=np.int64)[tests][unlabelled][0]
+def _finish(table: _Table, numbers, bad, pending, noun: str) -> _Table:
+    """``table`` (rows named by ``numbers``), or its first error in file order:
+    the bad feature row ``bad`` (see :func:`_first_bad_row`), then ``pending``,
+    the error that ended the read, then a test split only partly labelled."""
+    _raise_bad_row(bad, numbers)
+    if pending is not None:
+        raise pending
+    unlabelled = table.labels[table.tests] < 0
+    if 0 < unlabelled.sum() < len(unlabelled):
+        first = np.asarray(numbers)[table.tests][unlabelled][0]
         raise SchemaError(f"test {noun} {first} has no label but other test {noun}s have one")
-    return _Table(X, tests, labels)
+    return table
 
 
 def _records(fh, start: int):
@@ -409,6 +375,9 @@ def _csv_header(fh, role: Optional[str]) -> tuple[int, list[int], int, Optional[
         header = [h.strip() for h in next(_records(fh, 1))[1]]
     except StopIteration:
         raise DatasetParseError("empty file") from None
+    for name in ("label", "split"):
+        if header.count(name) > 1:
+            raise SchemaError(f"header has more than one {name!r} column: {header}")
     if "label" not in header:
         raise SchemaError(f"header must contain 'label': {header}")
     has_split = "split" in header
@@ -420,105 +389,81 @@ def _csv_header(fh, role: Optional[str]) -> tuple[int, list[int], int, Optional[
     return len(header), feat_idx, header.index("label"), header.index("split") if has_split else None
 
 
-def _csv_rows(fh, schema: IngestionSchema, role: Optional[str], rows: _Rows) -> None:
-    """The row reader: read the CSV file at ``fh`` into ``rows`` for
-    :func:`_collect`. With ``role`` every row goes to that split whatever
-    its split column says (the column is still checked). Reference rows
-    need a label."""
+def _cell(text: str) -> bytes:
+    """A cell as the checker takes it: UTF-8 with NUL as 0xff, a byte UTF-8 never
+    uses, since a byte-string array drops a trailing NUL (:func:`_text` undoes it)."""
+    return text.encode().replace(b"\x00", b"\xff")
+
+
+def _text(cell: bytes) -> str:
+    return cell.replace(b"\xff", b"\x00").decode()
+
+
+def _csv_rows(fh, role: Optional[str]):
+    """The row reader: the CSV file at ``fh`` tokenised by the csv module into
+    the feature matrix (cells read by Python ``float``), the label and split
+    cells as byte strings (None without a split column), each row's record
+    number, and the error that ended the read, if any: a cell count other
+    than the header's, a feature ``float`` does not read or a cell past the
+    field limit. A record of blank cells is skipped."""
     width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
-    for row_no, row in _records(fh, 2):
-        try:
+    values, numbers, labels, splits, pending = array("d"), array("q"), [], [], None
+    try:
+        for row_no, row in _records(fh, 2):
+            if not any(cell.strip() for cell in row):
+                continue
             if len(row) != width:
                 raise DatasetParseError(f"expected {width} cells, got {len(row)}", row=row_no)
             try:
-                features = [float(row[i]) for i in feat_idx]
+                values.extend([float(row[i]) for i in feat_idx])
             except ValueError as exc:
                 raise DatasetParseError(str(exc), row=row_no) from None
-        except DatasetParseError:
-            if all(not cell.strip() for cell in row):  # blank rows land here
-                continue
-            raise
-        rows.values.extend(features)
-        rows.numbers.append(row_no)
-        raw_label = row[label_idx].strip()
-        label = None
-        if raw_label not in ("", "?"):
-            digits = raw_label[1:] if raw_label.startswith("-") else raw_label
-            if not (digits.isascii() and digits.isdigit()):
-                raise DatasetParseError(f"non-integer label {raw_label!r}", row=row_no)
-            label = int(raw_label)
-            if label < 0:
-                raise SchemaError(f"row {row_no}: negative label {label}")
-            if schema.class_count is not None and label >= schema.class_count:
-                raise SchemaError(f"row {row_no}: label {label} >= class_count {schema.class_count}")
-            if label > _LABEL_MAX:
-                raise SchemaError(f"row {row_no}: label {label} does not fit in int64")
-        split = row[split_idx].strip() if split_idx is not None else role
-        if split not in ("val", "test"):
-            raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {split!r}")
-        split = role or split
-        if split == "val" and label is None:
-            raise SchemaError(f"reference row {row_no} has no label")
-        rows.tests.append(split == "test")
-        rows.labels.append(-1 if label is None else label)
+            numbers.append(row_no)
+            labels.append(_cell(row[label_idx]))
+            if split_idx is not None:
+                splits.append(_cell(row[split_idx]))
+    except DatasetParseError as exc:
+        pending = exc
+    X = np.frombuffer(values).reshape(len(numbers), len(feat_idx))
+    labels, splits = np.array(labels, dtype=bytes), np.array(splits, dtype=bytes) if split_idx is not None else None
+    return X, labels, splits, np.frombuffer(numbers, np.int64), pending
 
 
-_LABEL_CELL, _SPLIT_CELL = 20, 5  # bytes; a cell that fills its field may have been cut
 # bound with the package: numpy 2 loads np.char on first use, inside a CSV read
 _strip, _isdigit, _str_len = np.char.strip, np.char.isdigit, np.char.str_len
 
 
 class _BodyLines:
-    """The lines at a handle, for numpy's C reader, counting those it does
-    not skip: a record read from more than one line (a quoted line break)
-    leaves fewer records than that. A NUL, which an S field drops and the row
-    reader keeps, or a line longer than the csv module's field limit, at which
-    the row reader stops, raises ValueError."""
+    """The lines at a handle, for numpy's C reader, noting the empty ones it
+    skips. A NUL, which an S field drops and the row reader keeps, or a line
+    longer than the csv module's field limit, at which the row reader stops,
+    raises ValueError."""
 
     def __init__(self, fh):
         self.fh = fh
-        self.count = 0
+        self.count = 0  # lines read
+        self.skipped = []  # the indices of the empty lines among them
 
     def __iter__(self):
         limit = csv.field_size_limit()
         for line in self.fh:
             if "\x00" in line or len(line) > limit:
                 raise ValueError("a line the row reader must read")
-            if len(line) > 2 or line.strip():  # loadtxt skips an empty line
-                self.count += 1
+            if len(line) <= 2 and not line.strip():
+                self.skipped.append(self.count)
+            self.count += 1
             yield line
 
 
-def _label_column(cells: np.ndarray) -> Optional[np.ndarray]:
-    """Label cells as int64, -1 for blank or ``?``; None unless every cell is
-    that or ASCII digits that fit int64, uncut."""
-    raw = _strip(cells)
-    blank = (raw == b"") | (raw == b"?")
-    digits = _isdigit(raw) & (_str_len(raw) <= 18)  # fits int64
-    if not (blank | digits).all() or (_str_len(cells) >= _LABEL_CELL).any():
-        return None
-    return np.where(blank, b"-1", raw).astype(np.int64)
-
-
-def _test_column(cells: np.ndarray) -> Optional[np.ndarray]:
-    """Split cells as test flags; None unless every cell strips to val or test, uncut."""
-    split = _strip(cells)
-    tests = split == b"test"
-    if not (tests | (split == b"val")).all() or (_str_len(cells) >= _SPLIT_CELL).any():
-        return None
-    return tests
-
-
-def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Table]:
-    """The CSV body after the header at ``fh`` read as whole columns by numpy's
-    C reader, or None where the row reader must decide: a body the C reader
-    rejects, that is empty or that has a record on more than one line, or
-    any cell or row the column checks here do not pass. What is returned is
-    what the row reader would return."""
+def _columns(fh, role: Optional[str]):
+    """The CSV body after the header at ``fh`` tokenised by numpy's C reader,
+    as :func:`_csv_rows` tokenises it, or None where the row reader must: a
+    body the C reader rejects or that is empty, a record on more than one
+    line, a NUL or an over-limit line, or a label or split cell that fills
+    its field or is not ASCII (the C reader stores it as latin-1)."""
     width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
-    kinds = {label_idx: f"S{_LABEL_CELL}", split_idx: f"S{_SPLIT_CELL}"}
-    features = set(feat_idx)
-    dtype = [(f"c{i}", "f8" if i in features else kinds.get(i, "S1")) for i in range(width)]
+    kinds = {label_idx: "S20", split_idx: "S5"}  # bytes; a cell that fills its field may have been cut
+    dtype = [(f"c{i}", kinds.get(i, "f8")) for i in range(width)]
     lines = _BodyLines(fh)
     try:  # every column is named: loadtxt then rejects rows of another width
         with warnings.catch_warnings():
@@ -526,79 +471,130 @@ def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Tabl
             body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError:
         return None
-    if body.size == 0 or len(body) != lines.count:
+    numbers = np.delete(np.arange(2, lines.count + 2), lines.skipped)
+    if body.size == 0 or len(body) != len(numbers):
         return None
-    labels = _label_column(body[f"c{label_idx}"])
-    if split_idx is None:
-        tests = np.full(len(body), role == "test")
-    else:
-        tests = _test_column(body[f"c{split_idx}"])
-        if tests is not None and role is not None:
-            tests[:] = role == "test"
-    if labels is None or tests is None:
-        return None
-    if (labels[~tests] < 0).any() or _partly_labelled(tests, labels) is not None:
-        return None
-    if schema.class_count is not None and (labels >= schema.class_count).any():
-        return None
+    cells = []
+    for i in [i for i in (label_idx, split_idx) if i is not None]:
+        longest = int(_str_len(body[f"c{i}"]).max())
+        cells.append(body[f"c{i}"].astype(f"S{max(longest, 1)}"))  # a copy as narrow as its longest cell
+        if longest >= body.dtype[i].itemsize or (cells[-1].view(np.uint8) >= 0x80).any():
+            return None
     X = np.empty((len(body), len(feat_idx)))
     for j, i in enumerate(feat_idx):
         X[:, j] = body[f"c{i}"]
-    del body  # the check below needs room
-    if _first_bad_row(X, schema.is_probability) is not None:
-        return None
-    return _Table(X, tests, labels)
+    return X, cells[0], cells[1] if split_idx is not None else None, numbers, None
+
+
+def _row_label(label: bytes, split: Optional[bytes], row_no: int, class_count, role) -> tuple[int, bool]:
+    """One CSV row's label (-1 for none) and test flag, or its error. The
+    filter in :func:`_checked` passes the plain cases of this rule as whole
+    columns, and must never pass a cell it rejects. With ``role`` the row
+    goes to that split, but its split cell, if any, is still checked."""
+    raw_label = _text(label).strip()
+    value = -1
+    if raw_label not in ("", "?"):
+        digits = raw_label[1:] if raw_label.startswith("-") else raw_label
+        if not (digits.isascii() and digits.isdigit()):
+            raise DatasetParseError(f"non-integer label {raw_label!r}", row=row_no)
+        value = int(raw_label)
+        if value < 0:
+            raise SchemaError(f"row {row_no}: negative label {value}")
+        if class_count is not None and value >= class_count:
+            raise SchemaError(f"row {row_no}: label {value} >= class_count {class_count}")
+        if value > _LABEL_MAX:
+            raise SchemaError(f"row {row_no}: label {value} does not fit in int64")
+    cell = _text(split).strip() if split is not None else role
+    if cell not in ("val", "test"):
+        raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {cell!r}")
+    if (role or cell) == "val" and value < 0:
+        raise SchemaError(f"reference row {row_no} has no label")
+    return value, (role or cell) == "test"
+
+
+def _checked(X, label_cells, split_cells, numbers, pending, schema: IngestionSchema, role) -> _Table:
+    """A tokenised CSV file (see :func:`_csv_rows`), checked: a whole-column
+    filter passes the plainly valid rows, and every other row before the first
+    bad feature row goes through :func:`_row_label` in file order."""
+    bad = _first_bad_row(X, schema.is_probability)
+    raw = _strip(label_cells)
+    blank = (raw == b"") | (raw == b"?")
+    digits = _isdigit(raw) & (_str_len(raw) <= 18)  # fits int64
+    labels = np.where(digits, raw, b"-1").astype(np.int64)
+    tests = np.full(len(X), role == "test")
+    plain = blank | digits
+    if split_cells is not None:
+        split = _strip(split_cells)
+        plain &= (split == b"val") | (split == b"test")
+        if role is None:
+            tests = split == b"test"
+    plain &= tests | ~blank  # a reference row needs a label
+    if schema.class_count is not None:
+        plain &= labels < schema.class_count
+    for i in np.flatnonzero(~plain[: len(X) if bad is None else bad[0]]).tolist():
+        cell = None if split_cells is None else split_cells[i]
+        labels[i], tests[i] = _row_label(label_cells[i], cell, int(numbers[i]), schema.class_count, role)
+    return _finish(_Table(X, tests, labels), numbers, bad, pending, "row")
 
 
 def _read_csv(path: Path, schema: IngestionSchema, role: Optional[str]) -> _Table:
-    """A CSV file, opened once: its columns if :func:`_columns` keeps them,
-    else the same handle rewound and read by the row reader."""
+    """A CSV file, opened once: tokenised by :func:`_columns` or, where that
+    returns None, by the row reader from the start of the same handle; then
+    checked by :func:`_checked`."""
     with open(path, newline="") as fh:
-        table = _columns(fh, schema, role)
-        if table is None:
+        tokens = _columns(fh, role)
+        if tokens is None:
             fh.seek(0)
-            table = _collect(partial(_csv_rows, fh, schema, role), schema.is_probability)
-    return table
+            tokens = _csv_rows(fh, role)
+    return _checked(*tokens, schema, role)
 
 
-def _json_rows(payload: dict, class_count: Optional[int], is_probability: bool, rows: _Rows) -> None:
-    """Read a JSON dataset into ``rows`` for :func:`_collect`: reference items,
-    each numbered from 0 in messages, then test items the same way. An item
-    of another dimension is not buffered; its features are checked here."""
-    d = None
-    for split, key in (("val", "reference"), ("test", "test")):
-        items = payload.get(key, [])
-        if not isinstance(items, list):
-            raise SchemaError(f"JSON dataset: {key!r} must be a list")
-        for i, item in enumerate(items):
-            if not isinstance(item, dict) or not isinstance(item.get("features"), list):
-                raise DatasetParseError(f"{key} item {i}: expected an object with a 'features' list")
-            try:
-                features = [float(str(v)) for v in item["features"]]
-            except ValueError as exc:
-                raise DatasetParseError(str(exc), row=i) from None
-            if not features:
-                raise DatasetParseError("feature vector must be non-empty", row=i)
-            d = d or len(features)
-            if len(features) == d:
-                rows.values.extend(features)
-                rows.numbers.append(i)
-            else:
-                _check_features(np.array([features]), [i], is_probability)
-            label = item.get("label")
-            if label is not None or split == "val":  # test items may omit it
-                if isinstance(label, bool) or not isinstance(label, int):
-                    raise DatasetParseError(f"{key} item {i}: label must be an integer, got {label!r}")
-                too_large = label > _LABEL_MAX or (class_count is not None and label >= class_count)
-                if too_large or (split == "val" and label < 0):
-                    raise SchemaError(f"{key} item {i}: label {label} out of range")
-                if label < 0:
-                    raise SchemaError(f"test item {i}: negative label {label}")
-            if len(features) != d:
-                kind = "feature" if split == "val" else "test feature"
-                raise ContractError(f"{kind} {i} has dimension {len(features)}, expected {d}")
-            rows.tests.append(split == "test")
-            rows.labels.append(-1 if label is None else label)
+def _json_table(payload: dict, class_count: Optional[int], is_probability: bool) -> _Table:
+    """A JSON dataset's reference items, each numbered from 0 in messages,
+    then its test items the same way, up to the first bad one, through
+    :func:`_finish`. An item of another dimension is not kept; its features
+    are checked here."""
+    values, numbers, tests, labels = array("d"), array("q"), array("b"), array("q")
+    d = pending = None
+    try:
+        for split, key in (("val", "reference"), ("test", "test")):
+            items = payload.get(key, [])
+            if not isinstance(items, list):
+                raise SchemaError(f"JSON dataset: {key!r} must be a list")
+            for i, item in enumerate(items):
+                if not isinstance(item, dict) or not isinstance(item.get("features"), list):
+                    raise DatasetParseError(f"{key} item {i}: expected an object with a 'features' list")
+                try:
+                    features = [float(str(v)) for v in item["features"]]
+                except ValueError as exc:
+                    raise DatasetParseError(str(exc), row=i) from None
+                if not features:
+                    raise DatasetParseError("feature vector must be non-empty", row=i)
+                d = d or len(features)
+                if len(features) == d:
+                    values.extend(features)
+                    numbers.append(i)
+                else:
+                    _raise_bad_row(_first_bad_row(np.array([features]), is_probability), [i])
+                label = item.get("label")
+                if label is not None or split == "val":  # test items may omit it
+                    if isinstance(label, bool) or not isinstance(label, int):
+                        raise DatasetParseError(f"{key} item {i}: label must be an integer, got {label!r}")
+                    too_large = label > _LABEL_MAX or (class_count is not None and label >= class_count)
+                    if too_large or (split == "val" and label < 0):
+                        raise SchemaError(f"{key} item {i}: label {label} out of range")
+                    if label < 0:
+                        raise SchemaError(f"test item {i}: negative label {label}")
+                if len(features) != d:
+                    kind = "feature" if split == "val" else "test feature"
+                    raise ContractError(f"{kind} {i} has dimension {len(features)}, expected {d}")
+                tests.append(split == "test")
+                labels.append(-1 if label is None else label)
+    except TransductError as exc:
+        pending = exc
+    X = np.frombuffer(values).reshape(len(numbers), d or 1)
+    table = _Table(X, np.frombuffer(tests, dtype=bool), np.frombuffer(labels, dtype=np.int64))
+    return _finish(table, numbers, _first_bad_row(X, is_probability), pending, "item")
 
 
 def _assemble(val: _Table, test: _Table, class_count: Optional[int]) -> LabeledDataset:
@@ -609,7 +605,7 @@ def _assemble(val: _Table, test: _Table, class_count: Optional[int]) -> LabeledD
     if class_count is None:
         class_count = max(int(y.max()), int(t.max(initial=1))) + 1
     reference = ReferenceSet(X, y, class_count)
-    labelled = t.size and t[0] >= 0  # all or none: both readers check
+    labelled = t.size and t[0] >= 0  # all or none: _finish checks
     return LabeledDataset(reference, _vectors(T), tuple(t.tolist()) if labelled else None)
 
 
@@ -633,8 +629,7 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
     if not isinstance(payload, dict) or "reference" not in payload:
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = _checked_class_count(payload.get("class_count", schema.class_count))
-    read = partial(_json_rows, payload, class_count, schema.is_probability)
-    table = _collect(read, schema.is_probability, "item")
+    table = _json_table(payload, class_count, schema.is_probability)
     return _assemble(table, table, class_count)
 
 

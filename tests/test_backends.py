@@ -287,6 +287,23 @@ class TestRemoteBackend:
             backend.complete(CompletionRequest("p"))
         assert len(transport.calls) == 2
 
+    @pytest.mark.parametrize("text", [5, ["1"], b" 1", True], ids=["int", "list", "bytes", "bool"])
+    def test_non_string_completion_text_is_a_transport_error(self, small_ref, text):
+        # these escaped from classify as a raw TypeError
+        transport = ScriptedTransport([(200, {"choices": [{"text": text}]})])
+        backend, _ = self.make(remote_cfg(), transport)
+        with pytest.raises(TransportError, match=r"^malformed completion payload"):
+            classify(small_ref, fv(0.2, 0.8), build_plan(small_ref, 1.0), backend)
+        assert len(transport.calls) == 1
+
+    def test_null_completion_text_is_an_empty_completion(self, small_ref):
+        transport = ScriptedTransport([(200, {"choices": [{"text": None}]})] * 2)
+        backend, _ = self.make(remote_cfg(), transport)
+        plan = build_plan(small_ref, 1.0)
+        label, audit = classify(small_ref, fv(0.2, 0.8), plan, backend)
+        assert audit.completions == ("", "") and audit.fallback
+        assert label == oracle_1nn(small_ref.subset(list(plan.ordered_indices)), fv(0.2, 0.8))
+
     def test_rate_limiter_admission(self):
         clock = FakeClock()
         limiter = RateLimiter(3, clock=clock, sleep=clock.sleep)

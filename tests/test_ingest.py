@@ -155,6 +155,9 @@ TYPED_ERRORS = [
     ("csv-arabic-indic-label.csv", HEADER + "0.9,0.1,0,val\n0.1,0.9,\u0661,val\n", {}, DatasetParseError, "row 3: non-integer label '\u0661'"),
     ("csv-arabic-indic-test-label.csv", HEADER + "0.9,0.1,0,val\n0.1,0.9,1,val\n0.5,0.5,\u0661,test\n", {}, DatasetParseError, "row 4: non-integer label '\u0661'"),
     ("csv-fullwidth-label.csv", HEADER + "0.9,0.1,0,val\n0.1,0.9,\uff11,val\n", {}, DatasetParseError, "row 3: non-integer label '\uff11'"),
+    # a second label or split column (the first one was read and the second dropped)
+    ("csv-two-label-columns.csv", "f0,f1,label,label,split\n0.9,0.1,0,1,val\n", {}, SchemaError, "header has more than one 'label' column"),
+    ("csv-two-split-columns.csv", "f0,split,f1,label, split\n0.9,val,0.1,0,test\n", {}, SchemaError, "header has more than one 'split' column"),
 ]
 
 
@@ -381,6 +384,68 @@ def test_a_cell_past_the_csv_field_limit_is_a_parse_error_on_both_paths(tmp_path
     monkeypatch.setattr(core, "_columns", lambda *args: None)
     with pytest.raises(DatasetParseError, match=message):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("role", ["val", "test"])
+@pytest.mark.parametrize("split", ["train", "tst"])
+def test_split_column_of_a_val_or_test_file_is_still_checked(tmp_path, role, split):
+    # "train" fills its byte field, so the row reader tokenises that file; "tst" stays on the C path
+    good = _write(tmp_path, "v.csv", HEADER + "0.9,0.1,0,val\n")
+    bad = _write(tmp_path, "b.csv", HEADER + f"0.9,0.1,0,{split}\n0.1,0.9,1,val\n")
+    with pytest.raises(SchemaError, match=rf"^row 2: split must be 'val' or 'test', got '{split}'$"):
+        load_split_files(*((bad,) if role == "val" else (good, bad)))
+
+
+def _tokenised(path, role, on_columns: bool):
+    """The label and test flag of the one row of ``path`` as :func:`core._read_csv`
+    reads it, on the C path or by the row reader, or its error."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not on_columns:
+            mp.setattr(core, "_columns", lambda *args: None)
+        for class_count in (None, 2):
+            try:
+                table = core._read_csv(path, IngestionSchema(class_count=class_count), role)
+            except TransductError as exc:
+                yield type(exc).__name__, str(exc)
+            else:
+                yield int(table.labels[0]), bool(table.tests[0])
+
+
+_EDGE_LABELS = ["9223372036854775807", "9223372036854775808", "\xa01"]
+
+
+@pytest.mark.parametrize("split", _GOOD_SPLITS + _ODD_SPLITS)
+@pytest.mark.parametrize("label", _GOOD_LABELS + _NO_LABELS + _ODD_LABELS + _EDGE_LABELS)
+def test_both_paths_check_a_row_as_the_scalar_rule_does(tmp_path, label, split):
+    # the whole-column filter may pass only what the per-row rule passes
+    body = f"0.5,0.25,{label},{split}\n"
+    path = tmp_path / "d.csv"
+    path.write_bytes((HEADER + body).encode())
+    *_, label_cell, split_cell = next(csv.reader(body.splitlines(keepends=True)))
+    for role in (None, "val", "test"):
+        expected = []
+        for class_count in (None, 2):
+            try:
+                expected.append(core._row_label(core._cell(label_cell), core._cell(split_cell), 2, class_count, role))
+            except TransductError as exc:
+                expected.append((type(exc).__name__, str(exc)))
+        for on_columns in (True, False):
+            assert list(_tokenised(path, role, on_columns)) == expected, (role, on_columns)
+
+
+def test_a_bad_label_in_the_last_row_is_raised_without_the_row_reader(tmp_path, monkeypatch):
+    # before, the column read gave up on the file and the row reader read it again
+    P = np.random.default_rng(1).dirichlet(np.ones(10), size=4030)
+    labels = [str(i % 10) for i in range(4000)] + [""] * 30
+    labels[3999] = "x"
+    splits = ["val"] * 4000 + ["test"] * 30
+    lines = [",".join(map(repr, row)) + f",{y},{s}" for row, y, s in zip(P.tolist(), labels, splits)]
+    path = _write(tmp_path, "p.csv", ",".join(f"f{j}" for j in range(10)) + ",label,split\n" + "\n".join(lines) + "\n")
+    read = []
+    monkeypatch.setattr(core, "_csv_rows", lambda *args: read.append(1))
+    with pytest.raises(DatasetParseError, match=r"^row 4001: non-integer label 'x'$"):
+        load_dataset(path, IngestionSchema(is_probability=True))
+    assert read == []
 
 
 def test_ingest_streams_rows_into_one_matrix(tmp_path):
