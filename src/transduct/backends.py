@@ -10,7 +10,6 @@ those behaviors are testable without waiting.
 
 from __future__ import annotations
 
-import hashlib
 import re
 import time
 from collections import deque
@@ -90,6 +89,8 @@ class BackendConfig:
 
 
 def prompt_hash(prompt: str) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which only infer and the mock need
+
     return hashlib.sha256(prompt.encode()).hexdigest()
 
 

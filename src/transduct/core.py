@@ -17,7 +17,8 @@ Ingestion opens a file once. numpy's C reader tokenises a CSV body, or the
 csv module does where it cannot; one checker checks either result. The first
 bad row in file order wins, and within a row the features are checked before
 the label and the split. A label is an optional minus sign and ASCII digits,
-or blank or ``?`` for none.
+or blank or ``?`` for none. Files are read as UTF-8; bytes that are not are a
+DatasetParseError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -76,10 +78,12 @@ class FeatureVector:
 
 def _vectors(X: np.ndarray) -> tuple[FeatureVector, ...]:
     """The rows of an already validated matrix as FeatureVectors, unchecked."""
-    vectors = tuple(object.__new__(FeatureVector) for _ in range(len(X)))
-    for f, row in zip(vectors, X.tolist()):
-        f.__dict__["values"] = tuple(row)
-    return vectors
+    vectors = []
+    for row in zip(*X.T.tolist()):  # rows as tuples of floats, built in C
+        f = object.__new__(FeatureVector)
+        f.__dict__["values"] = row
+        vectors.append(f)
+    return tuple(vectors)
 
 
 def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY_SUM_TOL):
@@ -359,7 +363,8 @@ def _finish(table: _Table, numbers, bad, pending, noun: str) -> _Table:
 def _records(fh, start: int):
     """``(number, cells)`` of each CSV record at ``fh``, numbered from
     ``start``; a record the csv module cannot read (a cell longer than its
-    field limit) is a DatasetParseError naming it."""
+    field limit, or a line that is not UTF-8: see :func:`_decoded_lines`) is
+    a DatasetParseError naming it."""
     row_no = start - 1
     try:
         for row_no, row in enumerate(csv.reader(fh), start):
@@ -430,14 +435,15 @@ def _csv_rows(fh, role: Optional[str]):
 
 
 # bound with the package: numpy 2 loads np.char on first use, inside a CSV read
-_strip, _isdigit, _str_len = np.char.strip, np.char.isdigit, np.char.str_len
+_strip, _str_len = np.char.strip, np.char.str_len
+_CHUNK_CHARS = 1 << 14  # the line feed reads whole lines of about this many characters at a time
 
 
 class _BodyLines:
-    """The lines at a handle, for numpy's C reader, noting the empty ones it
-    skips. A NUL, which an S field drops and the row reader keeps, or a line
-    longer than the csv module's field limit, at which the row reader stops,
-    raises ValueError."""
+    """The lines at a handle, for numpy's C reader, a chunk at a time, noting
+    the empty ones it skips. A NUL, which an S field drops and the row reader
+    keeps, or a line longer than the csv module's field limit, at which the
+    row reader stops, raises ValueError."""
 
     def __init__(self, fh):
         self.fh = fh
@@ -445,14 +451,18 @@ class _BodyLines:
         self.skipped = []  # the indices of the empty lines among them
 
     def __iter__(self):
+        return chain.from_iterable(self._chunks())
+
+    def _chunks(self):
         limit = csv.field_size_limit()
-        for line in self.fh:
-            if "\x00" in line or len(line) > limit:
+        while lines := self.fh.readlines(_CHUNK_CHARS):
+            lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+            if lengths.max() > limit or "\x00" in "".join(lines):
                 raise ValueError("a line the row reader must read")
-            if len(line) <= 2 and not line.strip():
-                self.skipped.append(self.count)
-            self.count += 1
-            yield line
+            short = np.flatnonzero(lengths <= 2).tolist()  # an empty line is at most a CRLF
+            self.skipped += [self.count + i for i in short if not lines[i].strip()]
+            self.count += len(lines)
+            yield lines
 
 
 def _columns(fh, role: Optional[str]):
@@ -463,7 +473,11 @@ def _columns(fh, role: Optional[str]):
     its field or is not ASCII (the C reader stores it as latin-1)."""
     width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
     kinds = {label_idx: "S20", split_idx: "S5"}  # bytes; a cell that fills its field may have been cut
-    dtype = [(f"c{i}", kinds.get(i, "f8")) for i in range(width)]
+    # the feature fields side by side at the front of each record, so X is one copy
+    packed = np.dtype([(f"c{i}", kinds.get(i, "f8")) for i in [*feat_idx, *kinds] if i is not None])
+    names = [f"c{i}" for i in range(width)]  # in column order, with packed's offsets
+    formats, offsets = map(list, zip(*(packed.fields[name] for name in names)))
+    dtype = np.dtype({"names": names, "formats": formats, "offsets": offsets, "itemsize": packed.itemsize})
     lines = _BodyLines(fh)
     try:  # every column is named: loadtxt then rejects rows of another width
         with warnings.catch_warnings():
@@ -480,10 +494,8 @@ def _columns(fh, role: Optional[str]):
         cells.append(body[f"c{i}"].astype(f"S{max(longest, 1)}"))  # a copy as narrow as its longest cell
         if longest >= body.dtype[i].itemsize or (cells[-1].view(np.uint8) >= 0x80).any():
             return None
-    X = np.empty((len(body), len(feat_idx)))
-    for j, i in enumerate(feat_idx):
-        X[:, j] = body[f"c{i}"]
-    return X, cells[0], cells[1] if split_idx is not None else None, numbers, None
+    features = np.dtype({"names": ["X"], "formats": [(np.float64, (len(feat_idx),))], "itemsize": dtype.itemsize})
+    return body.view(features)["X"].copy(), cells[0], cells[1] if split_idx is not None else None, numbers, None
 
 
 def _row_label(label: bytes, split: Optional[bytes], row_no: int, class_count, role) -> tuple[int, bool]:
@@ -512,6 +524,21 @@ def _row_label(label: bytes, split: Optional[bytes], row_no: int, class_count, r
     return value, (role or cell) == "test"
 
 
+def _digit_labels(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which stripped label cells ``raw`` are 1 to 18 ASCII digits (so fit
+    int64), and their values (-1 elsewhere), read from the first 18 bytes of
+    each cell: a longer cell has more characters than digits there."""
+    width = min(raw.dtype.itemsize, 18)
+    codes = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)[:, :width] - np.uint8(ord("0"))
+    is_digit = codes < 10  # a pad NUL wraps round to 208
+    count = is_digit.sum(axis=1)
+    digits = (count == _str_len(raw)) & (count > 0)
+    labels = np.zeros(len(raw), np.int64)
+    for i in range(width):  # a digit cell ends in pad NULs
+        labels = np.where(is_digit[:, i], labels * 10 + codes[:, i], labels)
+    return digits, np.where(digits, labels, -1)
+
+
 def _checked(X, label_cells, split_cells, numbers, pending, schema: IngestionSchema, role) -> _Table:
     """A tokenised CSV file (see :func:`_csv_rows`), checked: a whole-column
     filter passes the plainly valid rows, and every other row before the first
@@ -519,8 +546,7 @@ def _checked(X, label_cells, split_cells, numbers, pending, schema: IngestionSch
     bad = _first_bad_row(X, schema.is_probability)
     raw = _strip(label_cells)
     blank = (raw == b"") | (raw == b"?")
-    digits = _isdigit(raw) & (_str_len(raw) <= 18)  # fits int64
-    labels = np.where(digits, raw, b"-1").astype(np.int64)
+    digits, labels = _digit_labels(raw)
     tests = np.full(len(X), role == "test")
     plain = blank | digits
     if split_cells is not None:
@@ -537,15 +563,39 @@ def _checked(X, label_cells, split_cells, numbers, pending, schema: IngestionSch
     return _finish(_Table(X, tests, labels), numbers, bad, pending, "row")
 
 
+def _not_utf8(data: bytes, start: int) -> str:
+    return f"not UTF-8: byte 0x{data[start]:02x} at offset {start}"
+
+
+def _decoded_lines(data: bytes):
+    """The lines of ``data`` as ``open(path, newline="")`` splits them, each
+    decoded from UTF-8 on its own (no multi-byte character holds a line end).
+    A line that is not UTF-8 ends them with a csv.Error, which
+    :func:`_records` names by the record it was reading."""
+    offset = 0
+    for line in data.splitlines(keepends=True):
+        try:
+            yield line.decode()
+        except UnicodeDecodeError as exc:
+            raise csv.Error(_not_utf8(data, offset + exc.start)) from None
+        offset += len(line)
+
+
 def _read_csv(path: Path, schema: IngestionSchema, role: Optional[str]) -> _Table:
     """A CSV file, opened once: tokenised by :func:`_columns` or, where that
     returns None, by the row reader from the start of the same handle; then
-    checked by :func:`_checked`."""
-    with open(path, newline="") as fh:
-        tokens = _columns(fh, role)
-        if tokens is None:
+    checked by :func:`_checked`. The text layer decodes ahead of the line it
+    returns, so a file that is not UTF-8 is read again by the row reader a
+    line at a time (:func:`_decoded_lines`)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            tokens = _columns(fh, role)
+            if tokens is None:
+                fh.seek(0)
+                tokens = _csv_rows(fh, role)
+        except UnicodeDecodeError:
             fh.seek(0)
-            tokens = _csv_rows(fh, role)
+            tokens = _csv_rows(_decoded_lines(fh.buffer.read()), role)
     return _checked(*tokens, schema, role)
 
 
@@ -623,9 +673,11 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
         table = _read_csv(path, schema, None)
         return _assemble(table, table, schema.class_count)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(_not_utf8(exc.object, exc.start)) from None
     if not isinstance(payload, dict) or "reference" not in payload:
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = _checked_class_count(payload.get("class_count", schema.class_count))

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import transduct
 from transduct.backends import prompt_hash
 from transduct.cli import main
 from transduct.core import load_dataset
@@ -425,6 +430,34 @@ class TestConfigAndErrors:
         assert main(["plan", "--data", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: row 3: label 100000000000000000000 does not fit in int64\n"
+
+
+    @pytest.mark.parametrize(
+        "name, content, message",
+        [
+            ("label.csv", b"f0,f1,label,split\n0.9,0.1,0,val\n0.1,0.9,\xff,val\n", "row 3: not UTF-8: byte 0xff at offset 40"),
+            ("feature.csv", b"f0,f1,label,split\n0.9,0.1,0,val\n0.1\xff,0.9,1,val\n", "row 3: not UTF-8: byte 0xff at offset 35"),
+            ("label.json", b'{"reference": [{"features": [0.9, 0.1], "label": "\xff"}]}', "not UTF-8: byte 0xff at offset 50"),
+        ],
+    )
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, name, content, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["plan", "--data", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_import_does_not_load_openssl():
+    # hashlib loads OpenSSL (about 3.6 MB of RSS); only infer and the mock backend hash
+    # prompts. numpy 1.x loads it itself (numpy.random imports secrets), so only what
+    # transduct adds over numpy counts.
+    code = (
+        "import sys, numpy; before = set(sys.modules); import transduct.cli; "
+        "print(sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(transduct.__file__).parents[1])}  # this copy of the package
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 class TestOracleCheck:

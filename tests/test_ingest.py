@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transduct import FeatureVector, IngestionSchema, ReferenceSet, core, derive_error_detection_set
@@ -68,7 +68,10 @@ MALFORMED = [
 
 def _write(tmp_path, name, content) -> Path:
     path = tmp_path / name
-    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
     return path
 
 
@@ -158,6 +161,11 @@ TYPED_ERRORS = [
     # a second label or split column (the first one was read and the second dropped)
     ("csv-two-label-columns.csv", "f0,f1,label,label,split\n0.9,0.1,0,1,val\n", {}, SchemaError, "header has more than one 'label' column"),
     ("csv-two-split-columns.csv", "f0,split,f1,label, split\n0.9,val,0.1,0,test\n", {}, SchemaError, "header has more than one 'split' column"),
+    # bytes that are not UTF-8 (the row-by-row reader let out a UnicodeDecodeError)
+    ("csv-label-not-utf8.csv", HEADER.encode() + b"0.9,0.1,0,val\n0.1,0.9,\xff,val\n", {}, DatasetParseError, "row 3: not UTF-8: byte 0xff at offset 40"),
+    ("csv-feature-not-utf8.csv", HEADER.encode() + b"0.9,0.1,0,val\n0.1\xff,0.9,1,val\n", {}, DatasetParseError, "row 3: not UTF-8: byte 0xff at offset 35"),
+    ("csv-header-not-utf8.csv", b"f0,f1,lab\xe9l,split\n0.9,0.1,0,val\n", {}, DatasetParseError, "row 1: not UTF-8: byte 0xe9 at offset 9"),
+    ("json-label-not-utf8.json", b'{"reference": [{"features": [0.9, 0.1], "label": "\xff"}]}', {}, DatasetParseError, "not UTF-8: byte 0xff at offset 50"),
 ]
 
 
@@ -341,13 +349,36 @@ def _outcome(load):
     return ref.feature_matrix().tobytes(), ref.X.shape, ref.labels, ref.class_count, tests.tobytes(), ds.test_labels
 
 
+# Files longer than one chunk of the C reader's line feed at a chunk of 302
+# characters (a body line "0.25,0.5,1,val" and its end take 15 or 16):
+_ROW = "0.25,0.5,1,val"
+_CHUNKED = [
+    # blank lines on both sides of the first boundary, then a bad label, then one more blank line
+    HEADER + f"{_ROW}\n" * 20 + "\n\n" + "\n\r\n" + f"{_ROW}\n" * 3 + "0.5,0.5,x,val\n" + f"{_ROW}\n" * 4 + "\n" + f"{_ROW}\n" * 5,
+    # a NUL, and a line past the field limit, in the third chunk
+    HEADER + f"{_ROW}\n" * 45 + "0.5,0.5,1\x00,val\n" + f"{_ROW}\n" * 5,
+    HEADER + f"{_ROW}\n" * 45 + " " * csv.field_size_limit() + f"{_ROW}\n" * 6,
+    # lone-CR then CRLF line ends on both sides of the first boundary
+    HEADER + f"{_ROW}\r\n" * 10 + f"{_ROW}\r" * 10 + "\r\n\r" + f"{_ROW}\r\n" * 10 + "0.5,0.5,-1,val\r",
+]
+# and a CRLF split by the text layer's first 8192-byte read, then a blank line and a bad label
+_CRLF_AT_8192 = HEADER + " " * 15 + f"{_ROW}\r\n" * 520 + "\r\n0.5,0.5,x,val\r\n"
+assert _CRLF_AT_8192.encode()[8190:8193] == b"l\r\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     text=csv_texts(),
     options=st.sampled_from([{}, {"class_count": 2}, {"class_count": 3}, {"is_probability": True}]),
     files=st.sampled_from(["data", "val", "val and test"]),
+    chunk=st.sampled_from([1, 40, core._CHUNK_CHARS]),
 )
-def test_column_read_agrees_with_the_row_reader(tmp_path_factory, text, options, files):
+@example(text=_CRLF_AT_8192, options={}, files="data", chunk=core._CHUNK_CHARS)
+@example(text=_CHUNKED[3], options={"class_count": 2}, files="val and test", chunk=302)
+@example(text=_CHUNKED[2], options={}, files="data", chunk=302)
+@example(text=_CHUNKED[1], options={}, files="val", chunk=302)
+@example(text=_CHUNKED[0], options={}, files="data", chunk=302)
+def test_column_read_agrees_with_the_row_reader(tmp_path_factory, text, options, files, chunk):
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_bytes(text.encode())
     schema = IngestionSchema(**options)
@@ -356,10 +387,28 @@ def test_column_read_agrees_with_the_row_reader(tmp_path_factory, text, options,
         "val": lambda: load_split_files(path, schema=schema),
         "val and test": lambda: load_split_files(path, path, schema),
     }[files]
-    got = _outcome(load)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_CHUNK_CHARS", chunk)
+        got = _outcome(load)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_columns", lambda *args: None)
         assert got == _outcome(load)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 18), st.integers(0, 10**18 - 1), st.sampled_from(["", " ", "\t ", "  "]), st.sampled_from(["", " ", " \t"])),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_labels_read_as_digits_equal_python_int(labels):
+    # 1 to 18 digits with leading zeros and padding, cells of mixed widths in one column
+    cells = [pad + str(v % 10**n).zfill(n) + end for n, v, pad, end in labels]
+    digits, values = core._digit_labels(core._strip(np.array([c.encode() for c in cells])))
+    assert digits.all()
+    assert values.tolist() == [int(c) for c in cells]
 
 
 def test_well_formed_csv_is_read_as_columns_and_a_rejected_one_by_rows(tmp_path, monkeypatch):
@@ -384,6 +433,52 @@ def test_a_cell_past_the_csv_field_limit_is_a_parse_error_on_both_paths(tmp_path
     monkeypatch.setattr(core, "_columns", lambda *args: None)
     with pytest.raises(DatasetParseError, match=message):
         load_dataset(path)
+
+
+_NOT_UTF8 = [
+    (HEADER.encode() + b"0.9,0.1,0,val\n0.1,0.9,\xff,val\n", r"^row 3: not UTF-8: byte 0xff at offset 40$"),
+    (b"f0,f1,lab\xe9l,split\n0.9,0.1,0,val\n", r"^row 1: not UTF-8: byte 0xe9 at offset 9$"),
+    # the rows before the bad byte's come first
+    (HEADER.encode() + b"0.9,nan,0,val\n0.1,0.9,\xff,val\n", r"^row 2: feature vector contains non-finite values"),
+    (HEADER.encode() + b"0.9,0.1,0\n0.1,0.9,\xff,val\n", r"^row 2: expected 4 cells, got 3$"),
+    (HEADER.encode() + b"0.9,0.1,x,val\n0.1,0.9,\xff,val\n", r"^row 2: non-integer label 'x'$"),
+    # past the text layer's first 8192-byte read, after a blank line
+    (HEADER.encode() + b"0.25,0.5,1,val\r\n" * 600 + b"\r\n0.5,0.5,\xfe,val\r\n", r"^row 603: not UTF-8: byte 0xfe at offset 9628$"),
+    # in the second line of a quoted cell, and on the line after a record of two lines
+    (HEADER.encode() + b'0.9,0.1,0,val\n0.1,0.9,"1\n\xff",val\n', r"^row 3: not UTF-8: byte 0xff at offset 43$"),
+    (HEADER.encode() + b'0.9,0.1,"0\n",val\n0.1,0.9,1,v\xffl\n', r"^row 3: not UTF-8: byte 0xff at offset 46$"),
+]
+
+
+@pytest.mark.parametrize("on_columns", [True, False], ids=["columns", "rows"])
+@pytest.mark.parametrize("content, message", _NOT_UTF8)
+def test_bytes_that_are_not_utf8_are_a_parse_error_naming_their_row(tmp_path, monkeypatch, content, message, on_columns):
+    # the row-by-row reader let out a UnicodeDecodeError, from the row after
+    # the one it was reading or from a later one
+    path = _write(tmp_path, "d.csv", content)
+    if not on_columns:
+        monkeypatch.setattr(core, "_columns", lambda *args: None)
+    with pytest.raises(DatasetParseError, match=message):
+        load_dataset(path)
+    with pytest.raises(DatasetParseError, match=message):
+        load_split_files(_write(tmp_path, "v.csv", HEADER + "0.9,0.1,0,val\n"), path)
+
+
+def test_a_long_label_cell_is_read_without_copies_as_wide(tmp_path):
+    # a cell too wide for the column read sends the file to the row reader,
+    # whose label column is as wide as that cell; digits are read from 19 bytes
+    long = " " * 100_000 + "1"
+    path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n" * 199 + f"0.1,0.9,{long},val\n")
+    assert load_dataset(path).reference.labels == (0,) * 199 + (1,)
+    raw = core._strip(np.array([b"0"] * 199 + [long.encode()]))
+    tracemalloc.start()
+    try:
+        digits, labels = core._digit_labels(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digits.all() and labels.tolist() == [0] * 199 + [1]
+    assert peak < raw.nbytes / 100  # 20 MB of cells
 
 
 @pytest.mark.parametrize("role", ["val", "test"])
