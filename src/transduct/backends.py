@@ -82,8 +82,17 @@ class BackendConfig:
     def __post_init__(self):
         if self.kind not in ("remote", "local-attention", "mock"):
             raise ContractError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "remote" and (not self.endpoint_url or not self.api_key_env):
-            raise ContractError("remote backend requires endpoint_url and api_key_env")
+        if self.kind == "remote":  # only the remote backend reads these
+            if not self.endpoint_url or not self.api_key_env:
+                raise ContractError("remote backend requires endpoint_url and api_key_env")
+            if not str(self.endpoint_url).lower().startswith(("http://", "https://")):
+                raise ContractError(f"endpoint_url must be an http or https URL, got {self.endpoint_url!r}")
+            if self.retry.max_attempts < 1:
+                raise ContractError(f"max_attempts must be >= 1, got {self.retry.max_attempts}")
+            if self.retry.base_backoff_ms < 0:
+                raise ContractError(f"base_backoff_ms must be >= 0, got {self.retry.base_backoff_ms}")
+            if self.request_budget < 0:
+                raise ContractError(f"request_budget must be >= 0, got {self.request_budget}")
         if not self.attention_scale > 0:
             raise ContractError(f"attention_scale must be positive, got {self.attention_scale}")
 

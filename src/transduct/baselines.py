@@ -11,11 +11,11 @@ config and kept on the reference set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional, Union
+from typing import Iterator, Literal, Union
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, as_feature_matrix, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, checked_prefix, unit_cosines, unit_rows
 from .errors import ContractError, DegenerateInputError
 
 # Cap on the bytes of the largest temporary a chunk of c test rows makes:
@@ -68,26 +68,6 @@ def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count:
         rows = rows[np.argsort(D[q, rows], kind="stable")[:k]]
         votes[b] = np.bincount(y[rows], minlength=C)
     return np.argmax(votes, axis=1).reshape(c, G)
-
-
-def checked_prefix(queries, d: int, cosine: bool) -> tuple[np.ndarray, Optional[ContractError]]:
-    """The test rows ``queries`` (an ``(n, d)`` matrix or FeatureVectors) before
-    the first bad one as a matrix, and the error naming that row, if any: a
-    ContractError for another dimension than ``d`` or a non-finite value,
-    with ``cosine`` a DegenerateInputError for zero norm."""
-    n = next((i for i, f in enumerate(queries) if len(f) != d), len(queries))
-    Q = as_feature_matrix(queries[:n]) if n else np.empty((0, d))
-    finite = np.isfinite(Q).all(axis=1)
-    good = finite & (np.linalg.norm(Q, axis=1) > 0.0) if cosine else finite
-    stop = n if good.all() else int(np.argmin(good))
-    if stop < n and not finite[stop]:
-        return Q[:stop], ContractError(f"test feature {stop} contains non-finite values")
-    if stop < n:
-        message = f"test feature {stop} has zero norm; cosine similarity undefined"
-        return Q[:stop], DegenerateInputError(message, index=stop)
-    if n < len(queries):
-        return Q, ContractError(f"test feature {n} has dimension {len(queries[n])}, expected {d}")
-    return Q, None
 
 
 def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str, used) -> Iterator[int]:

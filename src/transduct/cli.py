@@ -157,13 +157,13 @@ def _cmd_plan(args) -> int:
 def _cmd_prompt(args) -> int:
     ds = _load_data(args)
     ser = SerializationConfig(decimals=args.decimals, token_budget=args.token_budget)
-    n = len(ds.test_features)
+    n = len(ds.test_X)
     if not 0 <= args.test_index < n:
         raise TransductError(
             f"--test-index {args.test_index} outside [0, {n}): the dataset has {n} test rows"
         )
     plan = build_plan(ds.reference, args.ratio, args.interleave)
-    bundle = build_bundle(ds.reference, ds.test_features[args.test_index], plan, ser)
+    bundle = build_bundle(ds.reference, ds.test_X[args.test_index], plan, ser)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -190,20 +190,20 @@ def _jsonl_records(results):
 
 def _cmd_infer(args) -> int:
     ds = _load_data(args)
-    results = predict(ds.reference, ds.test_features, _run_config(args))
+    results = predict(ds.reference, ds.test_X, _run_config(args))
     _write_lines(_jsonl_records(results), args.out)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
     ds = _load_data(args)
-    if ds.test_labels is None:
+    if ds.test_y is None:
         raise TransductError("evaluate requires labeled test rows")
     cfg = _run_config(
         args, method=args.method, positive_class=args.positive_class,
         knn=KnnConfig(k_neighbors=args.k, metric=args.metric), bags=args.bags, seed=args.seed,
     )
-    data = (ds.reference.feature_matrix(), ds.reference.label_array(), ds.test_features, ds.test_labels)
+    data = (ds.reference.feature_matrix(), ds.reference.label_array(), ds.test_X, ds.test_y)
     payload = {"use_case": args.use_case, "method": args.method}
     if args.use_case == "error_detection":
         payload["report"] = asdict(run_error_detection(*data, cfg))
@@ -228,7 +228,7 @@ def _cmd_gen_toy(args) -> int:
     ds = split_dataset(features, labels, reference_fraction=args.reference_fraction)
     save_dataset(ds, args.out)
     sys.stdout.write(
-        f"wrote {args.n} rows ({ds.reference.size} val / {len(ds.test_features)} test) to {args.out}\n"
+        f"wrote {args.n} rows ({ds.reference.size} val / {len(ds.test_X)} test) to {args.out}\n"
     )
     return 0
 
@@ -299,18 +299,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_value(action: argparse.Action, value):
+    """A ``--config`` value as ``action``'s flag would set it, or a ValueError
+    naming what the flag takes; null keeps a flag whose default is None unset."""
+    if action.nargs == 0:  # a switch
+        takes, ok = "true or false", isinstance(value, bool)
+    elif value is None and action.default is None:
+        return value
+    elif action.choices is not None:
+        takes, ok = "one of " + ", ".join(map(repr, action.choices)), value in action.choices
+    else:
+        takes = {int: "an integer", float: "a number"}.get(action.type, "a string")
+        ok = isinstance(value, str) or (action.type is not None and type(value) in (int, float))
+        try:
+            value = action.type(str(value)) if ok and action.type else value
+        except ValueError:
+            ok = False
+    if not ok:
+        raise ValueError(takes)
+    return value
+
+
+def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
+    """The ``--config`` file's values for ``sub``'s flags, each checked as the flag's own value is."""
+    actions = {a.dest: a for a in sub._actions}
+    defaults = {}
+    for key, value in _read_json_object(path, "--config").items():
+        if key in actions:
+            try:
+                defaults[key] = _flag_value(actions[key], value)
+            except ValueError as exc:
+                raise TransductError(f"--config {path}: {key} must be {exc}, got {json.dumps(value)}") from None
+    return defaults
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
-            defaults = _read_json_object(args.config, "--config")
             (commands,) = [
                 a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
             ]
             sub = commands[args.command]
-            known = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+            sub.set_defaults(**_config_defaults(args.config, sub))
             args = parser.parse_args(argv)  # reparse so explicit flags still win
         return args.func(args)
     except (CredentialError, TransportError, RequestBudgetError) as exc:

@@ -111,19 +111,22 @@ def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY
     return i, ValidationError, f"probability vector sums to {float(total[i])!r}, expected 1 within {tol}"
 
 
-def _int64_labels(labels, class_count) -> np.ndarray:
-    """``labels`` (integers) as an int64 array; one that does not fit is a SchemaError."""
-    try:
-        return np.fromiter(map(int, labels), np.int64)
-    except OverflowError:
-        labels = list(map(int, labels))
-        i = next(i for i, v in enumerate(labels) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
-        raise SchemaError(f"label {labels[i]} at index {i} outside [0, {class_count})") from None
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _label_array(labels, outside: str) -> np.ndarray:
+    """``labels`` (an array or integers) as a read-only int64 array; one that
+    does not fit int64 is a SchemaError, ``outside`` formatted with it."""
+    if not isinstance(labels, np.ndarray) or labels.dtype == object:
+        try:
+            return _read_only(np.fromiter(map(int, labels), np.int64))
+        except OverflowError:
+            i, v = next((i, v) for i, v in enumerate(map(int, labels)) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
+            raise SchemaError(outside.format(label=v, index=i)) from None
+    shared = labels.dtype == np.int64 and not labels.flags.writeable
+    return labels if shared else _read_only(labels.astype(np.int64))
 
 
 def as_feature_matrix(features) -> np.ndarray:
@@ -142,6 +145,27 @@ def as_feature_matrix(features) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] == 0:
         raise ContractError(f"features must form an (m, d >= 1) matrix, got shape {X.shape}")
     return _read_only(X)
+
+
+def checked_prefix(queries, d: int, cosine: bool) -> tuple[np.ndarray, Optional[ContractError]]:
+    """The test rows ``queries`` (an ``(n, d)`` matrix or FeatureVectors) before the
+    first bad one as a read-only matrix, and the error naming that row, if any: a
+    ContractError for another dimension than ``d`` (a matrix's is its width) or a
+    non-finite value, with ``cosine`` a DegenerateInputError for zero norm."""
+    rows = queries[:1] if isinstance(queries, np.ndarray) and queries.ndim == 2 else queries
+    n = next((i for i, f in enumerate(rows) if len(f) != d), len(queries))
+    Q = as_feature_matrix(queries[:n] if n < len(queries) else queries) if n else _read_only(np.empty((0, d)))
+    finite = np.isfinite(Q).all(axis=1)
+    good = finite & (np.linalg.norm(Q, axis=1) > 0.0) if cosine else finite
+    stop = n if good.all() else int(np.argmin(good))
+    if stop < n and not finite[stop]:
+        return Q[:stop], ContractError(f"test feature {stop} contains non-finite values")
+    if stop < n:
+        message = f"test feature {stop} has zero norm; cosine similarity undefined"
+        return Q[:stop], DegenerateInputError(message, index=stop)
+    if n < len(queries):
+        return Q, ContractError(f"test feature {n} has dimension {len(queries[n])}, expected {d}")
+    return Q, None
 
 
 def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
@@ -191,11 +215,8 @@ class ReferenceSet:
 
     def __post_init__(self):
         X = as_feature_matrix(self.X)
-        y = self.y
-        if not isinstance(y, np.ndarray) or y.dtype == object:
-            y = _int64_labels(y, self.class_count)
-        if y.dtype != np.int64 or y.flags.writeable:
-            y = _read_only(y.astype(np.int64))
+        outside = f"label {{label}} at index {{index}} outside [0, {self.class_count})"
+        y = _label_array(self.y, outside)
         if y.ndim != 1 or len(y) != len(X):
             raise ContractError(f"{len(X)} features vs {len(y)} labels")
         if len(X) == 0:
@@ -205,10 +226,9 @@ class ReferenceSet:
         bad = _first_bad_row(X, False)
         if bad is not None:
             raise ContractError(f"feature {bad[0]}: {bad[2]}")
-        outside = np.flatnonzero((y < 0) | (y >= self.class_count))
-        if outside.size:
-            i = int(outside[0])
-            raise SchemaError(f"label {y[i]} at index {i} outside [0, {self.class_count})")
+        hits = np.flatnonzero((y < 0) | (y >= self.class_count))
+        if hits.size:
+            raise SchemaError(outside.format(label=y[hits[0]], index=hits[0]))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -282,25 +302,38 @@ class ReferenceSet:
         return ReferenceSet(_read_only(self.X[rows]), _read_only(self.y[rows]), self.class_count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """A reference (validation) split plus the test split to be labeled."""
+    """A reference (validation) split plus the test split to be labeled: a
+    read-only ``(n, d)`` float64 matrix ``test_X``, built as a reference set's
+    ``X`` is, and read-only int64 labels ``test_y`` or None, checked once by
+    :func:`checked_prefix`. ``test_features`` and ``test_labels`` are views."""
 
     reference: ReferenceSet
-    test_features: tuple[FeatureVector, ...]
-    test_labels: Optional[tuple[int, ...]] = None
+    test_X: np.ndarray
+    test_y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        d = self.reference.dimension
-        for i, f in enumerate(self.test_features):
-            if len(f) != d:
-                raise ContractError(f"test feature {i} has dimension {len(f)}, expected {d}")
-        if self.test_labels is not None:
-            if len(self.test_labels) != len(self.test_features):
+        T, error = checked_prefix(self.test_X, self.reference.dimension, cosine=False)
+        if error is not None:
+            raise error
+        object.__setattr__(self, "test_X", T)
+        if self.test_y is not None:
+            y = _label_array(self.test_y, "test label {label} outside class range")
+            if y.ndim != 1 or len(y) != len(T):
                 raise ContractError("test_labels length does not match test_features")
-            for y in self.test_labels:
-                if not 0 <= y < self.reference.class_count:
-                    raise SchemaError(f"test label {y} outside class range")
+            hits = np.flatnonzero((y < 0) | (y >= self.reference.class_count))
+            if hits.size:
+                raise SchemaError(f"test label {y[hits[0]]} outside class range")
+            object.__setattr__(self, "test_y", y)
+
+    @cached_property
+    def test_features(self) -> tuple[FeatureVector, ...]:
+        return _vectors(self.test_X)
+
+    @cached_property
+    def test_labels(self) -> Optional[tuple[int, ...]]:
+        return None if self.test_y is None else tuple(self.test_y.tolist())
 
 
 def _checked_class_count(class_count):
@@ -656,7 +689,7 @@ def _assemble(val: _Table, test: _Table, class_count: Optional[int]) -> LabeledD
         class_count = max(int(y.max()), int(t.max(initial=1))) + 1
     reference = ReferenceSet(X, y, class_count)
     labelled = t.size and t[0] >= 0  # all or none: _finish checks
-    return LabeledDataset(reference, _vectors(T), tuple(t.tolist()) if labelled else None)
+    return LabeledDataset(reference, T, t if labelled else None)
 
 
 def _existing(path) -> Path:
@@ -704,11 +737,9 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(d)] + ["label", "split"])
-        for f, y in zip(ds.reference.features, ds.reference.labels):
-            writer.writerow([repr(v) for v in f.values] + [y, "val"])
-        for i, f in enumerate(ds.test_features):
-            label = "" if ds.test_labels is None else ds.test_labels[i]
-            writer.writerow([repr(v) for v in f.values] + [label, "test"])
+        test_y = [""] * len(ds.test_X) if ds.test_y is None else ds.test_y.tolist()
+        for X, y, split in ((ds.reference.X, ds.reference.y.tolist(), "val"), (ds.test_X, test_y, "test")):
+            writer.writerows([*map(repr, row), label, split] for row, label in zip(X.tolist(), y))
 
 
 def derive_error_detection_set(reference_probs, reference_true) -> ReferenceSet:

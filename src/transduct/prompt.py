@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet
+from .core import FeatureVector, ReferenceSet, checked_prefix
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -145,10 +145,9 @@ def build_bundle(
     cfg: SerializationConfig = SerializationConfig(),
 ) -> PromptBundle:
     """Assemble part 1 + part 2, enforcing the total token budget."""
-    if len(f_test) != ref.dimension:
-        raise ContractError(
-            f"test feature dimension {len(f_test)} != reference dimension {ref.dimension}"
-        )
+    error = checked_prefix([f_test], ref.dimension, cosine=False)[1]
+    if error is not None:
+        raise error
     part1 = build_part1(ref, plan, cfg)
     part2 = build_part2(f_test, cfg)
     estimate = _estimate_tokens(part1, part2)

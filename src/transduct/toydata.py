@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureVector, LabeledDataset, ReferenceSet
+from .core import FeatureVector, LabeledDataset, ReferenceSet, as_feature_matrix
 from .errors import ContractError
 
 
@@ -91,20 +91,9 @@ def split_dataset(features, labels, reference_fraction: float = 0.5) -> LabeledD
     reference split."""
     if not 0 < reference_fraction < 1:
         raise ContractError("reference_fraction must be in (0, 1)")
-    val_idx: list[int] = []
-    test_idx: list[int] = []
+    X, y = as_feature_matrix(features), np.asarray(labels)
+    part = np.full(len(y), -1)  # 0: reference, 1: test, -1: neither class
     for c in range(2):
-        members = [i for i, y in enumerate(labels) if y == c]
-        cut = int(len(members) * reference_fraction)
-        val_idx.extend(members[:cut])
-        test_idx.extend(members[cut:])
-    val_idx.sort()
-    test_idx.sort()
-    reference = ReferenceSet.build(
-        [features[i] for i in val_idx], [labels[i] for i in val_idx], 2
-    )
-    return LabeledDataset(
-        reference,
-        tuple(features[i] for i in test_idx),
-        tuple(labels[i] for i in test_idx),
-    )
+        members = np.flatnonzero(y == c)
+        part[members] = np.arange(len(members)) >= int(len(members) * reference_fraction)
+    return LabeledDataset(ReferenceSet.build(X[part == 0], y[part == 0], 2), X[part == 1], y[part == 1])

@@ -22,14 +22,14 @@ from typing import Iterator, Literal, Optional, Sequence, Union
 import numpy as np
 
 from . import backends as backends_mod
-from .baselines import KnnConfig, UbKnnConfig, batch_classify, checked_prefix
-from .core import FeatureVector, ReferenceSet, as_feature_matrix, derive_error_detection_set
+from .baselines import KnnConfig, UbKnnConfig, batch_classify
+from .core import FeatureVector, ReferenceSet, as_feature_matrix, checked_prefix, derive_error_detection_set
 from .errors import ContractError
 from .prompt import SerializationConfig
 from .selection import build_plan
 
 Method = Literal["prompt", "knn", "ubknn"]
-# reference probability vectors: an (m, d) array or a sequence of FeatureVectors
+# probability vectors: an (m, d) array or a sequence of FeatureVectors
 Probs = Union[np.ndarray, Sequence[FeatureVector]]
 
 
@@ -127,30 +127,30 @@ class RunConfig:
 
 
 def predict(
-    ref: ReferenceSet, test_features: Sequence[FeatureVector], cfg: RunConfig
+    ref: ReferenceSet, test_X: Probs, cfg: RunConfig
 ) -> Iterator[tuple[int, Optional[backends_mod.ClassifyAudit]]]:
     """Each test sample's label, in order, with its ClassifyAudit for the
     ``prompt`` method (None for ``knn`` and ``ubknn``).
 
-    The prompt method builds the selection plan and the backend once, when
-    the first sample is asked for, and every sample shares them. The
-    baselines classify the test features as one ``(n, d)`` matrix, a few
-    rows at a time. Under every method a bad test row (another dimension, a
-    non-finite value or, where a cosine ranks it, zero norm; see
-    :func:`~transduct.baselines.checked_prefix`) raises after the labels
-    before it, naming its test index: the prompt method never sends its prompt.
+    ``test_X`` (an ``(n, d)`` matrix or FeatureVectors) is checked once. The
+    prompt method builds the plan and the backend for the first sample, and
+    every sample, a row of the checked matrix, shares them; the baselines
+    classify a few rows at a time. Under every method a bad test row (another
+    dimension, a non-finite value or, where a cosine ranks it, zero norm; see
+    :func:`~transduct.core.checked_prefix`) raises after the labels before
+    it, naming its test index: the prompt method never sends its prompt.
     """
     if cfg.method == "prompt":
         plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
         backend = backends_mod.make_backend(cfg.backend)
-        Q, error = checked_prefix(test_features, ref.dimension, cosine=True)
-        for f in test_features[: len(Q)]:
+        Q, error = checked_prefix(test_X, ref.dimension, cosine=True)
+        for f in Q:
             yield backends_mod.classify(ref, f, plan, backend, cfg.serialization)
         if error is not None:
             raise error
     elif cfg.method in ("knn", "ubknn"):
         method_cfg = cfg.knn if cfg.method == "knn" else UbKnnConfig(cfg.knn, cfg.bags, cfg.seed)
-        for label in batch_classify(ref, test_features, method_cfg):
+        for label in batch_classify(ref, test_X, method_cfg):
             yield label, None
     else:
         raise ContractError(f"unknown method {cfg.method!r}")
@@ -163,11 +163,11 @@ def _predictions(probs: Probs) -> np.ndarray:
 
 def _run(
     ref: ReferenceSet,
-    test_features: Sequence[FeatureVector],
+    test_X: Probs,
     truths: Sequence[int],
     cfg: RunConfig,
 ) -> EvalReport:
-    results = list(predict(ref, test_features, cfg))
+    results = list(predict(ref, test_X, cfg))
     return compute_metrics(
         [label for label, _ in results],
         truths,
@@ -180,7 +180,7 @@ def _run(
 def run_error_detection(
     val_probs: Probs,
     val_true: Sequence[int],
-    test_probs: Sequence[FeatureVector],
+    test_probs: Probs,
     test_true: Sequence[int],
     cfg: RunConfig = RunConfig(),
 ) -> EvalReport:
@@ -196,7 +196,7 @@ def run_error_detection(
 
 
 def base_classifier_report(
-    test_probs: Sequence[FeatureVector],
+    test_probs: Probs,
     test_true: Sequence[int],
     class_count: int,
     positive_class: int = 1,
@@ -209,7 +209,7 @@ def base_classifier_report(
 def run_accuracy_improvement(
     val_probs: Probs,
     val_true: Sequence[int],
-    test_probs: Sequence[FeatureVector],
+    test_probs: Probs,
     test_true: Sequence[int],
     cfg: RunConfig = RunConfig(),
     class_count: Optional[int] = None,

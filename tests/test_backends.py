@@ -90,6 +90,23 @@ class TestConfigValidation:
         with pytest.raises(ContractError):
             BackendConfig(kind="remote")
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(retry=RetryPolicy(max_attempts=0)), "max_attempts must be >= 1, got 0"),
+            (dict(retry=RetryPolicy(base_backoff_ms=-5)), "base_backoff_ms must be >= 0, got -5"),
+            (dict(request_budget=-1), "request_budget must be >= 0, got -1"),
+            (dict(endpoint_url="127.0.0.1:9/v1"), "endpoint_url must be an http or https URL"),
+            (dict(endpoint_url="ftp://api.example.test/v1"), "endpoint_url must be an http or https URL"),
+        ],
+        ids=["attempts", "backoff", "budget", "no-scheme", "ftp"],
+    )
+    def test_remote_settings_are_checked_only_for_the_remote_backend(self, settings, message):
+        with pytest.raises(ContractError, match=message):
+            remote_cfg(**settings)
+        for kind in ("local-attention", "mock"):
+            assert BackendConfig(kind=kind, **settings).kind == kind
+
     @pytest.mark.parametrize("scale", [0.0, -1e-6, float("nan")])
     def test_attention_scale_must_be_positive(self, scale):
         with pytest.raises(ContractError, match="attention_scale must be positive"):

@@ -397,6 +397,63 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert "HTTP status 404" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--base-backoff-ms", "-5"], "base_backoff_ms must be >= 0, got -5"),
+            (["--max-attempts", "0"], "max_attempts must be >= 1, got 0"),
+            (["--budget", "-1"], "request_budget must be >= 0, got -1"),
+            (["--endpoint", "127.0.0.1:9/v1"], "endpoint_url must be an http or https URL, got '127.0.0.1:9/v1'"),
+        ],
+        ids=["backoff", "attempts", "budget", "no-scheme"],
+    )
+    def test_remote_settings_fail_before_any_request(self, data_file, capsys, monkeypatch, flags, message):
+        import requests
+
+        sent = []
+
+        def post(*args, **kwargs):
+            sent.append(args)
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setenv("TRANSDUCT_TEST_KEY", "sk-test")
+        argv = [
+            "infer", "--data", data_file, "--backend", "remote", "--api-key-env", "TRANSDUCT_TEST_KEY",
+            "--endpoint", "http://127.0.0.1:9/v1", *flags,
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sent == []
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (["evaluate", "--use-case", "error_detection"], {"backend": "bogus"},
+             "backend must be one of 'mock', 'local', 'remote', got \"bogus\""),
+            (["plan"], {"ratio": [1]}, "ratio must be a number, got [1]"),
+            (["prompt"], {"decimals": 2.5}, "decimals must be an integer, got 2.5"),
+            (["plan"], {"interleave": "no"}, 'interleave must be true or false, got "no"'),
+            (["infer"], {"model": 3}, "model must be a string, got 3"),
+        ],
+        ids=["choice", "number", "integer", "switch", "string"],
+    )
+    def test_config_values_are_checked_like_their_flags(self, data_file, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), *command, "--data", data_file]) == 1
+        assert capsys.readouterr().err == f"error: --config {cfg}: {message}\n"
+
+    def test_config_false_switch_is_the_no_flag_and_flags_still_win(self, data_file, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"interleave": False, "class_count": None}))
+        plans = []
+        for argv in (["--config", str(cfg), "plan"], ["plan", "--no-interleave"],
+                     ["--config", str(cfg), "plan", "--interleave"], ["plan"]):
+            assert main([*argv, "--data", data_file, "--ratio", "0.75"]) == 0
+            plans.append(json.loads(capsys.readouterr().out)["ordered_indices"])
+        assert plans[0] == plans[1] != plans[2] == plans[3]
+
     def test_mock_unknown_prompt_exit_code(self, data_file, capsys):
         rc = main(["infer", "--data", data_file, "--backend", "mock"])
         assert rc == 2

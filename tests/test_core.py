@@ -171,6 +171,67 @@ class TestCsvIngestion:
             load_dataset(path)  # one file needs its split column
 
 
+    def test_test_features_are_built_on_first_use(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("f0,f1,label,split\n0.9,0.1,0,val\n0.2,0.8,1,val\n0.3,0.7,1,test\n")
+        ds = load_dataset(path)
+        assert "test_features" not in vars(ds) and "test_labels" not in vars(ds)
+        assert ds.test_X.tolist() == [[0.3, 0.7]] and ds.test_y.tolist() == [1]
+        assert ds.test_features == (fv(0.3, 0.7),) and ds.test_labels == (1,)
+        assert "test_features" in vars(ds) and ds.test_features is ds.test_features
+
+
+class TestLabeledDataset:
+    def test_read_only_matrix_is_shared_not_copied(self, small_ref):
+        T = np.array([[0.3, 0.7], [0.6, 0.4]])
+        T.flags.writeable = False
+        ds = LabeledDataset(small_ref, T, np.array([1, 0]))
+        assert ds.test_X is T
+        assert ds.test_y.dtype == np.int64 and not ds.test_y.flags.writeable
+        writable = np.array([[0.3, 0.7]])
+        copied = LabeledDataset(small_ref, writable, None).test_X
+        assert copied is not writable and not copied.flags.writeable and copied.dtype == np.float64
+
+    def test_every_row_form_gives_the_same_arrays_and_views(self, small_ref):
+        rows = [[0.3, 0.7], [0.6, 0.4]]
+        forms = [rows, [fv(*r) for r in rows], np.array(rows), tuple(map(tuple, rows))]
+        for form in forms:
+            ds = LabeledDataset(small_ref, form, (1, 0))
+            assert ds.test_X.tolist() == rows and ds.test_y.tolist() == [1, 0]
+            assert ds.test_features == (fv(0.3, 0.7), fv(0.6, 0.4)) and ds.test_labels == (1, 0)
+        empty = LabeledDataset(small_ref, (), None)
+        assert empty.test_X.shape == (0, 2) and empty.test_features == () and empty.test_labels is None
+
+    @pytest.mark.parametrize(
+        "rows, labels, error, message",
+        [
+            ([[0.3, 0.7, 0.0], [0.6, 0.4, 0.0]], None, ContractError, "test feature 0 has dimension 3, expected 2"),
+            ([[0.3, 0.7], [float("nan"), 0.4]], None, ContractError, "test feature 1 contains non-finite values"),
+            ([[0.3, 0.7], [0.6, 0.4]], [1, 2], SchemaError, "test label 2 outside class range"),
+            ([[0.3, 0.7], [0.6, 0.4]], [-1, 0], SchemaError, "test label -1 outside class range"),
+            ([[0.3, 0.7], [0.6, 0.4]], [1], ContractError, "test_labels length does not match test_features"),
+        ],
+        ids=["dimension", "non-finite", "label-above", "label-negative", "length"],
+    )
+    def test_a_bad_row_or_label_reads_the_same_in_every_form(self, small_ref, rows, labels, error, message):
+        finite = all(map(np.isfinite, sum(rows, [])))
+        row_forms = [rows, np.array(rows)] + ([[fv(*r) for r in rows]] if finite else [])
+        label_forms = [None] if labels is None else [tuple(labels), np.array(labels)]
+        for form in row_forms:
+            for y in label_forms:
+                with pytest.raises(error) as info:
+                    LabeledDataset(small_ref, form, y)
+                assert str(info.value) == message
+
+    def test_label_too_large_for_int64_is_outside_the_class_range(self, small_ref):
+        with pytest.raises(SchemaError, match="test label 100000000000000000000 outside class range"):
+            LabeledDataset(small_ref, [[0.3, 0.7]], (10**20,))
+
+    def test_row_of_another_dimension_after_good_rows_is_named(self, small_ref):
+        with pytest.raises(ContractError, match="test feature 1 has dimension 3, expected 2"):
+            LabeledDataset(small_ref, [fv(0.3, 0.7), fv(0.2, 0.3, 0.5)], None)
+
+
 class TestJsonIngestion:
     def test_round_trip_shape(self, tmp_path):
         path = tmp_path / "d.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from transduct import (
     BackendConfig,
     FeatureVector,
+    LabeledDataset,
     ReferenceSet,
     RunConfig,
     SerializationConfig,
@@ -322,6 +323,20 @@ class TestPredict:
         assert expected != [ubknn_classify(ref, f, k5) for f in tests]
         cfg = RunConfig(method="ubknn", knn=KnnConfig(1), bags=3)
         assert [label for label, _ in predict(ref, tests, cfg)] == expected
+
+    @pytest.mark.parametrize("method", ["prompt-local", "prompt-mock", "knn", "ubknn"])
+    def test_matrix_and_feature_vectors_give_equal_labels_and_audits(self, method):
+        rng = np.random.default_rng(8)
+        ref = ReferenceSet.build(rng.dirichlet(np.ones(3), size=30), np.arange(30) % 3, 3)
+        ds = LabeledDataset(ref, rng.dirichlet(np.ones(3), size=12))
+        backend = {
+            "prompt-local": BackendConfig(kind="local-attention"),
+            "prompt-mock": BackendConfig(kind="mock", mock_default=" 2"),
+        }.get(method, BackendConfig())
+        cfg = RunConfig(method=method.split("-")[0], backend=backend, selection_ratio=0.5, knn=KnnConfig(3), bags=3)
+        from_matrix = list(predict(ref, ds.test_X, cfg))
+        assert from_matrix == list(predict(ref, ds.test_features, cfg))
+        assert len(from_matrix) == 12
 
     def test_unknown_method(self):
         ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
