@@ -44,7 +44,6 @@ from .prompt import (
     build_part1,
     build_part2,
     parse_completion,
-    render_feature,
 )
 from .selection import SelectionPlan, build_plan, representativeness
 from .toydata import generate, make_circles, make_moons, split_dataset
@@ -93,7 +92,6 @@ __all__ = [
     "make_moons",
     "nn_attention_classify",
     "parse_completion",
-    "render_feature",
     "representativeness",
     "run_accuracy_improvement",
     "run_error_detection",

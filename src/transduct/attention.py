@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, checked_prefix, unit_cosines, unit_rows
 from .errors import ContractError, NumericError
 
 
@@ -77,19 +77,21 @@ def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarr
 
 
 def nn_attention_classify(
-    ref: ReferenceSet, f_test: FeatureVector, s: float = 1e-6, present_only: bool = False
+    ref: ReferenceSet, f_test, s: float = 1e-6, present_only: bool = False
 ) -> np.ndarray:
     """Class distribution from attention over the reference set.
 
     Keys are the unit-normalized reference features, values their one-hot
     labels (both kept on ``ref``), the query the unit-normalized test
-    feature (a dimension other than the keys' is a ContractError). For
-    small ``s`` the argmax coincides with the cosine nearest neighbor's label.
+    FeatureVector or row (another dimension or a non-finite value is a
+    ContractError). For small ``s`` the argmax is the cosine 1-NN label.
     The distribution covers all ``ref.class_count`` classes, or with
     ``present_only`` the classes of ``ref.present_classes()`` in that order.
     """
-    query = unit_rows(f_test.as_array()[None, :])
-    return attention(query, ref.unit_rows(), ref.one_hot_labels(present_only), s)[0]
+    Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
+    if error is not None:
+        raise error
+    return attention(unit_rows(Q), ref.unit_rows(), ref.one_hot_labels(present_only), s)[0]
 
 
 @dataclass(frozen=True)

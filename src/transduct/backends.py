@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import nn_attention_classify
 from .baselines import nearest_label
-from .core import FeatureVector, ReferenceSet
+from .core import ReferenceSet, checked_prefix
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -29,9 +29,8 @@ from .errors import (
     TransportError,
 )
 from .prompt import (
-    PromptBundle,
     SerializationConfig,
-    build_bundle,
+    _bundle,
     parse_completion,
     parse_prompt,
     parse_test_line,
@@ -189,14 +188,14 @@ class LocalAttentionBackend:
         cache = self._cache
         if len(tail) == 1 and cache is not None and part1 == cache[0]:
             ref = cache[1]
-            f_test = parse_test_line(tail[0], ref.size + 1)
+            row = parse_test_line(tail[0], ref.size + 1)
         else:
-            ref, f_test = parse_prompt(prompt)  # raises GrammarError on mismatch
+            ref, row = parse_prompt(prompt)  # raises GrammarError on mismatch
             if len(tail) == 1:
                 self._cache = (part1, ref)
         # only the classes in Part 1 can be attended to; a distribution over
         # every class up to the largest label would grow with that label
-        probs = nn_attention_classify(ref, f_test, self._scale, present_only=True)
+        probs = nn_attention_classify(ref, row, self._scale, present_only=True)
         classes = ref.present_classes()
         return CompletionResponse(
             text=f" {classes[np.argmax(probs)]}",
@@ -326,12 +325,12 @@ class ClassifyAudit:
 
 def classify(
     ref: ReferenceSet,
-    f_test: FeatureVector,
+    f_test,
     plan: SelectionPlan,
     backend,
     ser: SerializationConfig = SerializationConfig(),
 ) -> tuple[int, ClassifyAudit]:
-    """Prompt-based classification of one test sample.
+    """Prompt-based classification of one test sample (a FeatureVector or a row).
 
     The completion is asked for with max_tokens 4. On an unparseable or
     out-of-range completion the backend is asked once more with 8; if that
@@ -340,7 +339,15 @@ def classify(
     fallback flag set. If every value of Part 2 renders as zero (no digit
     1-9), no request is sent and the fallback is taken at once.
     """
-    bundle: PromptBundle = build_bundle(ref, f_test, plan, ser)
+    Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
+    if error is not None:
+        raise error
+    return _classify(ref, Q[0], plan, backend, ser)
+
+
+def _classify(ref, row: np.ndarray, plan, backend, ser) -> tuple[int, ClassifyAudit]:
+    """:func:`classify` of a row :func:`~transduct.core.checked_prefix` has passed."""
+    bundle = _bundle(ref, row, plan, ser)
     completions: list[str] = []
     label = None
     for tokens in (4, 8) if re.search("[1-9]", bundle.part2) else ():
@@ -353,7 +360,7 @@ def classify(
             continue
     fallback = label is None
     if fallback:
-        label = nearest_label(ref, f_test, plan.ordered_indices)
+        label = nearest_label(ref, row, plan.ordered_indices)
     audit = ClassifyAudit(
         part1=bundle.part1,
         part2=bundle.part2,

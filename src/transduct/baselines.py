@@ -114,7 +114,7 @@ def knn_classify(ref: ReferenceSet, f_test: FeatureVector, cfg: KnnConfig = KnnC
     return next(batch_classify(ref, [f_test], cfg))
 
 
-def nearest_label(ref: ReferenceSet, f_test: FeatureVector, rows) -> int:
+def nearest_label(ref: ReferenceSet, f_test, rows) -> int:
     """Label of the cosine-nearest of ``ref``'s rows ``rows``; distance ties
     go to the row listed first. Equals ``knn_classify(ref.subset(rows),
     f_test, KnnConfig(1, "cosine"))`` without building the subset."""

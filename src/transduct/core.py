@@ -731,15 +731,33 @@ def load_split_files(
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
-    """Write a dataset in the canonical CSV layout with full float precision."""
+    """Write a dataset with full float precision in the layout
+    :func:`load_dataset` reads from ``path``: JSON, with the class count,
+    for a ``.json`` suffix, else the canonical CSV layout. A CSV keeps no
+    class count; it is read back as the largest label plus one (at least
+    2) unless the load is given one, so a dataset whose top class has no
+    row is a ContractError there."""
     path = Path(path)
-    d = ds.reference.dimension
+    ref = ds.reference
+    test_y = [None] * len(ds.test_X) if ds.test_y is None else ds.test_y.tolist()  # None: unlabelled
+    splits = ((ref.X, ref.y.tolist(), "val"), (ds.test_X, test_y, "test"))
+    if path.suffix.lower() == ".json":
+        items = [[{"features": f, "label": y} for f, y in zip(X.tolist(), labels)] for X, labels, _ in splits]
+        payload = {"class_count": ref.class_count, "reference": items[0], "test": items[1]}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return
+    top = max(1, int(ref.y.max()), 0 if ds.test_y is None else int(ds.test_y.max(initial=0)))
+    if top + 1 != ref.class_count:
+        raise ContractError(
+            f"a CSV keeps no class count: class {ref.class_count - 1} has no row, so it would be read"
+            f" back with {top + 1} classes, not {ref.class_count}, unless every load passes"
+            f" IngestionSchema(class_count={ref.class_count}) (--class-count {ref.class_count}); save as .json"
+        )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + ["label", "split"])
-        test_y = [""] * len(ds.test_X) if ds.test_y is None else ds.test_y.tolist()
-        for X, y, split in ((ds.reference.X, ds.reference.y.tolist(), "val"), (ds.test_X, test_y, "test")):
-            writer.writerows([*map(repr, row), label, split] for row, label in zip(X.tolist(), y))
+        writer = csv.writer(fh)  # writes None as an empty cell
+        writer.writerow([f"f{i}" for i in range(ref.dimension)] + ["label", "split"])
+        for X, labels, split in splits:
+            writer.writerows([*map(repr, row), label, split] for row, label in zip(X.tolist(), labels))
 
 
 def derive_error_detection_set(reference_probs, reference_true) -> ReferenceSet:

@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, checked_prefix
+from .core import FeatureVector, ReferenceSet, _read_only, checked_prefix
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -76,17 +76,10 @@ class PromptBundle:
         return self.part1 + self.part2
 
 
-def render_feature(f, cfg: SerializationConfig = SerializationConfig()) -> str:
-    """Array-like text form of a FeatureVector or a list of floats, e.g.
-    ``[0.50, 0.25]`` at decimals=2."""
-    body = ", ".join(format(v, f".{cfg.decimals}f") for v in f)
-    return f"[{body}]"
-
-
-def _part1_format(d: int, decimals: int) -> str:
-    """The ``%`` format of one Part 1 line of ``d`` features and a label."""
+def _line_format(d: int, decimals: int) -> str:
+    """The ``%`` format of a Part 2 line, or a Part 1 line up to its label."""
     number = f"%.{decimals}f"  # renders as format(v, f".{decimals}f")
-    return f"[{', '.join([number] * d)}] {LABEL_CUE} %d\n"
+    return f"[{', '.join([number] * d)}] {LABEL_CUE}"
 
 
 def _max_feasible_k(line_lengths: list[float], budget_chars: float) -> int:
@@ -120,7 +113,7 @@ def build_part1(
             raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
     rows = list(plan.ordered_indices)
     values, labels = ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist()
-    line = _part1_format(ref.dimension, cfg.decimals)
+    line = _line_format(ref.dimension, cfg.decimals) + " %d\n"
     lines = [line % (*f, y) for f, y in zip(values, labels)]
     text = "".join(lines)
     if _estimate_tokens(text) > cfg.token_budget:
@@ -133,23 +126,30 @@ def build_part1(
     return text
 
 
-def build_part2(f_test: FeatureVector, cfg: SerializationConfig = SerializationConfig()) -> str:
-    """The unlabeled test line ending in the completion cue."""
-    return f"{render_feature(f_test, cfg)} {LABEL_CUE}\n"
+def build_part2(f_test, cfg: SerializationConfig = SerializationConfig()) -> str:
+    """The unlabeled test line of a FeatureVector or a row, ending in the completion cue."""
+    values = f_test.values if isinstance(f_test, FeatureVector) else tuple(f_test.tolist())
+    return _line_format(len(values), cfg.decimals) % values + "\n"
 
 
 def build_bundle(
     ref: ReferenceSet,
-    f_test: FeatureVector,
+    f_test,
     plan: SelectionPlan,
     cfg: SerializationConfig = SerializationConfig(),
 ) -> PromptBundle:
-    """Assemble part 1 + part 2, enforcing the total token budget."""
-    error = checked_prefix([f_test], ref.dimension, cosine=False)[1]
+    """Assemble part 1 + part 2 of a FeatureVector or a row, checked first,
+    enforcing the total token budget."""
+    Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
     if error is not None:
         raise error
+    return _bundle(ref, Q[0], plan, cfg)
+
+
+def _bundle(ref: ReferenceSet, row: np.ndarray, plan: SelectionPlan, cfg: SerializationConfig) -> PromptBundle:
+    """:func:`build_bundle` of a row :func:`~transduct.core.checked_prefix` has passed."""
     part1 = build_part1(ref, plan, cfg)
-    part2 = build_part2(f_test, cfg)
+    part2 = build_part2(row, cfg)
     estimate = _estimate_tokens(part1, part2)
     if estimate > cfg.token_budget:
         lines = part1.splitlines(keepends=True)
@@ -185,7 +185,12 @@ def parse_completion(completion: str, class_count: int) -> int:
             "is not a non-negative integer",
             completion,
         )
-    label = int(match.group(0))
+    digits = match.group(0).lstrip("0") or "0"
+    if len(digits) > len(str(class_count - 1)):  # and int() refuses runs past 4300 digits
+        raise LabelOutOfRangeError(
+            f"completion label of {len(digits)} digits >= class_count {class_count}", completion
+        )
+    label = int(digits)
     if label >= class_count:
         raise LabelOutOfRangeError(
             f"completion label {label} >= class_count {class_count}", completion
@@ -193,8 +198,8 @@ def parse_completion(completion: str, class_count: int) -> int:
     return label
 
 
-def parse_prompt(prompt: str) -> tuple[ReferenceSet, FeatureVector]:
-    """Recover reference samples and the test feature from a rendered prompt.
+def parse_prompt(prompt: str) -> tuple[ReferenceSet, np.ndarray]:
+    """Recover the reference set and the test row (read-only) of a prompt.
 
     Inverse of :func:`build_bundle` up to rendering precision; used by the
     local attention backend. Part 1 is parsed as columns; where that parse
@@ -245,21 +250,23 @@ def _parse_lines(lines: list[str]):
     return features, labels
 
 
-def parse_test_line(line: str, line_no: int) -> FeatureVector:
-    """Test feature of a Part 2 line (without its line break), the prompt's
-    ``line_no``-th line."""
+def parse_test_line(line: str, line_no: int) -> np.ndarray:
+    """Test row (read-only float64) of a Part 2 line (without its line
+    break), the prompt's ``line_no``-th line."""
     match = _PART2_LINE.match(line)
     if match is None:
         raise GrammarError(f"final line does not match the test-line grammar: {line!r}")
     return _parse_body(match.group("body"), line_no)
 
 
-def _parse_body(body: str, line_no: int) -> FeatureVector:
-    """The features of a line's ``[...]`` body: finite numbers separated by
-    ``", "``, in ASCII digits (``float`` alone reads other scripts' digits)."""
+def _parse_body(body: str, line_no: int) -> np.ndarray:
+    """The read-only row of a line's ``[...]`` body: finite numbers separated
+    by ``", "``, in ASCII digits (``float`` alone reads other scripts' digits)."""
     if body.isascii():
         try:
-            return FeatureVector.of(float(v) for v in body.split(", "))
-        except (ValueError, ContractError):
+            values = [float(v) for v in body.split(", ")]
+            if all(map(math.isfinite, values)):
+                return _read_only(np.array(values))
+        except ValueError:
             pass
     raise GrammarError(f"line {line_no}: malformed feature list [{body}]")

@@ -144,8 +144,8 @@ def predict(
         plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
         backend = backends_mod.make_backend(cfg.backend)
         Q, error = checked_prefix(test_X, ref.dimension, cosine=True)
-        for f in Q:
-            yield backends_mod.classify(ref, f, plan, backend, cfg.serialization)
+        for row in Q:
+            yield backends_mod._classify(ref, row, plan, backend, cfg.serialization)
         if error is not None:
             raise error
     elif cfg.method in ("knn", "ubknn"):

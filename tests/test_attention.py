@@ -106,6 +106,19 @@ class TestNnAttentionClassify:
             agreements += 1
         assert agreements == 200
 
+    def test_a_row_gives_the_distribution_of_its_feature_vector(self):
+        rng = np.random.default_rng(4)
+        ref = random_ref(rng, m=20, d=4, c=3)
+        row = rng.normal(size=4)
+        got = nn_attention_classify(ref, row, s=0.1, present_only=True)
+        assert got.tolist() == nn_attention_classify(ref, FeatureVector.of(row), s=0.1, present_only=True).tolist()
+        with pytest.raises(ContractError, match="test feature 0 has dimension 3, expected 4"):
+            nn_attention_classify(ref, row[:3])
+        with pytest.raises(ContractError, match="test feature 0 has dimension 1, expected 4"):
+            nn_attention_classify(ref, row[None, :])  # one row, not a matrix of one
+        with pytest.raises(ContractError, match="test feature 0 contains non-finite values"):
+            nn_attention_classify(ref, np.array([0.5, np.nan, 0.1, 0.2]))
+
     def test_large_s_gives_class_frequencies(self):
         ref = ReferenceSet.build(
             [[0.9, 0.1], [0.8, 0.2], [0.7, 0.3], [0.1, 0.9]], [0, 0, 0, 1], 2

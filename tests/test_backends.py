@@ -29,6 +29,7 @@ from transduct.backends import (
 from transduct.errors import (
     ContractError,
     CredentialError,
+    DegenerateInputError,
     GrammarError,
     RequestBudgetError,
     TransportError,
@@ -187,7 +188,7 @@ class TestLocalBackend:
             backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
             resp = backend.complete(CompletionRequest(bundle.prompt))
             ref_parsed, f_parsed = parse_prompt(bundle.prompt)
-            assert resp.text == f" {oracle_1nn(ref_parsed, f_parsed)}"
+            assert resp.text == f" {oracle_1nn(ref_parsed, FeatureVector.of(f_parsed))}"
 
     def test_cost_does_not_grow_with_the_largest_label(self, small_ref, tmp_path):
         # one-hot values and a distribution over all 200001 classes up to the
@@ -436,7 +437,8 @@ class TestLocalBackendCache:
         assert len(calls) == 1
         assert calls[0].startswith(build_part1(ref, plan))
         for prompt, label in zip(local_prompts(ref, plan, SerializationConfig(), tests), labels):
-            assert label == oracle_1nn(*parse_prompt(prompt))
+            ref_parsed, row = parse_prompt(prompt)
+            assert label == oracle_1nn(ref_parsed, FeatureVector.of(row))
 
     def test_two_part1_texts_never_share_keys(self, data):
         ref, tests = data
@@ -506,6 +508,40 @@ class TestClassify:
         assert label == oracle_1nn(selected, fv(0.12, 0.88)) == 1
         assert audit.fallback is True
         assert audit.completions == ("??", "??")
+
+    def test_a_digit_run_past_ints_limit_is_reasked_then_falls_back(self, small_ref):
+        # int() refuses more than 4300 digits; the run is out of range, not a crash
+        plan = build_plan(small_ref, 1.0)
+        backend = make_backend(BackendConfig(kind="mock", mock_default="7" * 5000))
+        label, audit = classify(small_ref, fv(0.12, 0.88), plan, backend)
+        selected = small_ref.subset(list(plan.ordered_indices))
+        assert label == oracle_1nn(selected, fv(0.12, 0.88))
+        assert audit.fallback is True
+        assert audit.completions == ("7" * 5000,) * 2
+
+    def test_a_row_is_classified_as_its_feature_vector(self, small_ref):
+        plan = build_plan(small_ref, 1.0)
+        backend = make_backend(BackendConfig(kind="local-attention"))
+        row = np.array([0.12, 0.88])
+        assert classify(small_ref, row, plan, backend) == classify(small_ref, fv(0.12, 0.88), plan, backend)
+
+    @pytest.mark.parametrize(
+        "f_test, error, message",
+        [
+            (fv(0.2, 0.5, 0.3), ContractError, "test feature 0 has dimension 3, expected 2"),
+            (np.array([np.nan, 0.5]), ContractError, "test feature 0 contains non-finite values"),
+            (np.array([0.0, 0.0]), DegenerateInputError, "test feature 0 has zero norm"),
+        ],
+        ids=["dimension", "non-finite", "zero-norm"],
+    )
+    def test_public_classify_checks_its_row(self, small_ref, f_test, error, message):
+        # the mock has no completion: a request would raise TransportError
+        plan = build_plan(small_ref, 1.0)
+        with pytest.raises(error, match=message):
+            classify(small_ref, f_test, plan, make_backend(BackendConfig(kind="mock")))
+        if error is ContractError:
+            with pytest.raises(error, match=message):
+                build_bundle(small_ref, f_test, plan)
 
     def test_single_reask_recovers(self, small_ref):
         plan = build_plan(small_ref, 0.5)

@@ -60,6 +60,16 @@ class TestGenToy:
         assert header == "f0,f1,label,split"
 
 
+    def test_json_out_is_read_back_by_plan_and_evaluate(self, tmp_path, capsys):
+        out = tmp_path / "toy.json"
+        assert main(["gen-toy", "--dataset", "moons", "--n", "40", "--no-equalize-norms", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["class_count"] == 2
+        assert main(["plan", "--data", str(out)]) == 0
+        argv = ["evaluate", "--use-case", "accuracy_improvement", "--method", "knn", "--data", str(out)]
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestPlan:
     def test_plan_json(self, data_file, tmp_path):
         out = tmp_path / "plan.json"
@@ -121,6 +131,14 @@ class TestInfer:
         assert [r["label"] for r in records] == [0, 1]
         assert all(r["fallback"] is False for r in records)
         assert all(r["backend_id"] == "local-attention" for r in records)
+
+    def test_a_5000_digit_completion_falls_back_on_every_sample(self, data_file, capsys):
+        rc = main(["infer", "--data", data_file, "--backend", "mock", "--mock-default", "7" * 5000])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["fallback"], len(r["completions"])) for r in records] == [(True, 2)] * 2
+        assert "Traceback" not in err
 
     def test_mock_default_backend(self, data_file, capsys):
         rc = main(

@@ -270,6 +270,30 @@ class TestSaveLoadRoundTrip:
         assert again.test_features == ds.test_features
 
 
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_json_path_keeps_the_class_count(self, tmp_path, labelled):
+        ref = ReferenceSet.build([[0.9, 0.1, 0.0], [0.1, 0.9, -0.0], [1e-300, 0.5, 1 / 3]], [0, 1, 1], 3)
+        ds = LabeledDataset(ref, [[0.2, 0.7, 0.1]], [1] if labelled else None)
+        path = tmp_path / "out.JSON"
+        save_dataset(ds, path)
+        again = load_dataset(path)
+        assert again.reference.class_count == 3
+        assert again.reference.feature_matrix().tobytes() == ref.feature_matrix().tobytes()
+        assert again.reference.labels == ref.labels
+        assert again.test_X.tobytes() == ds.test_X.tobytes()
+        assert again.test_labels == ds.test_labels
+
+    def test_csv_of_a_set_whose_top_class_has_no_row_is_refused(self, tmp_path):
+        ref = ReferenceSet.build([[0.9, 0.1, 0.0], [0.1, 0.9, 0.0]], [0, 1], 3)
+        path = tmp_path / "out.csv"
+        with pytest.raises(ContractError, match="class 2 has no row, so it would be read back with 2 classes") as err:
+            save_dataset(LabeledDataset(ref, [[0.2, 0.7, 0.1]], [1]), path)
+        assert "IngestionSchema(class_count=3) (--class-count 3); save as .json" in str(err.value)
+        assert not path.exists()
+        save_dataset(LabeledDataset(ref, [[0.2, 0.7, 0.1]], [2]), path)  # a test row of class 2 carries it
+        assert load_dataset(path).reference.class_count == 3
+
+
 class TestDeriveErrorDetectionSet:
     def test_correct_prediction_gets_zero(self):
         out = derive_error_detection_set([fv(0.9, 0.1)], [0])

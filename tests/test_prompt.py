@@ -16,7 +16,6 @@ from transduct import (
     build_part2,
     build_plan,
     parse_completion,
-    render_feature,
 )
 from transduct.errors import (
     CompletionParseError,
@@ -27,8 +26,10 @@ from transduct.errors import (
     TransductError,
 )
 from transduct import prompt as prompt_module
-from transduct.prompt import parse_prompt
+from transduct.prompt import parse_prompt, parse_test_line
 from transduct.selection import SelectionPlan
+
+from seed_copy import rowwise
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -37,20 +38,49 @@ def fv(*v):
     return FeatureVector.of(v)
 
 
-class TestRenderFeature:
-    def test_exact_decimals(self):
-        assert render_feature(fv(0.5, 0.25)) == "[0.50, 0.25]"
+def row(*v):
+    return np.array(v, dtype=float)
 
-    def test_rounding(self):
-        assert render_feature(fv(1 / 3), SerializationConfig(decimals=4)) == "[0.3333]"
 
-    def test_round_half_to_even(self):
-        assert render_feature(fv(0.125)) == "[0.12]"
-        assert render_feature(fv(0.375)) == "[0.38]"
+class TestPart2Rendering:
+    @pytest.mark.parametrize("make", [fv, row])
+    def test_exact_decimals(self, make):
+        assert build_part2(make(0.5, 0.25)) == "[0.50, 0.25] is in class\n"
+
+    @pytest.mark.parametrize("make", [fv, row])
+    def test_rounding(self, make):
+        assert build_part2(make(1 / 3), SerializationConfig(decimals=4)) == "[0.3333] is in class\n"
+
+    @pytest.mark.parametrize("make", [fv, row])
+    def test_round_half_to_even(self, make):
+        assert build_part2(make(0.125)) == "[0.12] is in class\n"
+        assert build_part2(make(0.375)) == "[0.38] is in class\n"
+
+    @pytest.mark.parametrize("make", [fv, row])
+    def test_negative_values_that_round_to_zero_keep_their_sign(self, make):
+        assert build_part2(make(-0.001, 0.5)) == "[-0.00, 0.50] is in class\n"
 
     def test_decimals_must_be_positive(self):
         with pytest.raises(ContractError):
             SerializationConfig(decimals=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        decimals=st.integers(1, 6),
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 0.125, -0.125, 0.375, 2.5, 0.25, 0.05, 1e-300, -1e-300, 1e300, -1e300]),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(decimals=1, values=[0.25, -0.0, 0.0])
+    @example(decimals=6, values=[1e300, -1e-300, 0.0000005])
+    def test_part2_is_byte_equal_to_the_frozen_per_value_rendering(self, decimals, values):
+        cfg = SerializationConfig(decimals=decimals)
+        want = rowwise.build_part2(rowwise.FeatureVector.of(values), rowwise.SerializationConfig(decimals=decimals))
+        assert build_part2(FeatureVector.of(values), cfg) == want
+        assert build_part2(np.array(values), cfg) == want
 
 
 class TestBuildPart1:
@@ -216,6 +246,22 @@ class TestParseCompletion:
         with pytest.raises(CompletionParseError):
             parse_completion("", 3)
 
+    @pytest.mark.parametrize(
+        "run", ["7" * 5000, "1" + "0" * 5000, "9" * 4301, "12"], ids=["7x5000", "1e5000", "9x4301", "12"]
+    )
+    def test_a_digit_run_longer_than_the_largest_class_is_out_of_range(self, run):
+        with pytest.raises(LabelOutOfRangeError) as err:
+            parse_completion(f" {run} ", 3)
+        assert err.value.completion == f" {run} "
+        assert len(str(err.value)) < 80
+
+    def test_leading_zeros_of_a_long_run_are_not_counted(self):
+        assert parse_completion("0" * 5000 + "2", 3) == 2
+        assert parse_completion(" " + "0" * 5000, 3) == 0
+        assert parse_completion("0" * 5000 + "11", 12) == 11
+        with pytest.raises(LabelOutOfRangeError, match="label 12 >= class_count 12"):
+            parse_completion("0" * 5000 + "12", 12)
+
     @pytest.mark.parametrize("text", [" 2.", " 2", "2\n", "class 2 because...", "e.g. 2 or so"])
     def test_plain_integer_first(self, text):
         assert parse_completion(text, 3) == 2
@@ -293,11 +339,11 @@ class TestRenderParseRoundTrip:
         assert ref_back.labels == ref.labels
         half_unit = 0.5 * 10**-decimals
         for got, want in zip([*ref_back.features, f_back], [*reference, test_row]):
-            for g, w in zip(got.values, want):
+            for g, w in zip(got, want):
                 assert abs(g - w) <= half_unit + math.ulp(max(abs(w), 1.0)), (g, w)
 
     def test_negative_zero_renders_and_parses(self):
-        assert render_feature(fv(-0.001, 0.5)) == "[-0.00, 0.50]"
+        assert build_part2(fv(-0.001, 0.5)) == "[-0.00, 0.50] is in class\n"
         ref_back, _ = parse_prompt("[-0.00, 0.50] is in class 1\n[0.10, 0.90] is in class\n")
         assert ref_back.features[0].values == (-0.0, 0.5)
 
@@ -314,7 +360,16 @@ class TestRoundTrip:
         for got, idx in zip(ref_back.features, plan.ordered_indices):
             original = imbalanced_ref.features[idx]
             assert got.values == pytest.approx(original.values, abs=10 ** -cfg.decimals)
-        assert f_back.values == pytest.approx((0.55, 0.45), abs=1e-9)
+        assert f_back.tolist() == pytest.approx([0.55, 0.45], abs=1e-9)
+        assert f_back.dtype == np.float64 and not f_back.flags.writeable
+
+    def test_test_line_parses_to_a_read_only_row(self):
+        row = parse_test_line("[0.25, -0.00, 1e3] is in class", 2)
+        assert row.dtype == np.float64 and row.shape == (3,) and not row.flags.writeable
+        assert row.tolist() == [0.25, -0.0, 1000.0]
+        for bad in ("[0.25, inf] is in class", "[nan] is in class", "[] is in class"):
+            with pytest.raises(GrammarError, match="line 2: malformed feature list"):
+                parse_test_line(bad, 2)
 
     def test_parse_prompt_rejects_garbage(self):
         with pytest.raises(GrammarError):
@@ -381,7 +436,7 @@ def _parse_outcome(prompt):
     except TransductError as exc:
         return type(exc).__name__, str(exc)
     X = ref.feature_matrix()
-    return X.tobytes(), X.shape, ref.labels, ref.class_count, f_test.values
+    return X.tobytes(), X.shape, ref.labels, ref.class_count, f_test.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

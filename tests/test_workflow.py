@@ -174,7 +174,7 @@ class TestRunErrorDetection:
         for f in TEST_PROBS:
             bundle = build_bundle(ref, f, plan, ser)
             ref_p, f_p = parse_prompt(bundle.prompt)
-            preds.append(oracle_1nn(ref_p, f_p))
+            preds.append(oracle_1nn(ref_p, FeatureVector.of(f_p)))
         expected = compute_metrics(preds, error_truths(), 2)
         assert report.confusion == expected.confusion
         assert report.balanced_accuracy == expected.balanced_accuracy
@@ -392,6 +392,28 @@ class TestPredict:
         # the mock holds no completion for row 1: sending its prompt would raise TransportError
         with pytest.raises(ContractError, match=message):
             next(results)
+
+    @pytest.mark.parametrize("reply", [" 1", " x"], ids=["answered", "fallback"])
+    def test_prompt_method_checks_the_test_rows_once_per_run(self, monkeypatch, reply):
+        from transduct import backends, baselines, core, prompt
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return core.checked_prefix(*args, **kwargs)
+
+        for module in (backends, baselines, prompt, workflow):
+            if hasattr(module, "checked_prefix"):
+                monkeypatch.setattr(module, "checked_prefix", spy)
+        ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
+        tests = np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.6, 0.4]])
+        cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default=reply), selection_ratio=1.0)
+        results = list(predict(ref, tests, cfg))
+        fallbacks = [audit.fallback for _, audit in results]
+        assert fallbacks == [reply == " x"] * 4
+        # one check of the matrix; a fallback's cosine 1-NN checks its row for zero norm
+        assert len(calls) == 1 + sum(fallbacks)
 
     def test_reference_row_rendered_to_zeros_keeps_its_message(self):
         ref = ReferenceSet.build([[0.9, 0.1], [0.001, 0.002], [0.1, 0.9]], [0, 0, 1], 2)
