@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, checked_prefix, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, as_feature_matrix, checked_prefix, unit_cosines, unit_rows
 from .errors import ContractError, NumericError
 
 
@@ -121,10 +121,13 @@ class FeatureLabelMatrix:
                 raise ContractError(f"known row {i} label block is not one-hot")
 
     @classmethod
-    def from_reference(cls, ref: ReferenceSet, f_test: FeatureVector) -> "FeatureLabelMatrix":
-        if len(f_test) != ref.dimension:
-            raise ContractError(f"test feature has dimension {len(f_test)}, expected {ref.dimension}")
-        feats = unit_rows(np.vstack([ref.feature_matrix(), f_test.as_array()]))
+    def from_reference(cls, ref: ReferenceSet, f_test) -> "FeatureLabelMatrix":
+        q = as_feature_matrix([f_test])
+        if q.shape[1] != ref.dimension:
+            raise ContractError(f"test feature has dimension {q.shape[1]}, expected {ref.dimension}")
+        if not np.isfinite(q).all():
+            raise ContractError("test feature contains non-finite values")
+        feats = unit_rows(np.vstack([ref.feature_matrix(), q]))
         labels = np.vstack([ref.one_hot_labels(), np.zeros(ref.class_count)])
         return cls(np.hstack([feats, labels]), ref.dimension, ref.class_count)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import nn_attention_classify
 from .baselines import nearest_label
-from .core import ReferenceSet, checked_prefix
+from .core import ReferenceSet
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .prompt import (
     SerializationConfig,
-    _bundle,
+    build_bundle,
     parse_completion,
     parse_prompt,
     parse_test_line,
@@ -339,15 +339,7 @@ def classify(
     fallback flag set. If every value of Part 2 renders as zero (no digit
     1-9), no request is sent and the fallback is taken at once.
     """
-    Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
-    if error is not None:
-        raise error
-    return _classify(ref, Q[0], plan, backend, ser)
-
-
-def _classify(ref, row: np.ndarray, plan, backend, ser) -> tuple[int, ClassifyAudit]:
-    """:func:`classify` of a row :func:`~transduct.core.checked_prefix` has passed."""
-    bundle = _bundle(ref, row, plan, ser)
+    bundle = build_bundle(ref, f_test, plan, ser)
     completions: list[str] = []
     label = None
     for tokens in (4, 8) if re.search("[1-9]", bundle.part2) else ():
@@ -360,7 +352,7 @@ def _classify(ref, row: np.ndarray, plan, backend, ser) -> tuple[int, ClassifyAu
             continue
     fallback = label is None
     if fallback:
-        label = nearest_label(ref, row, plan.ordered_indices)
+        label = nearest_label(ref, f_test, plan.ordered_indices)
     audit = ClassifyAudit(
         part1=bundle.part1,
         part2=bundle.part2,

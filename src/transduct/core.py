@@ -31,7 +31,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -59,8 +59,8 @@ class FeatureVector:
     def __post_init__(self):
         if len(self.values) == 0:
             raise ContractError("feature vector must be non-empty")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ContractError(f"feature vector contains non-finite values: {self.values}")
+        if not all(isinstance(v, (Real, np.bool_)) and math.isfinite(v) for v in self.values):
+            raise ContractError(f"feature vector contains non-finite or non-real values: {self.values}")
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "FeatureVector":
@@ -116,17 +116,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _label_array(labels, outside: str) -> np.ndarray:
-    """``labels`` (an array or integers) as a read-only int64 array; one that
-    does not fit int64 is a SchemaError, ``outside`` formatted with it."""
-    if not isinstance(labels, np.ndarray) or labels.dtype == object:
-        try:
-            return _read_only(np.fromiter(map(int, labels), np.int64))
-        except OverflowError:
-            i, v = next((i, v) for i, v in enumerate(map(int, labels)) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
-            raise SchemaError(outside.format(label=v, index=i)) from None
-    shared = labels.dtype == np.int64 and not labels.flags.writeable
-    return labels if shared else _read_only(labels.astype(np.int64))
+def read_label(i: int, v) -> int:
+    """The ``i``-th label ``v`` as an int; all but an integer, a bool or a whole float is a ContractError."""
+    if isinstance(v, (Integral, np.bool_)) or isinstance(v, (float, np.floating)) and float(v).is_integer():
+        return int(v)
+    raise ContractError(f"label {v!r} at index {i} is not a whole number")
+
+
+def read_labels(labels, outside: str = "label {label} at index {index} does not fit in int64") -> np.ndarray:
+    """``labels`` (an array or a sequence) as a read-only int64 array, each read by :func:`read_label`
+    but plain ints, which need no reading (~10x quicker on 2,000); one that does not fit int64 is a
+    SchemaError, ``outside`` formatted with it. A read-only int64 array is shared."""
+    if isinstance(labels, np.ndarray) and labels.dtype == np.int64 and not labels.flags.writeable:
+        return labels
+    values = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+    values = values if set(map(type, values)) <= {int} else [read_label(i, v) for i, v in enumerate(values)]
+    try:
+        return _read_only(np.array(values, dtype=np.int64))
+    except OverflowError:
+        i, v = next((i, v) for i, v in enumerate(values) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
+        raise SchemaError(outside.format(label=v, index=i)) from None
+
+
+def inferred_class_count(*labels) -> int:
+    """The class count of ``labels`` given without one: the largest label + 1, at least 2."""
+    return max(int(np.max(y, initial=1)) for y in labels) + 1
 
 
 def as_feature_matrix(features) -> np.ndarray:
@@ -216,7 +230,7 @@ class ReferenceSet:
     def __post_init__(self):
         X = as_feature_matrix(self.X)
         outside = f"label {{label}} at index {{index}} outside [0, {self.class_count})"
-        y = _label_array(self.y, outside)
+        y = read_labels(self.y, outside)
         if y.ndim != 1 or len(y) != len(X):
             raise ContractError(f"{len(X)} features vs {len(y)} labels")
         if len(X) == 0:
@@ -319,7 +333,7 @@ class LabeledDataset:
             raise error
         object.__setattr__(self, "test_X", T)
         if self.test_y is not None:
-            y = _label_array(self.test_y, "test label {label} outside class range")
+            y = read_labels(self.test_y, "test label {label} outside class range")
             if y.ndim != 1 or len(y) != len(T):
                 raise ContractError("test_labels length does not match test_features")
             hits = np.flatnonzero((y < 0) | (y >= self.reference.class_count))
@@ -506,11 +520,7 @@ def _columns(fh, role: Optional[str]):
     its field or is not ASCII (the C reader stores it as latin-1)."""
     width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
     kinds = {label_idx: "S20", split_idx: "S5"}  # bytes; a cell that fills its field may have been cut
-    # the feature fields side by side at the front of each record, so X is one copy
-    packed = np.dtype([(f"c{i}", kinds.get(i, "f8")) for i in [*feat_idx, *kinds] if i is not None])
-    names = [f"c{i}" for i in range(width)]  # in column order, with packed's offsets
-    formats, offsets = map(list, zip(*(packed.fields[name] for name in names)))
-    dtype = np.dtype({"names": names, "formats": formats, "offsets": offsets, "itemsize": packed.itemsize})
+    dtype = np.dtype([(f"c{i}", kinds.get(i, "f8")) for i in range(width)])
     lines = _BodyLines(fh)
     try:  # every column is named: loadtxt then rejects rows of another width
         with warnings.catch_warnings():
@@ -527,8 +537,8 @@ def _columns(fh, role: Optional[str]):
         cells.append(body[f"c{i}"].astype(f"S{max(longest, 1)}"))  # a copy as narrow as its longest cell
         if longest >= body.dtype[i].itemsize or (cells[-1].view(np.uint8) >= 0x80).any():
             return None
-    features = np.dtype({"names": ["X"], "formats": [(np.float64, (len(feat_idx),))], "itemsize": dtype.itemsize})
-    return body.view(features)["X"].copy(), cells[0], cells[1] if split_idx is not None else None, numbers, None
+    X = np.stack([body[f"c{i}"] for i in feat_idx], axis=1)
+    return X, cells[0], cells[1] if split_idx is not None else None, numbers, None
 
 
 def _row_label(label: bytes, split: Optional[bytes], row_no: int, class_count, role) -> tuple[int, bool]:
@@ -685,9 +695,7 @@ def _assemble(val: _Table, test: _Table, class_count: Optional[int]) -> LabeledD
     (X, y), (T, t) = val.split(test=False), test.split(test=True)
     if len(y) == 0:
         raise SchemaError("no reference ('val') rows found")
-    if class_count is None:
-        class_count = max(int(y.max()), int(t.max(initial=1))) + 1
-    reference = ReferenceSet(X, y, class_count)
+    reference = ReferenceSet(X, y, inferred_class_count(y, t) if class_count is None else class_count)
     labelled = t.size and t[0] >= 0  # all or none: _finish checks
     return LabeledDataset(reference, T, t if labelled else None)
 
@@ -769,7 +777,7 @@ def derive_error_detection_set(reference_probs, reference_true) -> ReferenceSet:
     (an ``(m, d)`` array or FeatureVectors; a read-only array is shared).
     """
     X = as_feature_matrix(reference_probs)
-    y = np.asarray(reference_true)
+    y = read_labels(reference_true)
     if len(X) != len(y):
         raise ContractError(f"{len(X)} probability vectors vs {len(y)} labels")
     wrong = np.argmax(X, axis=1) != y

@@ -5,7 +5,7 @@ Grammar (one line per sample)::
     line   := "[" number (", " number)* "] is in class" (" " int)? "\\n"
 
 where ``number`` is a finite decimal number and ``int`` a non-negative
-integer, both in ASCII digits.
+integer of at most 19 significant digits (int64), both in ASCII digits.
 
 Part 1 holds the planned reference samples, one labeled line each, in plan
 order. Part 2 is a single unlabeled line for the test sample ending in the
@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, _read_only, checked_prefix
+from .core import FeatureVector, ReferenceSet, _read_only, checked_prefix, inferred_class_count
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -39,8 +39,8 @@ from .selection import SelectionPlan
 LABEL_CUE = "is in class"
 CHARS_PER_TOKEN = 4  # a prompt's token estimate: its characters / 4, rounded up
 
-# one labeled line, or each line of a text of them: (body, label)
-_PART1_LINE = re.compile(r"^\[([^\]\n]*)\] is in class (\d+)$", re.ASCII | re.MULTILINE)
+# one labeled line, or each line of a text of them: (body, label less its leading zeros)
+_PART1_LINE = re.compile(r"^\[([^\]\n]*)\] is in class 0*(\d{1,19})$", re.ASCII | re.MULTILINE)
 _PART2_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class$")
 
 
@@ -143,13 +143,8 @@ def build_bundle(
     Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
     if error is not None:
         raise error
-    return _bundle(ref, Q[0], plan, cfg)
-
-
-def _bundle(ref: ReferenceSet, row: np.ndarray, plan: SelectionPlan, cfg: SerializationConfig) -> PromptBundle:
-    """:func:`build_bundle` of a row :func:`~transduct.core.checked_prefix` has passed."""
     part1 = build_part1(ref, plan, cfg)
-    part2 = build_part2(row, cfg)
+    part2 = build_part2(Q[0], cfg)
     estimate = _estimate_tokens(part1, part2)
     if estimate > cfg.token_budget:
         lines = part1.splitlines(keepends=True)
@@ -210,8 +205,7 @@ def parse_prompt(prompt: str) -> tuple[ReferenceSet, np.ndarray]:
         raise GrammarError("prompt must contain at least one reference line and a test line")
     features, labels = _parse_columns(lines[:-1]) or _parse_lines(lines[:-1])
     f_test = parse_test_line(lines[-1], len(lines))
-    class_count = max(2, max(labels) + 1)
-    return ReferenceSet.build(features, labels, class_count), f_test
+    return ReferenceSet.build(features, labels, inferred_class_count(labels)), f_test
 
 
 def _parse_columns(lines: list[str]):

@@ -24,6 +24,7 @@ import numpy as np
 from . import backends as backends_mod
 from .baselines import KnnConfig, UbKnnConfig, batch_classify
 from .core import FeatureVector, ReferenceSet, as_feature_matrix, checked_prefix, derive_error_detection_set
+from .core import inferred_class_count, read_label, read_labels
 from .errors import ContractError
 from .prompt import SerializationConfig
 from .selection import build_plan
@@ -31,6 +32,7 @@ from .selection import build_plan
 Method = Literal["prompt", "knn", "ubknn"]
 # probability vectors: an (m, d) array or a sequence of FeatureVectors
 Probs = Union[np.ndarray, Sequence[FeatureVector]]
+_TEST_LABEL = "test label {label} at index {index} does not fit in int64"
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ def compute_metrics(
     if not 0 <= positive_class < class_count:
         raise ContractError(f"positive_class {positive_class} outside [0, {class_count})")
     confusion = [[0] * class_count for _ in range(class_count)]
-    for p, t in zip(predictions, truths):
+    for i, (p, t) in enumerate(zip(predictions, truths)):
+        p, t = read_label(i, p), read_label(i, t)
         if not (0 <= p < class_count and 0 <= t < class_count):
             raise ContractError(f"label pair ({p}, {t}) outside [0, {class_count})")
         confusion[t][p] += 1
@@ -145,7 +148,7 @@ def predict(
         backend = backends_mod.make_backend(cfg.backend)
         Q, error = checked_prefix(test_X, ref.dimension, cosine=True)
         for row in Q:
-            yield backends_mod._classify(ref, row, plan, backend, cfg.serialization)
+            yield backends_mod.classify(ref, row, plan, backend, cfg.serialization)
         if error is not None:
             raise error
     elif cfg.method in ("knn", "ubknn"):
@@ -191,7 +194,7 @@ def run_error_detection(
     """
     _check_counts(test_probs, test_true)
     ref = derive_error_detection_set(val_probs, val_true)
-    truths = (_predictions(test_probs) != np.asarray(test_true)).astype(int).tolist()
+    truths = (_predictions(test_probs) != read_labels(test_true, _TEST_LABEL)).astype(int).tolist()
     return _run(ref, test_probs, truths, cfg)
 
 
@@ -220,8 +223,8 @@ def run_accuracy_improvement(
     compared against leaving the classifier untouched.
     """
     _check_counts(test_probs, test_true)
-    if class_count is None:
-        class_count = int(max(np.max(val_true), np.max(test_true))) + 1
+    val_true, test_true = read_labels(val_true), read_labels(test_true, _TEST_LABEL)
+    class_count = inferred_class_count(val_true, test_true) if class_count is None else class_count
     val_probs = as_feature_matrix(val_probs)
     dim = val_probs.shape[1]
     if dim != class_count:
@@ -230,6 +233,6 @@ def run_accuracy_improvement(
             f" have {dim} values but there are {class_count} classes"
         )
     ref = ReferenceSet(val_probs, val_true, class_count)
-    report = _run(ref, test_probs, list(test_true), cfg)
+    report = _run(ref, test_probs, test_true, cfg)
     base = base_classifier_report(test_probs, test_true, class_count, cfg.positive_class)
     return report, base

@@ -192,6 +192,14 @@ class TestFeatureLabelMatrix:
         with pytest.raises(ContractError, match="test feature has dimension 3, expected 2"):
             FeatureLabelMatrix.from_reference(small_ref, fv(0.7, 0.2, 0.1))
 
+    def test_from_reference_takes_a_row_as_a_feature_vector(self, small_ref):
+        row = FeatureLabelMatrix.from_reference(small_ref, np.array([0.7, 0.3]))
+        assert np.array_equal(row.rows, FeatureLabelMatrix.from_reference(small_ref, fv(0.7, 0.3)).rows)
+
+    def test_from_reference_refuses_a_non_finite_row(self, small_ref):
+        with pytest.raises(ContractError, match="test feature contains non-finite values"):
+            FeatureLabelMatrix.from_reference(small_ref, np.array([np.nan, 0.3]))
+
     def test_rejects_unnormalized(self):
         rows = np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         with pytest.raises(ContractError):

@@ -1,3 +1,7 @@
+import warnings
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -34,6 +38,16 @@ class TestFeatureVector:
             fv(0.5, float("nan"))
         with pytest.raises(ContractError):
             fv(float("inf"))
+
+    @pytest.mark.parametrize("value", ["1.5", None, 1 + 2j, Decimal("0.5")], ids=["str", "none", "complex", "decimal"])
+    def test_rejects_a_value_that_is_not_a_real_number(self, value):
+        # a Decimal is not a numbers.Real, so it is refused too
+        with pytest.raises(ContractError, match="non-finite or non-real values"):
+            FeatureVector((0.5, value))
+
+    @pytest.mark.parametrize("value", [np.True_, np.float32(0.5), np.int64(1), Fraction(1, 2)])
+    def test_takes_numpy_scalars_and_other_reals(self, value):
+        assert FeatureVector((0.5, value)).values == (0.5, value)
 
     def test_probability_check(self, tmp_path):
         # the ingest check; tests/test_ingest.py holds the full error table
@@ -96,6 +110,42 @@ class TestReferenceSet:
     def test_label_range(self):
         with pytest.raises(SchemaError):
             ReferenceSet.build([[1, 0]], [2], 2)
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [
+            ([0, 0.5], "0.5 at index 1"),
+            ([None, 0], "None at index 0"),
+            ([float("nan"), 0], "nan at index 0"),
+            (["1", 0], "'1' at index 0"),
+            (np.array([0, np.nan]), "nan at index 1"),
+            (np.array([0.0, 1.5]), "1.5 at index 1"),
+        ],
+        ids=["half", "none", "nan", "string", "nan-array", "half-array"],
+    )
+    def test_a_label_that_is_not_a_whole_number_is_named(self, labels, bad):
+        with pytest.raises(ContractError, match=f"label {bad} is not a whole number"):
+            ReferenceSet.build([[0.9, 0.1], [0.1, 0.9]], labels, 2)
+
+    @pytest.mark.parametrize(
+        "labels, value",
+        [(np.array([0, 1e20]), 10**20), (np.array([0, 2**63], dtype=np.uint64), 2**63), ([0, 2.0**64], 2**64), ([0, 2**63], 2**63)],
+        ids=["float-array", "uint64-array", "float", "int"],
+    )
+    def test_a_whole_label_outside_int64_is_named_by_its_value(self, labels, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way
+            with pytest.raises(SchemaError, match=f"label {value} at index 1 outside"):
+                ReferenceSet.build([[0.9, 0.1], [0.1, 0.9]], labels, 2)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1], [0.0, 1.0], [False, True], [np.int32(0), np.float32(1.0)], np.array([0.0, 1.0]), np.array([0, 1], np.uint8)],
+        ids=["int", "float", "bool", "numpy-scalars", "float-array", "uint8-array"],
+    )
+    def test_whole_labels_of_any_type_read_alike(self, labels):
+        ref = ReferenceSet.build([[0.9, 0.1], [0.1, 0.9]], labels, 2)
+        assert ref.y.dtype == np.int64 and ref.labels == (0, 1)
 
     def test_one_hot(self, small_ref):
         oh = small_ref.one_hot_labels()
@@ -323,6 +373,10 @@ class TestDeriveErrorDetectionSet:
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             derive_error_detection_set([fv(0.9, 0.1)], [0, 1])
+
+    def test_a_true_class_that_is_not_a_whole_number_is_refused(self):
+        with pytest.raises(ContractError, match="label 0.5 at index 0 is not a whole number"):
+            derive_error_detection_set([fv(0.9, 0.1)], [0.5])
 
     def test_elementwise_rule_random(self):
         rng = np.random.default_rng(5)

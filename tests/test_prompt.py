@@ -381,6 +381,21 @@ class TestRoundTrip:
         with pytest.raises(GrammarError):
             parse_prompt("[0.50, 0.50] is in class \u0661\n[0.40, 0.60] is in class\n")
 
+    def test_part1_label_past_the_int_digit_limit_is_a_grammar_error(self):
+        # int() refuses more than 4300 digits; the local backend parses the same text
+        from transduct.backends import BackendConfig, CompletionRequest, LocalAttentionBackend
+
+        prompt = "[0.10, 0.90] is in class " + "7" * 5000 + "\n[0.50, 0.50] is in class\n"
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        for parse in (parse_prompt, lambda p: backend.complete(CompletionRequest(p))):
+            with pytest.raises(GrammarError, match="line 1 does not match the labeled-line grammar"):
+                parse(prompt)
+
+    @pytest.mark.parametrize("label", [str(2**63 - 1), "0" * 30 + "1"])
+    def test_part1_label_of_up_to_19_digits_past_leading_zeros_is_read(self, label):
+        ref, _ = parse_prompt(f"[0.10, 0.90] is in class {label}\n[0.50, 0.50] is in class\n")
+        assert ref.labels == (int(label),)
+
     @pytest.mark.parametrize(
         "prompt",
         [
@@ -398,7 +413,7 @@ class TestRoundTrip:
 
 _GOOD_NUMBERS = ["0.50", "0.25", "-0.00", "1.00", "12.5", "0.125"]
 _ODD_NUMBERS = ["1_0", "١", "nan", "inf", "", "x", " 1.5", "1e5", "+1.0", "0.5 ", "１", "1,5"]
-_ODD_LABELS = ["١", "-1", "1.0", "", "x", str(10**20), "1000"]
+_ODD_LABELS = ["١", "-1", "1.0", "", "x", str(10**20), "1000", "7" * 5000, "0" * 30 + "1"]
 _ODD_LINES = ["hello", "", "[0.5] is in class", "[0.5] is in class 1 x", "[0.5]] is in class 1", "[0.5 is in class 1"]
 
 
@@ -441,6 +456,8 @@ def _parse_outcome(prompt):
 
 @settings(max_examples=300, deadline=None)
 @given(prompt=prompts())
+@example(prompt="[0.10, 0.90] is in class " + "7" * 5000 + "\n[0.50, 0.50] is in class\n")
+@example(prompt="[0.10, 0.90] is in class " + "0" * 30 + "1\n[0.50, 0.50] is in class\n")
 def test_columnar_parse_agrees_with_the_per_line_parse(prompt):
     got = _parse_outcome(prompt)
     with pytest.MonkeyPatch.context() as mp:

@@ -92,6 +92,14 @@ class TestComputeMetrics:
         with pytest.raises(ContractError):
             compute_metrics([], [], 2)
 
+    @pytest.mark.parametrize("predictions, truths", [([0.5], [1]), ([1], [0.5]), ([None], [1])])
+    def test_a_label_that_is_not_a_whole_number_is_refused(self, predictions, truths):
+        with pytest.raises(ContractError, match="at index 0 is not a whole number"):
+            compute_metrics(predictions, truths, 2)
+
+    def test_whole_float_labels_count_as_their_integers(self):
+        assert compute_metrics([1.0, 0], [1, 0.0], 2).confusion == compute_metrics([1, 0], [1, 0], 2).confusion
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
     def test_matches_independent_oracle(self, seed):
@@ -153,6 +161,12 @@ class TestRunErrorDetection:
         assert sum(truths) == 3  # fixture has 3 base-classifier errors
         assert report.recall == 0.0
         assert report.balanced_accuracy == pytest.approx(0.5)
+
+    def test_a_true_class_that_is_not_a_whole_number_is_refused(self):
+        # a truth of 0.5 matches no argmax, so it used to count silently as an error
+        cfg = RunConfig(method="knn", knn=KnnConfig(k_neighbors=1))
+        with pytest.raises(ContractError, match="label 0.5 at index 1 is not a whole number"):
+            run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS[:2], [TEST_TRUE[0], 0.5], cfg)
 
     def test_local_backend_equals_1nn_oracle_pipeline(self):
         from conftest import oracle_1nn
@@ -240,6 +254,18 @@ class TestRunAccuracyImprovement:
         probs = [fv(0.6, 0.3, 0.1), fv(0.2, 0.7, 0.1)]
         with pytest.raises(ContractError):
             run_accuracy_improvement(probs, [0, 1], probs, [0, 1], RunConfig())
+
+    def test_inferred_class_count_is_at_least_two(self):
+        # every label 0, as in a file: two classes, so two-column features fit
+        probs = [fv(0.9, 0.1), fv(0.8, 0.2)]
+        cfg = RunConfig(method="knn", knn=KnnConfig(k_neighbors=1))
+        report, base = run_accuracy_improvement(probs, [0, 0], probs, [0, 0], cfg)
+        assert len(report.confusion) == len(base.confusion) == 2
+
+    def test_a_label_that_is_not_a_whole_number_is_refused(self):
+        probs = [fv(0.9, 0.1), fv(0.2, 0.8)]
+        with pytest.raises(ContractError, match="label 0.5 at index 1 is not a whole number"):
+            run_accuracy_improvement(probs, [0, 1], probs, [0, 0.5], RunConfig(method="knn"))
 
     def test_base_report_never_predicted_class(self):
         # a class the base argmax never predicts gets per-class accuracy 0
@@ -394,7 +420,7 @@ class TestPredict:
             next(results)
 
     @pytest.mark.parametrize("reply", [" 1", " x"], ids=["answered", "fallback"])
-    def test_prompt_method_checks_the_test_rows_once_per_run(self, monkeypatch, reply):
+    def test_prompt_method_checks_the_matrix_then_each_row_in_its_bundle(self, monkeypatch, reply):
         from transduct import backends, baselines, core, prompt
 
         calls = []
@@ -412,8 +438,31 @@ class TestPredict:
         results = list(predict(ref, tests, cfg))
         fallbacks = [audit.fallback for _, audit in results]
         assert fallbacks == [reply == " x"] * 4
-        # one check of the matrix; a fallback's cosine 1-NN checks its row for zero norm
-        assert len(calls) == 1 + sum(fallbacks)
+        # one check of the matrix, one per build_bundle, and a fallback's
+        # cosine 1-NN checks its row for zero norm
+        assert len(calls) == 1 + len(tests) + sum(fallbacks)
+
+    @pytest.mark.parametrize("reply", [" 1", " x"], ids=["answered", "fallback"])
+    def test_prompt_method_runs_each_sample_through_the_public_classify(self, monkeypatch, reply):
+        # the benchmark's tracer wraps these two names: each sample must pass through both
+        from transduct import backends
+
+        seen = {"classify": 0, "build_bundle": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(backends, name, counted(name, getattr(backends, name)))
+        ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
+        tests = np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8]])
+        cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default=reply), selection_ratio=1.0)
+        assert len(list(predict(ref, tests, cfg))) == 3
+        assert seen == {"classify": 3, "build_bundle": 3}
 
     def test_reference_row_rendered_to_zeros_keeps_its_message(self):
         ref = ReferenceSet.build([[0.9, 0.1], [0.001, 0.002], [0.1, 0.9]], [0, 0, 1], 2)
