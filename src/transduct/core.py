@@ -116,26 +116,43 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def read_label(i: int, v) -> int:
-    """The ``i``-th label ``v`` as an int; all but an integer, a bool or a whole float is a ContractError."""
+def _read_label(i: int, v, noun: str) -> int:
+    """The ``i``-th ``noun`` ``v`` as an int; all but an integer, a bool or a whole float is a ContractError."""
     if isinstance(v, (Integral, np.bool_)) or isinstance(v, (float, np.floating)) and float(v).is_integer():
         return int(v)
-    raise ContractError(f"label {v!r} at index {i} is not a whole number")
+    raise ContractError(f"{noun} {v!r} at index {i} is not a whole number")
 
 
-def read_labels(labels, outside: str = "label {label} at index {index} does not fit in int64") -> np.ndarray:
-    """``labels`` (an array or a sequence) as a read-only int64 array, each read by :func:`read_label`
-    but plain ints, which need no reading (~10x quicker on 2,000); one that does not fit int64 is a
-    SchemaError, ``outside`` formatted with it. A read-only int64 array is shared."""
-    if isinstance(labels, np.ndarray) and labels.dtype == np.int64 and not labels.flags.writeable:
-        return labels
-    values = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
-    values = values if set(map(type, values)) <= {int} else [read_label(i, v) for i, v in enumerate(values)]
-    try:
-        return _read_only(np.array(values, dtype=np.int64))
-    except OverflowError:
-        i, v = next((i, v) for i, v in enumerate(values) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
-        raise SchemaError(outside.format(label=v, index=i)) from None
+def read_labels(labels, n: Optional[int] = None, class_count: Optional[int] = None, noun: str = "label") -> np.ndarray:
+    """``labels`` (a 1-D array or a sequence) as a read-only 1-D int64 array, ``n`` long and each in
+    [0, ``class_count``) (a :func:`checked_class_count`) where given: the one rule for every label the
+    library takes. Another shape or length, or a value that is not a whole number, is a ContractError;
+    a value outside the range or int64, a SchemaError. Messages name the ``noun``, its value and index.
+    A read-only int64 array is shared; plain ints need no per-value reading (~10x quicker on 2,000)."""
+    if isinstance(labels, np.ndarray) and labels.ndim != 1 or not isinstance(labels, Iterable):
+        raise ContractError(f"{noun}s must form a 1-D array, got shape {np.shape(labels)}")
+    outside = "does not fit in int64" if class_count is None else f"outside [0, {class_count})"
+    if not (isinstance(labels, np.ndarray) and labels.dtype == np.int64 and not labels.flags.writeable):
+        values = labels.tolist() if isinstance(labels, np.ndarray) else list(labels)
+        values = values if set(map(type, values)) <= {int} else [_read_label(i, v, noun) for i, v in enumerate(values)]
+        try:
+            labels = _read_only(np.array(values, dtype=np.int64))
+        except OverflowError:
+            i, v = next((i, v) for i, v in enumerate(values) if not -_LABEL_MAX - 1 <= v <= _LABEL_MAX)
+            raise SchemaError(f"{noun} {v} at index {i} {outside}") from None
+    if n is not None and len(labels) != n:
+        raise ContractError(f"expected {n} {noun}s, got {len(labels)}")
+    hits = np.flatnonzero((labels < 0) | (labels >= class_count)) if class_count is not None else []
+    if len(hits):
+        raise SchemaError(f"{noun} {labels[hits[0]]} at index {hits[0]} {outside}")
+    return labels
+
+
+def checked_class_count(class_count, error: type = ContractError) -> int:
+    """``class_count`` as an int if it is an integer >= 2 (so not a bool), else ``error``."""
+    if not (isinstance(class_count, Integral) and class_count >= 2):
+        raise error(f"class_count must be an integer >= 2, got {class_count!r}")
+    return int(class_count)
 
 
 def inferred_class_count(*labels) -> int:
@@ -229,27 +246,21 @@ class ReferenceSet:
 
     def __post_init__(self):
         X = as_feature_matrix(self.X)
-        outside = f"label {{label}} at index {{index}} outside [0, {self.class_count})"
-        y = read_labels(self.y, outside)
-        if y.ndim != 1 or len(y) != len(X):
-            raise ContractError(f"{len(X)} features vs {len(y)} labels")
+        class_count = checked_class_count(self.class_count)
+        y = read_labels(self.y, len(X), class_count)
         if len(X) == 0:
             raise ContractError("reference set must contain at least one sample")
-        if self.class_count < 2:
-            raise ContractError(f"class_count must be >= 2, got {self.class_count}")
         bad = _first_bad_row(X, False)
         if bad is not None:
             raise ContractError(f"feature {bad[0]}: {bad[2]}")
-        hits = np.flatnonzero((y < 0) | (y >= self.class_count))
-        if hits.size:
-            raise SchemaError(outside.format(label=y[hits[0]], index=hits[0]))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "class_count", class_count)
 
     @classmethod
     def build(cls, features, labels, class_count) -> "ReferenceSet":
         """From an ``(m, d)`` array, nested sequences or FeatureVectors."""
-        return cls(features, labels, int(class_count))
+        return cls(features, labels, class_count)
 
     @property
     def size(self) -> int:
@@ -333,12 +344,7 @@ class LabeledDataset:
             raise error
         object.__setattr__(self, "test_X", T)
         if self.test_y is not None:
-            y = read_labels(self.test_y, "test label {label} outside class range")
-            if y.ndim != 1 or len(y) != len(T):
-                raise ContractError("test_labels length does not match test_features")
-            hits = np.flatnonzero((y < 0) | (y >= self.reference.class_count))
-            if hits.size:
-                raise SchemaError(f"test label {y[hits[0]]} outside class range")
+            y = read_labels(self.test_y, len(T), self.reference.class_count, "test label")
             object.__setattr__(self, "test_y", y)
 
     @cached_property
@@ -350,13 +356,6 @@ class LabeledDataset:
         return None if self.test_y is None else tuple(self.test_y.tolist())
 
 
-def _checked_class_count(class_count):
-    """A class count given by the caller or a file: None, or an integer >= 2."""
-    if class_count is not None and not (isinstance(class_count, Integral) and class_count >= 2):
-        raise SchemaError(f"class_count must be an integer >= 2, got {class_count!r}")
-    return class_count
-
-
 @dataclass(frozen=True)
 class IngestionSchema:
     """Validation switches for dataset files."""
@@ -365,7 +364,8 @@ class IngestionSchema:
     is_probability: bool = False
 
     def __post_init__(self):
-        _checked_class_count(self.class_count)
+        if self.class_count is not None:
+            checked_class_count(self.class_count, SchemaError)
 
 
 @dataclass(frozen=True)
@@ -721,7 +721,9 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
         raise DatasetParseError(_not_utf8(exc.object, exc.start)) from None
     if not isinstance(payload, dict) or "reference" not in payload:
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
-    class_count = _checked_class_count(payload.get("class_count", schema.class_count))
+    class_count = payload.get("class_count", schema.class_count)
+    if class_count is not None:
+        checked_class_count(class_count, SchemaError)
     table = _json_table(payload, class_count, schema.is_probability)
     return _assemble(table, table, class_count)
 
@@ -772,13 +774,12 @@ def derive_error_detection_set(reference_probs, reference_true) -> ReferenceSet:
     """Binary reference set for error detection.
 
     Label 1 marks samples where the base classifier's argmax prediction
-    disagrees with the true class ("prediction error"); label 0 marks
-    correct predictions. Features are the probability vectors unchanged
-    (an ``(m, d)`` array or FeatureVectors; a read-only array is shared).
+    disagrees with the true class, one of the d columns ("prediction
+    error"); label 0 marks correct predictions. Features are the probability
+    vectors unchanged (an ``(m, d)`` array or FeatureVectors; a read-only
+    array is shared).
     """
     X = as_feature_matrix(reference_probs)
-    y = read_labels(reference_true)
-    if len(X) != len(y):
-        raise ContractError(f"{len(X)} probability vectors vs {len(y)} labels")
+    y = read_labels(reference_true, len(X), X.shape[1])
     wrong = np.argmax(X, axis=1) != y
     return ReferenceSet(X, _read_only(wrong.astype(np.int64)), 2)

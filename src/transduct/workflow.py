@@ -17,14 +17,15 @@ once per run and shared by every test sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterator, Literal, Optional, Sequence, Union
 
 import numpy as np
 
 from . import backends as backends_mod
 from .baselines import KnnConfig, UbKnnConfig, batch_classify
-from .core import FeatureVector, ReferenceSet, as_feature_matrix, checked_prefix, derive_error_detection_set
-from .core import inferred_class_count, read_label, read_labels
+from .core import FeatureVector, ReferenceSet, as_feature_matrix, checked_class_count, checked_prefix
+from .core import derive_error_detection_set, inferred_class_count, read_labels
 from .errors import ContractError
 from .prompt import SerializationConfig
 from .selection import build_plan
@@ -32,7 +33,6 @@ from .selection import build_plan
 Method = Literal["prompt", "knn", "ubknn"]
 # probability vectors: an (m, d) array or a sequence of FeatureVectors
 Probs = Union[np.ndarray, Sequence[FeatureVector]]
-_TEST_LABEL = "test label {label} at index {index} does not fit in int64"
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,12 @@ class EvalReport:
     n_test: int
 
 
-def _check_counts(predictions: Sequence, truths: Sequence) -> None:
-    """Predictions and truths must pair up, and there must be some."""
-    if len(predictions) != len(truths):
-        raise ContractError(f"{len(predictions)} predictions vs {len(truths)} truths")
-    if len(predictions) == 0:
+def _check_evaluable(n: int, class_count: int, positive_class: int) -> None:
+    """An evaluation needs some samples and a positive class among the classes."""
+    if n == 0:
         raise ContractError("cannot evaluate an empty prediction set")
+    if not (isinstance(positive_class, Integral) and 0 <= positive_class < class_count):
+        raise ContractError(f"positive_class {positive_class} outside [0, {class_count})")
 
 
 def compute_metrics(
@@ -71,16 +71,13 @@ def compute_metrics(
     positive_class: int = 1,
     fallback_count: int = 0,
 ) -> EvalReport:
-    """Confusion matrix and derived metrics for one evaluation run."""
-    _check_counts(predictions, truths)
-    if not 0 <= positive_class < class_count:
-        raise ContractError(f"positive_class {positive_class} outside [0, {class_count})")
-    confusion = [[0] * class_count for _ in range(class_count)]
-    for i, (p, t) in enumerate(zip(predictions, truths)):
-        p, t = read_label(i, p), read_label(i, t)
-        if not (0 <= p < class_count and 0 <= t < class_count):
-            raise ContractError(f"label pair ({p}, {t}) outside [0, {class_count})")
-        confusion[t][p] += 1
+    """Confusion matrix and derived metrics for one evaluation run: ``predictions``
+    and ``truths`` are labels of the same samples (see :func:`~transduct.core.read_labels`)."""
+    class_count = checked_class_count(class_count)
+    p = read_labels(predictions, None, class_count, "prediction")
+    t = read_labels(truths, len(p), class_count, "truth")
+    _check_evaluable(len(p), class_count, positive_class)
+    confusion = np.bincount(t * class_count + p, minlength=class_count**2).reshape(class_count, -1).tolist()
     per_class = []
     recalls_present = []
     for c in range(class_count):
@@ -190,12 +187,14 @@ def run_error_detection(
     """Detect base-classifier mistakes on the test split.
 
     Ground truth for scoring is whether the base classifier's argmax on
-    each test probability vector disagrees with the true class.
+    each test probability vector disagrees with the true class, one of its
+    d columns. Every label and ``cfg.positive_class`` is checked before the
+    first test sample is predicted.
     """
-    _check_counts(test_probs, test_true)
     ref = derive_error_detection_set(val_probs, val_true)
-    truths = (_predictions(test_probs) != read_labels(test_true, _TEST_LABEL)).astype(int).tolist()
-    return _run(ref, test_probs, truths, cfg)
+    test_y = read_labels(test_true, len(test_probs), ref.dimension, "test label")
+    _check_evaluable(len(test_y), ref.class_count, cfg.positive_class)
+    return _run(ref, test_probs, (_predictions(test_probs) != test_y).astype(np.int64), cfg)
 
 
 def base_classifier_report(
@@ -205,8 +204,7 @@ def base_classifier_report(
     positive_class: int = 1,
 ) -> EvalReport:
     """Metrics of the unmodified base classifier (plain argmax)."""
-    predictions = _predictions(test_probs).tolist()
-    return compute_metrics(predictions, list(test_true), class_count, positive_class)
+    return compute_metrics(_predictions(test_probs), test_true, class_count, positive_class)
 
 
 def run_accuracy_improvement(
@@ -220,19 +218,18 @@ def run_accuracy_improvement(
     """Re-predict test labels from validation references.
 
     Returns (adjusted report, base argmax report) so the adjustment can be
-    compared against leaving the classifier untouched.
+    compared against leaving the classifier untouched. Every label, the
+    class count and ``cfg.positive_class`` are checked before the first
+    test sample is predicted.
     """
-    _check_counts(test_probs, test_true)
-    val_true, test_true = read_labels(val_true), read_labels(test_true, _TEST_LABEL)
-    class_count = inferred_class_count(val_true, test_true) if class_count is None else class_count
-    val_probs = as_feature_matrix(val_probs)
-    dim = val_probs.shape[1]
-    if dim != class_count:
+    val_y, test_y = read_labels(val_true), read_labels(test_true, len(test_probs), noun="test label")
+    ref = ReferenceSet(val_probs, val_y, inferred_class_count(val_y, test_y) if class_count is None else class_count)
+    if ref.dimension != ref.class_count:
         raise ContractError(
             f"accuracy improvement expects one probability per class: features"
-            f" have {dim} values but there are {class_count} classes"
+            f" have {ref.dimension} values but there are {ref.class_count} classes"
         )
-    ref = ReferenceSet(val_probs, val_true, class_count)
-    report = _run(ref, test_probs, test_true, cfg)
-    base = base_classifier_report(test_probs, test_true, class_count, cfg.positive_class)
-    return report, base
+    test_y = read_labels(test_y, None, ref.class_count, "test label")
+    _check_evaluable(len(test_y), ref.class_count, cfg.positive_class)
+    report = _run(ref, test_probs, test_y, cfg)
+    return report, base_classifier_report(test_probs, test_y, ref.class_count, cfg.positive_class)

@@ -242,6 +242,12 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(path), "--use-case", "error_detection", "--method", "knn"]) == 1
         assert "test row 8 has no label" in capsys.readouterr().err
 
+    def test_positive_class_outside_the_classes_exits_1_before_any_request(self, data_file, capsys):
+        # the mock has no fixture and no default: a request would exit 2
+        argv = ["evaluate", "--data", data_file, "--use-case", "error_detection", "--method", "prompt"]
+        assert main([*argv, "--backend", "mock", "--positive-class", "5"]) == 1
+        assert capsys.readouterr().err == "error: positive_class 5 outside [0, 2)\n"
+
     def test_error_detection_local(self, data_file, tmp_path):
         report_path = tmp_path / "report.json"
         rc = main(

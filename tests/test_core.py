@@ -257,9 +257,9 @@ class TestLabeledDataset:
         [
             ([[0.3, 0.7, 0.0], [0.6, 0.4, 0.0]], None, ContractError, "test feature 0 has dimension 3, expected 2"),
             ([[0.3, 0.7], [float("nan"), 0.4]], None, ContractError, "test feature 1 contains non-finite values"),
-            ([[0.3, 0.7], [0.6, 0.4]], [1, 2], SchemaError, "test label 2 outside class range"),
-            ([[0.3, 0.7], [0.6, 0.4]], [-1, 0], SchemaError, "test label -1 outside class range"),
-            ([[0.3, 0.7], [0.6, 0.4]], [1], ContractError, "test_labels length does not match test_features"),
+            ([[0.3, 0.7], [0.6, 0.4]], [1, 2], SchemaError, "test label 2 at index 1 outside [0, 2)"),
+            ([[0.3, 0.7], [0.6, 0.4]], [-1, 0], SchemaError, "test label -1 at index 0 outside [0, 2)"),
+            ([[0.3, 0.7], [0.6, 0.4]], [1], ContractError, "expected 2 test labels, got 1"),
         ],
         ids=["dimension", "non-finite", "label-above", "label-negative", "length"],
     )
@@ -274,7 +274,7 @@ class TestLabeledDataset:
                 assert str(info.value) == message
 
     def test_label_too_large_for_int64_is_outside_the_class_range(self, small_ref):
-        with pytest.raises(SchemaError, match="test label 100000000000000000000 outside class range"):
+        with pytest.raises(SchemaError, match=r"test label 100000000000000000000 at index 0 outside \[0, 2\)"):
             LabeledDataset(small_ref, [[0.3, 0.7]], (10**20,))
 
     def test_row_of_another_dimension_after_good_rows_is_named(self, small_ref):

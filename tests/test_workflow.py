@@ -1,5 +1,7 @@
 import gc
+import re
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from transduct import (
 )
 from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backend, ubknn_classify
 from transduct import workflow
-from transduct.backends import prompt_hash
-from transduct.errors import ContractError, DegenerateInputError
+from transduct.backends import MockBackend, prompt_hash
+from transduct.errors import ContractError, DegenerateInputError, SchemaError
 from transduct.workflow import base_classifier_report, predict
 
 
@@ -485,3 +487,74 @@ class TestPredict:
         cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default="??"), selection_ratio=0.5)
         report = run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS, TEST_TRUE, cfg)
         assert report.fallback_count == len(TEST_PROBS)
+
+
+PROBS2 = [[0.9, 0.1], [0.2, 0.8]]
+KNN1 = RunConfig(method="knn", knn=KnnConfig(k_neighbors=1))
+# every library entry point that takes labels, with ``y`` in one label slot
+LABEL_TAKERS = {
+    "ReferenceSet": lambda y: ReferenceSet.build(PROBS2, y, 2),
+    "LabeledDataset": lambda y: LabeledDataset(ReferenceSet.build(PROBS2, [0, 1], 2), PROBS2, y),
+    "derive_error_detection_set": lambda y: derive_error_detection_set(PROBS2, y),
+    "compute_metrics-predictions": lambda y: compute_metrics(y, [0, 1], 2),
+    "compute_metrics-truths": lambda y: compute_metrics([0, 1], y, 2),
+    "run_error_detection": lambda y: run_error_detection(PROBS2, [0, 1], PROBS2, y, KNN1),
+    "run_accuracy_improvement": lambda y: run_accuracy_improvement(PROBS2, [0, 1], PROBS2, y, KNN1),
+}
+
+
+class TestLabelRule:
+    @pytest.mark.parametrize("labels", [np.array(0), np.array([[0], [1]]), 1], ids=["0-d", "2-d", "scalar"])
+    @pytest.mark.parametrize("taker", list(LABEL_TAKERS))
+    def test_labels_of_another_shape_are_named_by_their_shape(self, taker, labels):
+        with pytest.raises(ContractError, match=re.escape(f"must form a 1-D array, got shape {np.shape(labels)}")):
+            LABEL_TAKERS[taker](labels)
+
+    @pytest.mark.parametrize("taker", [name for name in LABEL_TAKERS if name != "ReferenceSet"])
+    def test_a_label_outside_the_classes_is_named_by_index_and_value(self, taker):
+        with pytest.raises(SchemaError, match=re.escape("-1 at index 1 outside [0, 2)")):
+            LABEL_TAKERS[taker]([1, -1])
+
+    def test_a_truth_outside_the_probability_columns_is_refused_on_both_sides(self):
+        V = [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]]
+        # this call used to score both samples as base-classifier errors: confusion ((0, 0), (2, 0))
+        with pytest.raises(SchemaError, match=re.escape("test label 5 at index 0 outside [0, 2)")):
+            run_error_detection(V, [0, 1, 1, 1], [[0.8, 0.2], [0.3, 0.7]], [5, -1], KNN1)
+        with pytest.raises(SchemaError, match=re.escape("label 9 at index 3 outside [0, 2)")):
+            run_error_detection(V, [0, 1, 1, 9], [[0.8, 0.2], [0.3, 0.7]], [0, 1], KNN1)
+        with pytest.raises(SchemaError, match=re.escape("label 7 at index 0 outside [0, 2)")):
+            derive_error_detection_set(PROBS2, [7, -2])
+
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            (lambda: ReferenceSet(np.array(PROBS2), np.array([0, 1]), 2.5), "2.5"),
+            (lambda: ReferenceSet.build(PROBS2, [0, 1], 2.9), "2.9"),
+            (lambda: ReferenceSet.build(PROBS2, [0, 1], "3"), "'3'"),
+            (lambda: ReferenceSet.build(PROBS2, [0, 1], True), "True"),
+            (lambda: compute_metrics([0, 1], [0, 1], 2.0), "2.0"),
+            (lambda: run_accuracy_improvement(PROBS2, [0, 1], PROBS2, [0, 1], KNN1, class_count=2.0), "2.0"),
+        ],
+        ids=["init-float", "build-float", "build-string", "build-bool", "metrics-float", "accuracy-float"],
+    )
+    def test_a_class_count_that_is_not_an_integer_of_at_least_two_is_refused(self, call, value):
+        with pytest.raises(ContractError, match=re.escape(f"class_count must be an integer >= 2, got {value}")):
+            call()
+
+    @pytest.mark.parametrize(
+        "run, positive_class, test_true, error, message",
+        [
+            (run_error_detection, 5, TEST_TRUE[:3], ContractError, "positive_class 5 outside [0, 2)"),
+            (run_error_detection, 0.5, TEST_TRUE[:3], ContractError, "positive_class 0.5 outside [0, 2)"),
+            (partial(run_accuracy_improvement, class_count=2), 1, [0, 1, 7], SchemaError, "test label 7 at index 2"),
+        ],
+        ids=["positive-class", "positive-class-float", "test-truth"],
+    )
+    def test_bad_labels_are_refused_before_any_request(self, monkeypatch, run, positive_class, test_true, error, message):
+        calls = []
+        monkeypatch.setattr(MockBackend, "complete", counting(calls, "complete", MockBackend.complete))
+        backend = BackendConfig(kind="mock", mock_default=" 0")
+        cfg = RunConfig(positive_class=positive_class, backend=backend, selection_ratio=0.5)
+        with pytest.raises(error, match=re.escape(message)):
+            run(VAL_PROBS, VAL_TRUE, TEST_PROBS[:3], test_true, cfg)
+        assert calls == []
