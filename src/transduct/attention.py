@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, as_feature_matrix, checked_prefix, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, checked_prefix, unit_cosines, unit_rows
 from .errors import ContractError, NumericError
 
 
@@ -54,12 +54,6 @@ class AttentionConfig:
             raise ContractError("max_layers must be >= 1")
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
     """softmax(Q K^T / s) V with row-wise, max-subtracted softmax."""
     Q, K, V = np.atleast_2d(np.asarray(Q, float)), np.atleast_2d(np.asarray(K, float)), np.atleast_2d(np.asarray(V, float))
@@ -69,29 +63,26 @@ def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarr
         raise ContractError(f"Q columns {Q.shape[1]} != K columns {K.shape[1]}")
     if K.shape[0] != V.shape[0]:
         raise ContractError(f"K rows {K.shape[0]} != V rows {V.shape[0]}")
-    weights = _softmax_rows(Q @ K.T / s)
-    out = weights @ V
+    logits = Q @ K.T / s
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    out = exp / exp.sum(axis=1, keepdims=True) @ V
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite attention output")
     return out
 
 
-def nn_attention_classify(
-    ref: ReferenceSet, f_test, s: float = 1e-6, present_only: bool = False
-) -> np.ndarray:
-    """Class distribution from attention over the reference set.
+def nn_attention_classify(ref: ReferenceSet, f_test, s: float = 1e-6) -> np.ndarray:
+    """Distribution over the ``ref.class_count`` classes from attention over the reference set.
 
     Keys are the unit-normalized reference features, values their one-hot
     labels (both kept on ``ref``), the query the unit-normalized test
-    FeatureVector or row (another dimension or a non-finite value is a
-    ContractError). For small ``s`` the argmax is the cosine 1-NN label.
-    The distribution covers all ``ref.class_count`` classes, or with
-    ``present_only`` the classes of ``ref.present_classes()`` in that order.
+    FeatureVector or row, checked by :func:`checked_prefix`. For small ``s``
+    the argmax is the cosine 1-NN label.
     """
-    Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
+    Q, error = checked_prefix([f_test], ref.dimension, cosine=True)
     if error is not None:
         raise error
-    return attention(unit_rows(Q), ref.unit_rows(), ref.one_hot_labels(present_only), s)[0]
+    return attention(unit_rows(Q), ref.unit_rows(), ref.one_hot_labels(), s)[0]
 
 
 @dataclass(frozen=True)
@@ -122,11 +113,10 @@ class FeatureLabelMatrix:
 
     @classmethod
     def from_reference(cls, ref: ReferenceSet, f_test) -> "FeatureLabelMatrix":
-        q = as_feature_matrix([f_test])
-        if q.shape[1] != ref.dimension:
-            raise ContractError(f"test feature has dimension {q.shape[1]}, expected {ref.dimension}")
-        if not np.isfinite(q).all():
-            raise ContractError("test feature contains non-finite values")
+        """The rows of ``ref`` and the test FeatureVector or row, checked by :func:`checked_prefix`."""
+        q, error = checked_prefix([f_test], ref.dimension, cosine=True)
+        if error is not None:
+            raise error
         feats = unit_rows(np.vstack([ref.feature_matrix(), q]))
         labels = np.vstack([ref.one_hot_labels(), np.zeros(ref.class_count)])
         return cls(np.hstack([feats, labels]), ref.dimension, ref.class_count)
@@ -254,15 +244,9 @@ def two_cluster_fixture(seed: int = 0) -> FeatureLabelMatrix:
 
 def cluster_separation(final: np.ndarray, cluster_a: Sequence[int], cluster_b: Sequence[int]) -> tuple[float, float]:
     """(max intra-cluster distance, min inter-cluster distance) of the rows."""
-    intra = 0.0
-    for group in (cluster_a, cluster_b):
-        for i_pos, i in enumerate(group):
-            for j in group[i_pos + 1 :]:
-                intra = max(intra, float(np.linalg.norm(final[i] - final[j])))
-    inter = min(
-        float(np.linalg.norm(final[i] - final[j])) for i in cluster_a for j in cluster_b
-    )
-    return intra, inter
+    a, b = list(cluster_a), list(cluster_b)
+    D = np.linalg.norm(final[:, None, :] - final[None, :, :], axis=2)
+    return float(max(D[np.ix_(a, a)].max(), D[np.ix_(b, b)].max())), float(D[np.ix_(a, b)].min())
 
 
 def clustering_suite(trials: int = 20, s: float = 0.05, seed: int = 2) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import nn_attention_classify
 from .baselines import nearest_label
-from .core import ReferenceSet
+from .core import ReferenceSet, _read_only
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -169,15 +169,16 @@ class LocalAttentionBackend:
     the last Part 1 it parsed, keyed by that exact text, so a run that
     sends the same Part 1 with every test line parses it once; the set
     keeps its own unit rows and one-hot labels, the attention keys and values.
-    The reply's ``raw["class_probs"]`` are the attention values over the
-    classes present in Part 1, ascending, which ``raw["classes"]`` names.
+    Its labels are those of Part 1 mapped to 0..c-1 over the c classes
+    present there, ascending, which ``raw["classes"]`` names; the reply's
+    ``raw["class_probs"]`` are the attention values over them.
     """
 
     backend_id = "local-attention"
 
     def __init__(self, cfg: BackendConfig):
         self._scale = cfg.attention_scale
-        self._cache: Optional[tuple[str, ReferenceSet]] = None  # (Part 1 text, its set)
+        self._cache: Optional[tuple[str, ReferenceSet, np.ndarray]] = None  # (Part 1 text, its set, classes)
 
     def complete(self, req: CompletionRequest) -> CompletionResponse:
         prompt = req.prompt
@@ -187,16 +188,18 @@ class LocalAttentionBackend:
         part1, tail = prompt[:cut], prompt[cut:].splitlines()
         cache = self._cache
         if len(tail) == 1 and cache is not None and part1 == cache[0]:
-            ref = cache[1]
+            _, ref, classes = cache
             row = parse_test_line(tail[0], ref.size + 1)
         else:
-            ref, row = parse_prompt(prompt)  # raises GrammarError on mismatch
+            parsed, row = parse_prompt(prompt)  # raises GrammarError on mismatch
+            # only the classes in Part 1 can be attended to; a distribution over
+            # every class up to the largest label would grow with that label
+            y = np.sort(parsed.y)
+            classes = y[np.r_[True, y[1:] != y[:-1]]]  # np.unique would import numpy.ma (numpy 2), ~0.6 MB
+            ref = ReferenceSet(parsed.X, _read_only(np.searchsorted(classes, parsed.y)), max(2, len(classes)))
             if len(tail) == 1:
-                self._cache = (part1, ref)
-        # only the classes in Part 1 can be attended to; a distribution over
-        # every class up to the largest label would grow with that label
-        probs = nn_attention_classify(ref, row, self._scale, present_only=True)
-        classes = ref.present_classes()
+                self._cache = (part1, ref, classes)
+        probs = nn_attention_classify(ref, row, self._scale)[: len(classes)]
         return CompletionResponse(
             text=f" {classes[np.argmax(probs)]}",
             latency_ms=0,

@@ -28,12 +28,13 @@ import json
 import math
 import warnings
 from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -148,6 +149,14 @@ def read_labels(labels, n: Optional[int] = None, class_count: Optional[int] = No
     return labels
 
 
+def _finite_rows(X: np.ndarray) -> np.ndarray:
+    """``X`` if every row is finite, else a ContractError naming the first that is not: the reference-row rule."""
+    bad = _first_bad_row(X, False)
+    if bad is not None:
+        raise ContractError(f"feature {bad[0]}: {bad[2]}")
+    return X
+
+
 def checked_class_count(class_count, error: type = ContractError) -> int:
     """``class_count`` as an int if it is an integer >= 2 (so not a bool), else ``error``."""
     if not (isinstance(class_count, Integral) and class_count >= 2):
@@ -171,20 +180,37 @@ def as_feature_matrix(features) -> np.ndarray:
         rows = [f.values if isinstance(f, FeatureVector) else f for f in features]
         try:
             X = np.array(rows, dtype=np.float64)
-        except ValueError as exc:  # rows of unequal length, or not numbers
+        except (ValueError, TypeError, OverflowError) as exc:  # rows of unequal length, or not numbers
             raise ContractError(f"features do not form an (m, d) matrix: {exc}") from None
     if X.ndim != 2 or X.shape[1] == 0:
         raise ContractError(f"features must form an (m, d >= 1) matrix, got shape {X.shape}")
     return _read_only(X)
 
 
+def _what(x) -> str:
+    return f"shape {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
+
+
+def _width(row) -> Optional[int]:
+    """The length of ``row``, or None if it has none (a number, a generator, a 0-d array)."""
+    try:
+        return len(row)
+    except TypeError:
+        return None
+
+
 def checked_prefix(queries, d: int, cosine: bool) -> tuple[np.ndarray, Optional[ContractError]]:
-    """The test rows ``queries`` (an ``(n, d)`` matrix or FeatureVectors) before the
-    first bad one as a read-only matrix, and the error naming that row, if any: a
-    ContractError for another dimension than ``d`` (a matrix's is its width) or a
-    non-finite value, with ``cosine`` a DegenerateInputError for zero norm."""
-    rows = queries[:1] if isinstance(queries, np.ndarray) and queries.ndim == 2 else queries
-    n = next((i for i, f in enumerate(rows) if len(f) != d), len(queries))
+    """The test rows ``queries`` before the first bad one as a read-only matrix, and the error naming
+    that row, if any: the one rule for every test row the library takes. ``queries`` must be an
+    ``(n, d)`` matrix or a sequence of rows (FeatureVectors, 1-D arrays, sequences of numbers), else a
+    ContractError names its shape or type. A row of another length than ``d`` (a matrix's width), an
+    array row that is not 1-D, a number or a non-finite value is a ContractError naming its index; with
+    ``cosine``, a zero row a DegenerateInputError. Items that are not numbers fail in as_feature_matrix."""
+    if not (isinstance(queries, Sequence) or isinstance(queries, np.ndarray) and queries.ndim == 2):
+        message = f"test features must form an (n, d) matrix or a sequence of rows, got {_what(queries)}"
+        return _read_only(np.empty((0, d))), ContractError(message)
+    rows = queries[:1] if isinstance(queries, np.ndarray) else queries
+    n = next((i for i, f in enumerate(rows) if _width(f) != d or getattr(f, "ndim", 1) != 1), len(queries))
     Q = as_feature_matrix(queries[:n] if n < len(queries) else queries) if n else _read_only(np.empty((0, d)))
     finite = np.isfinite(Q).all(axis=1)
     good = finite & (np.linalg.norm(Q, axis=1) > 0.0) if cosine else finite
@@ -195,7 +221,9 @@ def checked_prefix(queries, d: int, cosine: bool) -> tuple[np.ndarray, Optional[
         message = f"test feature {stop} has zero norm; cosine similarity undefined"
         return Q[:stop], DegenerateInputError(message, index=stop)
     if n < len(queries):
-        return Q, ContractError(f"test feature {n} has dimension {len(queries[n])}, expected {d}")
+        w = _width(queries[n])
+        problem = f"is not a row of numbers, got {_what(queries[n])}" if w in (None, d) else f"has dimension {w}, expected {d}"
+        return Q, ContractError(f"test feature {n} {problem}")
     return Q, None
 
 
@@ -250,10 +278,7 @@ class ReferenceSet:
         y = read_labels(self.y, len(X), class_count)
         if len(X) == 0:
             raise ContractError("reference set must contain at least one sample")
-        bad = _first_bad_row(X, False)
-        if bad is not None:
-            raise ContractError(f"feature {bad[0]}: {bad[2]}")
-        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "X", _finite_rows(X))
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "class_count", class_count)
 
@@ -288,8 +313,8 @@ class ReferenceSet:
 
     @cached_property
     def _derived(self) -> dict:
-        """Values computed from this set alone (unit rows, present classes,
-        one-hot labels, UB-KNN bags, the last Part 1), cached on the instance
+        """Values computed from this set alone (unit rows, one-hot labels,
+        UB-KNN bags, the last Part 1), cached on the instance
         so they live exactly as long as it does."""
         return {}
 
@@ -304,22 +329,11 @@ class ReferenceSet:
             unit_rows(self.X, used)
         return U
 
-    def present_classes(self) -> np.ndarray:
-        """The labels that occur in the set, ascending, as one read-only array."""
-        classes = self._derived.get("classes")
-        if classes is None:  # np.unique would import numpy.ma (numpy 2), ~0.6 MB
-            y = np.sort(self.y)
-            classes = self._derived["classes"] = _read_only(y[np.r_[True, y[1:] != y[:-1]]])
-        return classes
-
-    def one_hot_labels(self, present_only: bool = False) -> np.ndarray:
-        """Labels as one read-only one-hot float array: ``(m, class_count)``,
-        or with ``present_only`` ``(m, c)`` over the c :meth:`present_classes`,
-        whose size does not grow with the largest label."""
-        V = self._derived.get(("one_hot", present_only))
+    def one_hot_labels(self) -> np.ndarray:
+        """Labels as one read-only ``(m, class_count)`` one-hot float array."""
+        V = self._derived.get("one_hot")
         if V is None:
-            classes = self.present_classes() if present_only else np.arange(self.class_count)
-            V = self._derived[("one_hot", present_only)] = _read_only((self.y[:, None] == classes).astype(float))
+            V = self._derived["one_hot"] = _read_only((self.y[:, None] == np.arange(self.class_count)).astype(float))
         return V
 
     def subset(self, indices: Sequence[int]) -> "ReferenceSet":

@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, _read_only, checked_prefix, inferred_class_count
+from .core import ReferenceSet, _read_only, _width, checked_prefix, inferred_class_count
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -82,16 +82,28 @@ def _line_format(d: int, decimals: int) -> str:
     return f"[{', '.join([number] * d)}] {LABEL_CUE}"
 
 
-def _max_feasible_k(line_lengths: list[float], budget_chars: float) -> int:
-    # keep the tail of the plan (most representative samples) intact
-    total = 0.0
-    feasible = 0
-    for length in reversed(line_lengths):
-        if total + length > budget_chars:
-            break
-        total += length
-        feasible += 1
-    return feasible
+def _over_budget(part1: str, part2: str, cfg: SerializationConfig) -> TokenBudgetError:
+    """The error for ``part1`` (and ``part2``) over the token budget. Its ``max_feasible_k``
+    counts the last lines of ``part1``, the most representative samples, that fit beside ``part2``."""
+    lengths = [len(line) for line in reversed(part1.splitlines(keepends=True))]
+    k = int(np.searchsorted(np.cumsum(lengths), cfg.token_budget * CHARS_PER_TOKEN - len(part2), side="right"))
+    what, beside = ("prompt", " beside part 2") if part2 else ("part 1", "")
+    return TokenBudgetError(
+        f"{what} needs ~{_estimate_tokens(part1, part2)} tokens, budget is {cfg.token_budget};"
+        f" {k} reference {'line fits' if k == 1 else 'lines fit'}{beside}",
+        max_feasible_k=k,
+    )
+
+
+def _part1_lines(ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig) -> list[str]:
+    """The labeled lines of the plan's reference samples, in plan order."""
+    for i in plan.ordered_indices:
+        if not 0 <= i < ref.size:
+            raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
+    rows = list(plan.ordered_indices)
+    values, labels = ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist()
+    line = _line_format(ref.dimension, cfg.decimals) + " %d\n"
+    return [line % (*f, y) for f, y in zip(values, labels)]
 
 
 def build_part1(
@@ -108,28 +120,25 @@ def build_part1(
     last = ref._derived.get("part1")
     if last is not None and last[0] is plan and last[1] == cfg:
         return last[2]
-    for i in plan.ordered_indices:
-        if not 0 <= i < ref.size:
-            raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
-    rows = list(plan.ordered_indices)
-    values, labels = ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist()
-    line = _line_format(ref.dimension, cfg.decimals) + " %d\n"
-    lines = [line % (*f, y) for f, y in zip(values, labels)]
-    text = "".join(lines)
+    text = "".join(_part1_lines(ref, plan, cfg))
     if _estimate_tokens(text) > cfg.token_budget:
-        budget_chars = cfg.token_budget * CHARS_PER_TOKEN
-        raise TokenBudgetError(
-            f"part 1 needs ~{_estimate_tokens(text)} tokens, budget is {cfg.token_budget}",
-            max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
-        )
+        raise _over_budget(text, "", cfg)
     ref._derived["part1"] = (plan, cfg, text)
     return text
 
 
+def _part2(Q: np.ndarray, cfg: SerializationConfig) -> str:
+    """The unlabeled test line of the one checked row of ``Q``."""
+    return _line_format(Q.shape[1], cfg.decimals) % tuple(Q[0].tolist()) + "\n"
+
+
 def build_part2(f_test, cfg: SerializationConfig = SerializationConfig()) -> str:
-    """The unlabeled test line of a FeatureVector or a row, ending in the completion cue."""
-    values = f_test.values if isinstance(f_test, FeatureVector) else tuple(f_test.tolist())
-    return _line_format(len(values), cfg.decimals) % values + "\n"
+    """The unlabeled test line of a FeatureVector or a row of any width, checked
+    by :func:`checked_prefix`, ending in the completion cue."""
+    Q, error = checked_prefix([f_test], _width(f_test) or 1, cosine=False)  # any width d >= 1
+    if error is not None:
+        raise error
+    return _part2(Q, cfg)
 
 
 def build_bundle(
@@ -138,21 +147,20 @@ def build_bundle(
     plan: SelectionPlan,
     cfg: SerializationConfig = SerializationConfig(),
 ) -> PromptBundle:
-    """Assemble part 1 + part 2 of a FeatureVector or a row, checked first,
-    enforcing the total token budget."""
+    """Assemble part 1 + part 2 of a FeatureVector or a row, checked first by
+    :func:`checked_prefix`, enforcing the total token budget: over it, whichever
+    part overflows, ``max_feasible_k`` counts the lines that fit beside Part 2."""
     Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
     if error is not None:
         raise error
-    part1 = build_part1(ref, plan, cfg)
-    part2 = build_part2(Q[0], cfg)
+    part2 = _part2(Q, cfg)
+    try:
+        part1 = build_part1(ref, plan, cfg)
+    except TokenBudgetError:  # its hint leaves no room for Part 2
+        raise _over_budget("".join(_part1_lines(ref, plan, cfg)), part2, cfg) from None
     estimate = _estimate_tokens(part1, part2)
     if estimate > cfg.token_budget:
-        lines = part1.splitlines(keepends=True)
-        budget_chars = cfg.token_budget * CHARS_PER_TOKEN - len(part2)
-        raise TokenBudgetError(
-            f"prompt needs ~{estimate} tokens, budget is {cfg.token_budget}",
-            max_feasible_k=_max_feasible_k([len(l) for l in lines], budget_chars),
-        )
+        raise _over_budget(part1, part2, cfg)
     return PromptBundle(part1, part2, estimate)
 
 

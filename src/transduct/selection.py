@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ReferenceSet, as_feature_matrix, unit_rows
+from .core import ReferenceSet, _finite_rows, as_feature_matrix, unit_rows
 from .errors import ContractError
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _scores(normed: np.ndarray) -> np.ndarray:
 
 def representativeness(features) -> list[float]:
     """Row sums of the affinity matrix of ``features`` (an ``(m, d)`` array or
-    FeatureVectors), self-term included.
+    FeatureVectors, checked as a reference set's are), self-term included.
 
     Computed as u_i . sum_j u_j. That rounds differently from the row sum,
     and where scores are equal up to rounding (the two samples of any m = 2
@@ -104,7 +104,7 @@ def representativeness(features) -> list[float]:
     cost is O(m log m + r m d) for r such groups, so rounded or repeated
     rows cost about what distinct ones do.
     """
-    return _scores(unit_rows(as_feature_matrix(features))).tolist()
+    return _scores(unit_rows(_finite_rows(as_feature_matrix(features)))).tolist()
 
 
 def build_plan(

@@ -78,26 +78,17 @@ def compute_metrics(
     t = read_labels(truths, len(p), class_count, "truth")
     _check_evaluable(len(p), class_count, positive_class)
     confusion = np.bincount(t * class_count + p, minlength=class_count**2).reshape(class_count, -1).tolist()
-    per_class = []
-    recalls_present = []
-    for c in range(class_count):
-        support = sum(confusion[c])
-        recall_c = confusion[c][c] / support if support else 0.0
-        per_class.append(recall_c)
-        if support:
-            recalls_present.append(recall_c)
-    balanced = sum(recalls_present) / len(recalls_present)
+    support = [sum(row) for row in confusion]
+    per_class = [row[c] / n if n else 0.0 for c, (row, n) in enumerate(zip(confusion, support))]
+    present = [r for r, n in zip(per_class, support) if n]
+    balanced = sum(present) / len(present)
     precision = recall = f_score = None
     if class_count == 2:
-        pos = positive_class
-        tp = confusion[pos][pos]
-        fp = sum(confusion[t][pos] for t in range(class_count) if t != pos)
-        fn = sum(confusion[pos][p] for p in range(class_count) if p != pos)
+        pos, neg = positive_class, 1 - positive_class
+        tp, fp, fn = confusion[pos][pos], confusion[neg][pos], confusion[pos][neg]
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
-        f_score = (
-            2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        )
+        f_score = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return EvalReport(
         confusion=tuple(tuple(row) for row in confusion),
         per_class_accuracy=tuple(per_class),
@@ -106,7 +97,7 @@ def compute_metrics(
         recall=recall,
         f_score=f_score,
         fallback_count=fallback_count,
-        n_test=len(predictions),
+        n_test=len(p),
     )
 
 

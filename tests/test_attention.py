@@ -110,8 +110,8 @@ class TestNnAttentionClassify:
         rng = np.random.default_rng(4)
         ref = random_ref(rng, m=20, d=4, c=3)
         row = rng.normal(size=4)
-        got = nn_attention_classify(ref, row, s=0.1, present_only=True)
-        assert got.tolist() == nn_attention_classify(ref, FeatureVector.of(row), s=0.1, present_only=True).tolist()
+        got = nn_attention_classify(ref, row, s=0.1)
+        assert got.tolist() == nn_attention_classify(ref, FeatureVector.of(row), s=0.1).tolist()
         with pytest.raises(ContractError, match="test feature 0 has dimension 3, expected 4"):
             nn_attention_classify(ref, row[:3])
         with pytest.raises(ContractError, match="test feature 0 has dimension 1, expected 4"):
@@ -189,7 +189,7 @@ class TestFeatureLabelMatrix:
         assert np.allclose(M.rows[-1, 2:], 0.0)
 
     def test_from_reference_rejects_a_test_feature_of_another_dimension(self, small_ref):
-        with pytest.raises(ContractError, match="test feature has dimension 3, expected 2"):
+        with pytest.raises(ContractError, match="test feature 0 has dimension 3, expected 2"):
             FeatureLabelMatrix.from_reference(small_ref, fv(0.7, 0.2, 0.1))
 
     def test_from_reference_takes_a_row_as_a_feature_vector(self, small_ref):
@@ -197,7 +197,7 @@ class TestFeatureLabelMatrix:
         assert np.array_equal(row.rows, FeatureLabelMatrix.from_reference(small_ref, fv(0.7, 0.3)).rows)
 
     def test_from_reference_refuses_a_non_finite_row(self, small_ref):
-        with pytest.raises(ContractError, match="test feature contains non-finite values"):
+        with pytest.raises(ContractError, match="test feature 0 contains non-finite values"):
             FeatureLabelMatrix.from_reference(small_ref, np.array([np.nan, 0.3]))
 
     def test_rejects_unnormalized(self):

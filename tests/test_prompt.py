@@ -202,6 +202,37 @@ class TestBundle:
         with pytest.raises(ContractError):
             build_bundle(small_ref, fv(0.7, 0.2, 0.1), plan)
 
+    @pytest.mark.parametrize(
+        "features, labels, row",
+        [
+            ([[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.2, 0.8]], [0, 1, 0, 1], fv(0.9, 0.1)),
+            (np.random.default_rng(7).uniform(size=(40, 3)), [0, 1] * 20, fv(0.123456, 0.5, 1.0)),
+        ],
+        ids=["4-rows", "40-rows"],
+    )
+    def test_budget_hint_counts_the_lines_that_fit_beside_part_2(self, features, labels, row):
+        # whichever part overflows, the hinted k tail lines fit with Part 2 and k + 1 do not
+        ref = ReferenceSet.build(features, labels, 2)
+        plan = build_plan(ref, 1.0, True)
+        full = build_bundle(ref, row, plan, SerializationConfig(token_budget=10**6)).token_estimate
+
+        def fits(k, cfg):
+            tail = SelectionPlan(plan.ordered_indices[len(plan.ordered_indices) - k :], plan.rep_scores, k)
+            try:
+                build_bundle(ref, row, tail, cfg)
+            except TokenBudgetError:
+                return False
+            return True
+
+        part2_only = math.ceil(len(build_part2(row)) / 4)
+        for budget in range(part2_only, full):
+            cfg = SerializationConfig(token_budget=budget)
+            with pytest.raises(TokenBudgetError) as err:
+                build_bundle(ref, row, plan, cfg)
+            k = err.value.max_feasible_k
+            assert (k == 0 or fits(k, cfg)) and not fits(k + 1, cfg), budget
+            assert f"{k} reference line" in str(err.value)
+
 
 class TestGoldenFiles:
     def test_simple_plan(self, small_ref):

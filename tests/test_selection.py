@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -28,6 +29,15 @@ class TestRepresentativeness:
         with pytest.raises(DegenerateInputError) as info:
             representativeness(np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 0.0]]))
         assert info.value.index == 2
+
+    def test_a_non_finite_row_is_refused_as_a_reference_set_refuses_it(self):
+        message = "feature 0: feature vector contains non-finite values: (nan, 1.0)"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            representativeness([[float("nan"), 1.0], [0.5, 0.5]])
+        with pytest.raises(ContractError, match=re.escape(message)):
+            ReferenceSet.build([[float("nan"), 1.0], [0.5, 0.5]], [0, 1], 2)
+        with pytest.raises(ContractError, match=re.escape("feature 1: feature vector contains non-finite values")):
+            representativeness(np.array([[0.5, 0.5], [np.inf, 0.0], [0.0, 0.0]]))
 
     def test_single_sample(self):
         assert representativeness([fv(0.3, 0.7)]) == pytest.approx([1.0])

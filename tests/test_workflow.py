@@ -23,8 +23,10 @@ from transduct import (
     run_error_detection,
 )
 from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backend, ubknn_classify
+from transduct import FeatureLabelMatrix, build_part2, nn_attention_classify
 from transduct import workflow
 from transduct.backends import MockBackend, prompt_hash
+from transduct.core import checked_prefix
 from transduct.errors import ContractError, DegenerateInputError, SchemaError
 from transduct.workflow import base_classifier_report, predict
 
@@ -558,3 +560,90 @@ class TestLabelRule:
         with pytest.raises(error, match=re.escape(message)):
             run(VAL_PROBS, VAL_TRUE, TEST_PROBS[:3], test_true, cfg)
         assert calls == []
+
+    def test_compute_metrics_takes_its_count_from_the_checked_labels(self):
+        # a generator is read once: its length is the checked array's, not len() of the argument
+        report = compute_metrics((x for x in [0, 1]), [0, 1], 2)
+        assert report.n_test == 2
+        assert report.confusion == ((1, 0), (0, 1))
+
+
+ROW_REF = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
+MOCK_1 = BackendConfig(kind="mock", mock_default=" 1")
+
+
+def predicted(method):
+    cfg = RunConfig(method=method, backend=MOCK_1, selection_ratio=1.0, knn=KnnConfig(k_neighbors=1), bags=3)
+    return lambda test_X: list(predict(ROW_REF, test_X, cfg))
+
+
+# the entry points that take test rows, and those that take one test row
+MATRIX_TAKERS = {
+    "predict-knn": predicted("knn"),
+    "predict-ubknn": predicted("ubknn"),
+    "predict-prompt": predicted("prompt"),
+    "LabeledDataset": lambda test_X: LabeledDataset(ROW_REF, test_X),
+}
+ROW_TAKERS = {
+    "classify": lambda f: classify(ROW_REF, f, build_plan(ROW_REF, 1.0), make_backend(MOCK_1)),
+    "knn_classify": lambda f: knn_classify(ROW_REF, f, KnnConfig(k_neighbors=1)),
+    "nn_attention_classify": lambda f: nn_attention_classify(ROW_REF, f),
+    "from_reference": lambda f: FeatureLabelMatrix.from_reference(ROW_REF, f),
+    "build_part2": build_part2,
+}
+NOT_ROWS = "test features must form an (n, d) matrix or a sequence of rows, got"
+ZERO_NORM = "has zero norm; cosine similarity undefined"
+AS_MATRIX = [
+    ("1-D array", lambda: np.array([0.5, 0.5]), ContractError, f"{NOT_ROWS} shape (2,)"),
+    ("3-D array", lambda: np.full((2, 2, 2), 0.5), ContractError, f"{NOT_ROWS} shape (2, 2, 2)"),
+    ("flat list", lambda: [0.5, 0.5], ContractError, "test feature 0 is not a row of numbers, got float"),
+    ("number", lambda: 0.5, ContractError, f"{NOT_ROWS} float"),
+    ("generator", lambda: (row for row in [[0.7, 0.3]]), ContractError, f"{NOT_ROWS} generator"),
+    ("NaN row", lambda: [[0.7, 0.3], [np.nan, 0.5]], ContractError, "test feature 1 contains non-finite values"),
+    ("zero row", lambda: [[0.7, 0.3], [0.0, 0.0]], DegenerateInputError, f"test feature 1 {ZERO_NORM}"),
+]
+AS_ROW = [
+    ("3-D array", lambda: np.full((2, 2, 2), 0.5), ContractError, "test feature 0 is not a row of numbers, got shape (2, 2, 2)"),
+    ("number", lambda: 0.5, ContractError, "test feature 0 is not a row of numbers, got float"),
+    ("generator", lambda: (v for v in [0.7, 0.3]), ContractError, "test feature 0 is not a row of numbers, got generator"),
+    ("NaN row", lambda: np.array([np.nan, 0.5]), ContractError, "test feature 0 contains non-finite values"),
+    ("zero row", lambda: np.array([0.0, 0.0]), DegenerateInputError, f"test feature 0 {ZERO_NORM}"),
+]
+FAULTY_ROWS = [
+    pytest.param(takers[taker], make, error, message, id=f"{taker}-{name}")
+    for takers, inputs in ((MATRIX_TAKERS, AS_MATRIX), (ROW_TAKERS, AS_ROW))
+    for taker in takers
+    for name, make, error, message in inputs
+    # only where a cosine ranks the row is a zero row an error
+    if not (name == "zero row" and taker in ("LabeledDataset", "build_part2"))
+]
+
+
+class TestTestRowRule:
+    @pytest.mark.parametrize("take, make, error, message", FAULTY_ROWS)
+    def test_each_faulty_input_is_a_typed_error_naming_the_row_or_shape(self, take, make, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            take(make())
+
+    @pytest.mark.parametrize("taker", list(ROW_TAKERS))
+    def test_a_flat_list_and_a_1d_array_are_one_row(self, taker):
+        def result(f):
+            out = ROW_TAKERS[taker](f)
+            if isinstance(out, FeatureLabelMatrix):
+                return out.rows.tolist()
+            return out.tolist() if isinstance(out, np.ndarray) else out
+
+        assert result([0.7, 0.3]) == result(np.array([0.7, 0.3])) == result(fv(0.7, 0.3))
+
+    def test_an_array_row_of_d_items_that_are_not_numbers_is_named_after_the_rows_before_it(self):
+        Q, error = checked_prefix([[0.7, 0.3], np.full((2, 2), 0.5), [0.2, 0.8]], 2, cosine=False)
+        assert Q.tolist() == [[0.7, 0.3]]
+        assert str(error) == "test feature 1 is not a row of numbers, got shape (2, 2)"
+
+    @pytest.mark.parametrize(
+        "rows", [[[0.7, 0.3], [{}, None]], [[0.7, 10**400]], [[0.7, 0.3], [[0.1, 0.2], [0.3, 0.4]]]],
+        ids=["objects", "too-large-for-float", "nested-lists"],
+    )
+    def test_a_list_row_of_d_items_that_are_not_numbers_is_a_contract_error(self, rows):
+        with pytest.raises(ContractError, match="features do not form an"):
+            LabeledDataset(ROW_REF, rows)
