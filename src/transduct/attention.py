@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, checked_prefix, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, checked_rows, unit_cosines, unit_rows
 from .errors import ContractError, NumericError
 
 
@@ -76,12 +76,10 @@ def nn_attention_classify(ref: ReferenceSet, f_test, s: float = 1e-6) -> np.ndar
 
     Keys are the unit-normalized reference features, values their one-hot
     labels (both kept on ``ref``), the query the unit-normalized test
-    FeatureVector or row, checked by :func:`checked_prefix`. For small ``s``
+    FeatureVector or row, checked by :func:`checked_rows`. For small ``s``
     the argmax is the cosine 1-NN label.
     """
-    Q, error = checked_prefix([f_test], ref.dimension, cosine=True)
-    if error is not None:
-        raise error
+    Q = checked_rows([f_test], ref.dimension, cosine=True)
     return attention(unit_rows(Q), ref.unit_rows(), ref.one_hot_labels(), s)[0]
 
 
@@ -113,10 +111,8 @@ class FeatureLabelMatrix:
 
     @classmethod
     def from_reference(cls, ref: ReferenceSet, f_test) -> "FeatureLabelMatrix":
-        """The rows of ``ref`` and the test FeatureVector or row, checked by :func:`checked_prefix`."""
-        q, error = checked_prefix([f_test], ref.dimension, cosine=True)
-        if error is not None:
-            raise error
+        """The rows of ``ref`` and the test FeatureVector or row, checked by :func:`checked_rows`."""
+        q = checked_rows([f_test], ref.dimension, cosine=True)
         feats = unit_rows(np.vstack([ref.feature_matrix(), q]))
         labels = np.vstack([ref.one_hot_labels(), np.zeros(ref.class_count)])
         return cls(np.hstack([feats, labels]), ref.dimension, ref.class_count)

@@ -15,8 +15,8 @@ from typing import Iterator, Literal, Union
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, checked_prefix, unit_cosines, unit_rows
-from .errors import ContractError, DegenerateInputError
+from .core import FeatureVector, ReferenceSet, checked_int, checked_rows, unit_cosines, unit_rows
+from .errors import ContractError
 
 # Cap on the bytes of the largest temporary a chunk of c test rows makes:
 # the (c, G, g) distances gathered for G row groups of g rows (or the
@@ -32,8 +32,7 @@ class KnnConfig:
     metric: Literal["cosine", "euclidean"] = "cosine"
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ContractError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        checked_int(self.k_neighbors, 1, "k_neighbors")
         if self.metric not in ("cosine", "euclidean"):
             raise ContractError(f"unknown metric {self.metric!r}")
 
@@ -45,8 +44,8 @@ class UbKnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_bags < 1:
-            raise ContractError(f"n_bags must be >= 1, got {self.n_bags}")
+        checked_int(self.n_bags, 1, "n_bags")
+        checked_int(self.seed, 0, "seed")
 
 
 def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count: int) -> np.ndarray:
@@ -76,12 +75,12 @@ def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str,
     ``ref``'s row groups (``groups``: ``(G, g)`` indices, a group per row in
     vote order) of each group's k-NN label. Distances are row-wise, so they
     do not depend on the chunk. Under cosine a zero-norm row among ``used``
-    raises first; a query that :func:`checked_prefix` rejects raises after
-    the labels before it."""
+    raises first, then any query that :func:`checked_rows` rejects, before
+    the first label."""
     U = ref.unit_rows(used) if metric == "cosine" else None
     X = ref.feature_matrix()
     m, d = X.shape
-    Q, error = checked_prefix(queries, d, cosine=U is not None)
+    Q = checked_rows(queries, d, cosine=U is not None)
     classes = np.arange(ref.class_count)
     step = max(1, _CHUNK_BYTES // (8 * max(groups.size, m * d if U is None else m)))
     for start in range(0, len(Q), step):
@@ -92,8 +91,6 @@ def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str,
             D = 1.0 - unit_cosines(U, unit_rows(chunk))
         votes = _vote(D, groups, ref.label_array(), k, ref.class_count)[:, :, None] == classes
         yield from np.argmax(np.count_nonzero(votes, axis=1), axis=1).tolist()
-    if error is not None:
-        raise error
 
 
 def batch_classify(ref: ReferenceSet, queries, cfg: Union[KnnConfig, UbKnnConfig]) -> Iterator[int]:

@@ -126,7 +126,7 @@ def _read_label(i: int, v, noun: str) -> int:
 
 def read_labels(labels, n: Optional[int] = None, class_count: Optional[int] = None, noun: str = "label") -> np.ndarray:
     """``labels`` (a 1-D array or a sequence) as a read-only 1-D int64 array, ``n`` long and each in
-    [0, ``class_count``) (a :func:`checked_class_count`) where given: the one rule for every label the
+    [0, ``class_count``) (a :func:`checked_int` >= 2) where given: the one rule for every label the
     library takes. Another shape or length, or a value that is not a whole number, is a ContractError;
     a value outside the range or int64, a SchemaError. Messages name the ``noun``, its value and index.
     A read-only int64 array is shared; plain ints need no per-value reading (~10x quicker on 2,000)."""
@@ -157,11 +157,12 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def checked_class_count(class_count, error: type = ContractError) -> int:
-    """``class_count`` as an int if it is an integer >= 2 (so not a bool), else ``error``."""
-    if not (isinstance(class_count, Integral) and class_count >= 2):
-        raise error(f"class_count must be an integer >= 2, got {class_count!r}")
-    return int(class_count)
+def checked_int(value, low: int, name: str, error: type = ContractError) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``low``, else ``error`` naming the
+    setting ``name``: the one check of an integer setting, a class count among them."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def inferred_class_count(*labels) -> int:
@@ -173,13 +174,13 @@ def as_feature_matrix(features) -> np.ndarray:
     """``features`` (an ``(m, d)`` array, nested sequences or FeatureVectors,
     d >= 1) as a read-only float64 matrix. A read-only float64 matrix is
     returned as is; anything else is copied."""
-    if isinstance(features, np.ndarray):
-        shared = features.dtype == np.float64 and not features.flags.writeable
-        X = features if shared else np.array(features, dtype=np.float64)
+    if isinstance(features, np.ndarray) and features.dtype == np.float64 and not features.flags.writeable:
+        X = features
     else:
-        rows = [f.values if isinstance(f, FeatureVector) else f for f in features]
+        if not isinstance(features, np.ndarray):
+            features = [f.values if isinstance(f, FeatureVector) else f for f in features]
         try:
-            X = np.array(rows, dtype=np.float64)
+            X = np.array(features, dtype=np.float64)
         except (ValueError, TypeError, OverflowError) as exc:  # rows of unequal length, or not numbers
             raise ContractError(f"features do not form an (m, d) matrix: {exc}") from None
     if X.ndim != 2 or X.shape[1] == 0:
@@ -199,32 +200,48 @@ def _width(row) -> Optional[int]:
         return None
 
 
-def checked_prefix(queries, d: int, cosine: bool) -> tuple[np.ndarray, Optional[ContractError]]:
-    """The test rows ``queries`` before the first bad one as a read-only matrix, and the error naming
-    that row, if any: the one rule for every test row the library takes. ``queries`` must be an
-    ``(n, d)`` matrix or a sequence of rows (FeatureVectors, 1-D arrays, sequences of numbers), else a
-    ContractError names its shape or type. A row of another length than ``d`` (a matrix's width), an
-    array row that is not 1-D, a number or a non-finite value is a ContractError naming its index; with
-    ``cosine``, a zero row a DegenerateInputError. Items that are not numbers fail in as_feature_matrix."""
+def _not_numbers(row, d: int) -> Optional[str]:
+    """Why numpy does not read the test row ``row`` as ``d`` numbers, or None if it does."""
+    try:
+        x = np.array(row.values if isinstance(row, FeatureVector) else row, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return str(exc)
+    return None if x.shape == (d,) else f"its items form shape {x.shape}"
+
+
+def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
+    """The test rows ``queries`` as a read-only ``(n, d)`` float64 matrix (a read-only float64 one is
+    shared), or the error naming the first bad row, raised before any row is used: the one rule for
+    every test row the library takes. ``queries`` must be an ``(n, d)`` matrix or a sequence of rows
+    (FeatureVectors, 1-D arrays, sequences of numbers), else a ContractError names its shape or type.
+    A row of another length than ``d`` (a matrix's width), an array row that is not 1-D, a row whose
+    items are not numbers or a non-finite value is a ContractError naming its index; with ``cosine``,
+    a zero row a DegenerateInputError. The first bad row in order wins."""
     if not (isinstance(queries, Sequence) or isinstance(queries, np.ndarray) and queries.ndim == 2):
-        message = f"test features must form an (n, d) matrix or a sequence of rows, got {_what(queries)}"
-        return _read_only(np.empty((0, d))), ContractError(message)
+        raise ContractError(f"test features must form an (n, d) matrix or a sequence of rows, got {_what(queries)}")
     rows = queries[:1] if isinstance(queries, np.ndarray) else queries
     n = next((i for i, f in enumerate(rows) if _width(f) != d or getattr(f, "ndim", 1) != 1), len(queries))
-    Q = as_feature_matrix(queries[:n] if n < len(queries) else queries) if n else _read_only(np.empty((0, d)))
+    head = queries[:n] if n < len(queries) else queries
+    try:
+        Q = as_feature_matrix(head) if n else _read_only(np.empty((0, d)))
+    except ContractError:  # a row of d items that are not all numbers: name it after the rows before it
+        for i, why in enumerate(_not_numbers(row, d) for row in head):
+            if why:
+                checked_rows(head[:i], d, cosine)
+                raise ContractError(f"test feature {i} is not a row of numbers: {why}") from None
+        raise
     finite = np.isfinite(Q).all(axis=1)
     good = finite & (np.linalg.norm(Q, axis=1) > 0.0) if cosine else finite
-    stop = n if good.all() else int(np.argmin(good))
-    if stop < n and not finite[stop]:
-        return Q[:stop], ContractError(f"test feature {stop} contains non-finite values")
-    if stop < n:
-        message = f"test feature {stop} has zero norm; cosine similarity undefined"
-        return Q[:stop], DegenerateInputError(message, index=stop)
+    if not good.all():
+        i = int(np.argmin(good))
+        if not finite[i]:
+            raise ContractError(f"test feature {i} contains non-finite values")
+        raise DegenerateInputError(f"test feature {i} has zero norm; cosine similarity undefined", index=i)
     if n < len(queries):
         w = _width(queries[n])
         problem = f"is not a row of numbers, got {_what(queries[n])}" if w in (None, d) else f"has dimension {w}, expected {d}"
-        return Q, ContractError(f"test feature {n} {problem}")
-    return Q, None
+        raise ContractError(f"test feature {n} {problem}")
+    return Q
 
 
 def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
@@ -274,7 +291,7 @@ class ReferenceSet:
 
     def __post_init__(self):
         X = as_feature_matrix(self.X)
-        class_count = checked_class_count(self.class_count)
+        class_count = checked_int(self.class_count, 2, "class_count")
         y = read_labels(self.y, len(X), class_count)
         if len(X) == 0:
             raise ContractError("reference set must contain at least one sample")
@@ -346,19 +363,16 @@ class LabeledDataset:
     """A reference (validation) split plus the test split to be labeled: a
     read-only ``(n, d)`` float64 matrix ``test_X``, built as a reference set's
     ``X`` is, and read-only int64 labels ``test_y`` or None, checked once by
-    :func:`checked_prefix`. ``test_features`` and ``test_labels`` are views."""
+    :func:`checked_rows`. ``test_features`` and ``test_labels`` are views."""
 
     reference: ReferenceSet
     test_X: np.ndarray
     test_y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        T, error = checked_prefix(self.test_X, self.reference.dimension, cosine=False)
-        if error is not None:
-            raise error
-        object.__setattr__(self, "test_X", T)
+        object.__setattr__(self, "test_X", checked_rows(self.test_X, self.reference.dimension, cosine=False))
         if self.test_y is not None:
-            y = read_labels(self.test_y, len(T), self.reference.class_count, "test label")
+            y = read_labels(self.test_y, len(self.test_X), self.reference.class_count, "test label")
             object.__setattr__(self, "test_y", y)
 
     @cached_property
@@ -379,7 +393,7 @@ class IngestionSchema:
 
     def __post_init__(self):
         if self.class_count is not None:
-            checked_class_count(self.class_count, SchemaError)
+            checked_int(self.class_count, 2, "class_count", SchemaError)
 
 
 @dataclass(frozen=True)
@@ -737,7 +751,7 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = payload.get("class_count", schema.class_count)
     if class_count is not None:
-        checked_class_count(class_count, SchemaError)
+        checked_int(class_count, 2, "class_count", SchemaError)
     table = _json_table(payload, class_count, schema.is_probability)
     return _assemble(table, table, class_count)
 

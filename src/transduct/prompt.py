@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import ReferenceSet, _read_only, _width, checked_prefix, inferred_class_count
+from .core import ReferenceSet, _read_only, _width, checked_int, checked_rows, inferred_class_count
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -52,8 +52,7 @@ class SerializationConfig:
     token_budget: int = 4000
 
     def __post_init__(self):
-        if self.decimals < 1:
-            raise ContractError(f"decimals must be >= 1, got {self.decimals}")
+        checked_int(self.decimals, 1, "decimals")
         if self.token_budget <= 0:
             raise ContractError(f"token_budget must be positive, got {self.token_budget}")
 
@@ -134,11 +133,8 @@ def _part2(Q: np.ndarray, cfg: SerializationConfig) -> str:
 
 def build_part2(f_test, cfg: SerializationConfig = SerializationConfig()) -> str:
     """The unlabeled test line of a FeatureVector or a row of any width, checked
-    by :func:`checked_prefix`, ending in the completion cue."""
-    Q, error = checked_prefix([f_test], _width(f_test) or 1, cosine=False)  # any width d >= 1
-    if error is not None:
-        raise error
-    return _part2(Q, cfg)
+    by :func:`checked_rows`, ending in the completion cue."""
+    return _part2(checked_rows([f_test], _width(f_test) or 1, cosine=False), cfg)  # any width d >= 1
 
 
 def build_bundle(
@@ -148,12 +144,9 @@ def build_bundle(
     cfg: SerializationConfig = SerializationConfig(),
 ) -> PromptBundle:
     """Assemble part 1 + part 2 of a FeatureVector or a row, checked first by
-    :func:`checked_prefix`, enforcing the total token budget: over it, whichever
+    :func:`checked_rows`, enforcing the total token budget: over it, whichever
     part overflows, ``max_feasible_k`` counts the lines that fit beside Part 2."""
-    Q, error = checked_prefix([f_test], ref.dimension, cosine=False)
-    if error is not None:
-        raise error
-    part2 = _part2(Q, cfg)
+    part2 = _part2(checked_rows([f_test], ref.dimension, cosine=False), cfg)
     try:
         part1 = build_part1(ref, plan, cfg)
     except TokenBudgetError:  # its hint leaves no room for Part 2

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import backends as backends_mod
 from .baselines import KnnConfig, UbKnnConfig, batch_classify
-from .core import FeatureVector, ReferenceSet, as_feature_matrix, checked_class_count, checked_prefix
+from .core import FeatureVector, ReferenceSet, checked_int, checked_rows
 from .core import derive_error_detection_set, inferred_class_count, read_labels
 from .errors import ContractError
 from .prompt import SerializationConfig
@@ -73,7 +73,7 @@ def compute_metrics(
 ) -> EvalReport:
     """Confusion matrix and derived metrics for one evaluation run: ``predictions``
     and ``truths`` are labels of the same samples (see :func:`~transduct.core.read_labels`)."""
-    class_count = checked_class_count(class_count)
+    class_count = checked_int(class_count, 2, "class_count")
     p = read_labels(predictions, None, class_count, "prediction")
     t = read_labels(truths, len(p), class_count, "truth")
     _check_evaluable(len(p), class_count, positive_class)
@@ -128,17 +128,14 @@ def predict(
     every sample, a row of the checked matrix, shares them; the baselines
     classify a few rows at a time. Under every method a bad test row (another
     dimension, a non-finite value or, where a cosine ranks it, zero norm; see
-    :func:`~transduct.core.checked_prefix`) raises after the labels before
-    it, naming its test index: the prompt method never sends its prompt.
+    :func:`~transduct.core.checked_rows`) raises before the first label, naming
+    its test index: the prompt method sends no request.
     """
     if cfg.method == "prompt":
         plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
         backend = backends_mod.make_backend(cfg.backend)
-        Q, error = checked_prefix(test_X, ref.dimension, cosine=True)
-        for row in Q:
+        for row in checked_rows(test_X, ref.dimension, cosine=True):
             yield backends_mod.classify(ref, row, plan, backend, cfg.serialization)
-        if error is not None:
-            raise error
     elif cfg.method in ("knn", "ubknn"):
         method_cfg = cfg.knn if cfg.method == "knn" else UbKnnConfig(cfg.knn, cfg.bags, cfg.seed)
         for label in batch_classify(ref, test_X, method_cfg):
@@ -147,14 +144,9 @@ def predict(
         raise ContractError(f"unknown method {cfg.method!r}")
 
 
-def _predictions(probs: Probs) -> np.ndarray:
-    """The base classifier's argmax per row; ties go to the lowest index."""
-    return np.argmax(as_feature_matrix(probs), axis=1)
-
-
 def _run(
     ref: ReferenceSet,
-    test_X: Probs,
+    test_X: np.ndarray,
     truths: Sequence[int],
     cfg: RunConfig,
 ) -> EvalReport:
@@ -179,13 +171,14 @@ def run_error_detection(
 
     Ground truth for scoring is whether the base classifier's argmax on
     each test probability vector disagrees with the true class, one of its
-    d columns. Every label and ``cfg.positive_class`` is checked before the
-    first test sample is predicted.
+    d columns. Every test row (:func:`~transduct.core.checked_rows`), label
+    and ``cfg.positive_class`` is checked before the first sample is predicted.
     """
     ref = derive_error_detection_set(val_probs, val_true)
-    test_y = read_labels(test_true, len(test_probs), ref.dimension, "test label")
+    T = checked_rows(test_probs, ref.dimension, cosine=False)
+    test_y = read_labels(test_true, len(T), ref.dimension, "test label")
     _check_evaluable(len(test_y), ref.class_count, cfg.positive_class)
-    return _run(ref, test_probs, (_predictions(test_probs) != test_y).astype(np.int64), cfg)
+    return _run(ref, T, (np.argmax(T, axis=1) != test_y).astype(np.int64), cfg)
 
 
 def base_classifier_report(
@@ -194,8 +187,9 @@ def base_classifier_report(
     class_count: int,
     positive_class: int = 1,
 ) -> EvalReport:
-    """Metrics of the unmodified base classifier (plain argmax)."""
-    return compute_metrics(_predictions(test_probs), test_true, class_count, positive_class)
+    """Metrics of the unmodified base classifier: the argmax of each test row (of ``class_count`` values)."""
+    T = checked_rows(test_probs, checked_int(class_count, 2, "class_count"), cosine=False)
+    return compute_metrics(np.argmax(T, axis=1), test_true, class_count, positive_class)
 
 
 def run_accuracy_improvement(
@@ -209,18 +203,19 @@ def run_accuracy_improvement(
     """Re-predict test labels from validation references.
 
     Returns (adjusted report, base argmax report) so the adjustment can be
-    compared against leaving the classifier untouched. Every label, the
-    class count and ``cfg.positive_class`` are checked before the first
-    test sample is predicted.
+    compared against leaving the classifier untouched. Every test row, every
+    label, the class count and ``cfg.positive_class`` are checked before the
+    first test sample is predicted.
     """
-    val_y, test_y = read_labels(val_true), read_labels(test_true, len(test_probs), noun="test label")
+    val_y, test_y = read_labels(val_true), read_labels(test_true, noun="test label")
     ref = ReferenceSet(val_probs, val_y, inferred_class_count(val_y, test_y) if class_count is None else class_count)
     if ref.dimension != ref.class_count:
         raise ContractError(
             f"accuracy improvement expects one probability per class: features"
             f" have {ref.dimension} values but there are {ref.class_count} classes"
         )
-    test_y = read_labels(test_y, None, ref.class_count, "test label")
+    T = checked_rows(test_probs, ref.dimension, cosine=False)
+    test_y = read_labels(test_y, len(T), ref.class_count, "test label")
     _check_evaluable(len(test_y), ref.class_count, cfg.positive_class)
-    report = _run(ref, test_probs, test_y, cfg)
-    return report, base_classifier_report(test_probs, test_y, ref.class_count, cfg.positive_class)
+    report = _run(ref, T, test_y, cfg)
+    return report, base_classifier_report(T, test_y, ref.class_count, cfg.positive_class)

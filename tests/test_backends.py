@@ -13,11 +13,14 @@ from transduct import (
     FeatureVector,
     ReferenceSet,
     RetryPolicy,
+    RunConfig,
     build_bundle,
     build_plan,
     classify,
+    derive_error_detection_set,
     load_dataset,
     make_backend,
+    run_error_detection,
 )
 from transduct.backends import (
     LocalAttentionBackend,
@@ -37,6 +40,7 @@ from transduct.errors import (
 
 from transduct.attention import nn_attention_classify
 from transduct.prompt import SerializationConfig, build_part1, parse_prompt
+from transduct.workflow import predict
 
 from conftest import oracle_1nn
 
@@ -242,6 +246,23 @@ class TestRemoteBackend:
         label, _ = classify(small_ref, fv(0.2, 0.8), plan, backend)
         assert label == 1
         assert transport.calls[0][2]["model"] == "m"
+
+    @pytest.mark.parametrize("entry", ["predict", "run_error_detection"])
+    def test_a_bad_test_row_sends_no_request(self, monkeypatch, entry):
+        # test row 5 is NaN: the run is refused before its first sample, so rows 0-4 send nothing
+        transport = ScriptedTransport([(200, OK_BODY)] * 8)
+        monkeypatch.setattr(backends_mod, "make_backend", lambda cfg: self.make(cfg, transport)[0])
+        val = [[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.2, 0.8], [0.6, 0.4], [0.4, 0.6]]
+        val_true = [0, 1, 1, 0, 0, 1]
+        test = np.tile([[0.7, 0.3], [0.35, 0.65]], (4, 1))
+        test[5, 1] = np.nan
+        cfg = RunConfig(backend=remote_cfg(), selection_ratio=1.0)
+        with pytest.raises(ContractError, match="test feature 5 contains non-finite values"):
+            if entry == "predict":
+                list(predict(derive_error_detection_set(val, val_true), test, cfg))
+            else:
+                run_error_detection(val, val_true, test, [0, 1] * 4, cfg)
+        assert transport.calls == []
 
     def test_missing_key_is_credential_error(self):
         transport = ScriptedTransport([])

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -143,6 +144,22 @@ class TestKnn:
         for _ in range(10):
             f = FeatureVector.of(rng.uniform(0.05, 1.0, size=3))
             assert knn_classify(ref, f, KnnConfig(3)) == knn_classify(ref_p, f, KnnConfig(3))
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: KnnConfig(k_neighbors=2.5), "k_neighbors must be an integer >= 1, got 2.5"),
+            (lambda: UbKnnConfig(n_bags=2.5), "n_bags must be an integer >= 1, got 2.5"),
+            (lambda: UbKnnConfig(seed=-1), "seed must be an integer >= 0, got -1"),
+            (lambda: UbKnnConfig(seed=2.5), "seed must be an integer >= 0, got 2.5"),
+        ],
+        ids=["k-float", "bags-float", "seed-negative", "seed-float"],
+    )
+    def test_a_setting_that_is_not_an_integer_in_range_is_a_contract_error(self, make, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            make()
 
 
 class TestUbKnn:
@@ -399,19 +416,17 @@ class TestBatchedCore:
         ref = blob_ref(np.random.default_rng(2))
         cfg = RunConfig(method=method, knn=KnnConfig(3), bags=3)
         results = predict(ref, [fv(0.7, 0.5), fv(0.0, 0.0), fv(0.5, 0.7)], cfg)
-        oracle = oracle_knn(ref, fv(0.7, 0.5), 3) if method == "knn" else oracle_ubknn(ref, fv(0.7, 0.5), UbKnnConfig(KnnConfig(3), 3))
-        assert next(results) == (oracle, None)
         with pytest.raises(DegenerateInputError, match="test feature 1") as info:
-            next(results)
+            next(results)  # the first next(): no label comes before the bad row's error
         assert info.value.index == 1
-        # a later chunk: every label before the bad row first, then its index
+        # a later chunk: still no label, and the error names the row's index
         monkeypatch.setattr(baselines, "_CHUNK_BYTES", 1)
         tests = [fv(0.7, 0.5 + i / 10) for i in range(5)] + [fv(0.0, 0.0), fv(0.5, 0.7)]
         labels = []
         with pytest.raises(DegenerateInputError, match="test feature 5") as info:
             for label, _ in predict(ref, tests, cfg):
                 labels.append(label)
-        assert info.value.index == 5 and len(labels) == 5
+        assert info.value.index == 5 and labels == []
 
     def test_errors_keep_their_precedence(self):
         ok = ReferenceSet.build([[1.0, 0.1], [0.2, 1.0], [0.5, 0.5]], [0, 1, 0], 2)
@@ -432,7 +447,7 @@ class TestBatchedCore:
                 call(ok, fv(0.0, 0.0))  # then the zero-norm query
         assert nearest_label(bad, fv(0.5, 0.5), [2, 0]) == 0  # an unused zero row is fine
 
-    def test_a_row_of_another_dimension_raises_after_the_labels_before_it(self):
+    def test_a_row_of_another_dimension_raises_before_the_first_label(self):
         ref = blob_ref(np.random.default_rng(3))
         tests = [fv(0.7, 0.5), fv(0.5, 0.7), fv(0.5, 0.7, 0.1), fv(0.1, 0.9)]
         for method in ("knn", "ubknn"):
@@ -440,10 +455,10 @@ class TestBatchedCore:
             with pytest.raises(ContractError, match="test feature 2 has dimension 3, expected 2"):
                 for label, _ in predict(ref, tests, RunConfig(method=method)):
                     labels.append(label)
-            assert len(labels) == 2
+            assert labels == []
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_test_matrix_with_a_non_finite_row_raises_after_the_labels_before_it(self, metric):
+    def test_test_matrix_with_a_non_finite_row_raises_before_the_first_label(self, metric):
         ref = blob_ref(np.random.default_rng(3))
         Q = np.array([[0.7, 0.5], [0.5, 0.7], [np.nan, 0.5], [0.0, 0.0]])
         cfg = RunConfig(method="knn", knn=KnnConfig(3, metric))
@@ -452,7 +467,7 @@ class TestBatchedCore:
             for label, _ in predict(ref, Q, cfg):
                 labels.append(label)
         assert type(info.value) is ContractError
-        assert labels == [label for label, _ in predict(ref, [fv(0.7, 0.5), fv(0.5, 0.7)], cfg)]
+        assert labels == []
 
     def test_empty_test_split_yields_nothing(self):
         ref = blob_ref(np.random.default_rng(3))

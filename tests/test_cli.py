@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import transduct
-from transduct.backends import prompt_hash
+from transduct.backends import LocalAttentionBackend, MockBackend, prompt_hash
 from transduct.cli import main
 from transduct.core import load_dataset
 from transduct.prompt import SerializationConfig, build_bundle
@@ -204,13 +204,17 @@ class TestInferErrors:
         "flags", [["--backend", "local"], ["--backend", "mock", "--mock-default", " x"]],
         ids=["local", "mock-fallback"],
     )
-    def test_zero_norm_test_row_is_named(self, tmp_path, capsys, flags):
+    def test_zero_norm_test_row_is_named(self, monkeypatch, tmp_path, capsys, flags):
+        calls = []
+        for kind in (MockBackend, LocalAttentionBackend):
+            monkeypatch.setattr(kind, "complete", lambda *args, fn=kind.complete: calls.append(1) or fn(*args))
         path = tmp_path / "zero.csv"
         path.write_text(DATA_CSV + "0.0,0.0,0,test\n")
         rc, records = infer_records(str(path), tmp_path, *flags)
         assert rc == 1
         assert "error: test feature 2 has zero norm" in capsys.readouterr().err
-        assert [r["index"] for r in records] == [0, 1]
+        # refused before the first record and the first request
+        assert records == [] and calls == []
 
     @pytest.mark.parametrize("backend", ["local", "mock"])
     def test_test_row_rendered_to_zeros_takes_the_fallback(self, tmp_path, backend):
@@ -282,7 +286,14 @@ class TestEvaluate:
     def test_bags_below_one_fails_only_the_method_that_bags(self, data_file, capsys, method, rc):
         argv = ["evaluate", "--data", data_file, "--use-case", "accuracy_improvement", "--method", method, "--k", "1"]
         assert main([*argv, "--bags", "0"]) == rc
-        assert ("error: n_bags must be >= 1, got 0" in capsys.readouterr().err) == (rc == 1)
+        assert ("error: n_bags must be an integer >= 1, got 0" in capsys.readouterr().err) == (rc == 1)
+
+    @pytest.mark.parametrize("method, rc", [("ubknn", 1), ("knn", 0)])
+    def test_negative_seed_fails_only_the_method_that_bags(self, data_file, capsys, method, rc):
+        # numpy's seeding used to end the ubknn run in a raw ValueError traceback
+        argv = ["evaluate", "--data", data_file, "--use-case", "accuracy_improvement", "--method", method, "--k", "1"]
+        assert main([*argv, "--seed", "-1"]) == rc
+        assert ("error: seed must be an integer >= 0, got -1" in capsys.readouterr().err) == (rc == 1)
 
     def test_knn_method(self, data_file, capsys):
         rc = main(

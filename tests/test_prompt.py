@@ -64,6 +64,12 @@ class TestPart2Rendering:
         with pytest.raises(ContractError):
             SerializationConfig(decimals=0)
 
+    @pytest.mark.parametrize("decimals", [2.0, True])
+    def test_decimals_must_be_an_integer(self, decimals):
+        # 2.0 used to render every value with "%.2.0f"
+        with pytest.raises(ContractError, match=f"decimals must be an integer >= 1, got {decimals!r}"):
+            SerializationConfig(decimals=decimals)
+
     @settings(max_examples=300, deadline=None)
     @given(
         decimals=st.integers(1, 6),

@@ -25,8 +25,8 @@ from transduct import (
 from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backend, ubknn_classify
 from transduct import FeatureLabelMatrix, build_part2, nn_attention_classify
 from transduct import workflow
-from transduct.backends import MockBackend, prompt_hash
-from transduct.core import checked_prefix
+from transduct.backends import LocalAttentionBackend, MockBackend, prompt_hash
+from transduct.core import checked_rows
 from transduct.errors import ContractError, DegenerateInputError, SchemaError
 from transduct.workflow import base_classifier_report, predict
 
@@ -377,14 +377,17 @@ class TestPredict:
         "backend", [BackendConfig(kind="local-attention"), BackendConfig(kind="mock", mock_default=" x")],
         ids=["local", "mock-fallback"],
     )
-    def test_zero_norm_test_row_is_named_by_its_test_index(self, backend):
+    def test_zero_norm_test_row_is_named_by_its_test_index(self, monkeypatch, backend):
+        calls = []
+        for kind in (MockBackend, LocalAttentionBackend):
+            monkeypatch.setattr(kind, "complete", counting(calls, "complete", kind.complete))
         ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
         tests = [fv(0.7, 0.3), fv(0.4, 0.6), fv(0.0, 0.0)]
         results = predict(ref, tests, RunConfig(backend=backend, selection_ratio=1.0))
-        assert [next(results)[0] for _ in range(2)] == [0, 1]
         with pytest.raises(DegenerateInputError, match="test feature 2 has zero norm") as info:
-            next(results)
+            next(results)  # no label and no request before the bad row's error
         assert info.value.index == 2
+        assert list(results) == [] and calls == []
 
     @pytest.mark.parametrize(
         "backend", [BackendConfig(kind="local-attention"), BackendConfig(kind="mock")], ids=["local", "mock"]
@@ -405,7 +408,10 @@ class TestPredict:
         ids=["non-finite", "dimension"],
     )
     @pytest.mark.parametrize("method", ["prompt-local", "prompt-mock", "knn", "ubknn"])
-    def test_bad_test_row_is_named_under_every_method(self, tests, message, method):
+    def test_bad_test_row_is_named_under_every_method(self, monkeypatch, tests, message, method):
+        calls = []
+        for kind in (MockBackend, LocalAttentionBackend):
+            monkeypatch.setattr(kind, "complete", counting(calls, "complete", kind.complete))
         ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
         plan = build_plan(ref, 1.0, True)
         first = build_bundle(ref, fv(0.7, 0.3), plan).prompt
@@ -418,10 +424,10 @@ class TestPredict:
             knn=KnnConfig(k_neighbors=1), bags=3, seed=0,
         )
         results = predict(ref, tests, cfg)
-        assert next(results)[0] == 0
-        # the mock holds no completion for row 1: sending its prompt would raise TransportError
+        # row 0 could be labelled (the mock holds its completion), but the bad row 1 refuses the run first
         with pytest.raises(ContractError, match=message):
             next(results)
+        assert list(results) == [] and calls == []
 
     @pytest.mark.parametrize("reply", [" 1", " x"], ids=["answered", "fallback"])
     def test_prompt_method_checks_the_matrix_then_each_row_in_its_bundle(self, monkeypatch, reply):
@@ -431,11 +437,11 @@ class TestPredict:
 
         def spy(*args, **kwargs):
             calls.append(args)
-            return core.checked_prefix(*args, **kwargs)
+            return core.checked_rows(*args, **kwargs)
 
         for module in (backends, baselines, prompt, workflow):
-            if hasattr(module, "checked_prefix"):
-                monkeypatch.setattr(module, "checked_prefix", spy)
+            if hasattr(module, "checked_rows"):
+                monkeypatch.setattr(module, "checked_rows", spy)
         ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
         tests = np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8], [0.6, 0.4]])
         cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default=reply), selection_ratio=1.0)
@@ -583,6 +589,9 @@ MATRIX_TAKERS = {
     "predict-ubknn": predicted("ubknn"),
     "predict-prompt": predicted("prompt"),
     "LabeledDataset": lambda test_X: LabeledDataset(ROW_REF, test_X),
+    "run_error_detection": lambda test_X: run_error_detection(PROBS2, [0, 1], test_X, [0, 1], KNN1),
+    "run_accuracy_improvement": lambda test_X: run_accuracy_improvement(PROBS2, [0, 1], test_X, [0, 1], KNN1),
+    "base_classifier_report": lambda test_X: base_classifier_report(test_X, [0, 1], 2),
 }
 ROW_TAKERS = {
     "classify": lambda f: classify(ROW_REF, f, build_plan(ROW_REF, 1.0), make_backend(MOCK_1)),
@@ -599,6 +608,7 @@ AS_MATRIX = [
     ("flat list", lambda: [0.5, 0.5], ContractError, "test feature 0 is not a row of numbers, got float"),
     ("number", lambda: 0.5, ContractError, f"{NOT_ROWS} float"),
     ("generator", lambda: (row for row in [[0.7, 0.3]]), ContractError, f"{NOT_ROWS} generator"),
+    ("ragged row", lambda: [[0.7, 0.3], [0.5]], ContractError, "test feature 1 has dimension 1, expected 2"),
     ("NaN row", lambda: [[0.7, 0.3], [np.nan, 0.5]], ContractError, "test feature 1 contains non-finite values"),
     ("zero row", lambda: [[0.7, 0.3], [0.0, 0.0]], DegenerateInputError, f"test feature 1 {ZERO_NORM}"),
 ]
@@ -615,7 +625,7 @@ FAULTY_ROWS = [
     for taker in takers
     for name, make, error, message in inputs
     # only where a cosine ranks the row is a zero row an error
-    if not (name == "zero row" and taker in ("LabeledDataset", "build_part2"))
+    if not (name == "zero row" and taker in ("LabeledDataset", "base_classifier_report", "build_part2"))
 ]
 
 
@@ -635,15 +645,36 @@ class TestTestRowRule:
 
         assert result([0.7, 0.3]) == result(np.array([0.7, 0.3])) == result(fv(0.7, 0.3))
 
-    def test_an_array_row_of_d_items_that_are_not_numbers_is_named_after_the_rows_before_it(self):
-        Q, error = checked_prefix([[0.7, 0.3], np.full((2, 2), 0.5), [0.2, 0.8]], 2, cosine=False)
-        assert Q.tolist() == [[0.7, 0.3]]
-        assert str(error) == "test feature 1 is not a row of numbers, got shape (2, 2)"
+    def test_an_array_row_of_d_items_that_are_not_numbers_is_named_by_its_index(self):
+        with pytest.raises(ContractError) as info:
+            checked_rows([[0.7, 0.3], np.full((2, 2), 0.5), [0.2, 0.8]], 2, cosine=False)
+        assert str(info.value) == "test feature 1 is not a row of numbers, got shape (2, 2)"
 
     @pytest.mark.parametrize(
-        "rows", [[[0.7, 0.3], [{}, None]], [[0.7, 10**400]], [[0.7, 0.3], [[0.1, 0.2], [0.3, 0.4]]]],
-        ids=["objects", "too-large-for-float", "nested-lists"],
+        "rows, message",
+        [
+            ([[0.7, 0.3], [{}, None]], "test feature 1 is not a row of numbers: float() argument must be"),
+            ([[0.7, 10**400]], "test feature 0 is not a row of numbers: int too large to convert to float"),
+            ([[0.7, 0.3], [[0.1, 0.2], [0.3, 0.4]]], "test feature 1 is not a row of numbers: its items form shape (2, 2)"),
+            ([[[0.1, 0.2], [0.3, 0.4]]], "test feature 0 is not a row of numbers: its items form shape (2, 2)"),
+            (np.array([[0.7, 0.3], [0.2, {}]], dtype=object), "test feature 1 is not a row of numbers: float() argument"),
+        ],
+        ids=["objects", "too-large-for-float", "nested-lists", "nested-lists-alone", "object-array"],
     )
-    def test_a_list_row_of_d_items_that_are_not_numbers_is_a_contract_error(self, rows):
-        with pytest.raises(ContractError, match="features do not form an"):
-            LabeledDataset(ROW_REF, rows)
+    @pytest.mark.parametrize("taker", list(MATRIX_TAKERS))
+    def test_a_list_row_of_d_items_that_are_not_numbers_is_a_contract_error(self, taker, rows, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            MATRIX_TAKERS[taker](rows)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[np.nan, 0.3], [{}, None]], "test feature 0 contains non-finite values"),
+            ([[0.7, 0.3], [{}, 0.5], [0.1, 0.2, 0.3]], "test feature 1 is not a row of numbers"),
+            ([[0.7, 0.3], [0.1, 0.2, 0.3], [{}, 0.5]], "test feature 1 has dimension 3, expected 2"),
+        ],
+        ids=["non-finite-first", "unreadable-first", "dimension-first"],
+    )
+    def test_the_first_bad_row_in_order_wins(self, rows, message):
+        with pytest.raises(ContractError, match=re.escape(message)):
+            checked_rows(rows, 2, cosine=False)
