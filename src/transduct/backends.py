@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import nn_attention_classify
 from .baselines import nearest_label
-from .core import ReferenceSet, _read_only
+from .core import ReferenceSet, _read_only, checked_int
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -86,12 +86,10 @@ class BackendConfig:
                 raise ContractError("remote backend requires endpoint_url and api_key_env")
             if not str(self.endpoint_url).lower().startswith(("http://", "https://")):
                 raise ContractError(f"endpoint_url must be an http or https URL, got {self.endpoint_url!r}")
-            if self.retry.max_attempts < 1:
-                raise ContractError(f"max_attempts must be >= 1, got {self.retry.max_attempts}")
-            if self.retry.base_backoff_ms < 0:
-                raise ContractError(f"base_backoff_ms must be >= 0, got {self.retry.base_backoff_ms}")
-            if self.request_budget < 0:
-                raise ContractError(f"request_budget must be >= 0, got {self.request_budget}")
+            checked_int(self.retry.max_attempts, 1, "max_attempts")
+            checked_int(self.retry.base_backoff_ms, 0, "base_backoff_ms")
+            checked_int(self.rate_limit_rpm, 1, "rate_limit_rpm")
+            checked_int(self.request_budget, 0, "request_budget")
         if not self.attention_scale > 0:
             raise ContractError(f"attention_scale must be positive, got {self.attention_scale}")
 
@@ -355,7 +353,7 @@ def classify(
             continue
     fallback = label is None
     if fallback:
-        label = nearest_label(ref, f_test, plan.ordered_indices)
+        label = nearest_label(ref, f_test, plan.index_array)
     audit = ClassifyAudit(
         part1=bundle.part1,
         part2=bundle.part2,

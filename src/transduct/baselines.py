@@ -112,11 +112,14 @@ def knn_classify(ref: ReferenceSet, f_test: FeatureVector, cfg: KnnConfig = KnnC
 
 
 def nearest_label(ref: ReferenceSet, f_test, rows) -> int:
-    """Label of the cosine-nearest of ``ref``'s rows ``rows``; distance ties
-    go to the row listed first. Equals ``knn_classify(ref.subset(rows),
-    f_test, KnnConfig(1, "cosine"))`` without building the subset."""
+    """Label of the cosine-nearest of ``ref``'s rows ``rows`` (an index array or sequence); distance
+    ties go to the row listed first. Equals ``knn_classify(ref.subset(rows), f_test, KnnConfig(1,
+    "cosine"))``, errors and their order included, without building the subset: it scores only
+    ``rows``, O(k d) for k rows."""
     rows = np.asarray(rows, dtype=np.intp)
-    return next(_labels(ref, [f_test], rows[None, :], 1, "cosine", rows))
+    U = ref.unit_rows(rows)[rows]  # a zero-norm listed row raises first
+    q = unit_rows(checked_rows([f_test], ref.dimension, cosine=True))
+    return int(ref.label_array()[rows[np.argmin(1.0 - unit_cosines(U, q)[0])]])
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,27 @@ def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
     (FeatureVectors, 1-D arrays, sequences of numbers), else a ContractError names its shape or type.
     A row of another length than ``d`` (a matrix's width), an array row that is not 1-D, a row whose
     items are not numbers or a non-finite value is a ContractError naming its index; with ``cosine``,
-    a zero row a DegenerateInputError. The first bad row in order wins."""
+    a zero row a DegenerateInputError. The first bad row in order wins. A good input costs one
+    conversion and one finiteness test (with ``cosine``, one norm test too); the rows are walked one
+    by one only to name a bad one."""
     if not (isinstance(queries, Sequence) or isinstance(queries, np.ndarray) and queries.ndim == 2):
         raise ContractError(f"test features must form an (n, d) matrix or a sequence of rows, got {_what(queries)}")
+    if not len(queries):
+        return _read_only(np.empty((0, d)))
+    try:
+        Q = as_feature_matrix(queries)
+    except ContractError:
+        Q = None
+    if Q is not None and Q.shape[1] == d and np.isfinite(Q).all():
+        if not cosine or (np.linalg.norm(Q, axis=1) > 0.0).all():  # a norm, not Q.any(): 1e-200 squares to 0
+            return Q
+    return _walked_rows(queries, d, cosine)
+
+
+def _walked_rows(queries, d: int, cosine: bool) -> np.ndarray:
+    """:func:`checked_rows` of a non-empty ``queries`` that fails its whole-input test, row by row, to
+    raise the first bad row's error: the rows before the first of another width or shape are
+    converted and checked in order, then that row is named."""
     rows = queries[:1] if isinstance(queries, np.ndarray) else queries
     n = next((i for i, f in enumerate(rows) if _width(f) != d or getattr(f, "ndim", 1) != 1), len(queries))
     head = queries[:n] if n < len(queries) else queries
@@ -246,9 +264,10 @@ def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
 
 def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
     """The rows of ``X`` scaled to unit norm: the one place a cosine divides
-    by a norm. A zero-norm row (exact zero is the only degenerate case)
-    among the ``used`` rows (an index array or a row mask; default all)
-    raises DegenerateInputError with its index; any other comes back NaN."""
+    by a norm. A zero-norm row (all zeros, or values whose squares underflow,
+    like 1e-200) among the ``used`` rows (an index array or a row mask;
+    default all) raises DegenerateInputError with its index; any other comes
+    back non-finite (NaN, or inf where a value is not zero)."""
     if X.shape[0] == 0:
         raise ContractError("unit rows of an empty feature matrix")
     norms = np.linalg.norm(X, axis=1)
@@ -262,7 +281,7 @@ def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
                 f"zero-norm feature vector at index {i}; cosine similarity undefined",
                 index=i,
             )
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 and, for an underflowed norm, x/0
         return X / norms[:, None]
 
 
@@ -337,12 +356,12 @@ class ReferenceSet:
 
     def unit_rows(self, used=slice(None)) -> np.ndarray:
         """The rows of ``X`` scaled to unit norm (:func:`unit_rows`), computed
-        once and kept read-only with zero-norm rows NaN; a zero-norm row among
-        ``used`` (default all) raises DegenerateInputError with its index."""
+        once and kept read-only with zero-norm rows non-finite; a zero-norm row
+        among ``used`` (default all) raises DegenerateInputError with its index."""
         U = self._derived.get("unit_rows")
         if U is None:
             U = self._derived["unit_rows"] = _read_only(unit_rows(self.X, used=[]))
-        if np.isnan(U[:, 0]).any():  # rare: unit_rows finds a used one
+        if not np.isfinite(U[:, 0]).all():  # rare (0/0 or, under an underflowed norm, x/0): find a used one
             unit_rows(self.X, used)
         return U
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import ReferenceSet, _finite_rows, as_feature_matrix, unit_rows
+from .core import ReferenceSet, _finite_rows, _read_only, as_feature_matrix, unit_rows
 from .errors import ContractError
 
 @dataclass(frozen=True)
@@ -49,6 +50,11 @@ class SelectionPlan:
             raise ContractError(f"plan has {len(self.ordered_indices)} indices, k={self.k}")
         if len(set(self.ordered_indices)) != self.k:
             raise ContractError("plan contains duplicate indices")
+
+    @cached_property
+    def index_array(self) -> np.ndarray:
+        """``ordered_indices`` as a read-only intp array, built on first use."""
+        return _read_only(np.array(self.ordered_indices, dtype=np.intp))
 
 
 # Scores closer than this times m may rank differently under the two

@@ -124,17 +124,19 @@ def predict(
     ``prompt`` method (None for ``knn`` and ``ubknn``).
 
     ``test_X`` (an ``(n, d)`` matrix or FeatureVectors) is checked once. The
-    prompt method builds the plan and the backend for the first sample, and
-    every sample, a row of the checked matrix, shares them; the baselines
-    classify a few rows at a time. Under every method a bad test row (another
-    dimension, a non-finite value or, where a cosine ranks it, zero norm; see
+    prompt method checks it, then builds the plan and the backend for the
+    first sample, and classifies each row of the checked matrix with one
+    ``backends.classify`` call; the baselines classify a few rows at a time.
+    Under every method a bad test row (another dimension, a non-finite value
+    or, where a cosine ranks it, zero norm; see
     :func:`~transduct.core.checked_rows`) raises before the first label, naming
-    its test index: the prompt method sends no request.
+    its test index: the prompt method builds no plan and sends no request.
     """
     if cfg.method == "prompt":
+        Q = checked_rows(test_X, ref.dimension, cosine=True)
         plan = build_plan(ref, cfg.selection_ratio, cfg.interleave_by_class)
         backend = backends_mod.make_backend(cfg.backend)
-        for row in checked_rows(test_X, ref.dimension, cosine=True):
+        for row in Q:
             yield backends_mod.classify(ref, row, plan, backend, cfg.serialization)
     elif cfg.method in ("knn", "ubknn"):
         method_cfg = cfg.knn if cfg.method == "knn" else UbKnnConfig(cfg.knn, cfg.bags, cfg.seed)

@@ -98,9 +98,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "settings, message",
         [
-            (dict(retry=RetryPolicy(max_attempts=0)), "max_attempts must be >= 1, got 0"),
-            (dict(retry=RetryPolicy(base_backoff_ms=-5)), "base_backoff_ms must be >= 0, got -5"),
-            (dict(request_budget=-1), "request_budget must be >= 0, got -1"),
+            (dict(retry=RetryPolicy(max_attempts=0)), "max_attempts must be an integer >= 1, got 0"),
+            (dict(retry=RetryPolicy(base_backoff_ms=-5)), "base_backoff_ms must be an integer >= 0, got -5"),
+            (dict(request_budget=-1), "request_budget must be an integer >= 0, got -1"),
             (dict(endpoint_url="127.0.0.1:9/v1"), "endpoint_url must be an http or https URL"),
             (dict(endpoint_url="ftp://api.example.test/v1"), "endpoint_url must be an http or https URL"),
         ],
@@ -111,6 +111,32 @@ class TestConfigValidation:
             remote_cfg(**settings)
         for kind in ("local-attention", "mock"):
             assert BackendConfig(kind=kind, **settings).kind == kind
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(retry=RetryPolicy(max_attempts=2.5)), "max_attempts must be an integer >= 1, got 2.5"),
+            (dict(retry=RetryPolicy(max_attempts=True)), "max_attempts must be an integer >= 1, got True"),
+            (dict(retry=RetryPolicy(base_backoff_ms=0.5)), "base_backoff_ms must be an integer >= 0, got 0.5"),
+            (dict(rate_limit_rpm=2.5), "rate_limit_rpm must be an integer >= 1, got 2.5"),
+            (dict(rate_limit_rpm=0), "rate_limit_rpm must be an integer >= 1, got 0"),
+            (dict(request_budget=2.5), "request_budget must be an integer >= 0, got 2.5"),
+            (dict(request_budget="3"), "request_budget must be an integer >= 0, got '3'"),
+        ],
+        ids=["float-attempts", "bool-attempts", "float-backoff", "float-rpm", "zero-rpm", "float-budget", "str-budget"],
+    )
+    def test_remote_integer_settings_are_refused_before_any_request(self, settings, message):
+        sent = []
+        with pytest.raises(ContractError) as info:
+            cfg = remote_cfg(**settings)
+            make_backend(cfg, transport=lambda *a: sent.append(a) or (200, OK_BODY), sleep=lambda s: None,
+                         env={cfg.api_key_env: "k"}).complete(CompletionRequest("x"))
+        assert str(info.value) == message and sent == []
+
+    def test_numpy_integer_remote_settings_are_accepted(self):
+        cfg = remote_cfg(retry=RetryPolicy(np.int64(2), np.int32(0)), rate_limit_rpm=np.int64(5), request_budget=np.uint8(1))
+        backend = make_backend(cfg, transport=lambda *a: (200, OK_BODY), sleep=lambda s: None, env={cfg.api_key_env: "k"})
+        assert backend.complete(CompletionRequest("x")).text == " 1"
 
     @pytest.mark.parametrize("scale", [0.0, -1e-6, float("nan")])
     def test_attention_scale_must_be_positive(self, scale):

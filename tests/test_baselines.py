@@ -487,3 +487,62 @@ class TestNearestLabelOrder:
         dist = kernel_dist(ref, f, "cosine")
         first = min(range(len(rows)), key=lambda p: (dist[rows[p]], p))
         assert nearest_label(ref, f, rows) == ref.labels[rows[first]]
+
+
+# few distinct values, so rows repeat, scores tie and some rows are all zero
+TIE_VALUES = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1e-200])
+
+
+@st.composite
+def fallback_case(draw):
+    """A tie-heavy reference set, a plan (listed rows in another order than
+    their indices) and a query: a listed row, another set's row or zeros."""
+    m, d = draw(st.integers(2, 24)), draw(st.integers(1, 4))
+    distinct = draw(st.lists(st.lists(TIE_VALUES, min_size=d, max_size=d), min_size=1, max_size=6))
+    X = [distinct[draw(st.integers(0, len(distinct) - 1))] for _ in range(m)]
+    y = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    rows = draw(st.permutations(range(m)))[: draw(st.integers(1, m))]
+    f = draw(st.one_of(st.sampled_from([X[i] for i in rows]), st.lists(TIE_VALUES, min_size=d, max_size=d)))
+    return ReferenceSet.build(X, y, 3), rows, FeatureVector.of(f)
+
+
+def outcome(call):
+    try:
+        return call(), None
+    except DegenerateInputError as exc:
+        return None, exc
+
+
+class TestNearestLabelEqualsSubsetKnn:
+    @settings(max_examples=300, deadline=None)
+    @given(case=fallback_case())
+    def test_label_or_error_equals_1nn_over_the_plan_rows(self, case):
+        ref, rows, f = case
+        got, got_error = outcome(lambda: nearest_label(ref, f, np.array(rows)))
+        want, want_error = outcome(lambda: knn_classify(ref.subset(rows), f, KnnConfig(1, "cosine")))
+        assert got == want and type(got_error) is type(want_error)
+        norms = np.linalg.norm(ref.X, axis=1)  # 0 for [1e-200]: its square underflows
+        zero = [i for i in rows if norms[i] == 0.0]
+        if zero:  # the first zero-norm listed row, by its reference index; unlisted ones never raise
+            assert got_error.index == zero[0] == rows[want_error.index]
+        elif want_error is not None:  # the query, which both name as test feature 0
+            assert str(got_error) == str(want_error)
+
+    def test_a_row_whose_norm_underflows_is_a_zero_norm_row(self):
+        # its unit row is inf, not NaN; it used to win every cosine (label 0 here)
+        ref = ReferenceSet.build([[1e-200, 1e-200], [1.0, 0.0]], [0, 1], 2)
+        for call in (
+            lambda: knn_classify(ref, fv(1.0, 0.01), KnnConfig(1)),
+            lambda: nearest_label(ref, fv(1.0, 0.01), [1, 0]),
+            lambda: ubknn_classify(ref, fv(1.0, 0.01), UbKnnConfig(KnnConfig(1), 1)),
+        ):
+            with pytest.raises(DegenerateInputError, match="zero-norm feature vector at index 0") as info:
+                call()
+            assert info.value.index == 0
+        assert nearest_label(ref, fv(1.0, 0.01), [1]) == 1  # unlisted, it is never compared
+
+    def test_an_index_array_and_a_list_give_one_label(self):
+        ref = ReferenceSet.build([[0.3, 0.7], [1.0, 0.0], [0.3, 0.7], [0.0, 0.0]], [0, 0, 1, 1], 2)
+        rows = np.array([2, 1, 0], dtype=np.intp)
+        rows.flags.writeable = False
+        assert nearest_label(ref, fv(0.3, 0.7), rows) == nearest_label(ref, fv(0.3, 0.7), [2, 1, 0]) == 1

@@ -435,9 +435,9 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--base-backoff-ms", "-5"], "base_backoff_ms must be >= 0, got -5"),
-            (["--max-attempts", "0"], "max_attempts must be >= 1, got 0"),
-            (["--budget", "-1"], "request_budget must be >= 0, got -1"),
+            (["--base-backoff-ms", "-5"], "base_backoff_ms must be an integer >= 0, got -5"),
+            (["--max-attempts", "0"], "max_attempts must be an integer >= 1, got 0"),
+            (["--budget", "-1"], "request_budget must be an integer >= 0, got -1"),
             (["--endpoint", "127.0.0.1:9/v1"], "endpoint_url must be an http or https URL, got '127.0.0.1:9/v1'"),
         ],
         ids=["backoff", "attempts", "budget", "no-scheme"],

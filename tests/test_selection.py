@@ -75,6 +75,13 @@ class TestBuildPlan:
         last = plan.ordered_indices[-1]
         assert rep[last] == max(rep)
 
+    def test_index_array_is_the_plan_order_read_only_and_built_once(self, imbalanced_ref):
+        plan = build_plan(imbalanced_ref, 0.5)
+        rows = plan.index_array
+        assert rows.tolist() == list(plan.ordered_indices) and rows.dtype == np.intp
+        assert not rows.flags.writeable and plan.index_array is rows
+        assert plan == build_plan(imbalanced_ref, 0.5)  # not a field: equality ignores it
+
     def test_interleaved_alternates_classes(self, imbalanced_ref):
         plan = build_plan(imbalanced_ref, 0.5, interleave_by_class=True)
         assert plan.k == 4

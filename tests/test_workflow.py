@@ -1,6 +1,8 @@
 import gc
 import re
+import warnings
 import weakref
+from collections.abc import Sequence
 from functools import partial
 
 import numpy as np
@@ -26,7 +28,7 @@ from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backe
 from transduct import FeatureLabelMatrix, build_part2, nn_attention_classify
 from transduct import workflow
 from transduct.backends import LocalAttentionBackend, MockBackend, prompt_hash
-from transduct.core import checked_rows
+from transduct.core import _not_numbers, _read_only, _what, _width, as_feature_matrix, checked_rows
 from transduct.errors import ContractError, DegenerateInputError, SchemaError
 from transduct.workflow import base_classifier_report, predict
 
@@ -452,27 +454,48 @@ class TestPredict:
         # cosine 1-NN checks its row for zero norm
         assert len(calls) == 1 + len(tests) + sum(fallbacks)
 
-    @pytest.mark.parametrize("reply", [" 1", " x"], ids=["answered", "fallback"])
-    def test_prompt_method_runs_each_sample_through_the_public_classify(self, monkeypatch, reply):
-        # the benchmark's tracer wraps these two names: each sample must pass through both
+    @pytest.mark.parametrize(
+        "backend",
+        [BackendConfig(kind="mock", mock_default=" 1"), BackendConfig(kind="mock", mock_default=" x"),
+         BackendConfig(kind="local-attention")],
+        ids=["answered", "fallback", "local"],
+    )
+    def test_prompt_method_runs_each_sample_through_the_public_classify(self, monkeypatch, backend):
+        # the benchmark's tracer wraps these two names, and CI's traced run counts the
+        # backends.classify spans: each sample must pass through both, once and in order
         from transduct import backends
 
-        seen = {"classify": 0, "build_bundle": 0}
+        seen = {"classify": [], "build_bundle": []}
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                seen[name] += 1
-                return fn(*args, **kwargs)
+        def recorded(name, fn):
+            def wrapper(ref, f_test, *args, **kwargs):
+                seen[name].append(np.asarray(f_test).tolist())
+                return fn(ref, f_test, *args, **kwargs)
 
             return wrapper
 
         for name in seen:
-            monkeypatch.setattr(backends, name, counted(name, getattr(backends, name)))
+            monkeypatch.setattr(backends, name, recorded(name, getattr(backends, name)))
         ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
         tests = np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8]])
-        cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default=reply), selection_ratio=1.0)
-        assert len(list(predict(ref, tests, cfg))) == 3
-        assert seen == {"classify": 3, "build_bundle": 3}
+        assert len(list(predict(ref, tests, RunConfig(backend=backend, selection_ratio=1.0)))) == 3
+        assert seen == {"classify": tests.tolist(), "build_bundle": tests.tolist()}
+
+    @pytest.mark.parametrize(
+        "ref_rows", [[[0.9, 0.1], [0.8, 0.2], [0.2, 0.8]], [[0.9, 0.1], [0.0, 0.0], [0.2, 0.8]]],
+        ids=["good-reference", "zero-reference-row"],
+    )
+    @pytest.mark.parametrize("kind", ["local-attention", "mock"])
+    def test_a_bad_test_row_is_refused_before_the_plan_and_the_backend(self, monkeypatch, ref_rows, kind):
+        calls = []
+        monkeypatch.setattr(workflow, "build_plan", counting(calls, "plan", build_plan))
+        monkeypatch.setattr(workflow.backends_mod, "make_backend", counting(calls, "backend", make_backend))
+        ref = ReferenceSet.build(ref_rows, [0, 0, 1], 2)
+        cfg = RunConfig(backend=BackendConfig(kind=kind), selection_ratio=1.0)
+        # the test row's error wins over the zero reference row the plan would refuse
+        with pytest.raises(ContractError, match="test feature 1 contains non-finite values") as info:
+            next(predict(ref, np.array([[0.7, 0.3], [np.nan, 0.5]]), cfg))
+        assert type(info.value) is ContractError and calls == []
 
     def test_reference_row_rendered_to_zeros_keeps_its_message(self):
         ref = ReferenceSet.build([[0.9, 0.1], [0.001, 0.002], [0.1, 0.9]], [0, 0, 1], 2)
@@ -678,3 +701,98 @@ class TestTestRowRule:
     def test_the_first_bad_row_in_order_wins(self, rows, message):
         with pytest.raises(ContractError, match=re.escape(message)):
             checked_rows(rows, 2, cosine=False)
+
+
+def row_walk_oracle(queries, d, cosine):
+    """``checked_rows`` as it was before its whole-input test: the rows are
+    walked in order, up to the first of another width or shape, every time."""
+    if not (isinstance(queries, Sequence) or isinstance(queries, np.ndarray) and queries.ndim == 2):
+        raise ContractError(f"test features must form an (n, d) matrix or a sequence of rows, got {_what(queries)}")
+    rows = queries[:1] if isinstance(queries, np.ndarray) else queries
+    n = next((i for i, f in enumerate(rows) if _width(f) != d or getattr(f, "ndim", 1) != 1), len(queries))
+    head = queries[:n] if n < len(queries) else queries
+    try:
+        Q = as_feature_matrix(head) if n else _read_only(np.empty((0, d)))
+    except ContractError:
+        for i, why in enumerate(_not_numbers(row, d) for row in head):
+            if why:
+                row_walk_oracle(head[:i], d, cosine)
+                raise ContractError(f"test feature {i} is not a row of numbers: {why}") from None
+        raise
+    finite = np.isfinite(Q).all(axis=1)
+    good = finite & (np.linalg.norm(Q, axis=1) > 0.0) if cosine else finite
+    if not good.all():
+        i = int(np.argmin(good))
+        if not finite[i]:
+            raise ContractError(f"test feature {i} contains non-finite values")
+        raise DegenerateInputError(f"test feature {i} has zero norm; cosine similarity undefined", index=i)
+    if n < len(queries):
+        w = _width(queries[n])
+        problem = f"is not a row of numbers, got {_what(queries[n])}" if w in (None, d) else f"has dimension {w}, expected {d}"
+        raise ContractError(f"test feature {n} {problem}")
+    return Q
+
+
+FINITE = st.sampled_from([0.0, 0.0, 0.5, -1.0, 2.0, 1e-200, 1e300])
+ITEMS = st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf, True, False, 3, "0.5", "x", None, [0.5]]))
+
+
+@st.composite
+def row_input(draw, d):
+    """One test row, mostly good: a list, tuple, FeatureVector or array of d
+    numbers, or a ragged row, a string, a number or a 0-d, 2-D or 3-D array."""
+    width = draw(st.sampled_from([d, d, d, d, d - 1, d + 1]))
+    finite = draw(st.lists(FINITE, min_size=width, max_size=width))
+    kind = draw(st.sampled_from(["list", "list", "tuple", "vector", "array", "array", "mixed", "other"]))
+    if kind == "list":
+        return finite
+    if kind == "tuple":
+        return tuple(finite)
+    if kind == "vector":
+        return FeatureVector.of(finite) if finite else [0.5] * d
+    if kind == "array":
+        return np.array(finite)
+    if kind == "mixed":
+        return draw(st.lists(ITEMS, min_size=width, max_size=width))
+    return draw(st.sampled_from([
+        "ab"[:d] or "a", 0.5, np.array(0.5), np.full((1, d), 0.5), np.full((d, d), 0.5),
+        np.full((1, 1, d), 0.5), np.array([True] * d), np.array(["0.5"] * d), np.array([np.nan] * d),
+    ]))
+
+
+@st.composite
+def rows_input(draw):
+    """``(queries, d)``: a sequence of rows, a 2-D array of several dtypes and
+    flags (a read-only float64 one among them), or something that is neither."""
+    d = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["list", "list", "list", "tuple", "matrix", "matrix", "other"]))
+    if shape in ("list", "tuple"):
+        rows = draw(st.lists(row_input(d), max_size=4))
+        return (rows if shape == "list" else tuple(rows)), d
+    if shape == "matrix":
+        n, width = draw(st.integers(0, 4)), draw(st.sampled_from([d, d, d + 1]))
+        X = np.array(draw(st.lists(ITEMS.filter(lambda v: not isinstance(v, (str, list)) and v is not None),
+                                   min_size=n * width, max_size=n * width)), dtype=float).reshape(n, width)
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf and 1e300 cast to int64 or float32
+            X = X.astype(draw(st.sampled_from([np.float64, np.float64, np.float32, np.int64, bool, object])))
+        X.flags.writeable = draw(st.booleans())
+        return X, d
+    return draw(st.sampled_from([np.full(d, 0.5), np.full((2, d, 1), 0.5), 0.5, "0.5", "ab"])), d
+
+
+def row_check_outcome(check, queries, d, cosine):
+    try:
+        Q = check(queries, d, cosine)
+    except Exception as exc:  # the error's type and message must match too
+        return type(exc), str(exc)
+    return Q.dtype, Q.shape, Q.tolist(), Q.flags.writeable, Q is queries
+
+
+class TestRowCheckEqualsTheRowWalk:
+    @settings(max_examples=1000, deadline=None)
+    @given(case=rows_input(), cosine=st.booleans())
+    def test_same_matrix_or_same_error(self, case, cosine):
+        queries, d = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's cast warnings for inf, NaN and huge values
+            assert row_check_outcome(checked_rows, queries, d, cosine) == row_check_outcome(row_walk_oracle, queries, d, cosine)
