@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, checked_rows, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, checked_int, checked_real, checked_rows, unit_cosines, unit_rows
 from .errors import ContractError, NumericError
 
 
@@ -46,19 +46,15 @@ class AttentionConfig:
     strict_setup2: bool = False
 
     def __post_init__(self):
-        if self.scale_s <= 0:
-            raise ContractError(f"scale_s must be positive, got {self.scale_s}")
-        if self.convergence_tol <= 0:
-            raise ContractError("convergence_tol must be positive")
-        if self.max_layers < 1:
-            raise ContractError("max_layers must be >= 1")
+        checked_real(self.scale_s, "scale_s")
+        checked_real(self.convergence_tol, "convergence_tol")
+        checked_int(self.max_layers, 1, "max_layers")
 
 
 def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
     """softmax(Q K^T / s) V with row-wise, max-subtracted softmax."""
     Q, K, V = np.atleast_2d(np.asarray(Q, float)), np.atleast_2d(np.asarray(K, float)), np.atleast_2d(np.asarray(V, float))
-    if s <= 0:
-        raise ContractError(f"scale must be positive, got {s}")
+    checked_real(s, "scale")
     if Q.shape[1] != K.shape[1]:
         raise ContractError(f"Q columns {Q.shape[1]} != K columns {K.shape[1]}")
     if K.shape[0] != V.shape[0]:
@@ -263,6 +259,7 @@ def clustering_suite(trials: int = 20, s: float = 0.05, seed: int = 2) -> dict:
 
 def property_report(trials: int = 1000, s: float = 1e-6, seed: int = 0) -> dict:
     """Full report backing the `oracle-check` CLI subcommand."""
+    trials, seed = checked_int(trials, 1, "trials"), checked_int(seed, 0, "seed")
     return {
         "nn_limit": nn_limit_suite(trials=trials, s=s, seed=seed),
         "setup_equivalence": setup_equivalence_suite(trials=min(trials, 100), s=s, seed=seed + 1),

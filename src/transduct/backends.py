@@ -20,7 +20,7 @@ import numpy as np
 
 from .attention import nn_attention_classify
 from .baselines import nearest_label
-from .core import ReferenceSet, _read_only, checked_int
+from .core import ReferenceSet, _read_only, checked_int, checked_real
 from .errors import (
     CompletionParseError,
     ContractError,
@@ -48,8 +48,7 @@ class CompletionRequest:
     def __post_init__(self):
         if not self.prompt:
             raise ContractError("prompt must be non-empty")
-        if self.max_tokens < 1:
-            raise ContractError("max_tokens must be >= 1")
+        checked_int(self.max_tokens, 1, "max_tokens")
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,7 @@ class BackendConfig:
             checked_int(self.retry.base_backoff_ms, 0, "base_backoff_ms")
             checked_int(self.rate_limit_rpm, 1, "rate_limit_rpm")
             checked_int(self.request_budget, 0, "request_budget")
-        if not self.attention_scale > 0:
-            raise ContractError(f"attention_scale must be positive, got {self.attention_scale}")
+        checked_real(self.attention_scale, "attention_scale")
 
 
 def prompt_hash(prompt: str) -> str:

@@ -348,7 +348,7 @@ def main(argv=None) -> int:
     except (CredentialError, TransportError, RequestBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except TransductError as exc:
+    except (TransductError, OSError) as exc:  # an OSError: an output path that cannot be written
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

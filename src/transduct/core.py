@@ -29,6 +29,7 @@ import math
 import warnings
 from array import array
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -160,9 +161,21 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
 def checked_int(value, low: int, name: str, error: type = ContractError) -> int:
     """``value`` as an int if it is an integer (not a bool) >= ``low``, else ``error`` naming the
     setting ``name``: the one check of an integer setting, a class count among them."""
+    if type(value) is int and value >= low:  # a plain int skips the abstract-class checks (a request makes one)
+        return value
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= low):
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def checked_real(value, name: str, high: float = math.inf, closed: bool = True) -> float:
+    """``value`` as a float if it is a real number (not a bool) in (0, ``high``], or (0, ``high``)
+    unless ``closed``, else a ContractError naming the setting ``name``: the one check of a real
+    setting. NaN is refused; with no ``high``, inf is taken."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value and (value <= high if closed else value < high)):
+        span = "positive" if high == math.inf else f"in (0, {high:g}{']' if closed else ')'}"
+        raise ContractError(f"{name} must be {span}, got {value!r}")
+    return float(value)
 
 
 def inferred_class_count(*labels) -> int:
@@ -209,6 +222,12 @@ def _not_numbers(row, d: int) -> Optional[str]:
     return None if x.shape == (d,) else f"its items form shape {x.shape}"
 
 
+def _nonzero(Q: np.ndarray) -> np.ndarray:
+    """Which rows of ``Q`` have a non-zero norm: a norm, not ``Q.any()``, as 1e-200 squares to 0."""
+    with np.errstate(over="ignore"):  # and 1e200 to inf
+        return np.linalg.norm(Q, axis=1) > 0.0
+
+
 def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
     """The test rows ``queries`` as a read-only ``(n, d)`` float64 matrix (a read-only float64 one is
     shared), or the error naming the first bad row, raised before any row is used: the one rule for
@@ -228,38 +247,28 @@ def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
     except ContractError:
         Q = None
     if Q is not None and Q.shape[1] == d and np.isfinite(Q).all():
-        if not cosine or (np.linalg.norm(Q, axis=1) > 0.0).all():  # a norm, not Q.any(): 1e-200 squares to 0
+        if not cosine or _nonzero(Q).all():
             return Q
     return _walked_rows(queries, d, cosine)
 
 
 def _walked_rows(queries, d: int, cosine: bool) -> np.ndarray:
-    """:func:`checked_rows` of a non-empty ``queries`` that fails its whole-input test, row by row, to
-    raise the first bad row's error: the rows before the first of another width or shape are
-    converted and checked in order, then that row is named."""
-    rows = queries[:1] if isinstance(queries, np.ndarray) else queries
-    n = next((i for i, f in enumerate(rows) if _width(f) != d or getattr(f, "ndim", 1) != 1), len(queries))
-    head = queries[:n] if n < len(queries) else queries
-    try:
-        Q = as_feature_matrix(head) if n else _read_only(np.empty((0, d)))
-    except ContractError:  # a row of d items that are not all numbers: name it after the rows before it
-        for i, why in enumerate(_not_numbers(row, d) for row in head):
-            if why:
-                checked_rows(head[:i], d, cosine)
-                raise ContractError(f"test feature {i} is not a row of numbers: {why}") from None
-        raise
-    finite = np.isfinite(Q).all(axis=1)
-    good = finite & (np.linalg.norm(Q, axis=1) > 0.0) if cosine else finite
-    if not good.all():
-        i = int(np.argmin(good))
-        if not finite[i]:
+    """:func:`checked_rows` of a non-empty ``queries`` that fails its whole-input test: the rows are
+    walked in order to raise the first bad row's first fault, of shape, numbers, finite values, norm."""
+    for i, row in enumerate(queries):
+        w = _width(row)
+        if w != d or getattr(row, "ndim", 1) != 1:
+            problem = f"is not a row of numbers, got {_what(row)}" if w in (None, d) else f"has dimension {w}, expected {d}"
+            raise ContractError(f"test feature {i} {problem}")
+        why = _not_numbers(row, d)
+        if why:
+            raise ContractError(f"test feature {i} is not a row of numbers: {why}")
+        x = as_feature_matrix([row])
+        if not np.isfinite(x).all():
             raise ContractError(f"test feature {i} contains non-finite values")
-        raise DegenerateInputError(f"test feature {i} has zero norm; cosine similarity undefined", index=i)
-    if n < len(queries):
-        w = _width(queries[n])
-        problem = f"is not a row of numbers, got {_what(queries[n])}" if w in (None, d) else f"has dimension {w}, expected {d}"
-        raise ContractError(f"test feature {n} {problem}")
-    return Q
+        if cosine and not _nonzero(x)[0]:
+            raise DegenerateInputError(f"test feature {i} has zero norm; cosine similarity undefined", index=i)
+    return as_feature_matrix(queries)
 
 
 def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
@@ -267,22 +276,25 @@ def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
     by a norm. A zero-norm row (all zeros, or values whose squares underflow,
     like 1e-200) among the ``used`` rows (an index array or a row mask;
     default all) raises DegenerateInputError with its index; any other comes
-    back non-finite (NaN, or inf where a value is not zero)."""
+    back non-finite (NaN, or inf where a value is not zero). A finite row
+    whose norm overflows (``[1e200, 1e200]``) is scaled by its largest value first."""
     if X.shape[0] == 0:
         raise ContractError("unit rows of an empty feature matrix")
-    norms = np.linalg.norm(X, axis=1)
-    zero = norms == 0.0
-    if zero.any():  # cheaper than selecting the used rows on every call
-        rows = np.arange(len(X))[used]
-        hits = rows[zero[rows]]
-        if hits.size:
-            i = int(hits[0])
-            raise DegenerateInputError(
-                f"zero-norm feature vector at index {i}; cosine similarity undefined",
-                index=i,
-            )
-    with np.errstate(invalid="ignore", divide="ignore"):  # 0/0 and, for an underflowed norm, x/0
-        return X / norms[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflowed norm; 0/0; x/0
+        norms = np.linalg.norm(X, axis=1)
+        zero = norms == 0.0
+        if zero.any():  # cheaper than selecting the used rows on every call
+            rows = np.arange(len(X))[used]
+            hits = rows[zero[rows]]
+            if hits.size:
+                i = int(hits[0])
+                raise DegenerateInputError(f"zero-norm feature vector at index {i}; cosine similarity undefined", index=i)
+        U = X / norms[:, None]
+        big = np.isinf(norms)
+        if big.any():
+            S = X[big] / np.abs(X[big]).max(axis=1, keepdims=True)
+            U[big] = S / np.linalg.norm(S, axis=1, keepdims=True)
+    return U
 
 
 def unit_cosines(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -671,13 +683,28 @@ def _decoded_lines(data: bytes):
         offset += len(line)
 
 
-def _read_csv(path: Path, schema: IngestionSchema, role: Optional[str]) -> _Table:
+@contextmanager
+def _opened(path):
+    """The data file ``path`` opened as UTF-8 text, the one place a data file is opened; a path that
+    does not exist or cannot be read (a directory, say) is a DatasetParseError naming it."""
+    path = Path(path)
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except FileNotFoundError:
+        raise DatasetParseError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DatasetParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with fh:
+        yield fh
+
+
+def _read_csv(path, schema: IngestionSchema, role: Optional[str]) -> _Table:
     """A CSV file, opened once: tokenised by :func:`_columns` or, where that
     returns None, by the row reader from the start of the same handle; then
     checked by :func:`_checked`. The text layer decodes ahead of the line it
     returns, so a file that is not UTF-8 is read again by the row reader a
     line at a time (:func:`_decoded_lines`)."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _opened(path) as fh:
         try:
             tokens = _columns(fh, role)
             if tokens is None:
@@ -747,25 +774,18 @@ def _assemble(val: _Table, test: _Table, class_count: Optional[int]) -> LabeledD
     return LabeledDataset(reference, T, t if labelled else None)
 
 
-def _existing(path) -> Path:
-    path = Path(path)
-    if not path.exists():
-        raise DatasetParseError(f"no such file: {path}")
-    return path
-
-
 def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDataset:
     """Load a validated dataset from a CSV or JSON file, preserving row order."""
-    path = _existing(path)
-    if path.suffix.lower() != ".json":
+    if Path(path).suffix.lower() != ".json":
         table = _read_csv(path, schema, None)
         return _assemble(table, table, schema.class_count)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetParseError(f"invalid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DatasetParseError(_not_utf8(exc.object, exc.start)) from None
+    with _opened(path) as fh:
+        try:
+            payload = json.loads(fh.read())
+        except json.JSONDecodeError as exc:
+            raise DatasetParseError(f"invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DatasetParseError(_not_utf8(exc.object, exc.start)) from None
     if not isinstance(payload, dict) or "reference" not in payload:
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = payload.get("class_count", schema.class_count)
@@ -781,9 +801,9 @@ def load_split_files(
     """Load a dataset from two CSV files: every row of ``val_path`` is a
     reference row and every row of ``test_path`` (if given) a test row. A
     split column is optional and, if present, checked but not used."""
-    val = test = _read_csv(_existing(val_path), schema, "val")
+    val = test = _read_csv(val_path, schema, "val")
     if test_path is not None:
-        test = _read_csv(_existing(test_path), schema, "test")
+        test = _read_csv(test_path, schema, "test")
     return _assemble(val, test, schema.class_count)
 
 

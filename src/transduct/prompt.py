@@ -53,8 +53,7 @@ class SerializationConfig:
 
     def __post_init__(self):
         checked_int(self.decimals, 1, "decimals")
-        if self.token_budget <= 0:
-            raise ContractError(f"token_budget must be positive, got {self.token_budget}")
+        checked_int(self.token_budget, 1, "token_budget")
 
 
 def _estimate_tokens(*texts: str) -> int:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ReferenceSet, _finite_rows, _read_only, as_feature_matrix, unit_rows
+from .core import ReferenceSet, _finite_rows, _read_only, as_feature_matrix, checked_real, unit_rows
 from .errors import ContractError
 
 @dataclass(frozen=True)
@@ -124,8 +124,7 @@ def build_plan(
     from rank 1 downward before the reversal, so each class's top sample
     sits near the prompt's end.
     """
-    if not 0.0 < selection_ratio <= 1.0:
-        raise ContractError(f"selection_ratio must be in (0, 1], got {selection_ratio}")
+    checked_real(selection_ratio, "selection_ratio", 1.0)
     rep = _scores(unit_rows(ref.feature_matrix()))
     k = max(1, math.floor(selection_ratio * ref.size))
     if interleave_by_class:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureVector, LabeledDataset, ReferenceSet, as_feature_matrix
+from .core import FeatureVector, LabeledDataset, ReferenceSet, as_feature_matrix, checked_int, checked_real
 from .errors import ContractError
 
 
@@ -29,7 +29,16 @@ def _equalize_norms(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, extra[:, None]])
 
 
-def _finish(X: np.ndarray, y: np.ndarray, noise: float, rng: np.random.Generator, equalize: bool):
+def _two_classes(n, seed, full_turn: bool):
+    """The generator of ``seed`` and the angles of the two classes of ``n`` rows: ``n // 2``
+    and the rest, evenly spaced over [0, pi] or, with ``full_turn``, [0, 2pi)."""
+    n = checked_int(n, 4, "n")
+    rng, stop = np.random.default_rng(checked_int(seed, 0, "seed")), 2 * np.pi if full_turn else np.pi
+    return rng, *(np.linspace(0.0, stop, size, endpoint=not full_turn) for size in (n // 2, n - n // 2))
+
+
+def _finish(class0: np.ndarray, class1: np.ndarray, noise: float, rng: np.random.Generator, equalize: bool):
+    X, y = np.vstack([class0, class1]), np.repeat([0, 1], [len(class0), len(class1)])
     if noise > 0:
         X = X + rng.normal(scale=noise, size=X.shape)
     perm = rng.permutation(len(X))
@@ -41,40 +50,16 @@ def _finish(X: np.ndarray, y: np.ndarray, noise: float, rng: np.random.Generator
 
 def make_moons(n: int = 200, noise: float = 0.05, seed: int = 0, equalize_norms: bool = True):
     """Two interleaving half-circles; returns (features, labels)."""
-    if n < 4:
-        raise ContractError("need at least 4 samples")
-    rng = np.random.default_rng(seed)
-    n0 = n // 2
-    n1 = n - n0
-    t0 = np.linspace(0.0, np.pi, n0)
-    t1 = np.linspace(0.0, np.pi, n1)
-    X = np.vstack(
-        [
-            np.column_stack([np.cos(t0), np.sin(t0)]),
-            np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)]),
-        ]
-    )
-    y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    return _finish(X, y, noise, rng, equalize_norms)
+    rng, t0, t1 = _two_classes(n, seed, full_turn=False)
+    upper, lower = np.column_stack([np.cos(t0), np.sin(t0)]), np.column_stack([1.0 - np.cos(t1), 0.5 - np.sin(t1)])
+    return _finish(upper, lower, noise, rng, equalize_norms)
 
 
 def make_circles(n: int = 200, noise: float = 0.05, seed: int = 0, equalize_norms: bool = True):
     """Two concentric circles, radii 1 and 0.5; returns (features, labels)."""
-    if n < 4:
-        raise ContractError("need at least 4 samples")
-    rng = np.random.default_rng(seed)
-    n0 = n // 2
-    n1 = n - n0
-    t0 = np.linspace(0.0, 2 * np.pi, n0, endpoint=False)
-    t1 = np.linspace(0.0, 2 * np.pi, n1, endpoint=False)
-    X = np.vstack(
-        [
-            np.column_stack([np.cos(t0), np.sin(t0)]),
-            0.5 * np.column_stack([np.cos(t1), np.sin(t1)]),
-        ]
-    )
-    y = np.concatenate([np.zeros(n0, dtype=int), np.ones(n1, dtype=int)])
-    return _finish(X, y, noise, rng, equalize_norms)
+    rng, t0, t1 = _two_classes(n, seed, full_turn=True)
+    outer, inner = np.column_stack([np.cos(t0), np.sin(t0)]), 0.5 * np.column_stack([np.cos(t1), np.sin(t1)])
+    return _finish(outer, inner, noise, rng, equalize_norms)
 
 
 def generate(dataset: str, n: int = 200, noise: float = 0.05, seed: int = 0, equalize_norms: bool = True):
@@ -89,8 +74,7 @@ def split_dataset(features, labels, reference_fraction: float = 0.5) -> LabeledD
     """Deterministic stratified split of two-class toy data: the first
     ``reference_fraction`` of each class (in row order) becomes the
     reference split."""
-    if not 0 < reference_fraction < 1:
-        raise ContractError("reference_fraction must be in (0, 1)")
+    checked_real(reference_fraction, "reference_fraction", 1.0, closed=False)
     X, y = as_feature_matrix(features), np.asarray(labels)
     part = np.full(len(y), -1)  # 0: reference, 1: test, -1: neither class
     for c in range(2):

@@ -60,8 +60,8 @@ def _check_evaluable(n: int, class_count: int, positive_class: int) -> None:
     """An evaluation needs some samples and a positive class among the classes."""
     if n == 0:
         raise ContractError("cannot evaluate an empty prediction set")
-    if not (isinstance(positive_class, Integral) and 0 <= positive_class < class_count):
-        raise ContractError(f"positive_class {positive_class} outside [0, {class_count})")
+    if isinstance(positive_class, bool) or not (isinstance(positive_class, Integral) and 0 <= positive_class < class_count):
+        raise ContractError(f"positive_class {positive_class!r} outside [0, {class_count})")
 
 
 def compute_metrics(

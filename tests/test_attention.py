@@ -112,12 +112,6 @@ class TestNnAttentionClassify:
         row = rng.normal(size=4)
         got = nn_attention_classify(ref, row, s=0.1)
         assert got.tolist() == nn_attention_classify(ref, FeatureVector.of(row), s=0.1).tolist()
-        with pytest.raises(ContractError, match="test feature 0 has dimension 3, expected 4"):
-            nn_attention_classify(ref, row[:3])
-        with pytest.raises(ContractError, match="test feature 0 has dimension 1, expected 4"):
-            nn_attention_classify(ref, row[None, :])  # one row, not a matrix of one
-        with pytest.raises(ContractError, match="test feature 0 contains non-finite values"):
-            nn_attention_classify(ref, np.array([0.5, np.nan, 0.1, 0.2]))
 
     def test_large_s_gives_class_frequencies(self):
         ref = ReferenceSet.build(
@@ -125,12 +119,6 @@ class TestNnAttentionClassify:
         )
         out = nn_attention_classify(ref, fv(0.5, 0.5), s=1e9)
         assert out == pytest.approx([0.75, 0.25], abs=1e-6)
-
-    def test_zero_norm_rejected(self):
-        ref = ReferenceSet.build([[1.0, 0.0]], [0], 2)
-        with pytest.raises(DegenerateInputError):
-            nn_attention_classify(ref, fv(0.0, 0.0))
-
 
 class TestCosine1nnLabel:
     def test_duplicate_rows_tie_to_smaller_index(self):
@@ -154,14 +142,6 @@ class TestCosine1nnLabel:
             ref = random_ref(rng, c=3)
             f = FeatureVector.of(rng.normal(size=ref.dimension))
             assert cosine_1nn_label(ref, f) == oracle_1nn(ref, f)
-
-    def test_zero_norm_rejected(self):
-        ref = ReferenceSet.build([[1.0, 0.0], [0.0, 0.0]], [0, 1], 2)
-        with pytest.raises(DegenerateInputError):
-            cosine_1nn_label(ref, fv(1.0, 0.0))
-        with pytest.raises(DegenerateInputError):
-            cosine_1nn_label(ReferenceSet.build([[1.0, 0.0]], [0], 2), fv(0.0, 0.0))
-
 
 class TestUnitRows:
     def test_rows_have_unit_norm(self):
@@ -187,18 +167,6 @@ class TestFeatureLabelMatrix:
         assert M.rows.shape == (5, 4)
         assert np.allclose(np.linalg.norm(M.rows[:, :2], axis=1), 1.0, atol=1e-9)
         assert np.allclose(M.rows[-1, 2:], 0.0)
-
-    def test_from_reference_rejects_a_test_feature_of_another_dimension(self, small_ref):
-        with pytest.raises(ContractError, match="test feature 0 has dimension 3, expected 2"):
-            FeatureLabelMatrix.from_reference(small_ref, fv(0.7, 0.2, 0.1))
-
-    def test_from_reference_takes_a_row_as_a_feature_vector(self, small_ref):
-        row = FeatureLabelMatrix.from_reference(small_ref, np.array([0.7, 0.3]))
-        assert np.array_equal(row.rows, FeatureLabelMatrix.from_reference(small_ref, fv(0.7, 0.3)).rows)
-
-    def test_from_reference_refuses_a_non_finite_row(self, small_ref):
-        with pytest.raises(ContractError, match="test feature 0 contains non-finite values"):
-            FeatureLabelMatrix.from_reference(small_ref, np.array([np.nan, 0.3]))
 
     def test_rejects_unnormalized(self):
         rows = np.array([[2.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]])

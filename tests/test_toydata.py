@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from transduct import generate, make_circles, make_moons, split_dataset
-from transduct.errors import ContractError
 
 from conftest import oracle_1nn, oracle_cosine
 
@@ -53,13 +52,6 @@ class TestGenerators:
 
     def test_generate_dispatch(self):
         assert generate("moons", n=10, noise=0.0)[0]
-        with pytest.raises(ContractError):
-            generate("spirals")
-
-    def test_minimum_size(self):
-        with pytest.raises(ContractError):
-            make_moons(n=3)
-
 
 class TestSplitDataset:
     def test_stratified_halves(self):
@@ -78,12 +70,6 @@ class TestSplitDataset:
             key=lambda f: f.values,
         )
         assert combined == sorted(feats, key=lambda f: f.values)
-
-    def test_bad_fraction(self):
-        feats, labels = make_moons(n=10, noise=0.0)
-        for frac in (0.0, 1.0, -0.2):
-            with pytest.raises(ContractError):
-                split_dataset(feats, labels, reference_fraction=frac)
 
     def test_toy_data_separable_by_1nn(self):
         # the headline property: cosine 1NN against the reference half

@@ -1,9 +1,7 @@
 import gc
-import re
 import warnings
 import weakref
 from collections.abc import Sequence
-from functools import partial
 
 import numpy as np
 import pytest
@@ -25,11 +23,10 @@ from transduct import (
     run_error_detection,
 )
 from transduct import KnnConfig, UbKnnConfig, classify, knn_classify, make_backend, ubknn_classify
-from transduct import FeatureLabelMatrix, build_part2, nn_attention_classify
 from transduct import workflow
-from transduct.backends import LocalAttentionBackend, MockBackend, prompt_hash
+from transduct.backends import prompt_hash
 from transduct.core import _not_numbers, _read_only, _what, _width, as_feature_matrix, checked_rows
-from transduct.errors import ContractError, DegenerateInputError, SchemaError
+from transduct.errors import ContractError, DegenerateInputError
 from transduct.workflow import base_classifier_report, predict
 
 
@@ -93,15 +90,6 @@ class TestComputeMetrics:
         report = compute_metrics(list(preds), list(truths), 4)
         assert sum(sum(row) for row in report.confusion) == 100
         assert report.n_test == 100
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            compute_metrics([], [], 2)
-
-    @pytest.mark.parametrize("predictions, truths", [([0.5], [1]), ([1], [0.5]), ([None], [1])])
-    def test_a_label_that_is_not_a_whole_number_is_refused(self, predictions, truths):
-        with pytest.raises(ContractError, match="at index 0 is not a whole number"):
-            compute_metrics(predictions, truths, 2)
 
     def test_whole_float_labels_count_as_their_integers(self):
         assert compute_metrics([1.0, 0], [1, 0.0], 2).confusion == compute_metrics([1, 0], [1, 0], 2).confusion
@@ -167,12 +155,6 @@ class TestRunErrorDetection:
         assert sum(truths) == 3  # fixture has 3 base-classifier errors
         assert report.recall == 0.0
         assert report.balanced_accuracy == pytest.approx(0.5)
-
-    def test_a_true_class_that_is_not_a_whole_number_is_refused(self):
-        # a truth of 0.5 matches no argmax, so it used to count silently as an error
-        cfg = RunConfig(method="knn", knn=KnnConfig(k_neighbors=1))
-        with pytest.raises(ContractError, match="label 0.5 at index 1 is not a whole number"):
-            run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS[:2], [TEST_TRUE[0], 0.5], cfg)
 
     def test_local_backend_equals_1nn_oracle_pipeline(self):
         from conftest import oracle_1nn
@@ -256,22 +238,12 @@ class TestRunAccuracyImprovement:
             sum(report.per_class_accuracy) / 3
         )
 
-    def test_feature_dimension_must_match_class_count(self):
-        probs = [fv(0.6, 0.3, 0.1), fv(0.2, 0.7, 0.1)]
-        with pytest.raises(ContractError):
-            run_accuracy_improvement(probs, [0, 1], probs, [0, 1], RunConfig())
-
     def test_inferred_class_count_is_at_least_two(self):
         # every label 0, as in a file: two classes, so two-column features fit
         probs = [fv(0.9, 0.1), fv(0.8, 0.2)]
         cfg = RunConfig(method="knn", knn=KnnConfig(k_neighbors=1))
         report, base = run_accuracy_improvement(probs, [0, 0], probs, [0, 0], cfg)
         assert len(report.confusion) == len(base.confusion) == 2
-
-    def test_a_label_that_is_not_a_whole_number_is_refused(self):
-        probs = [fv(0.9, 0.1), fv(0.2, 0.8)]
-        with pytest.raises(ContractError, match="label 0.5 at index 1 is not a whole number"):
-            run_accuracy_improvement(probs, [0, 1], probs, [0, 0.5], RunConfig(method="knn"))
 
     def test_base_report_never_predicted_class(self):
         # a class the base argmax never predicts gets per-class accuracy 0
@@ -282,11 +254,6 @@ class TestRunAccuracyImprovement:
 
 
 class TestWorkflowProperties:
-    @pytest.mark.parametrize("run", [run_error_detection, run_accuracy_improvement])
-    def test_empty_test_split_is_an_empty_prediction_set(self, run):
-        with pytest.raises(ContractError, match="cannot evaluate an empty prediction set"):
-            run(VAL_PROBS, VAL_TRUE, [], [])
-
     def test_part1_shared_across_test_samples(self, small_ref):
         plan = build_plan(small_ref, 0.5)
         b1 = build_bundle(small_ref, fv(0.7, 0.3), plan)
@@ -310,7 +277,6 @@ class TestWorkflowProperties:
             report = run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS, TEST_TRUE, cfg)
             assert report.n_test == len(TEST_PROBS)
             assert report.fallback_count == 0
-
 
 
 def counting(calls, name, fn):
@@ -370,27 +336,6 @@ class TestPredict:
         assert from_matrix == list(predict(ref, ds.test_features, cfg))
         assert len(from_matrix) == 12
 
-    def test_unknown_method(self):
-        ref = derive_error_detection_set(VAL_PROBS, VAL_TRUE)
-        with pytest.raises(ContractError, match="unknown method"):
-            list(predict(ref, TEST_PROBS, RunConfig(method="svm")))
-
-    @pytest.mark.parametrize(
-        "backend", [BackendConfig(kind="local-attention"), BackendConfig(kind="mock", mock_default=" x")],
-        ids=["local", "mock-fallback"],
-    )
-    def test_zero_norm_test_row_is_named_by_its_test_index(self, monkeypatch, backend):
-        calls = []
-        for kind in (MockBackend, LocalAttentionBackend):
-            monkeypatch.setattr(kind, "complete", counting(calls, "complete", kind.complete))
-        ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
-        tests = [fv(0.7, 0.3), fv(0.4, 0.6), fv(0.0, 0.0)]
-        results = predict(ref, tests, RunConfig(backend=backend, selection_ratio=1.0))
-        with pytest.raises(DegenerateInputError, match="test feature 2 has zero norm") as info:
-            next(results)  # no label and no request before the bad row's error
-        assert info.value.index == 2
-        assert list(results) == [] and calls == []
-
     @pytest.mark.parametrize(
         "backend", [BackendConfig(kind="local-attention"), BackendConfig(kind="mock")], ids=["local", "mock"]
     )
@@ -400,36 +345,6 @@ class TestPredict:
         [(label, audit)] = predict(ref, [fv(0.001, 0.002)], RunConfig(backend=backend, selection_ratio=1.0))
         assert audit.part2 == "[0.00, 0.00] is in class\n"
         assert (audit.completions, audit.fallback, label) == ((), True, 1)
-
-    @pytest.mark.parametrize(
-        "tests, message",
-        [
-            (np.array([[0.7, 0.3], [np.nan, 0.5], [0.0, 0.0]]), "test feature 1 contains non-finite values"),
-            ([fv(0.7, 0.3), fv(0.5, 0.3, 0.2), fv(0.2, 0.8)], "test feature 1 has dimension 3, expected 2"),
-        ],
-        ids=["non-finite", "dimension"],
-    )
-    @pytest.mark.parametrize("method", ["prompt-local", "prompt-mock", "knn", "ubknn"])
-    def test_bad_test_row_is_named_under_every_method(self, monkeypatch, tests, message, method):
-        calls = []
-        for kind in (MockBackend, LocalAttentionBackend):
-            monkeypatch.setattr(kind, "complete", counting(calls, "complete", kind.complete))
-        ref = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
-        plan = build_plan(ref, 1.0, True)
-        first = build_bundle(ref, fv(0.7, 0.3), plan).prompt
-        backend = {
-            "prompt-local": BackendConfig(kind="local-attention"),
-            "prompt-mock": BackendConfig(kind="mock", mock_fixtures={prompt_hash(first): " 0"}),
-        }.get(method, BackendConfig())
-        cfg = RunConfig(
-            method=method.split("-")[0], backend=backend, selection_ratio=1.0,
-            knn=KnnConfig(k_neighbors=1), bags=3, seed=0,
-        )
-        results = predict(ref, tests, cfg)
-        # row 0 could be labelled (the mock holds its completion), but the bad row 1 refuses the run first
-        with pytest.raises(ContractError, match=message):
-            next(results)
-        assert list(results) == [] and calls == []
 
     @pytest.mark.parametrize("reply", [" 1", " x"], ids=["answered", "fallback"])
     def test_prompt_method_checks_the_matrix_then_each_row_in_its_bundle(self, monkeypatch, reply):
@@ -518,189 +433,6 @@ class TestPredict:
         cfg = RunConfig(backend=BackendConfig(kind="mock", mock_default="??"), selection_ratio=0.5)
         report = run_error_detection(VAL_PROBS, VAL_TRUE, TEST_PROBS, TEST_TRUE, cfg)
         assert report.fallback_count == len(TEST_PROBS)
-
-
-PROBS2 = [[0.9, 0.1], [0.2, 0.8]]
-KNN1 = RunConfig(method="knn", knn=KnnConfig(k_neighbors=1))
-# every library entry point that takes labels, with ``y`` in one label slot
-LABEL_TAKERS = {
-    "ReferenceSet": lambda y: ReferenceSet.build(PROBS2, y, 2),
-    "LabeledDataset": lambda y: LabeledDataset(ReferenceSet.build(PROBS2, [0, 1], 2), PROBS2, y),
-    "derive_error_detection_set": lambda y: derive_error_detection_set(PROBS2, y),
-    "compute_metrics-predictions": lambda y: compute_metrics(y, [0, 1], 2),
-    "compute_metrics-truths": lambda y: compute_metrics([0, 1], y, 2),
-    "run_error_detection": lambda y: run_error_detection(PROBS2, [0, 1], PROBS2, y, KNN1),
-    "run_accuracy_improvement": lambda y: run_accuracy_improvement(PROBS2, [0, 1], PROBS2, y, KNN1),
-}
-
-
-class TestLabelRule:
-    @pytest.mark.parametrize("labels", [np.array(0), np.array([[0], [1]]), 1], ids=["0-d", "2-d", "scalar"])
-    @pytest.mark.parametrize("taker", list(LABEL_TAKERS))
-    def test_labels_of_another_shape_are_named_by_their_shape(self, taker, labels):
-        with pytest.raises(ContractError, match=re.escape(f"must form a 1-D array, got shape {np.shape(labels)}")):
-            LABEL_TAKERS[taker](labels)
-
-    @pytest.mark.parametrize("taker", [name for name in LABEL_TAKERS if name != "ReferenceSet"])
-    def test_a_label_outside_the_classes_is_named_by_index_and_value(self, taker):
-        with pytest.raises(SchemaError, match=re.escape("-1 at index 1 outside [0, 2)")):
-            LABEL_TAKERS[taker]([1, -1])
-
-    def test_a_truth_outside_the_probability_columns_is_refused_on_both_sides(self):
-        V = [[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.3, 0.7]]
-        # this call used to score both samples as base-classifier errors: confusion ((0, 0), (2, 0))
-        with pytest.raises(SchemaError, match=re.escape("test label 5 at index 0 outside [0, 2)")):
-            run_error_detection(V, [0, 1, 1, 1], [[0.8, 0.2], [0.3, 0.7]], [5, -1], KNN1)
-        with pytest.raises(SchemaError, match=re.escape("label 9 at index 3 outside [0, 2)")):
-            run_error_detection(V, [0, 1, 1, 9], [[0.8, 0.2], [0.3, 0.7]], [0, 1], KNN1)
-        with pytest.raises(SchemaError, match=re.escape("label 7 at index 0 outside [0, 2)")):
-            derive_error_detection_set(PROBS2, [7, -2])
-
-    @pytest.mark.parametrize(
-        "call, value",
-        [
-            (lambda: ReferenceSet(np.array(PROBS2), np.array([0, 1]), 2.5), "2.5"),
-            (lambda: ReferenceSet.build(PROBS2, [0, 1], 2.9), "2.9"),
-            (lambda: ReferenceSet.build(PROBS2, [0, 1], "3"), "'3'"),
-            (lambda: ReferenceSet.build(PROBS2, [0, 1], True), "True"),
-            (lambda: compute_metrics([0, 1], [0, 1], 2.0), "2.0"),
-            (lambda: run_accuracy_improvement(PROBS2, [0, 1], PROBS2, [0, 1], KNN1, class_count=2.0), "2.0"),
-        ],
-        ids=["init-float", "build-float", "build-string", "build-bool", "metrics-float", "accuracy-float"],
-    )
-    def test_a_class_count_that_is_not_an_integer_of_at_least_two_is_refused(self, call, value):
-        with pytest.raises(ContractError, match=re.escape(f"class_count must be an integer >= 2, got {value}")):
-            call()
-
-    @pytest.mark.parametrize(
-        "run, positive_class, test_true, error, message",
-        [
-            (run_error_detection, 5, TEST_TRUE[:3], ContractError, "positive_class 5 outside [0, 2)"),
-            (run_error_detection, 0.5, TEST_TRUE[:3], ContractError, "positive_class 0.5 outside [0, 2)"),
-            (partial(run_accuracy_improvement, class_count=2), 1, [0, 1, 7], SchemaError, "test label 7 at index 2"),
-        ],
-        ids=["positive-class", "positive-class-float", "test-truth"],
-    )
-    def test_bad_labels_are_refused_before_any_request(self, monkeypatch, run, positive_class, test_true, error, message):
-        calls = []
-        monkeypatch.setattr(MockBackend, "complete", counting(calls, "complete", MockBackend.complete))
-        backend = BackendConfig(kind="mock", mock_default=" 0")
-        cfg = RunConfig(positive_class=positive_class, backend=backend, selection_ratio=0.5)
-        with pytest.raises(error, match=re.escape(message)):
-            run(VAL_PROBS, VAL_TRUE, TEST_PROBS[:3], test_true, cfg)
-        assert calls == []
-
-    def test_compute_metrics_takes_its_count_from_the_checked_labels(self):
-        # a generator is read once: its length is the checked array's, not len() of the argument
-        report = compute_metrics((x for x in [0, 1]), [0, 1], 2)
-        assert report.n_test == 2
-        assert report.confusion == ((1, 0), (0, 1))
-
-
-ROW_REF = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
-MOCK_1 = BackendConfig(kind="mock", mock_default=" 1")
-
-
-def predicted(method):
-    cfg = RunConfig(method=method, backend=MOCK_1, selection_ratio=1.0, knn=KnnConfig(k_neighbors=1), bags=3)
-    return lambda test_X: list(predict(ROW_REF, test_X, cfg))
-
-
-# the entry points that take test rows, and those that take one test row
-MATRIX_TAKERS = {
-    "predict-knn": predicted("knn"),
-    "predict-ubknn": predicted("ubknn"),
-    "predict-prompt": predicted("prompt"),
-    "LabeledDataset": lambda test_X: LabeledDataset(ROW_REF, test_X),
-    "run_error_detection": lambda test_X: run_error_detection(PROBS2, [0, 1], test_X, [0, 1], KNN1),
-    "run_accuracy_improvement": lambda test_X: run_accuracy_improvement(PROBS2, [0, 1], test_X, [0, 1], KNN1),
-    "base_classifier_report": lambda test_X: base_classifier_report(test_X, [0, 1], 2),
-}
-ROW_TAKERS = {
-    "classify": lambda f: classify(ROW_REF, f, build_plan(ROW_REF, 1.0), make_backend(MOCK_1)),
-    "knn_classify": lambda f: knn_classify(ROW_REF, f, KnnConfig(k_neighbors=1)),
-    "nn_attention_classify": lambda f: nn_attention_classify(ROW_REF, f),
-    "from_reference": lambda f: FeatureLabelMatrix.from_reference(ROW_REF, f),
-    "build_part2": build_part2,
-}
-NOT_ROWS = "test features must form an (n, d) matrix or a sequence of rows, got"
-ZERO_NORM = "has zero norm; cosine similarity undefined"
-AS_MATRIX = [
-    ("1-D array", lambda: np.array([0.5, 0.5]), ContractError, f"{NOT_ROWS} shape (2,)"),
-    ("3-D array", lambda: np.full((2, 2, 2), 0.5), ContractError, f"{NOT_ROWS} shape (2, 2, 2)"),
-    ("flat list", lambda: [0.5, 0.5], ContractError, "test feature 0 is not a row of numbers, got float"),
-    ("number", lambda: 0.5, ContractError, f"{NOT_ROWS} float"),
-    ("generator", lambda: (row for row in [[0.7, 0.3]]), ContractError, f"{NOT_ROWS} generator"),
-    ("ragged row", lambda: [[0.7, 0.3], [0.5]], ContractError, "test feature 1 has dimension 1, expected 2"),
-    ("NaN row", lambda: [[0.7, 0.3], [np.nan, 0.5]], ContractError, "test feature 1 contains non-finite values"),
-    ("zero row", lambda: [[0.7, 0.3], [0.0, 0.0]], DegenerateInputError, f"test feature 1 {ZERO_NORM}"),
-]
-AS_ROW = [
-    ("3-D array", lambda: np.full((2, 2, 2), 0.5), ContractError, "test feature 0 is not a row of numbers, got shape (2, 2, 2)"),
-    ("number", lambda: 0.5, ContractError, "test feature 0 is not a row of numbers, got float"),
-    ("generator", lambda: (v for v in [0.7, 0.3]), ContractError, "test feature 0 is not a row of numbers, got generator"),
-    ("NaN row", lambda: np.array([np.nan, 0.5]), ContractError, "test feature 0 contains non-finite values"),
-    ("zero row", lambda: np.array([0.0, 0.0]), DegenerateInputError, f"test feature 0 {ZERO_NORM}"),
-]
-FAULTY_ROWS = [
-    pytest.param(takers[taker], make, error, message, id=f"{taker}-{name}")
-    for takers, inputs in ((MATRIX_TAKERS, AS_MATRIX), (ROW_TAKERS, AS_ROW))
-    for taker in takers
-    for name, make, error, message in inputs
-    # only where a cosine ranks the row is a zero row an error
-    if not (name == "zero row" and taker in ("LabeledDataset", "base_classifier_report", "build_part2"))
-]
-
-
-class TestTestRowRule:
-    @pytest.mark.parametrize("take, make, error, message", FAULTY_ROWS)
-    def test_each_faulty_input_is_a_typed_error_naming_the_row_or_shape(self, take, make, error, message):
-        with pytest.raises(error, match=re.escape(message)):
-            take(make())
-
-    @pytest.mark.parametrize("taker", list(ROW_TAKERS))
-    def test_a_flat_list_and_a_1d_array_are_one_row(self, taker):
-        def result(f):
-            out = ROW_TAKERS[taker](f)
-            if isinstance(out, FeatureLabelMatrix):
-                return out.rows.tolist()
-            return out.tolist() if isinstance(out, np.ndarray) else out
-
-        assert result([0.7, 0.3]) == result(np.array([0.7, 0.3])) == result(fv(0.7, 0.3))
-
-    def test_an_array_row_of_d_items_that_are_not_numbers_is_named_by_its_index(self):
-        with pytest.raises(ContractError) as info:
-            checked_rows([[0.7, 0.3], np.full((2, 2), 0.5), [0.2, 0.8]], 2, cosine=False)
-        assert str(info.value) == "test feature 1 is not a row of numbers, got shape (2, 2)"
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ([[0.7, 0.3], [{}, None]], "test feature 1 is not a row of numbers: float() argument must be"),
-            ([[0.7, 10**400]], "test feature 0 is not a row of numbers: int too large to convert to float"),
-            ([[0.7, 0.3], [[0.1, 0.2], [0.3, 0.4]]], "test feature 1 is not a row of numbers: its items form shape (2, 2)"),
-            ([[[0.1, 0.2], [0.3, 0.4]]], "test feature 0 is not a row of numbers: its items form shape (2, 2)"),
-            (np.array([[0.7, 0.3], [0.2, {}]], dtype=object), "test feature 1 is not a row of numbers: float() argument"),
-        ],
-        ids=["objects", "too-large-for-float", "nested-lists", "nested-lists-alone", "object-array"],
-    )
-    @pytest.mark.parametrize("taker", list(MATRIX_TAKERS))
-    def test_a_list_row_of_d_items_that_are_not_numbers_is_a_contract_error(self, taker, rows, message):
-        with pytest.raises(ContractError, match=re.escape(message)):
-            MATRIX_TAKERS[taker](rows)
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ([[np.nan, 0.3], [{}, None]], "test feature 0 contains non-finite values"),
-            ([[0.7, 0.3], [{}, 0.5], [0.1, 0.2, 0.3]], "test feature 1 is not a row of numbers"),
-            ([[0.7, 0.3], [0.1, 0.2, 0.3], [{}, 0.5]], "test feature 1 has dimension 3, expected 2"),
-        ],
-        ids=["non-finite-first", "unreadable-first", "dimension-first"],
-    )
-    def test_the_first_bad_row_in_order_wins(self, rows, message):
-        with pytest.raises(ContractError, match=re.escape(message)):
-            checked_rows(rows, 2, cosine=False)
 
 
 def row_walk_oracle(queries, d, cosine):
