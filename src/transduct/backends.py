@@ -336,8 +336,10 @@ def classify(
     also fails, the cosine-1NN label over the plan's selected samples is
     used (distance ties go to the sample first in plan order) and the
     fallback flag set. If every value of Part 2 renders as zero (no digit
-    1-9), no request is sent and the fallback is taken at once.
+    1-9), no request is sent and the fallback is taken at once. A zero-norm
+    plan row, which the fallback cannot rank, is refused before any request.
     """
+    ref.unit_rows(plan.index_array)
     bundle = build_bundle(ref, f_test, plan, ser)
     completions: list[str] = []
     label = None

@@ -69,6 +69,21 @@ def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count:
     return np.argmax(votes, axis=1).reshape(c, G)
 
 
+def _distances(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The ``(c, m)`` euclidean distances of the rows ``Q`` to the rows ``X``. One that overflows (``Q``
+    a row like ``[1e200, 9e200]``) is recomputed from its difference scaled by its largest absolute value,
+    as :func:`unit_rows` scales a row, or is inf past the float range; a finite one keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = X - Q[:, None, :]
+        D = np.linalg.norm(diff, axis=2)
+        big = ~np.isfinite(D)
+        if big.any():
+            S = diff[big]
+            top = np.abs(S).max(axis=1)
+            D[big] = np.nan_to_num(top * np.linalg.norm(S / top[:, None], axis=1), nan=np.inf)
+    return D
+
+
 def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str, used) -> Iterator[int]:
     """Each query's label (queries: an ``(n, d)`` matrix or FeatureVectors),
     in order, a chunk at a time (:data:`_CHUNK_BYTES`): the majority over
@@ -86,7 +101,7 @@ def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str,
     for start in range(0, len(Q), step):
         chunk = Q[start : start + step]
         if U is None:
-            D = np.linalg.norm(X - chunk[:, None, :], axis=2)
+            D = _distances(X, chunk)
         else:
             D = 1.0 - unit_cosines(U, unit_rows(chunk))
         votes = _vote(D, groups, ref.label_array(), k, ref.class_count)[:, :, None] == classes

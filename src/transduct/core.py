@@ -13,12 +13,13 @@ Canonical file formats:
 * JSON mirror: ``{"class_count": C, "reference": [{"features": [...],
   "label": i}, ...], "test": [{"features": [...], "label": i?}, ...]}``.
 
-Ingestion opens a file once. numpy's C reader tokenises a CSV body, or the
-csv module does where it cannot; one checker checks either result. The first
-bad row in file order wins, and within a row the features are checked before
-the label and the split. A label is an optional minus sign and ASCII digits,
-or blank or ``?`` for none. Files are read as UTF-8; bytes that are not are a
-DatasetParseError.
+Ingestion opens a file once. numpy's C reader reads a clean CSV body: one
+line per row, every label and split cell plainly valid. The row reader (the
+csv module) reads every other file and words every label, split and
+tokenising error. The first bad row in file order wins, and within a row the
+features are checked before the label and the split. A label is an optional
+minus sign and ASCII digits, or blank or ``?`` for none. Files are read as
+UTF-8; bytes that are not are a DatasetParseError.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import warnings
 from array import array
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -367,13 +368,14 @@ class ReferenceSet:
         return {}
 
     def unit_rows(self, used=slice(None)) -> np.ndarray:
-        """The rows of ``X`` scaled to unit norm (:func:`unit_rows`), computed
-        once and kept read-only with zero-norm rows non-finite; a zero-norm row
-        among ``used`` (default all) raises DegenerateInputError with its index."""
-        U = self._derived.get("unit_rows")
-        if U is None:
-            U = self._derived["unit_rows"] = _read_only(unit_rows(self.X, used=[]))
-        if not np.isfinite(U[:, 0]).all():  # rare (0/0 or, under an underflowed norm, x/0): find a used one
+        """The rows of ``X`` scaled to unit norm (:func:`unit_rows`), computed once and kept read-only
+        beside whether all are finite; a zero-norm row among ``used`` (default all) raises
+        DegenerateInputError with its index, looked for only in a set that has a non-finite row."""
+        if "unit_rows" not in self._derived:
+            U = _read_only(unit_rows(self.X, used=[]))
+            self._derived["unit_rows"] = U, bool(np.isfinite(U[:, 0]).all())
+        U, whole = self._derived["unit_rows"]
+        if not whole:  # rare (0/0 or, under an underflowed norm, x/0): find a used one
             unit_rows(self.X, used)
         return U
 
@@ -500,27 +502,17 @@ def _csv_header(fh, role: Optional[str]) -> tuple[int, list[int], int, Optional[
     return len(header), feat_idx, header.index("label"), header.index("split") if has_split else None
 
 
-def _cell(text: str) -> bytes:
-    """A cell as the checker takes it: UTF-8 with NUL as 0xff, a byte UTF-8 never
-    uses, since a byte-string array drops a trailing NUL (:func:`_text` undoes it)."""
-    return text.encode().replace(b"\x00", b"\xff")
-
-
-def _text(cell: bytes) -> str:
-    return cell.replace(b"\xff", b"\x00").decode()
-
-
-def _csv_rows(fh, role: Optional[str]):
-    """The row reader: the CSV file at ``fh`` tokenised by the csv module into
-    the feature matrix (cells read by Python ``float``), the label and split
-    cells as byte strings (None without a split column), each row's record
-    number, and the error that ended the read, if any: a cell count other
-    than the header's, a feature ``float`` does not read or a cell past the
-    field limit. A record of blank cells is skipped."""
-    width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
-    values, numbers, labels, splits, pending = array("d"), array("q"), [], [], None
+def _csv_rows(lines, schema: IngestionSchema, role: Optional[str]) -> _Table:
+    """The row reader: the CSV ``lines`` (:func:`_decoded_lines`) read by the
+    csv module up to the first record it cannot take (a cell count other than
+    the header's, a feature Python ``float`` does not read, a cell past the
+    field limit, a line not UTF-8, a label or split :func:`_row_label` refuses),
+    through :func:`_finish`, with a refused row's features, checked first. A
+    record of blank cells is passed over."""
+    width, feat_idx, label_idx, split_idx = _csv_header(lines, role)
+    values, numbers, tests, labels, pending = array("d"), array("q"), array("b"), array("q"), None
     try:
-        for row_no, row in _records(fh, 2):
+        for row_no, row in _records(lines, 2):
             if not any(cell.strip() for cell in row):
                 continue
             if len(row) != width:
@@ -530,14 +522,15 @@ def _csv_rows(fh, role: Optional[str]):
             except ValueError as exc:
                 raise DatasetParseError(str(exc), row=row_no) from None
             numbers.append(row_no)
-            labels.append(_cell(row[label_idx]))
-            if split_idx is not None:
-                splits.append(_cell(row[split_idx]))
-    except DatasetParseError as exc:
+            split = None if split_idx is None else row[split_idx]
+            label, test = _row_label(row[label_idx], split, row_no, schema.class_count, role)
+            labels.append(label)
+            tests.append(test)
+    except TransductError as exc:
         pending = exc
     X = np.frombuffer(values).reshape(len(numbers), len(feat_idx))
-    labels, splits = np.array(labels, dtype=bytes), np.array(splits, dtype=bytes) if split_idx is not None else None
-    return X, labels, splits, np.frombuffer(numbers, np.int64), pending
+    table = _Table(X, np.frombuffer(tests, dtype=bool), np.frombuffer(labels, dtype=np.int64))
+    return _finish(table, numbers, _first_bad_row(X, schema.is_probability), pending, "row")
 
 
 # bound with the package: numpy 2 loads np.char on first use, inside a CSV read
@@ -545,67 +538,72 @@ _strip, _str_len = np.char.strip, np.char.str_len
 _CHUNK_CHARS = 1 << 14  # the line feed reads whole lines of about this many characters at a time
 
 
-class _BodyLines:
-    """The lines at a handle, for numpy's C reader, a chunk at a time, noting
-    the empty ones it skips. A NUL, which an S field drops and the row reader
-    keeps, or a line longer than the csv module's field limit, at which the
-    row reader stops, raises ValueError."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.count = 0  # lines read
-        self.skipped = []  # the indices of the empty lines among them
-
-    def __iter__(self):
-        return chain.from_iterable(self._chunks())
-
-    def _chunks(self):
-        limit = csv.field_size_limit()
-        while lines := self.fh.readlines(_CHUNK_CHARS):
-            lengths = np.fromiter(map(len, lines), np.intp, len(lines))
-            if lengths.max() > limit or "\x00" in "".join(lines):
-                raise ValueError("a line the row reader must read")
-            short = np.flatnonzero(lengths <= 2).tolist()  # an empty line is at most a CRLF
-            self.skipped += [self.count + i for i in short if not lines[i].strip()]
-            self.count += len(lines)
-            yield lines
+def _chunks(fh, counts: list):
+    """The lines at ``fh`` for numpy's C reader, as lists of whole lines of
+    about :data:`_CHUNK_CHARS` characters, each list's length added to
+    ``counts``. A NUL (an S field drops it) or a line past the csv module's
+    field limit (the row reader stops there) raises ValueError."""
+    limit = csv.field_size_limit()
+    while lines := fh.readlines(_CHUNK_CHARS):
+        if max(map(len, lines)) > limit or "\x00" in "".join(lines):
+            raise ValueError("a line the row reader must read")
+        counts.append(len(lines))
+        yield lines
 
 
-def _columns(fh, role: Optional[str]):
-    """The CSV body after the header at ``fh`` tokenised by numpy's C reader,
-    as :func:`_csv_rows` tokenises it, or None where the row reader must: a
-    body the C reader rejects or that is empty, a record on more than one
-    line, a NUL or an over-limit line, or a label or split cell that fills
-    its field or is not ASCII (the C reader stores it as latin-1)."""
+def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Table]:
+    """The CSV body after the header at ``fh`` read by numpy's C reader, its
+    rows numbered from 2, through :func:`_finish`; or None, for the row reader,
+    where the C reader rejects the body or finds none, a line is blank or not a
+    whole record, or a label or split cell fills its field or fails the column
+    filter. The filter passes plain cases of :func:`_row_label`'s rule (1 to 18
+    ASCII digits, below the class count; blank or ``?`` on a test row; ``val``
+    or ``test``) and nothing it refuses: no byte past ASCII."""
     width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
     kinds = {label_idx: "S20", split_idx: "S5"}  # bytes; a cell that fills its field may have been cut
     dtype = np.dtype([(f"c{i}", kinds.get(i, "f8")) for i in range(width)])
-    lines = _BodyLines(fh)
+    counts = []
+    lines = chain.from_iterable(_chunks(fh, counts))
     try:  # every column is named: loadtxt then rejects rows of another width
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError:
         return None
-    numbers = np.delete(np.arange(2, lines.count + 2), lines.skipped)
-    if body.size == 0 or len(body) != len(numbers):
+    if body.size == 0 or len(body) != sum(counts):
         return None
     cells = []
     for i in [i for i in (label_idx, split_idx) if i is not None]:
         longest = int(_str_len(body[f"c{i}"]).max())
-        cells.append(body[f"c{i}"].astype(f"S{max(longest, 1)}"))  # a copy as narrow as its longest cell
-        if longest >= body.dtype[i].itemsize or (cells[-1].view(np.uint8) >= 0x80).any():
+        if longest >= body.dtype[i].itemsize:
             return None
+        cells.append(body[f"c{i}"].astype(f"S{max(longest, 1)}"))  # a copy as narrow as its longest cell
     X = np.stack([body[f"c{i}"] for i in feat_idx], axis=1)
-    return X, cells[0], cells[1] if split_idx is not None else None, numbers, None
+    del body
+    raw = _strip(cells[0])
+    blank = (raw == b"") | (raw == b"?")
+    digits, labels = _digit_labels(raw)
+    tests = np.full(len(X), role == "test")
+    plain = blank | digits
+    if split_idx is not None:
+        split = _strip(cells[1])
+        plain &= (split == b"val") | (split == b"test")
+        if role is None:
+            tests = split == b"test"
+    plain &= tests | ~blank  # a reference row needs a label
+    if schema.class_count is not None:
+        plain &= labels < schema.class_count
+    if not plain.all():
+        return None
+    numbers = np.arange(2, len(X) + 2)
+    return _finish(_Table(X, tests, labels), numbers, _first_bad_row(X, schema.is_probability), None, "row")
 
 
-def _row_label(label: bytes, split: Optional[bytes], row_no: int, class_count, role) -> tuple[int, bool]:
-    """One CSV row's label (-1 for none) and test flag, or its error. The
-    filter in :func:`_checked` passes the plain cases of this rule as whole
-    columns, and must never pass a cell it rejects. With ``role`` the row
-    goes to that split, but its split cell, if any, is still checked."""
-    raw_label = _text(label).strip()
+def _row_label(label: str, split: Optional[str], row_no: int, class_count, role) -> tuple[int, bool]:
+    """One CSV row's label (-1 for none) and test flag, or its error: the one
+    rule for a CSV label and split cell. With ``role`` the row goes to that
+    split, but its split cell, if any, is still checked."""
+    raw_label = label.strip()
     value = -1
     if raw_label not in ("", "?"):
         digits = raw_label[1:] if raw_label.startswith("-") else raw_label
@@ -618,7 +616,7 @@ def _row_label(label: bytes, split: Optional[bytes], row_no: int, class_count, r
             raise SchemaError(f"row {row_no}: label {value} >= class_count {class_count}")
         if value > _LABEL_MAX:
             raise SchemaError(f"row {row_no}: label {value} does not fit in int64")
-    cell = _text(split).strip() if split is not None else role
+    cell = split.strip() if split is not None else role
     if cell not in ("val", "test"):
         raise SchemaError(f"row {row_no}: split must be 'val' or 'test', got {cell!r}")
     if (role or cell) == "val" and value < 0:
@@ -639,30 +637,6 @@ def _digit_labels(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(width):  # a digit cell ends in pad NULs
         labels = np.where(is_digit[:, i], labels * 10 + codes[:, i], labels)
     return digits, np.where(digits, labels, -1)
-
-
-def _checked(X, label_cells, split_cells, numbers, pending, schema: IngestionSchema, role) -> _Table:
-    """A tokenised CSV file (see :func:`_csv_rows`), checked: a whole-column
-    filter passes the plainly valid rows, and every other row before the first
-    bad feature row goes through :func:`_row_label` in file order."""
-    bad = _first_bad_row(X, schema.is_probability)
-    raw = _strip(label_cells)
-    blank = (raw == b"") | (raw == b"?")
-    digits, labels = _digit_labels(raw)
-    tests = np.full(len(X), role == "test")
-    plain = blank | digits
-    if split_cells is not None:
-        split = _strip(split_cells)
-        plain &= (split == b"val") | (split == b"test")
-        if role is None:
-            tests = split == b"test"
-    plain &= tests | ~blank  # a reference row needs a label
-    if schema.class_count is not None:
-        plain &= labels < schema.class_count
-    for i in np.flatnonzero(~plain[: len(X) if bad is None else bad[0]]).tolist():
-        cell = None if split_cells is None else split_cells[i]
-        labels[i], tests[i] = _row_label(label_cells[i], cell, int(numbers[i]), schema.class_count, role)
-    return _finish(_Table(X, tests, labels), numbers, bad, pending, "row")
 
 
 def _not_utf8(data: bytes, start: int) -> str:
@@ -699,21 +673,17 @@ def _opened(path):
 
 
 def _read_csv(path, schema: IngestionSchema, role: Optional[str]) -> _Table:
-    """A CSV file, opened once: tokenised by :func:`_columns` or, where that
-    returns None, by the row reader from the start of the same handle; then
-    checked by :func:`_checked`. The text layer decodes ahead of the line it
-    returns, so a file that is not UTF-8 is read again by the row reader a
-    line at a time (:func:`_decoded_lines`)."""
+    """A CSV file, opened once: read by :func:`_columns` or, where that
+    returns None or meets a byte that is not UTF-8 (the text layer decodes
+    ahead of the line it returns), by the row reader from the file's bytes."""
     with _opened(path) as fh:
-        try:
-            tokens = _columns(fh, role)
-            if tokens is None:
-                fh.seek(0)
-                tokens = _csv_rows(fh, role)
-        except UnicodeDecodeError:
+        table = None
+        with suppress(UnicodeDecodeError):
+            table = _columns(fh, schema, role)
+        if table is None:
             fh.seek(0)
-            tokens = _csv_rows(_decoded_lines(fh.buffer.read()), role)
-    return _checked(*tokens, schema, role)
+            table = _csv_rows(_decoded_lines(fh.buffer.read()), schema, role)
+    return table
 
 
 def _json_table(payload: dict, class_count: Optional[int], is_probability: bool) -> _Table:
@@ -791,6 +761,8 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
     class_count = payload.get("class_count", schema.class_count)
     if class_count is not None:
         checked_int(class_count, 2, "class_count", SchemaError)
+    if schema.class_count not in (None, class_count):
+        raise SchemaError(f"JSON dataset: class_count {class_count} disagrees with the given class_count {schema.class_count}")
     table = _json_table(payload, class_count, schema.is_probability)
     return _assemble(table, table, class_count)
 
@@ -821,7 +793,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     if path.suffix.lower() == ".json":
         items = [[{"features": f, "label": y} for f, y in zip(X.tolist(), labels)] for X, labels, _ in splits]
         payload = {"class_count": ref.class_count, "reference": items[0], "test": items[1]}
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_bytes(json.dumps(payload).encode())
         return
     top = max(1, int(ref.y.max()), 0 if ds.test_y is None else int(ds.test_y.max(initial=0)))
     if top + 1 != ref.class_count:

@@ -125,7 +125,7 @@ def build_plan(
     sits near the prompt's end.
     """
     checked_real(selection_ratio, "selection_ratio", 1.0)
-    rep = _scores(unit_rows(ref.feature_matrix()))
+    rep = _scores(ref.unit_rows())
     k = max(1, math.floor(selection_ratio * ref.size))
     if interleave_by_class:
         # rank within each class (stable: by class, score descending, index),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transduct import FeatureVector, KnnConfig, ReferenceSet, UbKnnConfig, knn_classify, ubknn_classify
-from transduct import baselines, core
+from transduct import baselines, build_plan, core, selection
 from transduct.baselines import _labels, nearest_label
 from transduct.core import unit_cosines, unit_rows
 from transduct.errors import ContractError, DegenerateInputError
@@ -381,10 +381,11 @@ class TestBatchedCore:
             calls.append(len(X))
             return unit_rows(X, used)
         # the set's rows are normalised by ReferenceSet.unit_rows, the queries in baselines
-        for module in (core, baselines):
+        for module in (core, baselines, selection):
             monkeypatch.setattr(module, "unit_rows", counting)
         ref = dup_ref(np.random.default_rng(6), 25, 3, 2)
         for _ in range(3):
+            build_plan(ref, 0.5)
             knn_classify(ref, fv(0.2, 0.5, 0.7))
             ubknn_classify(ref, fv(0.2, 0.5, 0.7), UbKnnConfig(KnnConfig(1), 3))
             nearest_label(ref, fv(0.2, 0.5, 0.7), [3, 1, 2])

@@ -191,6 +191,7 @@ ZERO_NORM = "has zero norm; cosine similarity undefined"
 # only where a cosine ranks a row is a zero row refused
 NOT_COSINE = dict.fromkeys(("predict-knn-euclidean", "LabeledDataset", "base_classifier_report"), OK)
 BIG = [1e200, 9e200]  # a finite row whose norm overflows; its cosine-nearest reference row is of class 1
+FAR = [1e17, 9e17]  # BIG's direction, at a scale whose norms and distances do not overflow
 MATRIX_FORMS = {
     "0-d array": (np.array(0.5), (ContractError, f"{NOT_ROWS} shape ()")),
     "1-D array": (np.array([0.5, 0.5]), (ContractError, f"{NOT_ROWS} shape (2,)")),
@@ -208,7 +209,13 @@ MATRIX_FORMS = {
     "overflowing row": ([[0.7, 0.3], BIG], OK, {
         "predict-knn": Value([0, 1]), "predict-ubknn": Value([0, 1]), "predict-prompt": Value([1, 1]),
         "predict-prompt-local": Value([0, 1]),
-        "predict-knn-euclidean": Found(Value([0, 1]), "euclidean distances to a row like [1e200, 9e200] overflow to inf"),
+        # every difference rounds to -BIG, so the four distances tie and go to the first row, as
+        # they do for the far row FAR, whose distances do not overflow
+        "predict-knn-euclidean": Value([0, 0]),
+    }),
+    "far row": ([[0.7, 0.3], FAR], OK, {
+        "predict-knn": Value([0, 1]), "predict-ubknn": Value([0, 1]), "predict-prompt": Value([1, 1]),
+        "predict-prompt-local": Value([0, 1]), "predict-knn-euclidean": Value([0, 0]),
     }),
     "objects": ([[0.7, 0.3], [{}, None]], (ContractError, "test feature 1 is not a row of numbers: float() argument must be...")),
     "huge integer": ([[0.7, 10**400]], (ContractError, "test feature 0 is not a row of numbers: int too large to convert to float")),
@@ -282,7 +289,7 @@ ZERO_ROW_1 = (DegenerateInputError, "zero-norm feature vector at index 1; cosine
 ZERO_REF_FORMS = {
     "zero reference row": ([0.7, 0.3], ZERO_ROW_1, {
         "knn_classify-euclidean": Value(0), "classify-mock": Value(1),
-        "classify-fallback": Found(ZERO_ROW_1, "classify asks for two completions before its fallback refuses a zero plan row"),
+        "classify-fallback": ZERO_ROW_1,
     }),
 }
 
@@ -655,6 +662,10 @@ INGEST = {  # the ingest's typed errors: (content, IngestionSchema options, outc
     "json-features-not-list.json": ({"reference": [{"features": 0.5, "label": 0}]}, {}, (DatasetParseError, "reference item 0: expected an object with a 'features' list")),
     "json-item-not-object.json": ({"reference": [GOOD_ITEM], "test": [[0.5, 0.5]]}, {}, (DatasetParseError, "test item 0: expected an object with a 'features' list")),
     "json-class-count-1.json": ({"class_count": 1, "reference": [GOOD_ITEM]}, {}, (SchemaError, "class_count must be an integer >= 2, got 1")),
+    # a class count given beside the file's must agree with it; the items are not read
+    "json-class-count-disagrees.json": ({"class_count": 3, "reference": [{"features": [0.5, 0.5], "label": 4}]}, {"class_count": 5},
+                                        (SchemaError, "JSON dataset: class_count 3 disagrees with the given class_count 5")),
+    "json-class-count-agrees.json": ({"class_count": 3, "reference": [GOOD_ITEM]}, {"class_count": 3}, OK),
     "json-test-negative-label.json": ({"reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.5, 0.5], "label": -3}]}, {}, (SchemaError, "test item 1: negative label -3")),
     "json-test-label-over-class-count.json": ({"class_count": 2, "reference": [GOOD_ITEM], "test": [GOOD_ITEM, {"features": [0.4, 0.6], "label": 5}]}, {}, (SchemaError, "test item 1: label 5 out of range")),
     "schema-class-count-1.csv": (HEADER + "0.9,0.1,0,val\n", {"class_count": 1}, (SchemaError, "class_count must be an integer >= 2, got 1")),

@@ -395,8 +395,8 @@ def test_bytes_that_are_not_utf8_are_a_parse_error_naming_their_row(tmp_path, mo
 
 
 def test_a_long_label_cell_is_read_without_copies_as_wide(tmp_path):
-    # a cell too wide for the column read sends the file to the row reader,
-    # whose label column is as wide as that cell; digits are read from 19 bytes
+    # a cell too wide for the column read sends the file to the row reader;
+    # digits are read from the first 18 bytes of a label column however wide
     long = " " * 100_000 + "1"
     path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n" * 199 + f"0.1,0.9,{long},val\n")
     assert load_dataset(path).reference.labels == (0,) * 199 + (1,)
@@ -414,7 +414,7 @@ def test_a_long_label_cell_is_read_without_copies_as_wide(tmp_path):
 @pytest.mark.parametrize("role", ["val", "test"])
 @pytest.mark.parametrize("split", ["train", "tst"])
 def test_split_column_of_a_val_or_test_file_is_still_checked(tmp_path, role, split):
-    # "train" fills its byte field, so the row reader tokenises that file; "tst" stays on the C path
+    # "train" fills its byte field and "tst" fails the column filter: the row reader words both
     good = _write(tmp_path, "v.csv", HEADER + "0.9,0.1,0,val\n")
     bad = _write(tmp_path, "b.csv", HEADER + f"0.9,0.1,0,{split}\n0.1,0.9,1,val\n")
     with pytest.raises(SchemaError, match=rf"^row 2: split must be 'val' or 'test', got '{split}'$"):
@@ -451,26 +451,32 @@ def test_both_paths_check_a_row_as_the_scalar_rule_does(tmp_path, label, split):
         expected = []
         for class_count in (None, 2):
             try:
-                expected.append(core._row_label(core._cell(label_cell), core._cell(split_cell), 2, class_count, role))
+                expected.append(core._row_label(label_cell, split_cell, 2, class_count, role))
             except TransductError as exc:
                 expected.append((type(exc).__name__, str(exc)))
         for on_columns in (True, False):
             assert list(_tokenised(path, role, on_columns)) == expected, (role, on_columns)
 
 
-def test_a_bad_label_in_the_last_row_is_raised_without_the_row_reader(tmp_path, monkeypatch):
-    # before, the column read gave up on the file and the row reader read it again
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "bad last label"])
+def test_only_a_file_the_column_read_does_not_pass_goes_to_the_row_reader(tmp_path, monkeypatch, bad):
+    # a benchmark-shaped file: the C reader takes it clean; the row reader words its bad label
     P = np.random.default_rng(1).dirichlet(np.ones(10), size=4030)
     labels = [str(i % 10) for i in range(4000)] + [""] * 30
-    labels[3999] = "x"
+    labels[3999] = "x" if bad else labels[3999]
     splits = ["val"] * 4000 + ["test"] * 30
     lines = [",".join(map(repr, row)) + f",{y},{s}" for row, y, s in zip(P.tolist(), labels, splits)]
     path = _write(tmp_path, "p.csv", ",".join(f"f{j}" for j in range(10)) + ",label,split\n" + "\n".join(lines) + "\n")
     read = []
-    monkeypatch.setattr(core, "_csv_rows", lambda *args: read.append(1))
+    row_reader = core._csv_rows
+    monkeypatch.setattr(core, "_csv_rows", lambda *args: read.append(1) or row_reader(*args))
+    if not bad:
+        assert load_dataset(path, IngestionSchema(is_probability=True)).reference.size == 4000
+        assert read == []
+        return
     with pytest.raises(DatasetParseError, match=r"^row 4001: non-integer label 'x'$"):
         load_dataset(path, IngestionSchema(is_probability=True))
-    assert read == []
+    assert read == [1]
 
 
 def test_ingest_streams_rows_into_one_matrix(tmp_path):
