@@ -70,17 +70,17 @@ def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count:
 
 
 def _distances(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The ``(c, m)`` euclidean distances of the rows ``Q`` to the rows ``X``. One that overflows (``Q``
-    a row like ``[1e200, 9e200]``) is recomputed from its difference scaled by its largest absolute value,
-    as :func:`unit_rows` scales a row, or is inf past the float range; a finite one keeps its bits."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = X - Q[:, None, :]
-        D = np.linalg.norm(diff, axis=2)
-        big = ~np.isfinite(D)
-        if big.any():
-            S = diff[big]
-            top = np.abs(S).max(axis=1)
-            D[big] = np.nan_to_num(top * np.linalg.norm(S / top[:, None], axis=1), nan=np.inf)
+    """The ``(c, m)`` euclidean distances of the rows ``Q`` to the rows ``X``, as each row ranks them. A
+    row ``q`` with a distance that overflows (``[1e200, 9e200]``, whose differences to rows near the origin
+    all round to ``-q``) is ranked by ``|x/s|^2 - 2 (q/s).(x/s)``, with ``s`` ``q``'s largest magnitude or
+    ``X``'s over 2**400 if larger, so no square overflows; every other row keeps its distances' bits."""
+    with np.errstate(over="ignore"):
+        D = np.linalg.norm(X - Q[:, None, :], axis=2)
+    big = ~np.isfinite(D).all(axis=1)
+    if big.any():
+        s = np.maximum(np.abs(Q[big]).max(axis=1), np.abs(X).max() * 2.0**-400)[:, None, None]
+        Xs = X / s
+        D[big] = (Xs * (Xs - 2 * (Q[big][:, None, :] / s))).sum(axis=2)
     return D
 
 

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -432,6 +433,24 @@ class TestBatchedCore:
         for method in ("knn", "ubknn"):
             assert list(predict(ref, [], RunConfig(method=method))) == []
             assert list(predict(ref, (), RunConfig(method=method))) == []
+
+
+class TestOverflowingDistances:
+    """A test row with a euclidean distance past the float range is ranked as
+    exact arithmetic ranks it; each reference row is its own class."""
+
+    @pytest.mark.parametrize("q, rows", [
+        ([1e200, 9e200], [[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.2, 0.8]]),  # differences round alike
+        ([1e308, 1e308], [[-1e308, -1e308], [-0.5e308, -0.5e308]]),  # a difference past the range
+        ([0.0, 0.0], [[1.5e308, 1.5e308], [1e308, 1e308], [1.2e308, 1.2e308]]),  # finite and not
+        ([1e308, -1e308], [[-1e308, 1e308], [0.0, 0.0], [1e308, -1e308]]),
+        ([-1e200, 1e200], [[1e308, 1e-300], [3.0, -1.0], [-2.0, 5.0], [0.5, 0.5]]),  # a far outlier
+        ([1e-300, 0.0], [[1.5e308, 1.5e308], [1e308, 1.1e308], [1e308, 1e308]]),
+    ])
+    def test_nearest_row_is_the_exact_one(self, q, rows):
+        exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(q, row)) for row in rows]
+        ref = ReferenceSet.build(rows, list(range(len(rows))), len(rows))
+        assert knn_classify(ref, FeatureVector.of(q), KnnConfig(1, "euclidean")) == exact.index(min(exact))
 
 
 class TestNearestLabelOrder:

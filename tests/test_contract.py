@@ -191,7 +191,6 @@ ZERO_NORM = "has zero norm; cosine similarity undefined"
 # only where a cosine ranks a row is a zero row refused
 NOT_COSINE = dict.fromkeys(("predict-knn-euclidean", "LabeledDataset", "base_classifier_report"), OK)
 BIG = [1e200, 9e200]  # a finite row whose norm overflows; its cosine-nearest reference row is of class 1
-FAR = [1e17, 9e17]  # BIG's direction, at a scale whose norms and distances do not overflow
 MATRIX_FORMS = {
     "0-d array": (np.array(0.5), (ContractError, f"{NOT_ROWS} shape ()")),
     "1-D array": (np.array([0.5, 0.5]), (ContractError, f"{NOT_ROWS} shape (2,)")),
@@ -209,13 +208,7 @@ MATRIX_FORMS = {
     "overflowing row": ([[0.7, 0.3], BIG], OK, {
         "predict-knn": Value([0, 1]), "predict-ubknn": Value([0, 1]), "predict-prompt": Value([1, 1]),
         "predict-prompt-local": Value([0, 1]),
-        # every difference rounds to -BIG, so the four distances tie and go to the first row, as
-        # they do for the far row FAR, whose distances do not overflow
-        "predict-knn-euclidean": Value([0, 0]),
-    }),
-    "far row": ([[0.7, 0.3], FAR], OK, {
-        "predict-knn": Value([0, 1]), "predict-ubknn": Value([0, 1]), "predict-prompt": Value([1, 1]),
-        "predict-prompt-local": Value([0, 1]), "predict-knn-euclidean": Value([0, 0]),
+        "predict-knn-euclidean": Value([0, 1]),
     }),
     "objects": ([[0.7, 0.3], [{}, None]], (ContractError, "test feature 1 is not a row of numbers: float() argument must be...")),
     "huge integer": ([[0.7, 10**400]], (ContractError, "test feature 0 is not a row of numbers: int too large to convert to float")),
