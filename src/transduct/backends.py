@@ -336,11 +336,12 @@ def classify(
     also fails, the cosine-1NN label over the plan's selected samples is
     used (distance ties go to the sample first in plan order) and the
     fallback flag set. If every value of Part 2 renders as zero (no digit
-    1-9), no request is sent and the fallback is taken at once. A zero-norm
-    plan row, which the fallback cannot rank, is refused before any request.
+    1-9), no request is sent and the fallback is taken at once. Before any
+    request :func:`build_bundle` checks the test row, the plan and the token
+    budget, and then a zero-norm plan row, which the fallback cannot rank, is refused.
     """
-    ref.unit_rows(plan.index_array)
     bundle = build_bundle(ref, f_test, plan, ser)
+    ref.unit_rows(plan.index_array)
     completions: list[str] = []
     label = None
     for tokens in (4, 8) if re.search("[1-9]", bundle.part2) else ():

@@ -69,16 +69,17 @@ def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count:
     return np.argmax(votes, axis=1).reshape(c, G)
 
 
-def _distances(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The ``(c, m)`` euclidean distances of the rows ``Q`` to the rows ``X``, as each row ranks them. A
-    row ``q`` with a distance that overflows (``[1e200, 9e200]``, whose differences to rows near the origin
-    all round to ``-q``) is ranked by ``|x/s|^2 - 2 (q/s).(x/s)``, with ``s`` ``q``'s largest magnitude or
-    ``X``'s over 2**400 if larger, so no square overflows; every other row keeps its distances' bits."""
+def _distances(X: np.ndarray, Q: np.ndarray, top: float) -> np.ndarray:
+    """The ``(c, m)`` euclidean distances of the rows ``Q`` to the rows ``X`` (``top`` their largest
+    magnitude), as each row ranks them. A row ``q`` with a distance that overflows, or more than 2**26
+    times ``top`` (``[1e17, 9e17]``, whose differences to rows near the origin all round to ``-q``), is
+    ranked by ``|x/s|^2 - 2 (q/s).(x/s)``, with ``s`` ``q``'s largest magnitude or ``top`` over 2**400
+    if larger, so no square overflows; every other row keeps its distances' bits."""
     with np.errstate(over="ignore"):
         D = np.linalg.norm(X - Q[:, None, :], axis=2)
-    big = ~np.isfinite(D).all(axis=1)
+    big = ~np.isfinite(D).all(axis=1) | (np.abs(Q).max(axis=1) * 2.0**-26 > top)
     if big.any():
-        s = np.maximum(np.abs(Q[big]).max(axis=1), np.abs(X).max() * 2.0**-400)[:, None, None]
+        s = np.maximum(np.abs(Q[big]).max(axis=1), top * 2.0**-400)[:, None, None]
         Xs = X / s
         D[big] = (Xs * (Xs - 2 * (Q[big][:, None, :] / s))).sum(axis=2)
     return D
@@ -94,6 +95,7 @@ def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str,
     the first label."""
     U = ref.unit_rows(used) if metric == "cosine" else None
     X = ref.feature_matrix()
+    top = np.abs(X).max() if U is None else None
     m, d = X.shape
     Q = checked_rows(queries, d, cosine=U is not None)
     classes = np.arange(ref.class_count)
@@ -101,7 +103,7 @@ def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str,
     for start in range(0, len(Q), step):
         chunk = Q[start : start + step]
         if U is None:
-            D = _distances(X, chunk)
+            D = _distances(X, chunk, top)
         else:
             D = 1.0 - unit_cosines(U, unit_rows(chunk))
         votes = _vote(D, groups, ref.label_array(), k, ref.class_count)[:, :, None] == classes

@@ -13,8 +13,9 @@ completion cue ``is in class``. Floats are rendered with a fixed number of
 fractional digits (round-half-to-even) so identical inputs always yield
 byte-identical prompts.
 
-Part 1 is the same for every test sample of a run, so :func:`build_part1`
-keeps its last result on the reference set and a run renders it once.
+Part 1 is the same for every test sample of a run, so it is rendered once
+per (reference set, plan, config) and kept on the set; the plan's indices
+are checked against the set once, before that render.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ _PART2_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class$")
 
 @dataclass(frozen=True)
 class SerializationConfig:
-    """Rendering precision and token budgeting for prompts."""
+    """Rendering precision (1 to 1,074 decimals) and token budgeting for prompts."""
 
     decimals: int = 2
     token_budget: int = 4000
 
     def __post_init__(self):
-        checked_int(self.decimals, 1, "decimals")
+        if checked_int(self.decimals, 1, "decimals") > 1074:  # 2**-1074, a float64's finest step, has 1,074
+            raise ContractError(f"decimals must be at most 1074, got {self.decimals!r}")
         checked_int(self.token_budget, 1, "token_budget")
 
 
@@ -93,35 +95,30 @@ def _over_budget(part1: str, part2: str, cfg: SerializationConfig) -> TokenBudge
     )
 
 
-def _part1_lines(ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig) -> list[str]:
-    """The labeled lines of the plan's reference samples, in plan order."""
-    for i in plan.ordered_indices:
-        if not 0 <= i < ref.size:
-            raise ContractError(f"plan index {i} outside reference set of size {ref.size}")
-    rows = list(plan.ordered_indices)
-    values, labels = ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist()
-    line = _line_format(ref.dimension, cfg.decimals) + " %d\n"
-    return [line % (*f, y) for f, y in zip(values, labels)]
+def _part1(ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig) -> str:
+    """The plan's labeled lines in plan order, rendered once per (ref, plan, cfg): the text is kept
+    on ``ref`` as ``(plan, cfg, text)``, freed with it, and returned for the same set and plan objects
+    and an equal config. Each plan index is checked against the set once, before the render."""
+    last = ref._derived.get("part1")
+    if last is not None and last[0] is plan and last[1] == cfg:
+        return last[2]
+    if outside := [i for i in plan.ordered_indices if i >= ref.size]:
+        raise ContractError(f"plan index {outside[0]} outside reference set of size {ref.size}")
+    rows, line = plan.index_array, _line_format(ref.dimension, cfg.decimals) + " %d\n"
+    lines = [line % (*f, y) for f, y in zip(ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist())]
+    text = "".join(lines)  # the rows' values are freed by now, so they and the text do not peak together
+    ref._derived["part1"] = (plan, cfg, text)
+    return text
 
 
 def build_part1(
     ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig = SerializationConfig()
 ) -> str:
-    """Labeled reference lines in plan order, most representative last.
-
-    Rendered once per (ref, plan, cfg): a repeat call with the same
-    reference set and plan objects and an equal config returns the last text.
-    That text is kept on ``ref`` as ``(plan, cfg, text)``, so it is freed
-    with the set; the plan is matched by identity, which the strong
-    reference held there keeps unambiguous.
-    """
-    last = ref._derived.get("part1")
-    if last is not None and last[0] is plan and last[1] == cfg:
-        return last[2]
-    text = "".join(_part1_lines(ref, plan, cfg))
+    """Labeled reference lines in plan order, most representative last, rendered once per
+    (ref, plan, cfg) and within the token budget on their own."""
+    text = _part1(ref, plan, cfg)
     if _estimate_tokens(text) > cfg.token_budget:
         raise _over_budget(text, "", cfg)
-    ref._derived["part1"] = (plan, cfg, text)
     return text
 
 
@@ -137,19 +134,13 @@ def build_part2(f_test, cfg: SerializationConfig = SerializationConfig()) -> str
 
 
 def build_bundle(
-    ref: ReferenceSet,
-    f_test,
-    plan: SelectionPlan,
-    cfg: SerializationConfig = SerializationConfig(),
+    ref: ReferenceSet, f_test, plan: SelectionPlan, cfg: SerializationConfig = SerializationConfig()
 ) -> PromptBundle:
     """Assemble part 1 + part 2 of a FeatureVector or a row, checked first by
-    :func:`checked_rows`, enforcing the total token budget: over it, whichever
+    :func:`checked_rows`, then the plan, then the total token budget: over it, whichever
     part overflows, ``max_feasible_k`` counts the lines that fit beside Part 2."""
     part2 = _part2(checked_rows([f_test], ref.dimension, cosine=False), cfg)
-    try:
-        part1 = build_part1(ref, plan, cfg)
-    except TokenBudgetError:  # its hint leaves no room for Part 2
-        raise _over_budget("".join(_part1_lines(ref, plan, cfg)), part2, cfg) from None
+    part1 = _part1(ref, plan, cfg)
     estimate = _estimate_tokens(part1, part2)
     if estimate > cfg.token_budget:
         raise _over_budget(part1, part2, cfg)

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ReferenceSet, _finite_rows, _read_only, as_feature_matrix, checked_real, unit_rows
+from .core import ReferenceSet, _finite_rows, _read_only, as_feature_matrix, checked_int, checked_real, unit_rows
 from .errors import ContractError
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class SelectionPlan:
 
     ``ordered_indices[0]`` is emitted first; the last index is the most
     influential (most representative) sample. ``rep_scores`` covers all m
-    reference samples, not just the selected ones.
+    reference samples, not just the selected ones. The indices are distinct
+    integers >= 0; the Part 1 renderer checks each against the reference set.
     """
 
     ordered_indices: tuple[int, ...]
@@ -48,6 +49,9 @@ class SelectionPlan:
             raise ContractError(f"plan must select at least one sample, k={self.k}")
         if len(self.ordered_indices) != self.k:
             raise ContractError(f"plan has {len(self.ordered_indices)} indices, k={self.k}")
+        if not all(type(i) is int and i >= 0 for i in self.ordered_indices):  # plain ints pass at once
+            for i in self.ordered_indices:
+                checked_int(i, 0, "plan index")
         if len(set(self.ordered_indices)) != self.k:
             raise ContractError("plan contains duplicate indices")
 

@@ -441,6 +441,8 @@ class TestOverflowingDistances:
 
     @pytest.mark.parametrize("q, rows", [
         ([1e200, 9e200], [[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.2, 0.8]]),  # differences round alike
+        ([1e17, 9e17], [[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.2, 0.8]]),  # alike too, with no overflow
+        ([1e8, 9e8], [[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.2, 0.8]]),  # past 2**26 times every row
         ([1e308, 1e308], [[-1e308, -1e308], [-0.5e308, -0.5e308]]),  # a difference past the range
         ([0.0, 0.0], [[1.5e308, 1.5e308], [1e308, 1e308], [1.2e308, 1.2e308]]),  # finite and not
         ([1e308, -1e308], [[-1e308, 1e308], [0.0, 0.0], [1e308, -1e308]]),

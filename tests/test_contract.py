@@ -33,8 +33,8 @@ import pytest
 from transduct import (
     AttentionConfig, BackendConfig, CompletionRequest, FeatureLabelMatrix, FeatureVector, IngestionSchema, KnnConfig,
     LabeledDataset, ReferenceSet, RetryPolicy, RunConfig, SelectionPlan, SerializationConfig, UbKnnConfig, build_bundle,
-    build_part2, build_plan, classify, cli, compute_metrics, cosine_1nn_label, derive_error_detection_set, generate,
-    iterate_self_attention, knn_classify, load_dataset, make_backend, make_moons, nn_attention_classify,
+    build_part1, build_part2, build_plan, classify, cli, compute_metrics, cosine_1nn_label, derive_error_detection_set,
+    generate, iterate_self_attention, knn_classify, load_dataset, make_backend, make_moons, nn_attention_classify,
     representativeness, run_accuracy_improvement, run_error_detection, split_dataset, ubknn_classify,
 )
 from transduct.attention import two_cluster_fixture
@@ -153,6 +153,7 @@ def check(call, value, outcome):
 
 REF = ReferenceSet.build([[0.9, 0.1], [0.8, 0.2], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1, 1], 2)
 MOCK_1 = BackendConfig(kind="mock", mock_default=" 1")
+UNPARSEABLE = BackendConfig(kind="mock", mock_default=" x")  # each reply fails, so the fallback labels
 LOCAL = BackendConfig(kind="local-attention")
 PROBS2 = [[0.9, 0.1], [0.2, 0.8]]
 KNN1 = RunConfig(method="knn", knn=KnnConfig(k_neighbors=1))
@@ -275,8 +276,7 @@ ZERO_REF_TAKERS = {
     "representativeness": lambda f: representativeness(ZERO_REF.X),
     "predict-prompt-local": lambda f: labels_of(predict(ZERO_REF, [f], RunConfig(backend=LOCAL))),
     "classify-mock": lambda f: classify(ZERO_REF, f, SelectionPlan((3, 2), (0.0,) * 4, 2), make_backend(MOCK_1))[0],
-    "classify-fallback": lambda f: classify(ZERO_REF, f, SelectionPlan((1, 2), (0.0,) * 4, 2),
-                                            make_backend(BackendConfig(kind="mock", mock_default=" x")))[0],
+    "classify-fallback": lambda f: classify(ZERO_REF, f, SelectionPlan((1, 2), (0.0,) * 4, 2), make_backend(UNPARSEABLE))[0],
 }
 ZERO_ROW_1 = (DegenerateInputError, "zero-norm feature vector at index 1; cosine similarity undefined")
 ZERO_REF_FORMS = {
@@ -284,6 +284,38 @@ ZERO_REF_FORMS = {
         "knn_classify-euclidean": Value(0), "classify-mock": Value(1),
         "classify-fallback": ZERO_ROW_1,
     }),
+}
+
+# --- plans: the one plan rule, SelectionPlan's check and the Part 1 renderer's -------------------
+
+
+def planned(use):
+    """A column taking ``(reference set, plan indices, test row)``: it builds the plan, then uses it."""
+    return lambda case: use(case[0], SelectionPlan(case[1], (0.0,) * case[0].size, len(case[1])), case[2])
+
+
+PLAN_TAKERS = {
+    "SelectionPlan": planned(lambda ref, plan, f: None),
+    "build_part1": planned(lambda ref, plan, f: build_part1(ref, plan)),
+    "build_bundle": planned(lambda ref, plan, f: build_bundle(ref, f, plan).part1),
+    "classify-mock": planned(lambda ref, plan, f: classify(ref, f, plan, make_backend(MOCK_1))[0]),
+    "classify-fallback": planned(lambda ref, plan, f: classify(ref, f, plan, make_backend(UNPARSEABLE))[0]),
+}
+# the plan is refused where it is built; an index past the set, where the set is first known
+IN_SET = {"SelectionPlan": OK}
+PLAN_FORMS = {
+    **{f"index {form}": ((REF, (0, i), [0.7, 0.3]), (ContractError, f"plan index must be an integer >= 0, got {i!r}"))
+       for form, i in {"float": 1.5, "bool": True, "string": "1", "None": None, "list": [0], "negative": -1}.items()},
+    "index m": ((REF, (0, 4), [0.7, 0.3]), (ContractError, "plan index 4 outside reference set of size 4"), IN_SET),
+    "index huge integer": ((REF, (0, 2**70), [0.7, 0.3]),
+                           (ContractError, f"plan index {2**70} outside reference set of size 4"), IN_SET),
+    # checked before the plan's norms are
+    "index m on a zero-norm set": ((ZERO_REF, (0, 4), [0.7, 0.3]),
+                                   (ContractError, "plan index 4 outside reference set of size 4"), IN_SET),
+    # the test row is checked before the plan's norms, as predict does
+    "NaN test row, zero-norm plan row": ((ZERO_REF, (1, 2), [np.nan, 0.5]),
+                                         (ContractError, "test feature 0 contains non-finite values"),
+                                         {"SelectionPlan": OK, "build_part1": OK}),
 }
 
 # --- labels: the one label rule, core.read_labels ----------------------------------------------
@@ -434,7 +466,8 @@ INT_FORMS = {  # the input given the least value, and the outcome where it is no
         "base_classifier_report.class_count": (ContractError, f"test feature 0 has dimension 2, expected {HUGE}"),
         "run_accuracy_improvement.class_count": (
             ContractError, f"accuracy improvement expects one probability per class: features have 2 values but there are {HUGE} classes"),
-        "SerializationConfig.decimals": Found(OK),  # a raw ValueError: precision too big
+        # no float64 has a nonzero digit past the 1,074th (2**-1074 is its finest step)
+        "SerializationConfig.decimals": (ContractError, f"decimals must be at most 1074, got {HUGE}"),
         "compute_metrics.class_count": Found(OK),  # a raw OverflowError from the C x C confusion matrix
         # drawing 10**30 bags, or making 10**30 rows, would not end
         "UbKnnConfig.n_bags": Found(OK, run=False),
@@ -545,6 +578,7 @@ EMPTY = {  # an evaluation of no samples
     grid(MATRIX_TAKERS, MATRIX_FORMS)
     + grid(ROW_TAKERS, ROW_FORMS)
     + grid(ZERO_REF_TAKERS, ZERO_REF_FORMS)
+    + grid(PLAN_TAKERS, PLAN_FORMS)
     + LABEL_CELLS
     + grid(REFERENCE_TAKERS, REFERENCE_FORMS)
     + INT_CELLS

@@ -160,6 +160,20 @@ class TestPart1Memo:
         with pytest.raises(TokenBudgetError):
             build_bundle(small_ref, fv(0.5, 0.5), plan, short)
 
+    @pytest.mark.parametrize("budget, outcome", [(10**6, "fits"), (4, "over")])
+    def test_part1_then_the_bundle_render_once(self, small_ref, monkeypatch, budget, outcome):
+        plan, cfg = build_plan(small_ref, 1.0), SerializationConfig(token_budget=budget)
+        reads, read = [], ReferenceSet.feature_matrix  # a render reads the matrix once; Part 2 does not
+        monkeypatch.setattr(ReferenceSet, "feature_matrix", lambda ref: reads.append(ref) or read(ref))
+        outcomes = []
+        for build in (lambda: build_part1(small_ref, plan, cfg), lambda: build_bundle(small_ref, fv(0.5, 0.5), plan, cfg)):
+            try:
+                build()
+                outcomes.append("fits")
+            except TokenBudgetError:
+                outcomes.append("over")
+        assert outcomes == [outcome] * 2 and reads == [small_ref]
+
 
 class TestBuildPart2:
     def test_format(self):
