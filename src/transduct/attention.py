@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import KnnConfig, knn_classify
-from .core import FeatureVector, ReferenceSet, checked_int, checked_real, checked_rows, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, checked_int, checked_real, checked_rows, checked_switch, unit_cosines, unit_rows
 from .errors import ContractError, NumericError
 
 
@@ -49,18 +49,20 @@ class AttentionConfig:
         checked_real(self.scale_s, "scale_s")
         checked_real(self.convergence_tol, "convergence_tol")
         checked_int(self.max_layers, 1, "max_layers")
+        checked_switch(self.strict_setup2, "strict_setup2")
 
 
 def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
-    """softmax(Q K^T / s) V with row-wise, max-subtracted softmax."""
+    """softmax(Q K^T / s) V, each row's largest score subtracted before the division by ``s``."""
     Q, K, V = np.atleast_2d(np.asarray(Q, float)), np.atleast_2d(np.asarray(K, float)), np.atleast_2d(np.asarray(V, float))
     checked_real(s, "scale")
     if Q.shape[1] != K.shape[1]:
         raise ContractError(f"Q columns {Q.shape[1]} != K columns {K.shape[1]}")
     if K.shape[0] != V.shape[0]:
         raise ContractError(f"K rows {K.shape[0]} != V rows {V.shape[0]}")
-    logits = Q @ K.T / s
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed scores are refused below; gap / s -> -inf: weight 0
+        scores = Q @ K.T
+        exp = np.exp((scores - scores.max(axis=1, keepdims=True)) / s)
     out = exp / exp.sum(axis=1, keepdims=True) @ V
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite attention output")
@@ -126,7 +128,7 @@ def self_attention_classify(
     makes the feature-only similarity explicit.
     """
     rows = np.asarray(M.rows, float)
-    known, cols = rows[:-1], slice(M.feature_dim) if strict_setup2 else slice(None)
+    known, cols = rows[:-1], slice(M.feature_dim) if checked_switch(strict_setup2, "strict_setup2") else slice(None)
     return attention(rows[-1:, cols], known[:, cols], known[:, M.feature_dim :], s)[0]
 
 
@@ -144,10 +146,7 @@ def iterate_self_attention(
     outputs: list[np.ndarray] = []
     converged_at = None
     for layer in range(1, cfg.max_layers + 1):
-        try:
-            nxt = attention(current[:, cols], current[:, cols], current, cfg.scale_s)
-        except NumericError:
-            raise NumericError("non-finite iterate", layer=layer) from None
+        nxt = attention(current[:, cols], current[:, cols], current, cfg.scale_s)
         outputs.append(nxt)
         if np.abs(nxt - current).max() < cfg.convergence_tol:
             converged_at = layer

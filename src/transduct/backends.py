@@ -46,8 +46,8 @@ class CompletionRequest:
     max_tokens: int = 4
 
     def __post_init__(self):
-        if not self.prompt:
-            raise ContractError("prompt must be non-empty")
+        if not (isinstance(self.prompt, str) and self.prompt):
+            raise ContractError(f"prompt must be a non-empty string, got {self.prompt!r}")
         checked_int(self.max_tokens, 1, "max_tokens")
 
 
@@ -102,9 +102,7 @@ class RateLimiter:
     """Admits at most ``rpm`` requests per rolling 60-second window."""
 
     def __init__(self, rpm: int, clock: Callable[[], float] = time.monotonic, sleep: Callable[[float], None] = time.sleep):
-        if rpm < 1:
-            raise ContractError("rate limit must be >= 1 rpm")
-        self.rpm = rpm
+        self.rpm = checked_int(rpm, 1, "rate_limit_rpm")
         self._clock = clock
         self._sleep = sleep
         self._window: deque[float] = deque()

@@ -129,14 +129,11 @@ def knn_classify(ref: ReferenceSet, f_test: FeatureVector, cfg: KnnConfig = KnnC
 
 
 def nearest_label(ref: ReferenceSet, f_test, rows) -> int:
-    """Label of the cosine-nearest of ``ref``'s rows ``rows`` (an index array or sequence); distance
-    ties go to the row listed first. Equals ``knn_classify(ref.subset(rows), f_test, KnnConfig(1,
-    "cosine"))``, errors and their order included, without building the subset: it scores only
-    ``rows``, O(k d) for k rows."""
-    rows = np.asarray(rows, dtype=np.intp)
-    U = ref.unit_rows(rows)[rows]  # a zero-norm listed row raises first
-    q = unit_rows(checked_rows([f_test], ref.dimension, cosine=True))
-    return int(ref.label_array()[rows[np.argmin(1.0 - unit_cosines(U, q)[0])]])
+    """Label of the cosine-nearest of ``ref``'s rows ``rows`` (an index array or sequence), by the core with k = 1
+    over ``rows`` as one group, so a distance tie goes to the row listed first: ``knn_classify(ref.subset(rows),
+    f_test, KnnConfig(1, "cosine"))``, errors and their order included, without building the subset."""
+    group = np.asarray(rows, dtype=np.intp)[None, :]
+    return next(_labels(ref, [f_test], group, 1, "cosine", group))
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,13 @@ def checked_int(value, low: int, name: str, error: type = ContractError) -> int:
     return int(value)
 
 
+def checked_switch(value, name: str) -> bool:
+    """``value`` if it is a bool (Python's or numpy's), else a ContractError naming the switch ``name``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ContractError(f"{name} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def checked_real(value, name: str, high: float = math.inf, closed: bool = True) -> float:
     """``value`` as a float if it is a real number (not a bool) in (0, ``high``], or (0, ``high``)
     unless ``closed``, else a ContractError naming the setting ``name``: the one check of a real
@@ -425,6 +432,7 @@ class IngestionSchema:
     is_probability: bool = False
 
     def __post_init__(self):
+        checked_switch(self.is_probability, "is_probability")
         if self.class_count is not None:
             checked_int(self.class_count, 2, "class_count", SchemaError)
 

@@ -40,10 +40,6 @@ class DegenerateInputError(ContractError):
 class NumericError(TransductError):
     """A numeric kernel produced a non-finite intermediate."""
 
-    def __init__(self, message, layer=None):
-        super().__init__(message)
-        self.layer = layer
-
 
 class TokenBudgetError(TransductError):
     """The rendered prompt exceeds the token budget.

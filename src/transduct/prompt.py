@@ -153,11 +153,12 @@ _FIRST_NUMBER = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)", re.ASCII)
 def parse_completion(completion: str, class_count: int) -> int:
     """The first number in the completion, if it is a valid class index.
 
-    The first number (ASCII digits, with an optional sign and fractional part)
-    must be a plain non-negative integer: ``"class 2 because..."`` and
-    ``" 2."`` read as 2, while ``" -1"`` and ``" 1.7"`` raise
-    CompletionParseError rather than read as 1.
+    The first number (ASCII digits, with an optional sign and fractional part) must be a plain
+    non-negative integer: ``"class 2 because..."`` and ``" 2."`` read as 2, while ``" -1"`` and
+    ``" 1.7"`` raise CompletionParseError rather than read as 1, as does a non-string completion.
     """
+    if not isinstance(completion, str):
+        raise CompletionParseError(f"completion must be a string, got {completion!r}", completion)
     if not completion:
         raise CompletionParseError("empty completion", completion)
     match = _FIRST_NUMBER.search(completion)

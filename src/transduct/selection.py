@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ReferenceSet, _finite_rows, _read_only, as_feature_matrix, checked_int, checked_real, unit_rows
+from .core import ReferenceSet, _finite_rows, _read_only, as_feature_matrix, checked_int, checked_real, checked_switch, unit_rows
 from .errors import ContractError
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def build_plan(
     checked_real(selection_ratio, "selection_ratio", 1.0)
     rep = _scores(ref.unit_rows())
     k = max(1, math.floor(selection_ratio * ref.size))
-    if interleave_by_class:
+    if checked_switch(interleave_by_class, "interleave_by_class"):
         # rank within each class (stable: by class, score descending, index),
         # then rank-major with classes ascending within a rank; only the
         # classes present take part

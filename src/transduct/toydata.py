@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureVector, LabeledDataset, ReferenceSet, as_feature_matrix, checked_int, checked_real
+from .core import FeatureVector, LabeledDataset, ReferenceSet, as_feature_matrix, checked_int, checked_real, checked_switch
 from .errors import ContractError
 
 
@@ -43,7 +43,7 @@ def _finish(class0: np.ndarray, class1: np.ndarray, noise: float, rng: np.random
         X = X + rng.normal(scale=noise, size=X.shape)
     perm = rng.permutation(len(X))
     X, y = X[perm], y[perm]
-    if equalize:
+    if checked_switch(equalize, "equalize_norms"):
         X = _equalize_norms(X)
     return [FeatureVector.of(row) for row in X], [int(v) for v in y]
 

@@ -13,7 +13,8 @@ input in. A cell names the outcome:
   names is mended.
 
 Each family is a grid: a form's outcome holds in every column unless the form names its own
-outcome for a column. The file and command rows run ``cli.main`` on small files and check the
+outcome for a column. A cell's id is its family's name, its column's and its form's, and no two
+cells share one. The file and command rows run ``cli.main`` on small files and check the
 exit code, the message and what reached ``--out``. README's "Errors and exit codes" table names
 the same exit codes as :data:`EXIT_CODES`.
 """
@@ -25,20 +26,22 @@ import re
 import warnings
 from decimal import Decimal
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from transduct import (
-    AttentionConfig, BackendConfig, CompletionRequest, FeatureLabelMatrix, FeatureVector, IngestionSchema, KnnConfig,
-    LabeledDataset, ReferenceSet, RetryPolicy, RunConfig, SelectionPlan, SerializationConfig, UbKnnConfig, build_bundle,
-    build_part1, build_part2, build_plan, classify, cli, compute_metrics, cosine_1nn_label, derive_error_detection_set,
-    generate, iterate_self_attention, knn_classify, load_dataset, make_backend, make_moons, nn_attention_classify,
-    representativeness, run_accuracy_improvement, run_error_detection, split_dataset, ubknn_classify,
+    AttentionConfig, BackendConfig, CompletionRequest, CompletionResponse, FeatureLabelMatrix, FeatureVector,
+    IngestionSchema, KnnConfig, LabeledDataset, ReferenceSet, RetryPolicy, RunConfig, SelectionPlan, SerializationConfig,
+    UbKnnConfig, attention, build_bundle, build_part1, build_part2, build_plan, classify, cli, compute_metrics,
+    cosine_1nn_label, derive_error_detection_set, generate, iterate_self_attention, knn_classify, load_dataset,
+    make_backend, make_moons, nn_attention_classify, representativeness, run_accuracy_improvement, run_error_detection,
+    self_attention_classify, split_dataset, ubknn_classify,
 )
 from transduct.attention import two_cluster_fixture
-from transduct.backends import LocalAttentionBackend, MockBackend, RemoteBackend
+from transduct.backends import LocalAttentionBackend, MockBackend, RateLimiter, RemoteBackend
 from transduct.core import load_split_files
 from transduct.errors import (
     ContractError, CredentialError, DatasetParseError, DegenerateInputError, GrammarError, NumericError,
@@ -79,13 +82,20 @@ def cell(call, value, outcome, id):
     return pytest.param(call, value, outcome.outcome, id=id, marks=mark)
 
 
-def grid(columns, forms):
+def grid(family, columns, forms):
     """The cells of a family: ``forms`` maps a form to ``(input, outcome[, {column: outcome}])``."""
     return [
-        cell(call, value, own[0].get(column, outcome) if own else outcome, f"{column}-{form}")
+        cell(call, value, own[0].get(column, outcome) if own else outcome, f"{family}-{column}-{form}")
         for form, (value, outcome, *own) in forms.items()
         for column, call in columns.items()
     ]
+
+
+def unique_ids(cells):
+    """``cells``, whose ids must all differ: pytest would suffix a repeated one."""
+    ids = [c.id for c in cells]
+    assert len(set(ids)) == len(ids), sorted({i for i in ids if ids.count(i) > 1})
+    return cells
 
 
 ASKED = []  # every completion a backend is asked for
@@ -378,7 +388,7 @@ LABEL_FORMS = {  # input, and its outcome given the column's noun and name
     "whole floats": (np.array([0.0, 1.0]), lambda noun, column: OK),
 }
 LABEL_CELLS = [
-    cell(call, value, outcome(noun, column), f"{column}-{form}")
+    cell(call, value, outcome(noun, column), f"label-{column}-{form}")
     for form, (value, outcome) in LABEL_FORMS.items()
     for column, (call, noun) in LABEL_TAKERS.items()
 ]
@@ -438,6 +448,7 @@ INT_SETTINGS = {  # (least value, call); each call takes the setting's value
     "RetryPolicy.base_backoff_ms": (0, lambda v: remote(retry=RetryPolicy(base_backoff_ms=v))),
     "BackendConfig.rate_limit_rpm": (1, lambda v: remote(rate_limit_rpm=v)),
     "BackendConfig.request_budget": (0, lambda v: remote(request_budget=v)),
+    "RateLimiter.rpm": (1, lambda v: RateLimiter(v).rpm),
     "CompletionRequest.max_tokens": (1, lambda v: CompletionRequest("x", max_tokens=v)),
     "make_moons.n": (4, lambda v: len(make_moons(n=v)[0])),
     "make_moons.seed": (0, lambda v: len(make_moons(n=8, seed=v)[0])),
@@ -478,12 +489,13 @@ INT_FORMS = {  # the input given the least value, and the outcome where it is no
 
 
 def int_rule(column, low, value):
-    name = {"RunConfig.bags": "n_bags"}.get(column, column.rsplit(".", 1)[1].split("-")[-1])
+    names = {"RunConfig.bags": "n_bags", "RateLimiter.rpm": "rate_limit_rpm"}
+    name = names.get(column, column.rsplit(".", 1)[1].split("-")[-1])
     return SchemaError if column.startswith("IngestionSchema") else ContractError, f"{name} must be an integer >= {low}, got {value!r}"
 
 
 INT_CELLS = [
-    cell(call, make(low), own.get(column, int_rule(column, low, make(low))), f"{column}-{form}")
+    cell(call, make(low), own.get(column, int_rule(column, low, make(low))), f"int-{column}-{form}")
     for form, (make, own) in INT_FORMS.items()
     for column, (low, call) in INT_SETTINGS.items()
 ]
@@ -504,7 +516,7 @@ REAL_FORMS = {  # the input, and the ranges that take it
 }
 REAL_CELLS = [
     cell(call, value, OK if span in takes else (ContractError, f"{column.rsplit('.', 1)[1]} must be {span}, got {value!r}"),
-         f"{column}-{form}")
+         f"real-{column}-{form}")
     for form, (value, takes) in REAL_FORMS.items()
     for column, (span, call) in REAL_SETTINGS.items()
 ]
@@ -572,27 +584,112 @@ EMPTY = {  # an evaluation of no samples
     "run_accuracy_improvement": lambda _: run_accuracy_improvement(PROBS2, [0, 1], [], [], RunConfig(backend=MOCK_1)),
 }
 
+# --- switches: core.checked_switch -------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "call, value, outcome",
-    grid(MATRIX_TAKERS, MATRIX_FORMS)
-    + grid(ROW_TAKERS, ROW_FORMS)
-    + grid(ZERO_REF_TAKERS, ZERO_REF_FORMS)
-    + grid(PLAN_TAKERS, PLAN_FORMS)
+SWITCHES = {  # each call takes the switch's value; the message names the part after the dot
+    "build_plan.interleave_by_class": lambda v: build_plan(REF, 0.5, v).k,
+    "RunConfig.interleave_by_class": lambda v: predicted_with(interleave_by_class=v, backend=MOCK_1),
+    "IngestionSchema.is_probability": lambda v: IngestionSchema(is_probability=v),
+    "generate.equalize_norms": lambda v: len(generate("moons", n=8, equalize_norms=v)[0]),
+    "AttentionConfig.strict_setup2": lambda v: AttentionConfig(strict_setup2=v),
+    "self_attention_classify.strict_setup2":
+        lambda v: self_attention_classify(FeatureLabelMatrix.from_reference(REF, [0.7, 0.3]), strict_setup2=v).tolist(),
+}
+SWITCH_CELLS = [
+    cell(call, value, OK if ok else (ContractError, f"{column.rsplit('.', 1)[1]} must be true or false, got {value!r}"),
+         f"switch-{column}-{form}")
+    for form, (value, ok) in {
+        "string": ("no", False), "None": (None, False), "integer": (1, False), "float": (0.0, False),
+        "false": (False, True), "numpy bool": (np.True_, True),
+    }.items()
+    for column, call in SWITCHES.items()
+]
+
+# --- completion texts: a prompt and a reply are strings --------------------------------------------
+
+
+def replying(text):
+    """A backend whose every completion is ``text``."""
+    return SimpleNamespace(complete=lambda req: CompletionResponse(text, 0))
+
+
+PROMPT_FORMS = {
+    form: (value, (ContractError, f"prompt must be a non-empty string, got {value!r}"))
+    for form, value in {"number": 123, "bytes": b"p", "None": None, "empty": ""}.items()
+}
+PROMPT_FORMS["string"] = ("p", OK)
+# (label, fallback flag, completions asked for): re-asked once, then the plan's cosine 1-NN
+REPLY_FORMS = {form: (text, Value((0, True, 2))) for form, text in {"number": 5, "bytes": b" 1", "None": None}.items()}
+REPLY_FORMS["string"] = (" 1", Value((1, False, 1)))
+
+
+def classified(text):
+    label, audit = classify(REF, [0.7, 0.3], build_plan(REF, 1.0), replying(text))
+    return label, audit.fallback, len(audit.completions)
+
+
+# --- the attention kernel: finite at every scale, the cosine 1-NN label as it shrinks --------------
+
+KERNELS = {
+    "nn_attention_classify": lambda s: nn_attention_classify(REF, [0.7, 0.3], s).tolist(),
+    "self_attention_classify": lambda s: self_attention_classify(FeatureLabelMatrix.from_reference(REF, [0.7, 0.3]), s).tolist(),
+    "iterate_self_attention": lambda s: bool(np.isfinite(iterate_self_attention(CLUSTERS, AttentionConfig(s, max_layers=4))[0]).all()),
+    "predict-prompt-local": lambda s: labels_of(predict(REF, [[0.7, 0.3], [0.2, 0.8]], RunConfig(
+        selection_ratio=1.0, backend=BackendConfig(kind="local-attention", attention_scale=s)))),
+}
+NEAREST = {"nn_attention_classify": Value([1.0, 0.0]), "self_attention_classify": Value([1.0, 0.0]),
+           "iterate_self_attention": Value(True), "predict-prompt-local": Value([0, 1])}
+KERNEL_FORMS = {  # at s = inf every weight is equal: half of the rows are of each class, and a tie is class 0
+    "subnormal": (5e-324, OK, NEAREST),
+    "tiny": (1e-320, OK, NEAREST),
+    "inf": (np.inf, OK, {**NEAREST, "nn_attention_classify": Value([0.5, 0.5]), "self_attention_classify": Value([0.5, 0.5]),
+                          "predict-prompt-local": Value([0, 0])}),
+}
+
+# --- error paths with no other cell ------------------------------------------------------------
+
+ONE_MINORITY_ROW = ReferenceSet.build(REF.X, [0, 0, 0, 1], 2)  # a balanced subsample of 2 rows
+ERROR_PATHS = {  # id: (call, outcome)
+    "SelectionPlan-duplicate": (lambda _: SelectionPlan((0, 0), (0.0,) * 4, 2), (ContractError, "plan contains duplicate indices")),
+    "SelectionPlan-short": (lambda _: SelectionPlan((0, 1), (0.0,) * 4, 3), (ContractError, "plan has 2 indices, k=3")),
+    "SelectionPlan-empty": (lambda _: SelectionPlan((), (), 0), (ContractError, "plan must select at least one sample, k=0")),
+    "ubknn_classify-k-past-subsample": (
+        lambda _: ubknn_classify(ONE_MINORITY_ROW, [0.7, 0.3], UbKnnConfig(KnnConfig(3), n_bags=1)),
+        (ContractError, "k_neighbors 3 exceeds balanced subsample size")),
+    "ReferenceSet-empty": (lambda _: ReferenceSet(np.empty((0, 2)), [], 2),
+                           (ContractError, "reference set must contain at least one sample")),
+    # an output that overflows is refused, with no warning on the way
+    "attention-overflow": (lambda _: attention([[1e200]], [[1e200]], [[1.0]], 1.0), (NumericError, "non-finite attention output")),
+}
+
+
+LIBRARY_CELLS = unique_ids(
+    grid("matrix", MATRIX_TAKERS, MATRIX_FORMS)
+    + grid("row", ROW_TAKERS, ROW_FORMS)
+    + grid("zero-ref", ZERO_REF_TAKERS, ZERO_REF_FORMS)
+    + grid("plan", PLAN_TAKERS, PLAN_FORMS)
     + LABEL_CELLS
-    + grid(REFERENCE_TAKERS, REFERENCE_FORMS)
+    + grid("reference", REFERENCE_TAKERS, REFERENCE_FORMS)
     + INT_CELLS
     + REAL_CELLS
-    + grid(POSITIVE_CLASS_TAKERS, POSITIVE_CLASS_FORMS)
-    + grid({"FeatureVector": FeatureVector}, FEATURE_VECTOR_FORMS)
-    + [cell(call, "bogus", (ContractError, message), f"{column}-unknown") for column, (call, message) in CHOICES.items()]
-    + grid({"CompletionRequest.prompt": CompletionRequest}, {"empty": ("", (ContractError, "prompt must be non-empty"))})
-    + grid({"BackendConfig-remote": lambda url: BackendConfig(kind="remote", endpoint_url=url)}, REMOTE_ENDPOINTS)
-    + grid({f"BackendConfig-{kind}": lambda s, kind=kind: BackendConfig(kind=kind, **s) for kind in ("local-attention", "mock")},
+    + grid("positive-class", POSITIVE_CLASS_TAKERS, POSITIVE_CLASS_FORMS)
+    + grid("feature-vector", {"FeatureVector": FeatureVector}, FEATURE_VECTOR_FORMS)
+    + [cell(call, "bogus", (ContractError, message), f"choice-{column}-unknown") for column, (call, message) in CHOICES.items()]
+    + grid("endpoint", {"BackendConfig-remote": lambda url: BackendConfig(kind="remote", endpoint_url=url)}, REMOTE_ENDPOINTS)
+    + grid("remote-only",
+           {f"BackendConfig-{kind}": lambda s, kind=kind: BackendConfig(kind=kind, **s) for kind in ("local-attention", "mock")},
            REMOTE_ONLY)
-    + grid(MOCK_SETTINGS, MOCK_FORMS)
-    + grid(EMPTY, {"no samples": (None, (ContractError, "cannot evaluate an empty prediction set"))}),
+    + grid("mock", MOCK_SETTINGS, MOCK_FORMS)
+    + grid("empty", EMPTY, {"no samples": (None, (ContractError, "cannot evaluate an empty prediction set"))})
+    + SWITCH_CELLS
+    + grid("prompt", {"CompletionRequest.prompt": CompletionRequest}, PROMPT_FORMS)
+    + grid("reply", {"classify": classified}, REPLY_FORMS)
+    + grid("kernel", KERNELS, KERNEL_FORMS)
+    + [cell(call, None, outcome, f"error-path-{name}") for name, (call, outcome) in ERROR_PATHS.items()]
 )
+
+
+@pytest.mark.parametrize("call, value, outcome", LIBRARY_CELLS)
 def test_library_cell(call, value, outcome):
     check(call, value, outcome)
 
@@ -719,6 +816,11 @@ INGEST = {  # the ingest's typed errors: (content, IngestionSchema options, outc
     "csv-fullwidth-label.csv": (HEADER + "0.9,0.1,0,val\n0.1,0.9,\uff11,val\n", {}, (DatasetParseError, "row 3: non-integer label '\uff11'")),
     "csv-two-split-columns.csv": ("f0,split,f1,label, split\n0.9,val,0.1,0,test\n", {}, (SchemaError, "header has more than one 'split' column: ['f0', 'split', 'f1', 'label', 'split']")),
     "csv-header-not-utf8.csv": (b"f0,f1,lab\xe9l,split\n0.9,0.1,0,val\n", {}, (DatasetParseError, "row 1: not UTF-8: byte 0xe9 at offset 9")),
+    "csv-no-feature-column.csv": ("label,split\n0,val\n", {}, (SchemaError, "no feature columns in header")),
+    "json-test-not-list.json": ({"reference": [GOOD_ITEM], "test": {}}, {}, (SchemaError, "JSON dataset: 'test' must be a list")),
+    "json-empty-features.json": ({"reference": [{"features": [], "label": 0}]}, {}, (DatasetParseError, "row 0: feature vector must be non-empty")),
+    "json-truncated.json": ('{"reference": [{"features": [0.9', {}, (DatasetParseError, "invalid JSON: ...")),
+    "json-array.json": ([1, 2], {}, (SchemaError, "JSON dataset must be an object with a 'reference' list")),
 }
 FILE_TAKERS = {  # a column of the files family: a library call, or a command and the flag the path follows
     "load_dataset": lambda path, schema: load_dataset(path, schema),
@@ -745,7 +847,7 @@ def data_files(tmp_path_factory):
         yield
 
 
-FILE_CELLS = [
+FILE_CELLS = unique_ids([
     pytest.param(column, name, {}, own[0].get(column, outcome) if own else outcome, id=f"{column}-{name}")
     for name, (_, outcome, *own) in FILES.items()
     for column in FILE_TAKERS
@@ -753,7 +855,7 @@ FILE_CELLS = [
     pytest.param(column, name, options, outcome, id=f"{column}-{name}")
     for name, (_, options, outcome) in INGEST.items()
     for column in ("load_dataset", "plan --data")
-]
+])
 
 
 @pytest.mark.parametrize("column, name, options, outcome", FILE_CELLS)
@@ -768,7 +870,8 @@ def test_file_cell(data_files, column, name, options, outcome):
     if isinstance(outcome, Value):
         assert (code, err) == (0, "") and json.loads(out)["k"] == 1
     else:
-        assert (code, err) == (EXIT_CODES[outcome[0]], f"error: {outcome[1]}\n")
+        assert code == EXIT_CODES[outcome[0]] and err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        check_message(err[len("error: "):-1], outcome[1])
 
 
 # --- whole commands: cli.main ------------------------------------------------------------------
@@ -889,7 +992,7 @@ COMMANDS = {  # argv: (exit code, message or None, a check of what the command w
 }
 
 
-@pytest.mark.parametrize("argv, code, message, wrote", [pytest.param(a, *c, id=a[:100]) for a, c in COMMANDS.items()])
+@pytest.mark.parametrize("argv, code, message, wrote", unique_ids([pytest.param(a, *c, id=a) for a, c in COMMANDS.items()]))
 def test_command_cell(tmp_path, monkeypatch, argv, code, message, wrote):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("TRANSDUCT_CONTRACT_KEY", raising=False)
