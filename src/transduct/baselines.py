@@ -19,10 +19,9 @@ from .core import FeatureVector, ReferenceSet, checked_int, checked_rows, unit_c
 from .errors import ContractError
 
 # Cap on the bytes of the largest temporary a chunk of c test rows makes:
-# the (c, G, g) distances gathered for G row groups of g rows (or the
-# (c, m) distance block, if larger), or under euclidean the (c, m, d)
-# differences; a chunk holds at least one row. At m = 4000, d = 10 one row
-# per chunk was as fast as 2 to 16, whose blocks only add peak memory.
+# the (c, u) distances to the u used rows, or under euclidean the (c, m, d)
+# differences; a chunk holds at least one row. Each row's vote then works
+# on its own prefix, one row at a time.
 _CHUNK_BYTES = 1 << 17
 
 
@@ -44,29 +43,32 @@ class UbKnnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        checked_int(self.n_bags, 1, "n_bags")
+        checked_int(self.n_bags, 1, "n_bags", high=4096)  # each a seeded draw and a byte per reference row
         checked_int(self.seed, 0, "seed")
 
 
-def _vote(D: np.ndarray, groups: np.ndarray, y: np.ndarray, k: int, class_count: int) -> np.ndarray:
-    """``(c, G)`` majority labels (``y``) of the k nearest rows of each row
-    group (``groups``: ``(G, g)`` indices) for each row of the ``(c, m)``
-    distances ``D``. The rows at or below each k-th distance
-    (``np.partition``) are the k nearest unless ties leave more; only those
-    are then stable-sorted, so a distance tie goes to the row earlier in
-    its group. Vote ties go to the smaller class."""
-    (c, _), (G, g), C = D.shape, groups.shape, class_count
-    Dg = D[:, groups]
-    near = Dg <= np.partition(Dg, k - 1, axis=2)[:, :, k - 1, None]
-    hit = np.flatnonzero(near)
-    block = hit // g  # q * G + group
-    votes = np.bincount(block * C + y[groups.ravel()[hit % (G * g)]], minlength=c * G * C).reshape(-1, C)
-    for b in np.flatnonzero(np.bincount(block, minlength=c * G) > k):
-        q, group = divmod(int(b), G)
-        rows = groups[group, near[q, group]]
-        rows = rows[np.argsort(D[q, rows], kind="stable")[:k]]
-        votes[b] = np.bincount(y[rows], minlength=C)
-    return np.argmax(votes, axis=1).reshape(c, G)
+def _vote(D: np.ndarray, members: np.ndarray, y: np.ndarray, k: int, class_count: int, width: int) -> np.ndarray:
+    """``(c, G)`` majority labels (``y``) of the k nearest columns each row group holds (``members``:
+    a ``(G, u)`` mask) for each row of the ``(c, u)`` distances ``D``. A row ranks only its prefix: its
+    ``width`` nearest columns and every column tied with the last of them, stable-sorted, so a distance
+    tie goes to the earlier column. Each group takes its first k members of the prefix; while some
+    group holds fewer, the row's prefix widens fourfold, up to all u columns, so every label is the
+    one a full sort gives. Vote ties go to the smaller class."""
+    (c, u), (G, _), C = D.shape, members.shape, class_count
+    labels = np.empty((c, G), dtype=np.intp)
+    for i, row in enumerate(D):
+        w = width
+        while True:
+            near = np.flatnonzero(row <= np.partition(row, w - 1)[w - 1]) if w < u else np.arange(u)
+            near = near[np.argsort(row[near], kind="stable")]
+            held = members[:, near]
+            rank = np.cumsum(held, axis=1)
+            if w >= u or rank[:, -1].min() >= k:
+                break
+            w *= 4
+        group, at = np.nonzero(held & (rank <= k))
+        labels[i] = np.argmax(np.bincount(group * C + y[near[at]], minlength=G * C).reshape(G, C), axis=1)
+    return labels
 
 
 def _distances(X: np.ndarray, Q: np.ndarray, top: float) -> np.ndarray:
@@ -85,28 +87,31 @@ def _distances(X: np.ndarray, Q: np.ndarray, top: float) -> np.ndarray:
     return D
 
 
-def _labels(ref: ReferenceSet, queries, groups: np.ndarray, k: int, metric: str, used) -> Iterator[int]:
+def _labels(ref: ReferenceSet, queries, cols, members: np.ndarray, k: int, metric: str) -> Iterator[int]:
     """Each query's label (queries: an ``(n, d)`` matrix or FeatureVectors),
     in order, a chunk at a time (:data:`_CHUNK_BYTES`): the majority over
-    ``ref``'s row groups (``groups``: ``(G, g)`` indices, a group per row in
-    vote order) of each group's k-NN label. Distances are row-wise, so they
-    do not depend on the chunk. Under cosine a zero-norm row among ``used``
-    raises first, then any query that :func:`checked_rows` rejects, before
-    the first label."""
-    U = ref.unit_rows(used) if metric == "cosine" else None
+    row groups (``members``: a ``(G, u)`` mask, a row per group, of which
+    of the ``ref`` rows ``cols`` it holds; ``cols``, an index array or
+    ``slice(None)``, lists them in the order that breaks distance ties) of
+    each group's k-NN label. Distances are row-wise, so they do not depend
+    on the chunk. Under cosine a zero-norm row among ``cols`` raises first,
+    then any query that :func:`checked_rows` rejects, before the first label."""
+    U = ref.unit_rows(cols)[cols] if metric == "cosine" else None
     X = ref.feature_matrix()
     top = np.abs(X).max() if U is None else None
     m, d = X.shape
     Q = checked_rows(queries, d, cosine=U is not None)
+    y, u = ref.label_array()[cols], members.shape[1]
+    width = 4 * k * u // np.count_nonzero(members[0])  # the groups are equal-sized: each expects 4k in it
     classes = np.arange(ref.class_count)
-    step = max(1, _CHUNK_BYTES // (8 * max(groups.size, m * d if U is None else m)))
+    step = max(1, _CHUNK_BYTES // (8 * (u if U is not None else m * d)))
     for start in range(0, len(Q), step):
         chunk = Q[start : start + step]
         if U is None:
-            D = _distances(X, chunk, top)
+            D = _distances(X, chunk, top)[:, cols]
         else:
             D = 1.0 - unit_cosines(U, unit_rows(chunk))
-        votes = _vote(D, groups, ref.label_array(), k, ref.class_count)[:, :, None] == classes
+        votes = _vote(D, members, y, k, ref.class_count, width)[:, :, None] == classes
         yield from np.argmax(np.count_nonzero(votes, axis=1), axis=1).tolist()
 
 
@@ -115,11 +120,10 @@ def batch_classify(ref: ReferenceSet, queries, cfg: Union[KnnConfig, UbKnnConfig
     of each query (an ``(n, d)`` matrix or FeatureVectors), in order."""
     if isinstance(cfg, UbKnnConfig):
         bags = _bags(ref, cfg)
-        return _labels(ref, queries, bags.rows, cfg.base.k_neighbors, cfg.base.metric, bags.drawn)
+        return _labels(ref, queries, bags.cols, bags.held, cfg.base.k_neighbors, cfg.base.metric)
     if cfg.k_neighbors > ref.size:
         raise ContractError(f"k_neighbors {cfg.k_neighbors} > reference size {ref.size}")
-    all_rows = np.arange(ref.size)[None, :]
-    return _labels(ref, queries, all_rows, cfg.k_neighbors, cfg.metric, slice(None))
+    return _labels(ref, queries, slice(None), np.ones((1, ref.size), dtype=bool), cfg.k_neighbors, cfg.metric)
 
 
 def knn_classify(ref: ReferenceSet, f_test: FeatureVector, cfg: KnnConfig = KnnConfig()) -> int:
@@ -132,14 +136,14 @@ def nearest_label(ref: ReferenceSet, f_test, rows) -> int:
     """Label of the cosine-nearest of ``ref``'s rows ``rows`` (an index array or sequence), by the core with k = 1
     over ``rows`` as one group, so a distance tie goes to the row listed first: ``knn_classify(ref.subset(rows),
     f_test, KnnConfig(1, "cosine"))``, errors and their order included, without building the subset."""
-    group = np.asarray(rows, dtype=np.intp)[None, :]
-    return next(_labels(ref, [f_test], group, 1, "cosine", group))
+    cols = np.asarray(rows, dtype=np.intp)
+    return next(_labels(ref, [f_test], cols, np.ones((1, len(cols)), dtype=bool), 1, "cosine"))
 
 
 @dataclass(frozen=True)
 class _Bags:
-    rows: np.ndarray  # (n_bags, bag size): each bag's reference indices, ascending
-    drawn: np.ndarray  # row mask: held by some bag
+    cols: np.ndarray  # the reference rows some bag holds, ascending
+    held: np.ndarray  # (n_bags, len(cols)) mask: bag b holds cols[i]
 
 
 def _bags(ref: ReferenceSet, cfg: UbKnnConfig) -> _Bags:
@@ -159,15 +163,12 @@ def _bags(ref: ReferenceSet, cfg: UbKnnConfig) -> _Bags:
         raise ContractError(
             f"k_neighbors {cfg.base.k_neighbors} exceeds balanced subsample size"
         )
-    rows = []
+    held = np.zeros((cfg.n_bags, ref.size), dtype=bool)
     for bag in range(cfg.n_bags):
         rng = np.random.default_rng(cfg.seed + bag)
-        chosen = np.concatenate([rng.choice(m, size=minority, replace=False) for m in members])
-        rows.append(np.sort(chosen))
-    rows = np.stack(rows)
-    drawn = np.zeros(ref.size, dtype=bool)
-    drawn[rows] = True
-    bags = _Bags(rows, drawn)
+        held[bag, np.concatenate([rng.choice(m, size=minority, replace=False) for m in members])] = True
+    cols = np.flatnonzero(held.any(axis=0))
+    bags = _Bags(cols, held[:, cols])
     ref._derived[key] = bags
     return bags
 

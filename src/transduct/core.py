@@ -159,13 +159,15 @@ def _finite_rows(X: np.ndarray) -> np.ndarray:
     return X
 
 
-def checked_int(value, low: int, name: str, error: type = ContractError) -> int:
-    """``value`` as an int if it is an integer (not a bool) >= ``low``, else ``error`` naming the
-    setting ``name``: the one check of an integer setting, a class count among them."""
-    if type(value) is int and value >= low:  # a plain int skips the abstract-class checks (a request makes one)
+def checked_int(value, low: int, name: str, error: type = ContractError, high: float = math.inf) -> int:
+    """``value`` as an int if it is an integer (not a bool) from ``low`` to ``high``, else ``error``
+    naming the setting ``name``: the one check of an integer setting, a class count among them."""
+    if type(value) is int and low <= value <= high:  # a plain int skips the abstract-class checks (a request makes one)
         return value
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= low):
         raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    if value > high:
+        raise error(f"{name} must be at most {high}, got {value!r}")
     return int(value)
 
 

@@ -53,8 +53,7 @@ class SerializationConfig:
     token_budget: int = 4000
 
     def __post_init__(self):
-        if checked_int(self.decimals, 1, "decimals") > 1074:  # 2**-1074, a float64's finest step, has 1,074
-            raise ContractError(f"decimals must be at most 1074, got {self.decimals!r}")
+        checked_int(self.decimals, 1, "decimals", high=1074)  # 2**-1074, a float64's finest step, has 1,074
         checked_int(self.token_budget, 1, "token_budget")
 
 

@@ -32,7 +32,7 @@ def _equalize_norms(X: np.ndarray) -> np.ndarray:
 def _two_classes(n, seed, full_turn: bool):
     """The generator of ``seed`` and the angles of the two classes of ``n`` rows: ``n // 2``
     and the rest, evenly spaced over [0, pi] or, with ``full_turn``, [0, 2pi)."""
-    n = checked_int(n, 4, "n")
+    n = checked_int(n, 4, "n", high=2**20)  # a row is a FeatureVector: 2**20 take about 0.3 GB and half a minute
     rng, stop = np.random.default_rng(checked_int(seed, 0, "seed")), 2 * np.pi if full_turn else np.pi
     return rng, *(np.linspace(0.0, stop, size, endpoint=not full_turn) for size in (n // 2, n - n // 2))
 

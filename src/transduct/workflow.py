@@ -57,7 +57,8 @@ class EvalReport:
 
 
 def _check_evaluable(n: int, class_count: int, positive_class: int) -> None:
-    """An evaluation needs some samples and a positive class among the classes."""
+    """An evaluation needs some samples, at most 4,096 classes (a C x C confusion matrix) and a positive class among them."""
+    checked_int(class_count, 2, "class_count", high=4096)
     if n == 0:
         raise ContractError("cannot evaluate an empty prediction set")
     if isinstance(positive_class, bool) or not (isinstance(positive_class, Integral) and 0 <= positive_class < class_count):

@@ -339,15 +339,18 @@ class TestBatchedCore:
     @pytest.mark.parametrize(
         "metric, groups, per_query",
         [
-            ("cosine", None, lambda m, d, g: m),
-            ("euclidean", None, lambda m, d, g: m * d),
-            ("cosine", (9, 30), lambda m, d, g: g),  # bags hold more rows than the set
+            ("cosine", None, lambda m, d, u: m),
+            ("euclidean", None, lambda m, d, u: m * d),
+            ("cosine", 9, lambda m, d, u: u),  # nine groups over 30 of the rows: only those are scored
         ],
     )
     def test_chunks_keep_the_largest_temporary_under_the_cap(self, monkeypatch, metric, groups, per_query):
         rng = np.random.default_rng(4)
         ref = dup_ref(rng, 40, 3, 2)
-        rows = np.arange(40)[None, :] if groups is None else rng.integers(0, 40, size=groups)
+        if groups is None:
+            cols, members = slice(None), np.ones((1, 40), dtype=bool)
+        else:
+            cols, members = np.sort(rng.permutation(40)[:30]), np.argsort(rng.random((groups, 30)), axis=1) < 15
         Q = rng.uniform(0.05, 1.0, size=(10, 3))
         chunks = []
         def recording(D, *args):
@@ -355,11 +358,11 @@ class TestBatchedCore:
             return vote(D, *args)
         vote = baselines._vote
         monkeypatch.setattr(baselines, "_vote", recording)
-        monkeypatch.setattr(baselines, "_CHUNK_BYTES", 3 * 8 * per_query(40, 3, rows.size))
-        labels = list(_labels(ref, Q, rows, 2, metric, slice(None)))
+        monkeypatch.setattr(baselines, "_CHUNK_BYTES", 3 * 8 * per_query(40, 3, members.shape[1]))
+        labels = list(_labels(ref, Q, cols, members, 2, metric))
         assert chunks == [3, 3, 3, 1]
         monkeypatch.setattr(baselines, "_CHUNK_BYTES", 1)
-        assert list(_labels(ref, Q, rows, 2, metric, slice(None))) == labels
+        assert list(_labels(ref, Q, cols, members, 2, metric)) == labels
         assert chunks[4:] == [1] * 10
 
     def test_peak_memory_does_not_grow_with_the_test_split(self):
@@ -433,6 +436,74 @@ class TestBatchedCore:
         for method in ("knn", "ubknn"):
             assert list(predict(ref, [], RunConfig(method=method))) == []
             assert list(predict(ref, (), RunConfig(method=method))) == []
+
+
+def first_prefix(row, width):
+    """Which columns of a distance row its first prefix holds: the ``width`` nearest and every one
+    tied with the last of them."""
+    return row <= np.partition(row, width - 1)[width - 1] if width < len(row) else np.ones(len(row), dtype=bool)
+
+
+def oracle_vote(row, members, y, k, class_count):
+    """Each group's (a row of ``members``) k-NN label by a full sort of its columns by (distance, column)."""
+    labels = []
+    for held in members:
+        counts = [0] * class_count
+        for i in sorted(np.flatnonzero(held).tolist(), key=lambda i: (row[i], i))[:k]:
+            counts[y[i]] += 1
+        labels.append(max(range(class_count), key=lambda c: (counts[c], -c)))
+    return labels
+
+
+class TestCandidatePrefix:
+    """A test row ranks only a prefix of its nearest columns, widened while a group holds fewer than k
+    of them; every label must equal a full sort's, ties at the prefix's edge included."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_width_gives_the_full_sort_labels(self, seed):
+        rng = np.random.default_rng(seed)
+        c, u, g, C = 6, 50, 15, 3
+        D = rng.integers(0, 5, size=(c, u)) / 4.0  # five distances: long tie runs
+        far = np.argsort(np.argsort(D[0], kind="stable")) >= u - g  # row 0's farthest g columns
+        members = np.vstack([np.argsort(rng.random((4, u)), axis=1) < g, far])
+        y, k = rng.integers(0, C, size=u), int(rng.integers(1, g + 1))
+        want = [oracle_vote(row, members, y, k, C) for row in D]
+        for width in (1, 2, k, 16, u - 1, u):
+            assert baselines._vote(D, members, y, k, C, width).tolist() == want, width
+        assert first_prefix(D[0], 2).sum() > 2  # ties run past the edge
+        assert not (first_prefix(D[0], 2) & far).any()  # the far group holds none: the prefix widens
+
+    def test_tie_heavy_set_keeps_every_label(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        near = np.round(rng.uniform(0.1, 1.0, size=(150, 2)), 1)  # repeated rows, two classes mixed
+        far = np.round(rng.uniform(0.1, 0.3, size=(12, 2)) + [0.0, 2.0], 1)  # the minority, in every bag
+        ref = ReferenceSet.build(np.vstack([near, far]), np.concatenate([rng.integers(0, 2, size=150), [2] * 12]), 3)
+        tests = [FeatureVector.of(q) for q in np.round(rng.uniform(0.1, 1.0, size=(40, 2)), 1)]
+        rows = rng.permutation(ref.size)[:60]  # a plan, not in index order
+        seen = {"widened": 0, "straddled": 0}
+        def recording(D, members, y, k, C, width):
+            for row in D:
+                first = first_prefix(row, width)
+                seen["widened"] += bool(((members & first).sum(axis=1) < k).any())
+                seen["straddled"] += bool(first.sum() > width)
+            return vote(D, members, y, k, C, width)
+        vote = baselines._vote
+        monkeypatch.setattr(baselines, "_vote", recording)
+        plan_ties = 0
+        for k in (1, 3):
+            ubknn = UbKnnConfig(KnnConfig(k), 11, 0)
+            got_ub = list(baselines.batch_classify(ref, tests, ubknn))
+            got_knn = list(baselines.batch_classify(ref, tests, KnnConfig(k)))
+            for f, a, b in zip(tests, got_ub, got_knn):
+                dist = kernel_dist(ref, f, "cosine")  # parallel rows may round apart in plain Python
+                assert a == oracle_ubknn(ref, f, ubknn, dist)
+                assert b == oracle_knn(ref, f, k, "cosine", dist)
+        for f in tests:
+            dist = np.array(kernel_dist(ref, f, "cosine"))[rows]
+            nearest = rows[dist == dist.min()]
+            assert nearest_label(ref, f, rows) == ref.labels[nearest[0]]
+            plan_ties += ref.labels[nearest[0]] != ref.labels[nearest.min()]
+        assert seen["widened"] and seen["straddled"] and plan_ties
 
 
 class TestOverflowingDistances:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import transduct
+from transduct import KnnConfig, RunConfig
 from transduct.backends import prompt_hash
-from transduct.cli import main
+from transduct.cli import build_parser, main
 from transduct.core import load_dataset
 from transduct.prompt import SerializationConfig, build_bundle
 from transduct.selection import build_plan
@@ -208,6 +210,12 @@ class TestEvaluate:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "knn"
+
+    def test_run_config_defaults_are_the_flag_defaults(self):
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        evaluate, cfg = commands["evaluate"], RunConfig()
+        assert (cfg.bags, cfg.seed) == (evaluate.get_default("bags"), evaluate.get_default("seed"))
+        assert cfg.knn == KnnConfig(evaluate.get_default("k"), evaluate.get_default("metric"))
 
     def test_determinism(self, data_file, tmp_path):
         outs = []

@@ -8,9 +8,7 @@ input in. A cell names the outcome:
   "..." for its start. No backend may have been asked for a completion and no label yielded
   before it, and ``cli.main`` must report it as ``error: <message>`` with the exit code
   :data:`EXIT_CODES` gives its type, and no traceback;
-* ``OK``: the call returns; or ``Value(x)``: it returns ``x`` (labels, scores, a distribution);
-* ``Found(outcome)``: a strict xfail, the outcome once the fault its FOUND line in CHANGES.md
-  names is mended.
+* ``OK``: the call returns; or ``Value(x)``: it returns ``x`` (labels, scores, a distribution).
 
 Each family is a grid: a form's outcome holds in every column unless the form names its own
 outcome for a column. A cell's id is its family's name, its column's and its form's, and no two
@@ -67,25 +65,10 @@ class Value:
 OK = Value(None)  # the call returns; what it returns is not pinned
 
 
-class Found:
-    """A cell that fails today: a strict xfail citing its FOUND line in CHANGES.md, so it fails
-    loudly once mended and ``outcome`` holds. A cell that would not end is not ``run``."""
-
-    def __init__(self, outcome, found="an integer setting has no upper bound", run=True):
-        self.outcome, self.found, self.run = outcome, found, run
-
-
-def cell(call, value, outcome, id):
-    if not isinstance(outcome, Found):
-        return pytest.param(call, value, outcome, id=id)
-    mark = pytest.mark.xfail(strict=True, run=outcome.run, reason=f"FOUND in CHANGES.md: {outcome.found}")
-    return pytest.param(call, value, outcome.outcome, id=id, marks=mark)
-
-
 def grid(family, columns, forms):
     """The cells of a family: ``forms`` maps a form to ``(input, outcome[, {column: outcome}])``."""
     return [
-        cell(call, value, own[0].get(column, outcome) if own else outcome, f"{family}-{column}-{form}")
+        pytest.param(call, value, own[0].get(column, outcome) if own else outcome, id=f"{family}-{column}-{form}")
         for form, (value, outcome, *own) in forms.items()
         for column, call in columns.items()
     ]
@@ -388,7 +371,7 @@ LABEL_FORMS = {  # input, and its outcome given the column's noun and name
     "whole floats": (np.array([0.0, 1.0]), lambda noun, column: OK),
 }
 LABEL_CELLS = [
-    cell(call, value, outcome(noun, column), f"label-{column}-{form}")
+    pytest.param(call, value, outcome(noun, column), id=f"label-{column}-{form}")
     for form, (value, outcome) in LABEL_FORMS.items()
     for column, (call, noun) in LABEL_TAKERS.items()
 ]
@@ -479,11 +462,11 @@ INT_FORMS = {  # the input given the least value, and the outcome where it is no
             ContractError, f"accuracy improvement expects one probability per class: features have 2 values but there are {HUGE} classes"),
         # no float64 has a nonzero digit past the 1,074th (2**-1074 is its finest step)
         "SerializationConfig.decimals": (ContractError, f"decimals must be at most 1074, got {HUGE}"),
-        "compute_metrics.class_count": Found(OK),  # a raw OverflowError from the C x C confusion matrix
-        # drawing 10**30 bags, or making 10**30 rows, would not end
-        "UbKnnConfig.n_bags": Found(OK, run=False),
-        "RunConfig.bags": Found(OK, run=False),
-        "make_moons.n": Found(OK, run=False),
+        # each bound is what the setting allocates or loops over: a C x C confusion matrix, bags, rows
+        "compute_metrics.class_count": (ContractError, f"class_count must be at most 4096, got {HUGE}"),
+        "UbKnnConfig.n_bags": (ContractError, f"n_bags must be at most 4096, got {HUGE}"),
+        "RunConfig.bags": (ContractError, f"n_bags must be at most 4096, got {HUGE}"),
+        "make_moons.n": (ContractError, f"n must be at most 1048576, got {HUGE}"),
     }),
 }
 
@@ -495,7 +478,7 @@ def int_rule(column, low, value):
 
 
 INT_CELLS = [
-    cell(call, make(low), own.get(column, int_rule(column, low, make(low))), f"int-{column}-{form}")
+    pytest.param(call, make(low), own.get(column, int_rule(column, low, make(low))), id=f"int-{column}-{form}")
     for form, (make, own) in INT_FORMS.items()
     for column, (low, call) in INT_SETTINGS.items()
 ]
@@ -515,8 +498,8 @@ REAL_FORMS = {  # the input, and the ranges that take it
     "numpy float": (np.float64(0.5), ("in (0, 1]", "in (0, 1)", "positive")),
 }
 REAL_CELLS = [
-    cell(call, value, OK if span in takes else (ContractError, f"{column.rsplit('.', 1)[1]} must be {span}, got {value!r}"),
-         f"real-{column}-{form}")
+    pytest.param(call, value, OK if span in takes else (ContractError, f"{column.rsplit('.', 1)[1]} must be {span}, got {value!r}"),
+                 id=f"real-{column}-{form}")
     for form, (value, takes) in REAL_FORMS.items()
     for column, (span, call) in REAL_SETTINGS.items()
 ]
@@ -596,8 +579,8 @@ SWITCHES = {  # each call takes the switch's value; the message names the part a
         lambda v: self_attention_classify(FeatureLabelMatrix.from_reference(REF, [0.7, 0.3]), strict_setup2=v).tolist(),
 }
 SWITCH_CELLS = [
-    cell(call, value, OK if ok else (ContractError, f"{column.rsplit('.', 1)[1]} must be true or false, got {value!r}"),
-         f"switch-{column}-{form}")
+    pytest.param(call, value, OK if ok else (ContractError, f"{column.rsplit('.', 1)[1]} must be true or false, got {value!r}"),
+                 id=f"switch-{column}-{form}")
     for form, (value, ok) in {
         "string": ("no", False), "None": (None, False), "integer": (1, False), "float": (0.0, False),
         "false": (False, True), "numpy bool": (np.True_, True),
@@ -674,7 +657,7 @@ LIBRARY_CELLS = unique_ids(
     + REAL_CELLS
     + grid("positive-class", POSITIVE_CLASS_TAKERS, POSITIVE_CLASS_FORMS)
     + grid("feature-vector", {"FeatureVector": FeatureVector}, FEATURE_VECTOR_FORMS)
-    + [cell(call, "bogus", (ContractError, message), f"choice-{column}-unknown") for column, (call, message) in CHOICES.items()]
+    + [pytest.param(call, "bogus", (ContractError, message), id=f"choice-{column}-unknown") for column, (call, message) in CHOICES.items()]
     + grid("endpoint", {"BackendConfig-remote": lambda url: BackendConfig(kind="remote", endpoint_url=url)}, REMOTE_ENDPOINTS)
     + grid("remote-only",
            {f"BackendConfig-{kind}": lambda s, kind=kind: BackendConfig(kind=kind, **s) for kind in ("local-attention", "mock")},
@@ -685,13 +668,25 @@ LIBRARY_CELLS = unique_ids(
     + grid("prompt", {"CompletionRequest.prompt": CompletionRequest}, PROMPT_FORMS)
     + grid("reply", {"classify": classified}, REPLY_FORMS)
     + grid("kernel", KERNELS, KERNEL_FORMS)
-    + [cell(call, None, outcome, f"error-path-{name}") for name, (call, outcome) in ERROR_PATHS.items()]
+    + [pytest.param(call, None, outcome, id=f"error-path-{name}") for name, (call, outcome) in ERROR_PATHS.items()]
 )
 
 
 @pytest.mark.parametrize("call, value, outcome", LIBRARY_CELLS)
 def test_library_cell(call, value, outcome):
     check(call, value, outcome)
+
+
+@pytest.mark.parametrize("call, high, name, at_bound", [
+    (lambda v: UbKnnConfig(n_bags=v), 4096, "n_bags", True),
+    (lambda v: SerializationConfig(decimals=v), 1074, "decimals", True),
+    (lambda v: compute_metrics([0, 1], [0, 1], v), 4096, "class_count", True),
+    (lambda v: make_moons(n=v), 2**20, "n", False),  # 2**20 rows would take half a minute
+])
+def test_a_bounded_setting_takes_its_bound_and_refuses_one_more(call, high, name, at_bound):
+    if at_bound:
+        call(high)
+    check(call, high + 1, (ContractError, f"{name} must be at most {high}, got {high + 1}"))
 
 
 @pytest.mark.parametrize("column", list(ROW_TAKERS))

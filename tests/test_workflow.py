@@ -245,6 +245,12 @@ class TestRunAccuracyImprovement:
         report, base = run_accuracy_improvement(probs, [0, 0], probs, [0, 0], cfg)
         assert len(report.confusion) == len(base.confusion) == 2
 
+    def test_a_class_count_past_its_bound_is_refused_before_the_first_sample(self, monkeypatch):
+        monkeypatch.setattr(workflow, "batch_classify", lambda *a: pytest.fail("a sample was classified"))
+        V, T = np.eye(3, 4097), np.eye(2, 4097)
+        with pytest.raises(ContractError, match="^class_count must be at most 4096, got 4097$"):
+            run_accuracy_improvement(V, [0, 1, 2], T, [0, 1], RunConfig(method="knn", knn=KnnConfig(1)), class_count=4097)
+
     def test_base_report_never_predicted_class(self):
         # a class the base argmax never predicts gets per-class accuracy 0
         probs = [fv(0.6, 0.3, 0.1), fv(0.5, 0.4, 0.1), fv(0.2, 0.7, 0.1)]
