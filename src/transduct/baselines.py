@@ -15,7 +15,7 @@ from typing import Iterator, Literal, Union
 
 import numpy as np
 
-from .core import FeatureVector, ReferenceSet, checked_int, checked_rows, unit_cosines, unit_rows
+from .core import FeatureVector, ReferenceSet, _scaled_rows, checked_int, checked_rows, unit_cosines, unit_rows
 from .errors import ContractError
 
 # Cap on the bytes of the largest temporary a chunk of c test rows makes:
@@ -71,19 +71,24 @@ def _vote(D: np.ndarray, members: np.ndarray, y: np.ndarray, k: int, class_count
     return labels
 
 
-def _distances(X: np.ndarray, Q: np.ndarray, top: float) -> np.ndarray:
-    """The ``(c, m)`` euclidean distances of the rows ``Q`` to the rows ``X`` (``top`` their largest
-    magnitude), as each row ranks them. A row ``q`` with a distance that overflows, or more than 2**26
-    times ``top`` (``[1e17, 9e17]``, whose differences to rows near the origin all round to ``-q``), is
-    ranked by ``|x/s|^2 - 2 (q/s).(x/s)``, with ``s`` ``q``'s largest magnitude or ``top`` over 2**400
-    if larger, so no square overflows; every other row keeps its distances' bits."""
-    with np.errstate(over="ignore"):
-        D = np.linalg.norm(X - Q[:, None, :], axis=2)
-    big = ~np.isfinite(D).all(axis=1) | (np.abs(Q).max(axis=1) * 2.0**-26 > top)
-    if big.any():
-        s = np.maximum(np.abs(Q[big]).max(axis=1), top * 2.0**-400)[:, None, None]
-        Xs = X / s
-        D[big] = (Xs * (Xs - 2 * (Q[big][:, None, :] / s))).sum(axis=2)
+def _distances(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The ``(c, m)`` euclidean distances of the rows ``Q`` to the rows ``X``, as each row ``q`` ranks them: their logs
+    where :func:`~transduct.core._scaled_rows` scales one of ``q``'s difference rows. Where ``q`` is over 2**26 times
+    its nearest row (``x - q`` then keeps under 27 of ``x``'s 53 bits: ``[1e17, 9e17]``) or a difference is past the
+    float range, ``log(|x - q| / |q|)``, for such a row and each under the bound as ``log1p((|x/t|^2 - 2 (q/t).(x/t))
+    / |q/t|^2) / 2``, ``t`` ``q``'s largest magnitude. Every other row keeps its distances' bits."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # handled below; log(0) is -inf
+        _, s, D = _scaled_rows(X - Q[:, None, :])
+        keyed = (s != 1.0).any(axis=1)
+        D[keyed] = np.log(s[keyed]) + np.log(D[keyed])
+        t = np.abs(Q).max(axis=1, keepdims=True)  # q's largest magnitude
+        far = np.isnan(D).any(axis=1) | (np.abs(X[D.argmin(axis=1)]).max(axis=1) * 2.0**26 < t[:, 0])
+        if far.any():
+            Xs, Qs = X / t[far, None], Q[far, None] / t[far, None]
+            N = (Qs * Qs).sum(axis=2)  # |q/t|^2
+            L = np.where(keyed[far, None], D[far], np.log(D[far])) - np.log(t[far]) - np.log(N) / 2
+            F = np.log1p((Xs * (Xs - 2 * Qs)).sum(axis=2) / N) / 2
+            D[far] = np.where(np.isnan(L) | (np.abs(X).max(axis=1) * 2.0**26 < t[far]), F, L)
     return D
 
 
@@ -98,7 +103,6 @@ def _labels(ref: ReferenceSet, queries, cols, members: np.ndarray, k: int, metri
     then any query that :func:`checked_rows` rejects, before the first label."""
     U = ref.unit_rows(cols)[cols] if metric == "cosine" else None
     X = ref.feature_matrix()
-    top = np.abs(X).max() if U is None else None
     m, d = X.shape
     Q = checked_rows(queries, d, cosine=U is not None)
     y, u = ref.label_array()[cols], members.shape[1]
@@ -108,7 +112,7 @@ def _labels(ref: ReferenceSet, queries, cols, members: np.ndarray, k: int, metri
     for start in range(0, len(Q), step):
         chunk = Q[start : start + step]
         if U is None:
-            D = _distances(X, chunk, top)[:, cols]
+            D = _distances(X, chunk)[:, cols]
         else:
             D = 1.0 - unit_cosines(U, unit_rows(chunk))
         votes = _vote(D, members, y, k, ref.class_count, width)[:, :, None] == classes

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -129,11 +130,11 @@ def _run_config(args, **method) -> RunConfig:
 
 def _write_lines(lines, out: str | None):
     """Write each line as it comes, to ``out`` or to stdout for ``-``."""
-    if out and out != "-":
-        with open(out, "w") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+    lines = iter(lines)
+    first = next(lines, "")  # its checks run before ``out`` is opened: a run refused there leaves it as it was
+    with open(out, "w") if out and out != "-" else nullcontext(sys.stdout) as fh:
+        fh.write(first)
+        fh.writelines(lines)
 
 
 def _write_json(payload, out: str | None):

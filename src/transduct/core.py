@@ -232,12 +232,6 @@ def _not_numbers(row, d: int) -> Optional[str]:
     return None if x.shape == (d,) else f"its items form shape {x.shape}"
 
 
-def _nonzero(Q: np.ndarray) -> np.ndarray:
-    """Which rows of ``Q`` have a non-zero norm: a norm, not ``Q.any()``, as 1e-200 squares to 0."""
-    with np.errstate(over="ignore"):  # and 1e200 to inf
-        return np.linalg.norm(Q, axis=1) > 0.0
-
-
 def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
     """The test rows ``queries`` as a read-only ``(n, d)`` float64 matrix (a read-only float64 one is
     shared), or the error naming the first bad row, raised before any row is used: the one rule for
@@ -245,9 +239,9 @@ def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
     (FeatureVectors, 1-D arrays, sequences of numbers), else a ContractError names its shape or type.
     A row of another length than ``d`` (a matrix's width), an array row that is not 1-D, a row whose
     items are not numbers or a non-finite value is a ContractError naming its index; with ``cosine``,
-    a zero row a DegenerateInputError. The first bad row in order wins. A good input costs one
-    conversion and one finiteness test (with ``cosine``, one norm test too); the rows are walked one
-    by one only to name a bad one."""
+    an all-zero row a DegenerateInputError. The first bad row in order wins. A good input costs
+    one conversion and one finiteness test (with ``cosine``, one zero test too); the rows are walked
+    one by one only to name a bad one."""
     if not (isinstance(queries, Sequence) or isinstance(queries, np.ndarray) and queries.ndim == 2):
         raise ContractError(f"test features must form an (n, d) matrix or a sequence of rows, got {_what(queries)}")
     if not len(queries):
@@ -256,15 +250,14 @@ def checked_rows(queries, d: int, cosine: bool) -> np.ndarray:
         Q = as_feature_matrix(queries)
     except ContractError:
         Q = None
-    if Q is not None and Q.shape[1] == d and np.isfinite(Q).all():
-        if not cosine or _nonzero(Q).all():
-            return Q
+    if Q is not None and Q.shape[1] == d and np.isfinite(Q).all() and (not cosine or Q.any(axis=1).all()):
+        return Q
     return _walked_rows(queries, d, cosine)
 
 
 def _walked_rows(queries, d: int, cosine: bool) -> np.ndarray:
     """:func:`checked_rows` of a non-empty ``queries`` that fails its whole-input test: the rows are
-    walked in order to raise the first bad row's first fault, of shape, numbers, finite values, norm."""
+    walked in order to raise the first bad row's first fault, of shape, numbers, finite values, zeros."""
     for i, row in enumerate(queries):
         w = _width(row)
         if w != d or getattr(row, "ndim", 1) != 1:
@@ -276,35 +269,38 @@ def _walked_rows(queries, d: int, cosine: bool) -> np.ndarray:
         x = as_feature_matrix([row])
         if not np.isfinite(x).all():
             raise ContractError(f"test feature {i} contains non-finite values")
-        if cosine and not _nonzero(x)[0]:
+        if cosine and not x.any():
             raise DegenerateInputError(f"test feature {i} has zero norm; cosine similarity undefined", index=i)
     return as_feature_matrix(queries)
 
 
+def _scaled_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(S, s, n)`` of the rows of ``X`` (its last axis): ``S = X / s``, ``n = |S|``, the norm ``s * n``; the
+    one rule that scales a norm. ``s`` is 1 where ``np.linalg.norm`` is in [2**-511, inf) (a normal sum of
+    squares, so the row keeps its bits), else a nonzero row's largest magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf / inf for a non-finite row
+        n = np.linalg.norm(X, axis=-1)
+        s = np.ones_like(n)
+        odd = ~(n >= 2.0**-511) | (n == np.inf)
+        if odd.any() and (top := np.abs(X[odd]).max(axis=-1)).any():  # zero rows alone need no scale
+            s[odd] = np.where(top > 0.0, top, 1.0)
+            X = X / s[..., None]
+            n[odd] = np.linalg.norm(X[odd], axis=-1)
+    return X, s, n
+
+
 def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
-    """The rows of ``X`` scaled to unit norm: the one place a cosine divides
-    by a norm. A zero-norm row (all zeros, or values whose squares underflow,
-    like 1e-200) among the ``used`` rows (an index array or a row mask;
-    default all) raises DegenerateInputError with its index; any other comes
-    back non-finite (NaN, or inf where a value is not zero). A finite row
-    whose norm overflows (``[1e200, 1e200]``) is scaled by its largest value first."""
+    """The rows of ``X`` scaled to unit norm (:func:`_scaled_rows` first): the one place a cosine divides by
+    a norm. A zero row among the ``used`` rows (an index array or a row mask; default all) raises
+    DegenerateInputError with its index; any other comes back NaN, as a non-finite row does."""
     if X.shape[0] == 0:
         raise ContractError("unit rows of an empty feature matrix")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an overflowed norm; 0/0; x/0
-        norms = np.linalg.norm(X, axis=1)
-        zero = norms == 0.0
-        if zero.any():  # cheaper than selecting the used rows on every call
-            rows = np.arange(len(X))[used]
-            hits = rows[zero[rows]]
-            if hits.size:
-                i = int(hits[0])
-                raise DegenerateInputError(f"zero-norm feature vector at index {i}; cosine similarity undefined", index=i)
-        U = X / norms[:, None]
-        big = np.isinf(norms)
-        if big.any():
-            S = X[big] / np.abs(X[big]).max(axis=1, keepdims=True)
-            U[big] = S / np.linalg.norm(S, axis=1, keepdims=True)
-    return U
+    S, _, norms = _scaled_rows(X)
+    if (zero := norms == 0.0).any() and zero[used].any():  # the first test is cheaper than selecting the used rows
+        i = int(np.arange(len(X))[used][zero[used]][0])
+        raise DegenerateInputError(f"zero-norm feature vector at index {i}; cosine similarity undefined", index=i)
+    with np.errstate(invalid="ignore"):  # 0/0
+        return S / norms[:, None]
 
 
 def unit_cosines(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -378,13 +374,12 @@ class ReferenceSet:
 
     def unit_rows(self, used=slice(None)) -> np.ndarray:
         """The rows of ``X`` scaled to unit norm (:func:`unit_rows`), computed once and kept read-only
-        beside whether all are finite; a zero-norm row among ``used`` (default all) raises
-        DegenerateInputError with its index, looked for only in a set that has a non-finite row."""
+        beside whether no row is all zeros; a zero row among ``used`` (default all) raises
+        DegenerateInputError with its index, looked for only in a set that has one."""
         if "unit_rows" not in self._derived:
-            U = _read_only(unit_rows(self.X, used=[]))
-            self._derived["unit_rows"] = U, bool(np.isfinite(U[:, 0]).all())
+            self._derived["unit_rows"] = _read_only(unit_rows(self.X, used=[])), self.X.any(axis=1).all()
         U, whole = self._derived["unit_rows"]
-        if not whole:  # rare (0/0 or, under an underflowed norm, x/0): find a used one
+        if not whole:  # rare: find a used zero row
             unit_rows(self.X, used)
         return U
 

@@ -571,25 +571,27 @@ class TestNearestLabelEqualsSubsetKnn:
         got, got_error = outcome(lambda: nearest_label(ref, f, np.array(rows)))
         want, want_error = outcome(lambda: knn_classify(ref.subset(rows), f, KnnConfig(1, "cosine")))
         assert got == want and type(got_error) is type(want_error)
-        norms = np.linalg.norm(ref.X, axis=1)  # 0 for [1e-200]: its square underflows
-        zero = [i for i in rows if norms[i] == 0.0]
+        zero = [i for i in rows if not ref.X[i].any()]  # [1e-200] is scaled first, so only zeros
         if zero:  # the first zero-norm listed row, by its reference index; unlisted ones never raise
             assert got_error.index == zero[0] == rows[want_error.index]
         elif want_error is not None:  # the query, which both name as test feature 0
             assert str(got_error) == str(want_error)
 
-    def test_a_row_whose_norm_underflows_is_a_zero_norm_row(self):
-        # its unit row is inf, not NaN; it used to win every cosine (label 0 here)
+    def test_a_row_whose_norm_underflows_ranks_as_the_row_it_scales_to(self):
+        # [1e-200, 1e-200] ranks as [1, 1]; the query is nearer [1, 0] (label 1), and a zero row is still refused
         ref = ReferenceSet.build([[1e-200, 1e-200], [1.0, 0.0]], [0, 1], 2)
         for call in (
             lambda: knn_classify(ref, fv(1.0, 0.01), KnnConfig(1)),
             lambda: nearest_label(ref, fv(1.0, 0.01), [1, 0]),
             lambda: ubknn_classify(ref, fv(1.0, 0.01), UbKnnConfig(KnnConfig(1), 1)),
         ):
-            with pytest.raises(DegenerateInputError, match="zero-norm feature vector at index 0") as info:
-                call()
-            assert info.value.index == 0
-        assert nearest_label(ref, fv(1.0, 0.01), [1]) == 1  # unlisted, it is never compared
+            assert call() == 1
+        assert knn_classify(ref, fv(1e-200, 0.9e-200), KnnConfig(1)) == 0
+        zero = ReferenceSet.build([[0.0, 0.0], [1.0, 0.0]], [0, 1], 2)
+        with pytest.raises(DegenerateInputError, match="zero-norm feature vector at index 0") as info:
+            nearest_label(zero, fv(1.0, 0.01), [1, 0])
+        assert info.value.index == 0
+        assert nearest_label(zero, fv(1.0, 0.01), [1]) == 1  # unlisted, it is never compared
 
     def test_an_index_array_and_a_list_give_one_label(self):
         ref = ReferenceSet.build([[0.3, 0.7], [1.0, 0.0], [0.3, 0.7], [0.0, 0.0]], [0, 0, 1, 1], 2)

@@ -169,6 +169,17 @@ class TestInferRecords:
         assert "error: no mock fixture" in capsys.readouterr().err
         assert [(r["index"], r["label"]) for r in records] == [(0, 0)]
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--backend", "local", "--ratio", "0"], 1),  # a setting refused by the first record's checks
+        (["--backend", "mock"], 2),  # no fixture for the first prompt
+    ], ids=["local-ratio-0", "mock-no-fixture"])
+    def test_a_run_refused_before_its_first_record_leaves_out_as_it_was(self, data_file, tmp_path, capsys, flags, code):
+        out = tmp_path / "preds.jsonl"
+        out.write_text('{"index": 0, "label": 1}\n')
+        assert main(["infer", "--data", data_file, "--out", str(out), *flags]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == '{"index": 0, "label": 1}\n'
+
 class TestEvaluate:
     def test_error_detection_local(self, data_file, tmp_path):
         report_path = tmp_path / "report.json"

@@ -198,7 +198,8 @@ MATRIX_FORMS = {
     "NaN": ([[0.7, 0.3], [np.nan, 0.5]], (ContractError, "test feature 1 contains non-finite values")),
     "inf": (np.array([[0.7, 0.3], [0.5, -np.inf]]), (ContractError, "test feature 1 contains non-finite values")),
     "zero row": ([[0.7, 0.3], [0.0, 0.0]], (DegenerateInputError, f"test feature 1 {ZERO_NORM}"), NOT_COSINE),
-    "underflowing row": ([[0.7, 0.3], [1e-200, 1e-200]], (DegenerateInputError, f"test feature 1 {ZERO_NORM}"), NOT_COSINE),
+    # a norm that underflows is scaled first, so only an all-zero row is refused
+    "underflowing row": ([[0.7, 0.3], [1e-200, 1e-200]], OK),
     "overflowing row": ([[0.7, 0.3], BIG], OK, {
         "predict-knn": Value([0, 1]), "predict-ubknn": Value([0, 1]), "predict-prompt": Value([1, 1]),
         "predict-prompt-local": Value([0, 1]),
@@ -258,8 +259,8 @@ ROW_FORMS = {
     "1-D array": (np.array([0.7, 0.3]), OK, {"classify": Value(1), "knn_classify": Value(0), "build_part2": PART2}),
 }
 
-# a reference row of zero norm: refused where a cosine uses it (every row, a bag's, the plan's)
-ZERO_REF = ReferenceSet.build([[0.9, 0.1], [1e-200, 0.0], [0.1, 0.9], [0.2, 0.8]], [0, 0, 1, 1], 2)
+# an all-zero reference row: refused where a cosine uses it (every row, a bag's, the plan's)
+ZERO_REF = ReferenceSet.build([[0.9, 0.1], [0.0, 0.0], [0.1, 0.9], [0.2, 0.8]], [0, 0, 1, 1], 2)
 ZERO_REF_TAKERS = {
     "knn_classify": lambda f: knn_classify(ZERO_REF, f, KnnConfig(1)),
     "knn_classify-euclidean": lambda f: knn_classify(ZERO_REF, f, KnnConfig(1, "euclidean")),
@@ -629,6 +630,31 @@ KERNEL_FORMS = {  # at s = inf every weight is equal: half of the rows are of ea
                           "predict-prompt-local": Value([0, 0])}),
 }
 
+# --- FeatureLabelMatrix: [unit feature || label block] rows, the test row last -------------------
+
+FLM_ROWS = FeatureLabelMatrix.from_reference(REF, [0.7, 0.3]).rows  # 4 known rows of 2 + 2 columns, then the test row
+
+
+def labelled(i, block):
+    """``FLM_ROWS`` with row ``i``'s label block set to ``block``."""
+    rows = FLM_ROWS.copy()
+    rows[i, 2:] = block
+    return rows
+
+
+NOT_ONE_HOT = "label block is not one-hot"
+FEATURE_LABEL_MATRIX_FORMS = {
+    "rows": (FLM_ROWS, OK),
+    "wrong width": (FLM_ROWS[:, :3], (ContractError, "rows must be (m+1) x (feature_dim + class_count)")),
+    "1-D rows": (FLM_ROWS[0], (ContractError, "rows must be (m+1) x (feature_dim + class_count)")),
+    "test row alone": (FLM_ROWS[-1:], (ContractError, "need at least one known row plus the test row")),
+    "feature block not unit": (FLM_ROWS * 2, (ContractError, "feature blocks must be unit-normalized")),
+    "labelled test row": (labelled(-1, [0.0, 1.0]), (ContractError, "test row's label block must be all zeros")),
+    "half labels": (labelled(2, [0.5, 0.5]), (ContractError, f"known row 2 {NOT_ONE_HOT}")),
+    "two labels": (labelled(1, [1.0, 1.0]), (ContractError, f"known row 1 {NOT_ONE_HOT}")),
+    "last known row unlabelled": (labelled(3, [0.0, 0.0]), (ContractError, f"known row 3 {NOT_ONE_HOT}")),
+}
+
 # --- error paths with no other cell ------------------------------------------------------------
 
 ONE_MINORITY_ROW = ReferenceSet.build(REF.X, [0, 0, 0, 1], 2)  # a balanced subsample of 2 rows
@@ -657,6 +683,7 @@ LIBRARY_CELLS = unique_ids(
     + REAL_CELLS
     + grid("positive-class", POSITIVE_CLASS_TAKERS, POSITIVE_CLASS_FORMS)
     + grid("feature-vector", {"FeatureVector": FeatureVector}, FEATURE_VECTOR_FORMS)
+    + grid("feature-label-matrix", {"FeatureLabelMatrix": lambda rows: FeatureLabelMatrix(rows, 2, 2)}, FEATURE_LABEL_MATRIX_FORMS)
     + [pytest.param(call, "bogus", (ContractError, message), id=f"choice-{column}-unknown") for column, (call, message) in CHOICES.items()]
     + grid("endpoint", {"BackendConfig-remote": lambda url: BackendConfig(kind="remote", endpoint_url=url)}, REMOTE_ENDPOINTS)
     + grid("remote-only",
@@ -913,7 +940,7 @@ COMMANDS = {  # argv: (exit code, message or None, a check of what the command w
     "evaluate --use-case error_detection --method prompt --backend mock --positive-class 5 --data data.csv":
         (1, "positive_class 5 outside [0, 2)", None),
     "infer --backend mock --ratio 1.0 --data zero-row.csv --out out.jsonl":
-        (1, f"test feature 1 {ZERO_NORM}", lambda: Path("out.jsonl").read_text() == ""),
+        (1, f"test feature 1 {ZERO_NORM}", lambda: not Path("out.jsonl").exists()),
     f"{AI} --method ubknn --seed -1": (1, "seed must be an integer >= 0, got -1", None),
     # Part 1 alone (4 lines, 27 tokens) overflows: the hint counts the lines that fit beside Part 2
     "prompt --data data.csv --ratio 1.0 --token-budget 26":

@@ -111,6 +111,14 @@ class TestBuildPart1:
             build_part1(small_ref, plan, cfg)
         assert err.value.max_feasible_k == 2
 
+    def test_part1_at_exactly_the_token_budget_is_accepted(self, small_ref):
+        plan = build_plan(small_ref, 1.0)
+        text = build_part1(small_ref, plan)
+        tokens = prompt_module._estimate_tokens(text)
+        assert build_part1(small_ref, plan, SerializationConfig(token_budget=tokens)) == text
+        with pytest.raises(TokenBudgetError):
+            build_part1(small_ref, plan, SerializationConfig(token_budget=tokens - 1))
+
 
 class TestPart1Memo:
     """build_part1 renders once per (ref, plan, cfg) and never serves stale text."""
@@ -406,6 +414,22 @@ class TestRoundTrip:
         for bad in ("[0.25, inf] is in class", "[nan] is in class", "[] is in class"):
             with pytest.raises(GrammarError, match="line 2: malformed feature list"):
                 parse_test_line(bad, 2)
+
+    def test_part1_line_of_words_is_a_grammar_error_naming_it(self):
+        # the columnar parse reads every body at once and declines; the per-line parse names the line
+        prompt = "[0.10, 0.90] is in class 1\n[a, b] is in class 1\n[0.50, 0.50] is in class\n"
+        with pytest.raises(GrammarError, match=re.escape("line 2: malformed feature list [a, b]")):
+            parse_prompt(prompt)
+
+    def test_cached_part1_names_the_test_line_after_it(self):
+        from transduct.backends import BackendConfig, CompletionRequest, LocalAttentionBackend
+
+        part1 = "[0.10, 0.90] is in class 1\n[0.80, 0.20] is in class 0\n"
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        assert backend.complete(CompletionRequest(part1 + "[0.70, 0.30] is in class")).text == " 0"
+        # Part 1 is now cached: the test line is the prompt's third line
+        with pytest.raises(GrammarError, match=re.escape("line 3: malformed feature list [0.70, x]")):
+            backend.complete(CompletionRequest(part1 + "[0.70, x] is in class"))
 
     def test_parse_prompt_rejects_garbage(self):
         with pytest.raises(GrammarError):
