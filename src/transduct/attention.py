@@ -60,11 +60,16 @@ def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarr
         raise ContractError(f"Q columns {Q.shape[1]} != K columns {K.shape[1]}")
     if K.shape[0] != V.shape[0]:
         raise ContractError(f"K rows {K.shape[0]} != V rows {V.shape[0]}")
+    return _attention(Q, K, V, s)
+
+
+def _attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
+    """:func:`attention` of float matrices whose shapes match and a checked scale ``s``."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed scores are refused below; gap / s -> -inf: weight 0
         scores = Q @ K.T
         exp = np.exp((scores - scores.max(axis=1, keepdims=True)) / s)
     out = exp / exp.sum(axis=1, keepdims=True) @ V
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError("non-finite attention output")
     return out
 
@@ -78,7 +83,7 @@ def nn_attention_classify(ref: ReferenceSet, f_test, s: float = 1e-6) -> np.ndar
     the argmax is the cosine 1-NN label.
     """
     Q = checked_rows([f_test], ref.dimension, cosine=True)
-    return attention(unit_rows(Q), ref.unit_rows(), ref.one_hot_labels(), s)[0]
+    return _attention(unit_rows(Q), ref.unit_rows(), ref.one_hot_labels(), checked_real(s, "scale"))[0]
 
 
 @dataclass(frozen=True)

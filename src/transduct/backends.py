@@ -179,9 +179,8 @@ class LocalAttentionBackend:
         # Part 1 ends at the line break before the last line. It ends with
         # "\n", so the prompt's lines are Part 1's followed by the tail's.
         cut = prompt.rfind("\n", 0, len(prompt) - 1) + 1
-        part1, tail = prompt[:cut], prompt[cut:].splitlines()
-        cache = self._cache
-        if len(tail) == 1 and cache is not None and part1 == cache[0]:
+        tail, cache = prompt[cut:].splitlines(), self._cache
+        if len(tail) == 1 and cache is not None and cut == len(cache[0]) and prompt.startswith(cache[0]):
             _, ref, classes = cache
             row = parse_test_line(tail[0], ref.size + 1)
         else:
@@ -192,12 +191,13 @@ class LocalAttentionBackend:
             classes = y[np.r_[True, y[1:] != y[:-1]]]  # np.unique would import numpy.ma (numpy 2), ~0.6 MB
             ref = ReferenceSet(parsed.X, _read_only(np.searchsorted(classes, parsed.y)), max(2, len(classes)))
             if len(tail) == 1:
-                self._cache = (part1, ref, classes)
+                self._cache = (prompt[:cut], ref, classes)
         probs = nn_attention_classify(ref, row, self._scale)[: len(classes)]
+        labels = classes.tolist()
         return CompletionResponse(
-            text=f" {classes[np.argmax(probs)]}",
+            text=f" {labels[probs.argmax()]}",
             latency_ms=0,
-            raw={"class_probs": probs.tolist(), "classes": classes.tolist()},
+            raw={"class_probs": probs.tolist(), "classes": labels},
         )
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -180,7 +182,7 @@ def _jsonl_records(results):
     """One JSONL audit record per ``(label, audit)`` of :func:`predict`. Each
     carries the SHA-256 of the run's Part 1; the first also carries its text."""
     for index, (_, audit) in enumerate(results):
-        record = {"index": index, **asdict(audit)}
+        record = {"index": index, **vars(audit)}  # the audit's fields: strings, numbers and a tuple of strings
         part1 = record.pop("part1")
         if index == 0:
             record["part1"] = part1
@@ -235,38 +237,38 @@ def _cmd_gen_toy(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every formatter of the parser (add_argument makes one per flag) takes the width HelpFormatter would read
+    fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    data, selection, backend = (argparse.ArgumentParser(add_help=False, formatter_class=fmt) for _ in range(3))
+    _add_data_args(data)
+    _add_selection_args(selection)
+    _add_backend_args(backend)
     parser = argparse.ArgumentParser(
         prog="transduct",
         description="Transductive label propagation from a labeled reference set.",
+        formatter_class=fmt,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="emit the selection plan as JSON")
-    _add_data_args(p)
-    _add_selection_args(p)
+    def command(name, help, *parents):
+        return sub.add_parser(name, help=help, parents=parents, formatter_class=fmt)
+
+    p = command("plan", "emit the selection plan as JSON", data, selection)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("prompt", help="render the two-part prompt for one test sample")
-    _add_data_args(p)
-    _add_selection_args(p)
+    p = command("prompt", "render the two-part prompt for one test sample", data, selection)
     p.add_argument("--test-index", type=int, default=0)
     p.add_argument("--out-dir", help="write part1.txt/part2.txt here instead of stdout")
     p.set_defaults(func=_cmd_prompt)
 
-    p = sub.add_parser("infer", help="classify every test sample, JSONL with audit records")
-    _add_data_args(p)
-    _add_selection_args(p)
-    _add_backend_args(p)
+    p = command("infer", "classify every test sample, JSONL with audit records", data, selection, backend)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_infer)
 
-    p = sub.add_parser("evaluate", help="run a use-case pipeline and report metrics")
-    _add_data_args(p)
-    _add_selection_args(p)
-    _add_backend_args(p)
+    p = command("evaluate", "run a use-case pipeline and report metrics", data, selection, backend)
     p.add_argument("--use-case", choices=["error_detection", "accuracy_improvement"], required=True)
     p.add_argument("--method", choices=["prompt", "knn", "ubknn"], default="prompt")
     p.add_argument("--positive-class", type=int, default=1)
@@ -277,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="-")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("oracle-check", help="run the attention property suites")
+    p = command("oracle-check", "run the attention property suites")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--s", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_oracle_check)
 
-    p = sub.add_parser("gen-toy", help="generate a seeded toy dataset CSV")
+    p = command("gen-toy", "generate a seeded toy dataset CSV")
     p.add_argument("--dataset", choices=["moons", "circles"], required=True)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--noise", type=float, default=0.05)

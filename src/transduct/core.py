@@ -280,10 +280,14 @@ def _scaled_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     squares, so the row keeps its bits), else a nonzero row's largest magnitude."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf, and inf / inf for a non-finite row
         n = np.linalg.norm(X, axis=-1)
-        s = np.ones_like(n)
-        odd = ~(n >= 2.0**-511) | (n == np.inf)
-        if odd.any() and (top := np.abs(X[odd]).max(axis=-1)).any():  # zero rows alone need no scale
-            s[odd] = np.where(top > 0.0, top, 1.0)
+        normal = (n >= 2.0**-511) & (n < np.inf)
+        s = normal.astype(n.dtype)  # 1 on a normal row; the others' scales are set below
+        if np.count_nonzero(normal) == normal.size:  # quicker than .all() on a few rows
+            return X, s, n
+        odd = ~normal
+        top = np.abs(X[odd]).max(axis=-1)
+        s[odd] = np.where(top > 0.0, top, 1.0)
+        if top.any():  # zero rows alone need no scale
             X = X / s[..., None]
             n[odd] = np.linalg.norm(X[odd], axis=-1)
     return X, s, n
@@ -296,7 +300,9 @@ def unit_rows(X: np.ndarray, used=slice(None)) -> np.ndarray:
     if X.shape[0] == 0:
         raise ContractError("unit rows of an empty feature matrix")
     S, _, norms = _scaled_rows(X)
-    if (zero := norms == 0.0).any() and zero[used].any():  # the first test is cheaper than selecting the used rows
+    if np.count_nonzero(norms) == len(norms):  # no zero row (a NaN norm is not zero)
+        return S / norms[:, None]
+    if (zero := norms == 0.0)[used].any():
         i = int(np.arange(len(X))[used][zero[used]][0])
         raise DegenerateInputError(f"zero-norm feature vector at index {i}; cosine similarity undefined", index=i)
     with np.errstate(invalid="ignore"):  # 0/0

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -101,8 +100,9 @@ def _part1(ref: ReferenceSet, plan: SelectionPlan, cfg: SerializationConfig) -> 
     last = ref._derived.get("part1")
     if last is not None and last[0] is plan and last[1] == cfg:
         return last[2]
-    if outside := [i for i in plan.ordered_indices if i >= ref.size]:
-        raise ContractError(f"plan index {outside[0]} outside reference set of size {ref.size}")
+    size = ref.size  # read once, not per index
+    if outside := [i for i in plan.ordered_indices if i >= size]:
+        raise ContractError(f"plan index {outside[0]} outside reference set of size {size}")
     rows, line = plan.index_array, _line_format(ref.dimension, cfg.decimals) + " %d\n"
     lines = [line % (*f, y) for f, y in zip(ref.feature_matrix()[rows].tolist(), ref.label_array()[rows].tolist())]
     text = "".join(lines)  # the rows' values are freed by now, so they and the text do not peak together
@@ -188,32 +188,39 @@ def parse_prompt(prompt: str) -> tuple[ReferenceSet, np.ndarray]:
     """Recover the reference set and the test row (read-only) of a prompt.
 
     Inverse of :func:`build_bundle` up to rendering precision; used by the
-    local attention backend. Part 1 is parsed as columns; where that parse
-    rejects it, the per-line parse names the first malformed line.
+    local attention backend. Lines are those of ``str.splitlines``. Part 1 is
+    read as columns in one pass; where that read rejects it, the per-line parse
+    names the first malformed line.
     """
-    lines = prompt.splitlines()
-    if len(lines) < 2:
-        raise GrammarError("prompt must contain at least one reference line and a test line")
-    features, labels = _parse_columns(lines[:-1]) or _parse_lines(lines[:-1])
-    f_test = parse_test_line(lines[-1], len(lines))
+    cut = prompt.rfind("\n", 0, len(prompt) - 1) + 1  # where the last line starts
+    tail = prompt[cut:].splitlines()
+    columns = _parse_columns(prompt[:cut]) if len(tail) == 1 else None
+    if columns is None:
+        lines = prompt.splitlines()
+        if len(lines) < 2:
+            raise GrammarError("prompt must contain at least one reference line and a test line")
+        columns, tail = _parse_lines(lines[:-1]), lines[-1:]
+    features, labels = columns
+    f_test = parse_test_line(tail[0], len(labels) + 1)
     return ReferenceSet.build(features, labels, inferred_class_count(labels)), f_test
 
 
-def _parse_columns(lines: list[str]):
-    """The features (an ``(m, d)`` array) and labels of Part 1 ``lines``, all
-    read at once, or None unless every line matches the labeled-line grammar
-    in ASCII with ``d`` finite numbers."""
-    text = "\n".join(lines)
-    found = _PART1_LINE.findall(text)
-    if len(found) != len(lines) or not text.isascii():
+def _parse_columns(text: str):
+    """The features (an ``(m, d)`` array) and labels of ``text``, Part 1's lines each ending in ``"\\n"``, all
+    read at once, or None unless ``text`` is ASCII and each line matches the labeled-line grammar with ``d``
+    finite numbers. A number holds no character ``str.splitlines`` breaks at, so the lines are its lines."""
+    first = _PART1_LINE.match(text)
+    if first is None or not text.isascii():
+        return None
+    d = first.group(1).count(", ") + 1
+    number = r"[^,\]\s\x1c-\x1e]*"
+    row = re.compile(rf"^\[({number}(?:, {number}){{{d - 1}}})\] is in class 0*(\d{{1,19}})$", re.ASCII | re.MULTILINE)
+    found = row.findall(text)
+    if len(found) != text.count("\n"):
         return None
     bodies, labels = zip(*found)
-    d = bodies[0].count(", ") + 1
-    if any(body.count(", ") != d - 1 for body in bodies):
-        return None
     try:
-        values = chain.from_iterable(map(float, body.split(", ")) for body in bodies)
-        X = np.fromiter(values, np.float64, len(bodies) * d)
+        X = np.fromiter(map(float, ", ".join(bodies).split(", ")), np.float64, len(bodies) * d)
     except ValueError:
         return None
     if not np.isfinite(X).all():

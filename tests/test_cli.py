@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -368,3 +369,77 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert "transduct" in capsys.readouterr().out
+
+
+# The CLI's flags, in --help order, with their defaults: the surface a rebuild of the parser keeps.
+DATA_FLAGS = [("--data", None), ("--val", None), ("--test", None), ("--probability", False), ("--class-count", None)]
+SELECTION_FLAGS = [
+    ("--ratio", 0.25), ("--interleave", True), ("--no-interleave", True), ("--decimals", 2), ("--token-budget", 4000),
+]
+BACKEND_FLAGS = [
+    ("--backend", "local"), ("--endpoint", None), ("--model", "text-davinci-003"), ("--api-key-env", "OPENAI_API_KEY"),
+    ("--rpm", 60), ("--budget", 500), ("--max-attempts", 3), ("--base-backoff-ms", 500), ("--s", 1e-6),
+    ("--mock-fixtures", None), ("--mock-default", None),
+]
+SURFACE = {
+    "plan": DATA_FLAGS + SELECTION_FLAGS + [("--out", "-")],
+    "prompt": DATA_FLAGS + SELECTION_FLAGS + [("--test-index", 0), ("--out-dir", None)],
+    "infer": DATA_FLAGS + SELECTION_FLAGS + BACKEND_FLAGS + [("--out", "-")],
+    "evaluate": DATA_FLAGS + SELECTION_FLAGS + BACKEND_FLAGS + [
+        ("--use-case", None), ("--method", "prompt"), ("--positive-class", 1), ("--k", 5), ("--metric", "cosine"),
+        ("--bags", 11), ("--seed", 0), ("--report", "-"),
+    ],
+    "oracle-check": [("--trials", 1000), ("--s", 1e-6), ("--seed", 0), ("--out", "-")],
+    "gen-toy": [
+        ("--dataset", None), ("--n", 200), ("--noise", 0.05), ("--seed", 0), ("--reference-fraction", 0.5),
+        ("--no-equalize-norms", False), ("--out", None),
+    ],
+}
+REQUIRED = {"evaluate": ["--use-case"], "gen-toy": ["--dataset", "--out"]}
+SUBCOMMAND_HELP = {
+    "plan": "emit the selection plan as JSON",
+    "prompt": "render the two-part prompt for one test sample",
+    "infer": "classify every test sample, JSONL with audit records",
+    "evaluate": "run a use-case pipeline and report metrics",
+    "oracle-check": "run the attention property suites",
+    "gen-toy": "generate a seeded toy dataset CSV",
+}
+
+
+def help_text(capsys, monkeypatch, columns, *command):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def listed_flags(text):
+    """The flags of the help's option list, in order."""
+    return re.findall(r"^  (-h, --help|--[\w-]+)", text, re.MULTILINE)
+
+
+class TestSurface:
+    def test_each_subcommand_takes_its_flags_in_order_with_their_defaults(self):
+        (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands) == list(SURFACE)
+        for name, sub in commands.items():
+            flags = [a for a in sub._actions if a.dest != "help"]
+            assert [(a.option_strings[0], a.default) for a in flags] == SURFACE[name], name
+            assert [a.option_strings[0] for a in flags if a.required] == REQUIRED.get(name, []), name
+
+    def test_top_level_help_lists_the_subcommands(self, capsys, monkeypatch):
+        text = help_text(capsys, monkeypatch, 80)
+        assert text.startswith("usage: transduct [-h] [--version] [--config CONFIG]\n")
+        assert "  {plan,prompt,infer,evaluate,oracle-check,gen-toy}\n" in text
+        assert re.findall(r"^    ([\w-]+) +(.+)$", text, re.MULTILINE) == list(SUBCOMMAND_HELP.items())
+        assert listed_flags(text) == ["-h, --help", "--version", "--config"]
+
+    @pytest.mark.parametrize("name", SURFACE)
+    def test_subcommand_help_lists_its_flags_at_the_terminal_width(self, name, capsys, monkeypatch):
+        text = help_text(capsys, monkeypatch, 80, name)
+        assert text.startswith(f"usage: transduct {name} [-h]")
+        assert listed_flags(text) == ["-h, --help"] + [flag for flag, _ in SURFACE[name]]
+        assert max(map(len, text.splitlines())) <= 78  # argparse wraps at COLUMNS - 2
+        wide = help_text(capsys, monkeypatch, 200, name)
+        assert listed_flags(wide) == listed_flags(text) and len(wide.splitlines()) < len(text.splitlines())

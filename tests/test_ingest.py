@@ -411,6 +411,14 @@ def test_a_long_label_cell_is_read_without_copies_as_wide(tmp_path):
     assert peak < raw.nbytes / 100  # 20 MB of cells
 
 
+def test_a_label_cell_one_byte_past_its_field_goes_to_the_row_reader(tmp_path):
+    # the column read keeps 20 bytes of a label cell: this one's first 20 are
+    # blanks, so only the row reader sees its label, and the run is not refused
+    # for a test row with no label among labelled ones
+    path = _write(tmp_path, "d.csv", HEADER + "0.9,0.1,0,val\n0.2,0.8,1,val\n0.3,0.7," + " " * 20 + "1,test\n0.6,0.4,0,test\n")
+    assert load_dataset(path).test_y.tolist() == [1, 0]
+
+
 @pytest.mark.parametrize("role", ["val", "test"])
 @pytest.mark.parametrize("split", ["train", "tst"])
 def test_split_column_of_a_val_or_test_file_is_still_checked(tmp_path, role, split):
