@@ -46,7 +46,7 @@ from .prompt import (
     parse_completion,
 )
 from .selection import SelectionPlan, build_plan, representativeness
-from .toydata import generate, make_circles, make_moons, split_dataset
+from .toydata import generate, split_dataset
 from .workflow import (
     EvalReport,
     RunConfig,
@@ -88,8 +88,6 @@ __all__ = [
     "knn_classify",
     "load_dataset",
     "make_backend",
-    "make_circles",
-    "make_moons",
     "nn_attention_classify",
     "parse_completion",
     "representativeness",

@@ -52,10 +52,25 @@ class AttentionConfig:
         checked_switch(self.strict_setup2, "strict_setup2")
 
 
+def _floats(x, name: str, matrix: bool = False) -> np.ndarray:
+    """``x`` as a float array, or with ``matrix`` as a matrix whose 1-D form is one row; anything
+    else (not numbers; with ``matrix``, more than 2 dimensions) is a ContractError naming ``name``."""
+    try:
+        x = np.asarray(x, float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ContractError(f"{name} is not an array of numbers: {exc}") from None
+    if matrix and x.ndim > 2:
+        raise ContractError(f"{name} must be a row or a matrix, got shape {x.shape}")
+    return np.atleast_2d(x) if matrix else x
+
+
 def attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
-    """softmax(Q K^T / s) V, each row's largest score subtracted before the division by ``s``."""
-    Q, K, V = np.atleast_2d(np.asarray(Q, float)), np.atleast_2d(np.asarray(K, float)), np.atleast_2d(np.asarray(V, float))
+    """softmax(Q K^T / s) V, each row's largest score subtracted before the division by ``s``.
+    K has at least one row; a 1-D Q, K or V is one row."""
+    Q, K, V = _floats(Q, "Q", True), _floats(K, "K", True), _floats(V, "V", True)
     checked_real(s, "scale")
+    if K.shape[0] == 0:
+        raise ContractError("K must have at least one row")
     if Q.shape[1] != K.shape[1]:
         raise ContractError(f"Q columns {Q.shape[1]} != K columns {K.shape[1]}")
     if K.shape[0] != V.shape[0]:
@@ -96,7 +111,9 @@ class FeatureLabelMatrix:
     class_count: int
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, float)
+        rows = _floats(self.rows, "rows")
+        checked_int(self.feature_dim, 1, "feature_dim")
+        checked_int(self.class_count, 2, "class_count")
         if rows.ndim != 2 or rows.shape[1] != self.feature_dim + self.class_count:
             raise ContractError("rows must be (m+1) x (feature_dim + class_count)")
         if rows.shape[0] < 2:
@@ -192,7 +209,7 @@ def _has_cosine_tie(ref: ReferenceSet, f_test: FeatureVector, tol: float = 1e-9)
     return bool(sims[-1] - sims[-2] < tol) if len(sims) > 1 else False
 
 
-def nn_limit_suite(trials: int = 1000, s: float = 1e-6, seed: int = 0) -> dict:
+def _nn_limit_suite(trials: int, s: float, seed: int) -> dict:
     """Attention argmax vs cosine-1NN over random instances (tie cases skipped)."""
     rng = np.random.default_rng(seed)
     checked = agreements = skipped = 0
@@ -208,7 +225,7 @@ def nn_limit_suite(trials: int = 1000, s: float = 1e-6, seed: int = 0) -> dict:
     return {"trials": checked, "agreements": agreements, "skipped_ties": skipped}
 
 
-def setup_equivalence_suite(trials: int = 100, s: float = 1e-6, seed: int = 1) -> dict:
+def _setup_equivalence_suite(trials: int, s: float, seed: int) -> dict:
     """Self-attention vs plain attention classification on random instances."""
     rng = np.random.default_rng(seed)
     max_diff = 0.0
@@ -228,7 +245,7 @@ def setup_equivalence_suite(trials: int = 100, s: float = 1e-6, seed: int = 1) -
 def two_cluster_fixture(seed: int = 0) -> FeatureLabelMatrix:
     """Two orthogonal clusters of 5 rows with spread 0.02: rows 0-4 and
     5-9, the test row last in the second."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_int(seed, 0, "seed"))
     d, c, n = 4, 2, 10
     centres = np.zeros((n, d))
     centres[:5, 0] = centres[5:, 1] = 1.0
@@ -245,7 +262,7 @@ def cluster_separation(final: np.ndarray, cluster_a: Sequence[int], cluster_b: S
     return float(max(D[np.ix_(a, a)].max(), D[np.ix_(b, b)].max())), float(D[np.ix_(a, b)].min())
 
 
-def clustering_suite(trials: int = 20, s: float = 0.05, seed: int = 2) -> dict:
+def _clustering_suite(trials: int, s: float, seed: int) -> dict:
     """Iterated self-attention on two-cluster fixtures: convergence + separation."""
     histogram: dict[int, int] = {}
     separated = 0
@@ -265,7 +282,7 @@ def property_report(trials: int = 1000, s: float = 1e-6, seed: int = 0) -> dict:
     """Full report backing the `oracle-check` CLI subcommand."""
     trials, seed = checked_int(trials, 1, "trials"), checked_int(seed, 0, "seed")
     return {
-        "nn_limit": nn_limit_suite(trials=trials, s=s, seed=seed),
-        "setup_equivalence": setup_equivalence_suite(trials=min(trials, 100), s=s, seed=seed + 1),
-        "clustering": clustering_suite(seed=seed + 2),
+        "nn_limit": _nn_limit_suite(trials, s, seed),
+        "setup_equivalence": _setup_equivalence_suite(min(trials, 100), s, seed + 1),
+        "clustering": _clustering_suite(20, 0.05, seed + 2),
     }

@@ -39,7 +39,7 @@ from .errors import (
     TransportError,
 )
 from .prompt import SerializationConfig, build_bundle
-from .selection import build_plan
+from .selection import build_plan, representativeness
 from .toydata import generate, split_dataset
 from .workflow import (
     RunConfig,
@@ -150,7 +150,7 @@ def _cmd_plan(args) -> int:
         {
             "k": plan.k,
             "ordered_indices": list(plan.ordered_indices),
-            "rep_scores": list(plan.rep_scores),
+            "rep_scores": representativeness(ds.reference.feature_matrix()),
         },
         args.out,
     )

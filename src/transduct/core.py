@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 
-PROBABILITY_SUM_TOL = 1e-6
+_PROBABILITY_SUM_TOL = 1e-6  # how far a probability row's sum may be from 1
 _LABEL_MAX = 2**63 - 1  # labels are kept as int64
 
 
@@ -89,7 +89,7 @@ def _vectors(X: np.ndarray) -> tuple[FeatureVector, ...]:
     return tuple(vectors)
 
 
-def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY_SUM_TOL):
+def _first_bad_row(X: np.ndarray, is_probability: bool):
     """``(index, error type, message)`` of the first row of ``X`` that is not
     finite or, with ``is_probability``, not on the probability simplex; None
     if every row passes. Row sums run left to right, as Python's ``sum``."""
@@ -101,7 +101,7 @@ def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY
             total = X[:, 0].copy()
             for j in range(1, X.shape[1]):
                 total += X[:, j]
-            bad |= outside | (np.abs(total - 1.0) > tol)
+            bad |= outside | (np.abs(total - 1.0) > _PROBABILITY_SUM_TOL)
     hits = np.flatnonzero(bad)
     if hits.size == 0:
         return None
@@ -111,7 +111,7 @@ def _first_bad_row(X: np.ndarray, is_probability: bool, tol: float = PROBABILITY
         return i, DatasetParseError, f"feature vector contains non-finite values: {values}"
     if outside[i]:
         return i, ValidationError, f"probability values outside [0, 1]: {values}"
-    return i, ValidationError, f"probability vector sums to {float(total[i])!r}, expected 1 within {tol}"
+    return i, ValidationError, f"probability vector sums to {float(total[i])!r}, expected 1 within {_PROBABILITY_SUM_TOL}"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -35,25 +35,25 @@ class SelectionPlan:
     """Ordered reference indices as they will appear in the prompt.
 
     ``ordered_indices[0]`` is emitted first; the last index is the most
-    influential (most representative) sample. ``rep_scores`` covers all m
-    reference samples, not just the selected ones. The indices are distinct
+    influential (most representative) sample. The indices are distinct
     integers >= 0; the Part 1 renderer checks each against the reference set.
     """
 
     ordered_indices: tuple[int, ...]
-    rep_scores: tuple[float, ...]
-    k: int
 
     def __post_init__(self):
         if self.k < 1:
             raise ContractError(f"plan must select at least one sample, k={self.k}")
-        if len(self.ordered_indices) != self.k:
-            raise ContractError(f"plan has {len(self.ordered_indices)} indices, k={self.k}")
         if not all(type(i) is int and i >= 0 for i in self.ordered_indices):  # plain ints pass at once
             for i in self.ordered_indices:
                 checked_int(i, 0, "plan index")
         if len(set(self.ordered_indices)) != self.k:
             raise ContractError("plan contains duplicate indices")
+
+    @property
+    def k(self) -> int:
+        """The number of selected samples, ``len(ordered_indices)``."""
+        return len(self.ordered_indices)
 
     @cached_property
     def index_array(self) -> np.ndarray:
@@ -142,4 +142,4 @@ def build_plan(
         picked = by_class[np.argsort(rank, kind="stable")[:k]]
     else:
         picked = np.argsort(-rep, kind="stable")[:k]
-    return SelectionPlan(tuple(picked[::-1].tolist()), tuple(rep.tolist()), k)
+    return SelectionPlan(tuple(picked[::-1].tolist()))

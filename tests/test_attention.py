@@ -14,13 +14,7 @@ from transduct import (
     nn_attention_classify,
     self_attention_classify,
 )
-from transduct.attention import (
-    clustering_suite,
-    cluster_separation,
-    nn_limit_suite,
-    setup_equivalence_suite,
-    two_cluster_fixture,
-)
+from transduct.attention import cluster_separation, property_report, two_cluster_fixture
 from transduct.core import unit_rows
 from transduct.errors import ContractError, DegenerateInputError
 
@@ -55,6 +49,12 @@ class TestAttentionKernel:
     def test_small_scale_limit(self):
         out = attention([[1.0, 0.0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], s=1e-6)
         assert out[0] == pytest.approx([1.0, 0.0], abs=1e-9)
+
+    def test_a_1d_q_k_or_v_is_one_row(self):
+        out = attention([[1.0, 0.0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], s=1.0)
+        assert np.array_equal(attention([1.0, 0.0], [[1, 0], [0, 1]], [[1, 0], [0, 1]], s=1.0), out)
+        assert np.array_equal(attention([[1.0, 0.0]], [1.0, 0.0], [2.0], s=1.0), [[2.0]])
+        assert np.array_equal(attention([[1.0, 0.0]], [[1.0, 0.0]], [2.0, 3.0], s=1.0), [[2.0, 3.0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractError):
@@ -247,16 +247,20 @@ class TestIterateSelfAttention:
 
 
 class TestPropertySuites:
-    def test_nn_limit_suite_small(self):
-        report = nn_limit_suite(trials=50, seed=0)
-        assert report["agreements"] == report["trials"] == 50
+    """The three suites of ``property_report``: 50 nearest-neighbour trials,
+    as many setup-equivalence trials and 20 clustering trials."""
 
-    def test_setup_equivalence_suite_small(self):
-        report = setup_equivalence_suite(trials=20, seed=1)
-        assert report["max_elementwise_diff"] < 1e-9
-        assert report["argmax_agreements"] == 20
+    @pytest.fixture(scope="class")
+    def report(self):
+        return property_report(trials=50, seed=0)
 
-    def test_clustering_suite_small(self):
-        report = clustering_suite(trials=5, seed=2)
-        assert report["separated"] == 5
-        assert all(k != -1 for k in report["converged_at_histogram"])
+    def test_nn_limit_suite_small(self, report):
+        assert report["nn_limit"]["agreements"] == report["nn_limit"]["trials"] == 50
+
+    def test_setup_equivalence_suite_small(self, report):
+        assert report["setup_equivalence"]["max_elementwise_diff"] < 1e-9
+        assert report["setup_equivalence"]["argmax_agreements"] == report["setup_equivalence"]["trials"] == 50
+
+    def test_clustering_suite_small(self, report):
+        assert report["clustering"]["separated"] == report["clustering"]["trials"] == 20
+        assert all(k != -1 for k in report["clustering"]["converged_at_histogram"])

@@ -83,6 +83,33 @@ class TestPlan:
         assert len(payload["ordered_indices"]) == 2
         assert len(payload["rep_scores"]) == 4
 
+    # rows mirrored about the diagonal score equal up to rounding, so the plan
+    # re-sums them; rows repeat, within a class and across the two
+    SELF_CONSISTENT = {
+        "mirrored-and-repeated": [([0.9, 0.1], 0), ([0.1, 0.9], 1), ([0.9, 0.1], 1), ([0.7, 0.3], 0),
+                                  ([0.3, 0.7], 1), ([0.1, 0.9], 0), ([0.2, 0.8], 1), ([0.8, 0.2], 0)],
+        "m=2": [([0.2, 0.8], 1), ([0.8, 0.2], 0)],
+    }
+
+    @pytest.mark.parametrize("interleave", [False, True])
+    @pytest.mark.parametrize("ratio", ["0.5", "1.0"])
+    @pytest.mark.parametrize("rows", list(SELF_CONSISTENT))
+    def test_plan_json_orders_its_own_scores(self, tmp_path, capsys, rows, ratio, interleave):
+        # rep_scores and ordered_indices come from two calls: reversed, the indices are the top k
+        # by descending score then ascending index, per class and joined round-robin when interleaved
+        reference = self.SELF_CONSISTENT[rows]
+        data = tmp_path / "data.csv"
+        data.write_text("f0,f1,label,split\n" + "".join(f"{x},{y},{c},val\n" for (x, y), c in reference) + "0.5,0.5,,test\n")
+        assert main(["plan", "--data", str(data), "--ratio", ratio, "--interleave" if interleave else "--no-interleave"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rep, labels = payload["rep_scores"], [c for _, c in reference]
+        ranked = sorted(range(len(rep)), key=lambda i: (-rep[i], i))
+        if interleave:
+            per_class = [[i for i in ranked if labels[i] == c] for c in sorted(set(labels))]
+            ranked = [ranking[r] for r in range(len(rep)) for ranking in per_class if r < len(ranking)]
+        assert payload["k"] == len(payload["ordered_indices"]) == max(1, int(float(ratio) * len(rep)))
+        assert payload["ordered_indices"][::-1] == ranked[: payload["k"]]
+
     def test_plan_to_stdout(self, data_file, capsys):
         rc = main(["plan", "--data", data_file])
         assert rc == 0

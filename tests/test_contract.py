@@ -35,7 +35,7 @@ from transduct import (
     IngestionSchema, KnnConfig, LabeledDataset, ReferenceSet, RetryPolicy, RunConfig, SelectionPlan, SerializationConfig,
     UbKnnConfig, attention, build_bundle, build_part1, build_part2, build_plan, classify, cli, compute_metrics,
     cosine_1nn_label, derive_error_detection_set, generate, iterate_self_attention, knn_classify, load_dataset,
-    make_backend, make_moons, nn_attention_classify, representativeness, run_accuracy_improvement, run_error_detection,
+    make_backend, nn_attention_classify, representativeness, run_accuracy_improvement, run_error_detection,
     self_attention_classify, split_dataset, ubknn_classify,
 )
 from transduct.attention import two_cluster_fixture
@@ -269,8 +269,8 @@ ZERO_REF_TAKERS = {
     "build_plan": lambda f: build_plan(ZERO_REF, 1.0),
     "representativeness": lambda f: representativeness(ZERO_REF.X),
     "predict-prompt-local": lambda f: labels_of(predict(ZERO_REF, [f], RunConfig(backend=LOCAL))),
-    "classify-mock": lambda f: classify(ZERO_REF, f, SelectionPlan((3, 2), (0.0,) * 4, 2), make_backend(MOCK_1))[0],
-    "classify-fallback": lambda f: classify(ZERO_REF, f, SelectionPlan((1, 2), (0.0,) * 4, 2), make_backend(UNPARSEABLE))[0],
+    "classify-mock": lambda f: classify(ZERO_REF, f, SelectionPlan((3, 2)), make_backend(MOCK_1))[0],
+    "classify-fallback": lambda f: classify(ZERO_REF, f, SelectionPlan((1, 2)), make_backend(UNPARSEABLE))[0],
 }
 ZERO_ROW_1 = (DegenerateInputError, "zero-norm feature vector at index 1; cosine similarity undefined")
 ZERO_REF_FORMS = {
@@ -285,7 +285,7 @@ ZERO_REF_FORMS = {
 
 def planned(use):
     """A column taking ``(reference set, plan indices, test row)``: it builds the plan, then uses it."""
-    return lambda case: use(case[0], SelectionPlan(case[1], (0.0,) * case[0].size, len(case[1])), case[2])
+    return lambda case: use(case[0], SelectionPlan(case[1]), case[2])
 
 
 PLAN_TAKERS = {
@@ -434,8 +434,8 @@ INT_SETTINGS = {  # (least value, call); each call takes the setting's value
     "BackendConfig.request_budget": (0, lambda v: remote(request_budget=v)),
     "RateLimiter.rpm": (1, lambda v: RateLimiter(v).rpm),
     "CompletionRequest.max_tokens": (1, lambda v: CompletionRequest("x", max_tokens=v)),
-    "make_moons.n": (4, lambda v: len(make_moons(n=v)[0])),
-    "make_moons.seed": (0, lambda v: len(make_moons(n=8, seed=v)[0])),
+    "generate.n": (4, lambda v: len(generate("moons", n=v)[0])),
+    "generate.seed": (0, lambda v: len(generate("moons", n=8, seed=v)[0])),
     "ReferenceSet.class_count": (2, lambda v: ReferenceSet(np.array(PROBS2), np.array([0, 1]), v)),
     "ReferenceSet.build-class_count": (2, lambda v: ReferenceSet.build(PROBS2, [0, 1], v)),
     "IngestionSchema.class_count": (2, lambda v: IngestionSchema(class_count=v)),
@@ -467,7 +467,7 @@ INT_FORMS = {  # the input given the least value, and the outcome where it is no
         "compute_metrics.class_count": (ContractError, f"class_count must be at most 4096, got {HUGE}"),
         "UbKnnConfig.n_bags": (ContractError, f"n_bags must be at most 4096, got {HUGE}"),
         "RunConfig.bags": (ContractError, f"n_bags must be at most 4096, got {HUGE}"),
-        "make_moons.n": (ContractError, f"n must be at most 1048576, got {HUGE}"),
+        "generate.n": (ContractError, f"n must be at most 1048576, got {HUGE}"),
     }),
 }
 
@@ -487,7 +487,7 @@ INT_CELLS = [
 REAL_SETTINGS = {  # (the range its message names, call)
     "build_plan.selection_ratio": ("in (0, 1]", lambda v: build_plan(REF, v).k),
     "RunConfig.selection_ratio": ("in (0, 1]", lambda v: predicted_with(selection_ratio=v, backend=MOCK_1)),
-    "split_dataset.reference_fraction": ("in (0, 1)", lambda v: split_dataset(*make_moons(8), reference_fraction=v).reference.size),
+    "split_dataset.reference_fraction": ("in (0, 1)", lambda v: split_dataset(*generate("moons", 8), reference_fraction=v).reference.size),
     "BackendConfig.attention_scale": ("positive", lambda v: BackendConfig(kind="local-attention", attention_scale=v)),
     "AttentionConfig.scale_s": ("positive", lambda v: AttentionConfig(scale_s=v)),
     "AttentionConfig.convergence_tol": ("positive", lambda v: AttentionConfig(convergence_tol=v)),
@@ -630,6 +630,18 @@ KERNEL_FORMS = {  # at s = inf every weight is equal: half of the rows are of ea
                           "predict-prompt-local": Value([0, 0])}),
 }
 
+# --- attention(): Q, K and V are rows or matrices of numbers, and K has a row --------------------
+
+ATTENTION_FORMS = {  # (Q, K, V), at scale 1
+    "string Q": (("ab", np.ones((3, 2)), np.ones((3, 2))),
+                 (ContractError, "Q is not an array of numbers: could not convert string to float: 'ab'")),
+    "no keys": ((np.ones((1, 2)), np.empty((0, 2)), np.empty((0, 3))), (ContractError, "K must have at least one row")),
+    "3-D Q": ((np.ones((2, 1, 2)), np.ones((3, 1)), np.ones((3, 1))),
+              (ContractError, "Q must be a row or a matrix, got shape (2, 1, 2)")),
+    "3-D K": ((np.ones((1, 2)), np.ones((3, 2, 1)), np.ones((3, 2))),
+              (ContractError, "K must be a row or a matrix, got shape (3, 2, 1)")),
+}
+
 # --- FeatureLabelMatrix: [unit feature || label block] rows, the test row last -------------------
 
 FLM_ROWS = FeatureLabelMatrix.from_reference(REF, [0.7, 0.3]).rows  # 4 known rows of 2 + 2 columns, then the test row
@@ -653,20 +665,39 @@ FEATURE_LABEL_MATRIX_FORMS = {
     "half labels": (labelled(2, [0.5, 0.5]), (ContractError, f"known row 2 {NOT_ONE_HOT}")),
     "two labels": (labelled(1, [1.0, 1.0]), (ContractError, f"known row 1 {NOT_ONE_HOT}")),
     "last known row unlabelled": (labelled(3, [0.0, 0.0]), (ContractError, f"known row 3 {NOT_ONE_HOT}")),
+    "string": ("abc", (ContractError, "rows is not an array of numbers: could not convert string to float: 'abc'")),
+    "ragged": ([[1.0, 0.0, 1.0, 0.0], [1.0]], (ContractError, "rows is not an array of numbers: setting an array element...")),
+}
+
+# --- split_dataset: its labels by the one label rule, each 0 or 1 ---------------------------------
+
+SIX_ROWS = [[0.9, 0.1], [0.1, 0.9], [0.8, 0.2], [0.2, 0.8], [0.7, 0.3], [0.3, 0.7]]
+SPLIT_LABEL_FORMS = {
+    "three classes": ([0, 1, 2, 0, 1, 2], (SchemaError, "label 2 at index 2 outside [0, 2)")),
+    "one too many": ([0, 1, 0, 1, 0, 1, 0], (ContractError, "expected 6 labels, got 7")),
+    "strings": (["a", "b"], (ContractError, "label 'a' at index 0 is not a whole number")),
+    "nested lists": ([[0], [1]], (ContractError, "label [0] at index 0 is not a whole number")),
 }
 
 # --- error paths with no other cell ------------------------------------------------------------
 
 ONE_MINORITY_ROW = ReferenceSet.build(REF.X, [0, 0, 0, 1], 2)  # a balanced subsample of 2 rows
 ERROR_PATHS = {  # id: (call, outcome)
-    "SelectionPlan-duplicate": (lambda _: SelectionPlan((0, 0), (0.0,) * 4, 2), (ContractError, "plan contains duplicate indices")),
-    "SelectionPlan-short": (lambda _: SelectionPlan((0, 1), (0.0,) * 4, 3), (ContractError, "plan has 2 indices, k=3")),
-    "SelectionPlan-empty": (lambda _: SelectionPlan((), (), 0), (ContractError, "plan must select at least one sample, k=0")),
+    "SelectionPlan-duplicate": (lambda _: SelectionPlan((0, 0)), (ContractError, "plan contains duplicate indices")),
+    "SelectionPlan-empty": (lambda _: SelectionPlan(()), (ContractError, "plan must select at least one sample, k=0")),
     "ubknn_classify-k-past-subsample": (
         lambda _: ubknn_classify(ONE_MINORITY_ROW, [0.7, 0.3], UbKnnConfig(KnnConfig(3), n_bags=1)),
         (ContractError, "k_neighbors 3 exceeds balanced subsample size")),
     "ReferenceSet-empty": (lambda _: ReferenceSet(np.empty((0, 2)), [], 2),
                            (ContractError, "reference set must contain at least one sample")),
+    "FeatureLabelMatrix-feature_dim-string": (lambda _: FeatureLabelMatrix(FLM_ROWS, "2", 2),
+                                              (ContractError, "feature_dim must be an integer >= 1, got '2'")),
+    "FeatureLabelMatrix-feature_dim-whole-float": (lambda _: FeatureLabelMatrix(FLM_ROWS, 2.0, 2),
+                                                   (ContractError, "feature_dim must be an integer >= 1, got 2.0")),
+    "FeatureLabelMatrix-class_count-None": (lambda _: FeatureLabelMatrix(FLM_ROWS, 2, None),
+                                            (ContractError, "class_count must be an integer >= 2, got None")),
+    "two_cluster_fixture-seed-negative": (lambda _: two_cluster_fixture(seed=-1), (ContractError, "seed must be an integer >= 0, got -1")),
+    "two_cluster_fixture-seed-float": (lambda _: two_cluster_fixture(seed=1.5), (ContractError, "seed must be an integer >= 0, got 1.5")),
     # an output that overflows is refused, with no warning on the way
     "attention-overflow": (lambda _: attention([[1e200]], [[1e200]], [[1.0]], 1.0), (NumericError, "non-finite attention output")),
 }
@@ -683,7 +714,9 @@ LIBRARY_CELLS = unique_ids(
     + REAL_CELLS
     + grid("positive-class", POSITIVE_CLASS_TAKERS, POSITIVE_CLASS_FORMS)
     + grid("feature-vector", {"FeatureVector": FeatureVector}, FEATURE_VECTOR_FORMS)
+    + grid("attention", {"attention": lambda qkv: attention(*qkv, 1.0)}, ATTENTION_FORMS)
     + grid("feature-label-matrix", {"FeatureLabelMatrix": lambda rows: FeatureLabelMatrix(rows, 2, 2)}, FEATURE_LABEL_MATRIX_FORMS)
+    + grid("split-labels", {"split_dataset": lambda y: split_dataset(SIX_ROWS, y)}, SPLIT_LABEL_FORMS)
     + [pytest.param(call, "bogus", (ContractError, message), id=f"choice-{column}-unknown") for column, (call, message) in CHOICES.items()]
     + grid("endpoint", {"BackendConfig-remote": lambda url: BackendConfig(kind="remote", endpoint_url=url)}, REMOTE_ENDPOINTS)
     + grid("remote-only",
@@ -708,7 +741,7 @@ def test_library_cell(call, value, outcome):
     (lambda v: UbKnnConfig(n_bags=v), 4096, "n_bags", True),
     (lambda v: SerializationConfig(decimals=v), 1074, "decimals", True),
     (lambda v: compute_metrics([0, 1], [0, 1], v), 4096, "class_count", True),
-    (lambda v: make_moons(n=v), 2**20, "n", False),  # 2**20 rows would take half a minute
+    (lambda v: generate("moons", n=v), 2**20, "n", False),  # 2**20 rows would take half a minute
 ])
 def test_a_bounded_setting_takes_its_bound_and_refuses_one_more(call, high, name, at_bound):
     if at_bound:
@@ -735,9 +768,9 @@ UNIT_REF = ReferenceSet.build([[1.0, 0.0], [1.0, 1.0]], [0, 1], 2)
         (lambda: knn_classify(BIG_REF, FeatureVector.of([1.0, 1.0]), KnnConfig(1)), 0),
         (lambda: knn_classify(UNIT_REF, FeatureVector.of([1e200, 1e200]), KnnConfig(1)), 1),
         (lambda: nn_attention_classify(UNIT_REF, [1e200, 1e200]).tolist(), [0.0, 1.0]),
-        # the big row scores as the row it scales to, not 0.0
-        (lambda: build_plan(BIG_REF, 1.0).rep_scores,
-         build_plan(ReferenceSet.build([[1.0, 1.0], [1.0, 0.0]], [0, 1], 2), 1.0).rep_scores),
+        # the big row scores and ranks as the row it scales to, not as 0.0
+        (lambda: (representativeness(BIG_REF.X), build_plan(BIG_REF, 1.0).ordered_indices),
+         (representativeness([[1.0, 1.0], [1.0, 0.0]]), build_plan(ReferenceSet.build([[1.0, 1.0], [1.0, 0.0]], [0, 1], 2), 1.0).ordered_indices)),
     ],
     ids=["knn_classify-reference", "knn_classify-query", "nn_attention_classify-query", "build_plan-reference"],
 )

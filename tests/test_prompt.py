@@ -82,7 +82,7 @@ class TestPart2Rendering:
 class TestBuildPart1:
     def test_single_line_format(self):
         ref = ReferenceSet.build([[0.5, 0.5], [0.2, 0.8], [0.1, 0.9]], [0, 0, 1], 2)
-        plan = SelectionPlan((2,), tuple([0.0] * 3), 1)
+        plan = SelectionPlan((2,))
         assert build_part1(ref, plan) == "[0.10, 0.90] is in class 1\n"
 
     def test_line_count_and_last_line(self, small_ref):
@@ -96,7 +96,7 @@ class TestBuildPart1:
 
     def test_empty_plan_impossible(self):
         with pytest.raises(ContractError):
-            SelectionPlan((), (), 0)
+            SelectionPlan(())
 
     def test_budget_error_carries_feasible_k(self, small_ref):
         plan = build_plan(small_ref, 1.0)
@@ -230,7 +230,7 @@ class TestBundle:
         full = build_bundle(ref, row, plan, SerializationConfig(token_budget=10**6)).token_estimate
 
         def fits(k, cfg):
-            tail = SelectionPlan(plan.ordered_indices[len(plan.ordered_indices) - k :], plan.rep_scores, k)
+            tail = SelectionPlan(plan.ordered_indices[len(plan.ordered_indices) - k :])
             try:
                 build_bundle(ref, row, tail, cfg)
             except TokenBudgetError:
@@ -377,7 +377,7 @@ class TestRenderParseRoundTrip:
     def test_every_feature_within_half_a_unit_in_the_last_decimal(self, decimals, rows):
         *reference, test_row = rows
         ref = ReferenceSet.build(reference, [i % 2 for i in range(len(reference))], 2)
-        plan = SelectionPlan(tuple(range(ref.size)), (0.0,) * ref.size, ref.size)
+        plan = SelectionPlan(tuple(range(ref.size)))
         cfg = SerializationConfig(decimals=decimals, token_budget=10**6)
         ref_back, f_back = parse_prompt(build_bundle(ref, fv(*test_row), plan, cfg).prompt)
         assert ref_back.labels == ref.labels

@@ -46,7 +46,7 @@ class TestBuildPlan:
 
     def test_reverse_of_top_k(self, imbalanced_ref):
         plan = build_plan(imbalanced_ref, 0.5, interleave_by_class=False)
-        rep = plan.rep_scores
+        rep = representativeness(imbalanced_ref.X)
         top4 = sorted(range(8), key=lambda i: (-rep[i], i))[:4]
         assert plan.ordered_indices == tuple(reversed(top4))
         last = plan.ordered_indices[-1]
@@ -69,7 +69,7 @@ class TestBuildPlan:
 
     def test_interleaved_per_class_top_is_last_of_its_class(self, imbalanced_ref):
         plan = build_plan(imbalanced_ref, 0.5, interleave_by_class=True)
-        rep = plan.rep_scores
+        rep = representativeness(imbalanced_ref.X)
         for c in (0, 1):
             of_class = [i for i in plan.ordered_indices if imbalanced_ref.labels[i] == c]
             selected_best = of_class[-1]
@@ -176,7 +176,7 @@ class TestPlanCostFollowsTheData:
         if np.unique(group).size == m:
             old = rowwise.build_plan(rowwise.ReferenceSet.build(X.tolist(), y.tolist(), class_count), ratio, interleave)
             assert got.ordered_indices == old.ordered_indices
-        assert_duplicates_tie_by_index(got, group, y if interleave else None)
+        assert_duplicates_tie_by_index(got, X, group, y if interleave else None)
 
     def test_identical_rows_tie_bit_for_bit(self):
         # a re-sum by matrix product rounds by a row's place in the block, so
@@ -188,7 +188,7 @@ class TestPlanCostFollowsTheData:
             X = base[rng.integers(0, len(base), size=m)]
             plan = build_plan(ReferenceSet.build(X, rng.integers(0, 3, size=m), 3), 1.0)
             _, group = np.unique(X, axis=0, return_inverse=True)
-            assert_duplicates_tie_by_index(plan, group.reshape(-1))
+            assert_duplicates_tie_by_index(plan, X, group.reshape(-1))
 
     def test_rounded_rows_plan_as_fast_as_distinct_rows(self):
         # binary probabilities rounded to 2 decimals repeat about 80 times
@@ -209,11 +209,11 @@ class TestPlanCostFollowsTheData:
         assert cost[1] <= 5 * cost[0]
 
 
-def assert_duplicates_tie_by_index(plan, group, labels=None):
-    """Rows of one ``group`` have bit-equal scores, and where the plan emits
-    every row the smaller index ranks higher: in the one ranking, or with
-    ``labels`` (an interleaved plan) in its class's ranking."""
-    rep = np.array(plan.rep_scores)
+def assert_duplicates_tie_by_index(plan, X, group, labels=None):
+    """Rows of one ``group`` of ``X`` have bit-equal scores, and where the plan
+    emits every row the smaller index ranks higher: in the one ranking, or
+    with ``labels`` (an interleaved plan) in its class's ranking."""
+    rep = np.array(representativeness(X))
     for g in np.flatnonzero(np.bincount(group) > 1):
         members = np.flatnonzero(group == g)
         assert np.unique(rep[members].view(np.int64)).size == 1, f"rows {members.tolist()} differ in score"
