@@ -30,7 +30,7 @@ import math
 import warnings
 from array import array
 from collections.abc import Iterable, Sequence
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -92,20 +92,22 @@ def _vectors(X: np.ndarray) -> tuple[FeatureVector, ...]:
 def _first_bad_row(X: np.ndarray, is_probability: bool):
     """``(index, error type, message)`` of the first row of ``X`` that is not
     finite or, with ``is_probability``, not on the probability simplex; None
-    if every row passes. Row sums run left to right, as Python's ``sum``."""
-    finite = np.isfinite(X).all(axis=1)
-    bad = ~finite
-    if is_probability and X.size:
-        with np.errstate(all="ignore"):
-            outside = ((X < 0.0) | (X > 1.0)).any(axis=1)
+    if every row passes. Row sums run left to right, as Python's ``sum``. A
+    whole-matrix test passes a good ``X`` before any per-row array is built."""
+    with np.errstate(all="ignore"):
+        if is_probability and X.size:
             total = X[:, 0].copy()
             for j in range(1, X.shape[1]):
                 total += X[:, j]
-            bad |= outside | (np.abs(total - 1.0) > _PROBABILITY_SUM_TOL)
-    hits = np.flatnonzero(bad)
-    if hits.size == 0:
-        return None
-    i = int(hits[0])
+            far = np.abs(total - 1.0) > _PROBABILITY_SUM_TOL
+            if X.min() >= 0.0 and X.max() <= 1.0 and not far.any():  # NaN fails both bounds
+                return None
+        elif np.isfinite(X).all():
+            return None
+        finite = np.isfinite(X).all(axis=1)
+        outside = ((X < 0.0) | (X > 1.0)).any(axis=1)
+    bad = ~finite | outside | far if is_probability else ~finite
+    i = int(np.flatnonzero(bad)[0])
     values = tuple(X[i].tolist())
     if not finite[i]:
         return i, DatasetParseError, f"feature vector contains non-finite values: {values}"
@@ -178,12 +180,15 @@ def checked_switch(value, name: str) -> bool:
     return bool(value)
 
 
-def checked_real(value, name: str, high: float = math.inf, closed: bool = True) -> float:
+def checked_real(value, name: str, high: float = math.inf, closed: bool = True, zero: bool = False) -> float:
     """``value`` as a float if it is a real number (not a bool) in (0, ``high``], or (0, ``high``)
-    unless ``closed``, else a ContractError naming the setting ``name``: the one check of a real
-    setting. NaN is refused; with no ``high``, inf is taken."""
-    if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value and (value <= high if closed else value < high)):
-        span = "positive" if high == math.inf else f"in (0, {high:g}{']' if closed else ')'}"
+    unless ``closed``, 0 included with ``zero``, else a ContractError naming the setting ``name``:
+    the one check of a real setting. NaN is refused; with no ``high``, inf is taken if ``closed``."""
+    if isinstance(value, bool) or not (
+        isinstance(value, Real) and (0 <= value if zero else 0 < value) and (value <= high if closed else value < high)
+    ):
+        low, top = "[" if zero else "(", "]" if closed else ")"
+        span = "positive" if (high, closed, zero) == (math.inf, True, False) else f"in {low}0, {high:g}{top}"
         raise ContractError(f"{name} must be {span}, got {value!r}")
     return float(value)
 
@@ -449,11 +454,12 @@ class _Table:
     labels: np.ndarray  # (m,) int64, -1 where a row has no label
 
     def split(self, test: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only feature matrix and labels of the test (or val) rows."""
-        chosen = self.tests == test
-        if chosen.all():  # one split: no copy
-            return _read_only(self.X), _read_only(self.labels)
-        return _read_only(self.X[chosen]), _read_only(self.labels[chosen])
+        """The read-only feature matrix and labels of the test (or val) rows:
+        views where they are one run of rows, else copies."""
+        rows = np.flatnonzero(self.tests == test)
+        if len(rows) and rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        return _read_only(self.X[rows]), _read_only(self.labels[rows])
 
 
 def _raise_bad_row(bad, numbers) -> None:
@@ -546,58 +552,97 @@ def _csv_rows(lines, schema: IngestionSchema, role: Optional[str]) -> _Table:
 
 # bound with the package: numpy 2 loads np.char on first use, inside a CSV read
 _strip, _str_len = np.char.strip, np.char.str_len
-_CHUNK_CHARS = 1 << 14  # the line feed reads whole lines of about this many characters at a time
+_BLOCK_BYTES = 1 << 16  # the line feed reads the file in blocks of about this many bytes
 
 
-def _chunks(fh, counts: list):
-    """The lines at ``fh`` for numpy's C reader, as lists of whole lines of
-    about :data:`_CHUNK_CHARS` characters, each list's length added to
-    ``counts``. A NUL (an S field drops it) or a line past the csv module's
-    field limit (the row reader stops there) raises ValueError."""
-    limit = csv.field_size_limit()
-    while lines := fh.readlines(_CHUNK_CHARS):
-        if max(map(len, lines)) > limit or "\x00" in "".join(lines):
+def _chunks(raw, counts: list):
+    """The lines at the binary file ``raw`` for numpy's C reader, without their ends: a block of about
+    :data:`_BLOCK_BYTES` at a time, cut after its last line end, decoded from UTF-8 at once and split
+    where ``open(path, newline="")`` splits lines (CRLF, LF, lone CR); each block's line count is added
+    to ``counts``. Bytes that are not UTF-8, a NUL (an S field drops it) or a line of more characters
+    than the csv module's field limit (the row reader stops there) raise ValueError; so does an
+    unfinished line of more than 4 bytes per character of that limit (a character takes at most 4)."""
+    limit, tail, more = csv.field_size_limit(), b"", True
+    while more:
+        block = raw.read(_BLOCK_BYTES)
+        more, block = bool(block), tail + block
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1 if more else len(block)  # a CR may start a CRLF
+        text, tail = block[:cut].decode(), block[cut:]
+        lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+        if "\x00" in text or len(tail) > 4 * limit or len(text) > limit and max(map(len, lines)) > limit:
             raise ValueError("a line the row reader must read")
-        counts.append(len(lines))
-        yield lines
+        del block, text  # only the lines are kept while the C reader reads them
+        if not lines[-1]:  # the end of the last line
+            lines.pop()
+        if lines:
+            counts.append(len(lines))
+            yield lines
+
+
+def _plain_label(cells: np.ndarray) -> np.ndarray:
+    """Where a label cell is blank, ``?`` or one ASCII digit: one byte at most, none of it whitespace."""
+    one = cells == cells.astype("S1")
+    return one & ((cells == b"") | (cells == b"?") | ((cells >= b"0") & (cells <= b"9")))
+
+
+def _narrow(cells: np.ndarray, width: int, exact) -> Optional[np.ndarray]:
+    """A copy of the C reader's S field ``cells``: ``S{width}`` where ``exact(cells)`` passes every
+    cell (an exact compare: there is nothing to strip), else stripped and as narrow as the longest
+    cell; None where a cell fills its field (it may have been cut)."""
+    if exact(cells).all():
+        return cells.astype(f"S{width}")
+    longest = int(_str_len(cells).max())
+    if longest >= cells.dtype.itemsize:
+        return None
+    return _strip(cells.astype(f"S{max(longest, 1)}"))
 
 
 def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Table]:
-    """The CSV body after the header at ``fh`` read by numpy's C reader, its
+    """The CSV at the binary file ``fh`` read by numpy's C reader, its body
     rows numbered from 2, through :func:`_finish`; or None, for the row reader,
-    where the C reader rejects the body or finds none, a line is blank or not a
-    whole record, or a label or split cell fills its field or fails the column
-    filter. The filter passes plain cases of :func:`_row_label`'s rule (1 to 18
-    ASCII digits, below the class count; blank or ``?`` on a test row; ``val``
-    or ``test``) and nothing it refuses: no byte past ASCII."""
-    width, feat_idx, label_idx, split_idx = _csv_header(fh, role)
-    kinds = {label_idx: "S20", split_idx: "S5"}  # bytes; a cell that fills its field may have been cut
-    dtype = np.dtype([(f"c{i}", kinds.get(i, "f8")) for i in range(width)])
+    where the C reader rejects the body or finds none, the header line is not
+    one whole record, a line is blank or not a whole record, a line fails :func:`_chunks`,
+    or a label or split cell fills its field or fails the column filter. The
+    filter passes plain cases of :func:`_row_label`'s rule (1 to 18 ASCII
+    digits, below the class count; blank or ``?`` on a test row; ``val`` or
+    ``test``) and nothing it refuses: no byte past ASCII."""
     counts = []
     lines = chain.from_iterable(_chunks(fh, counts))
+    try:  # the header must be one whole record on its line: strict csv refuses a quoted cell left open
+        header = next(lines, "")
+        next(csv.reader([header], strict=True))
+    except (ValueError, csv.Error):
+        return None
+    if not header:
+        return None
+    width, feat_idx, label_idx, split_idx = _csv_header(iter([header]), role)
+    d = len(feat_idx)
+    # each row's d floats side by side, then its label and split cells as bytes
+    offsets = {i: 8 * j for j, i in enumerate(feat_idx)} | {label_idx: 8 * d, split_idx: 8 * d + 19}
+    kinds = {label_idx: "S19", split_idx: "S5"}
+    names = [f"c{i}" for i in range(width)]
+    dtype = np.dtype({"names": names, "formats": [kinds.get(i, "f8") for i in range(width)],
+                      "offsets": [offsets[i] for i in range(width)], "itemsize": 8 * d + 24})
     try:  # every column is named: loadtxt then rejects rows of another width
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError:
         return None
-    if body.size == 0 or len(body) != sum(counts):
+    if body.size == 0 or len(body) != sum(counts) - 1:
         return None
-    cells = []
-    for i in [i for i in (label_idx, split_idx) if i is not None]:
-        longest = int(_str_len(body[f"c{i}"]).max())
-        if longest >= body.dtype[i].itemsize:
-            return None
-        cells.append(body[f"c{i}"].astype(f"S{max(longest, 1)}"))  # a copy as narrow as its longest cell
-    X = np.stack([body[f"c{i}"] for i in feat_idx], axis=1)
-    del body
-    raw = _strip(cells[0])
+    X = np.ndarray((len(body), d), np.float64, body, 0, (dtype.itemsize, 8)).copy()
+    raw = _narrow(body[names[label_idx]], 1, _plain_label)
+    if split_idx is not None:
+        split = _narrow(body[names[split_idx]], 4, lambda cells: (cells == b"val") | (cells == b"test"))
+    del body  # the cells are copied: only X and two narrow byte columns are kept
+    if raw is None or split_idx is not None and split is None:
+        return None
     blank = (raw == b"") | (raw == b"?")
     digits, labels = _digit_labels(raw)
     tests = np.full(len(X), role == "test")
     plain = blank | digits
     if split_idx is not None:
-        split = _strip(cells[1])
         plain &= (split == b"val") | (split == b"test")
         if role is None:
             tests = split == b"test"
@@ -670,11 +715,11 @@ def _decoded_lines(data: bytes):
 
 @contextmanager
 def _opened(path):
-    """The data file ``path`` opened as UTF-8 text, the one place a data file is opened; a path that
+    """The data file ``path`` opened for binary reads, the one place a data file is opened; a path that
     does not exist or cannot be read (a directory, say) is a DatasetParseError naming it."""
     path = Path(path)
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise DatasetParseError(f"no such file: {path}") from None
     except OSError as exc:
@@ -685,15 +730,12 @@ def _opened(path):
 
 def _read_csv(path, schema: IngestionSchema, role: Optional[str]) -> _Table:
     """A CSV file, opened once: read by :func:`_columns` or, where that
-    returns None or meets a byte that is not UTF-8 (the text layer decodes
-    ahead of the line it returns), by the row reader from the file's bytes."""
+    returns None, by the row reader from the file's bytes."""
     with _opened(path) as fh:
-        table = None
-        with suppress(UnicodeDecodeError):
-            table = _columns(fh, schema, role)
+        table = _columns(fh, schema, role)
         if table is None:
             fh.seek(0)
-            table = _csv_rows(_decoded_lines(fh.buffer.read()), schema, role)
+            table = _csv_rows(_decoded_lines(fh.read()), schema, role)
     return table
 
 
@@ -762,7 +804,7 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
         return _assemble(table, table, schema.class_count)
     with _opened(path) as fh:
         try:
-            payload = json.loads(fh.read())
+            payload = json.loads(fh.read().decode())
         except json.JSONDecodeError as exc:
             raise DatasetParseError(f"invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:

@@ -35,6 +35,7 @@ def generate(dataset: str, n: int = 200, noise: float = 0.05, seed: int = 0, equ
     if dataset not in ("moons", "circles"):
         raise ContractError(f"unknown toy dataset {dataset!r}")
     n = checked_int(n, 4, "n", high=2**20)  # a row is a FeatureVector: 2**20 take about 0.3 GB and half a minute
+    noise = checked_real(noise, "noise", closed=False, zero=True)  # a finite real >= 0; 0 gives the noiseless set
     rng, circles = np.random.default_rng(checked_int(seed, 0, "seed")), dataset == "circles"
     t0, t1 = (np.linspace(0.0, 2 * np.pi if circles else np.pi, size, endpoint=not circles) for size in (n // 2, n - n // 2))
     class0 = np.column_stack([np.cos(t0), np.sin(t0)])

@@ -38,7 +38,7 @@ from transduct import (
     make_backend, nn_attention_classify, representativeness, run_accuracy_improvement, run_error_detection,
     self_attention_classify, split_dataset, ubknn_classify,
 )
-from transduct.attention import two_cluster_fixture
+from transduct.attention import property_report, two_cluster_fixture
 from transduct.backends import LocalAttentionBackend, MockBackend, RateLimiter, RemoteBackend
 from transduct.core import load_split_files
 from transduct.errors import (
@@ -492,11 +492,17 @@ REAL_SETTINGS = {  # (the range its message names, call)
     "AttentionConfig.scale_s": ("positive", lambda v: AttentionConfig(scale_s=v)),
     "AttentionConfig.convergence_tol": ("positive", lambda v: AttentionConfig(convergence_tol=v)),
     "nn_attention_classify.scale": ("positive", lambda v: nn_attention_classify(REF, [0.7, 0.3], v).tolist()),
+    "generate.noise": ("in [0, inf)", lambda v: len(generate("moons", n=8, noise=v)[0])),
 }
 REAL_FORMS = {  # the input, and the ranges that take it
-    "zero": (0.0, ()), "negative": (-1e-6, ()), "NaN": (np.nan, ()), "string": ("0.5", ()), "bool": (True, ()), "None": (None, ()),
-    "one": (1.0, ("in (0, 1]", "positive")), "above one": (1.5, ("positive",)), "inf": (np.inf, ("positive",)),
-    "numpy float": (np.float64(0.5), ("in (0, 1]", "in (0, 1)", "positive")),
+    "zero": (0.0, ("in [0, inf)",)), "negative": (-1e-6, ()), "NaN": (np.nan, ()), "string": ("0.5", ()), "bool": (True, ()),
+    "None": (None, ()), "one": (1.0, ("in (0, 1]", "positive", "in [0, inf)")), "above one": (1.5, ("positive", "in [0, inf)")),
+    "inf": (np.inf, ("positive",)), "numpy float": (np.float64(0.5), ("in (0, 1]", "in (0, 1)", "positive", "in [0, inf)")),
+}
+# the toy generator's noise: it used to let a TypeError out of "a" and None and to take -1.0 and NaN as no noise
+NOISE_FORMS = {
+    form: (value, (ContractError, f"noise must be in [0, inf), got {value!r}"))
+    for form, value in {"a": "a", "None": None, "-1.0": -1.0, "nan": np.nan, "inf": np.inf}.items()
 }
 REAL_CELLS = [
     pytest.param(call, value, OK if span in takes else (ContractError, f"{column.rsplit('.', 1)[1]} must be {span}, got {value!r}"),
@@ -712,6 +718,7 @@ LIBRARY_CELLS = unique_ids(
     + grid("reference", REFERENCE_TAKERS, REFERENCE_FORMS)
     + INT_CELLS
     + REAL_CELLS
+    + grid("noise", {"generate": lambda v: generate("moons", n=8, noise=v)}, NOISE_FORMS)
     + grid("positive-class", POSITIVE_CLASS_TAKERS, POSITIVE_CLASS_FORMS)
     + grid("feature-vector", {"FeatureVector": FeatureVector}, FEATURE_VECTOR_FORMS)
     + grid("attention", {"attention": lambda qkv: attention(*qkv, 1.0)}, ATTENTION_FORMS)
@@ -742,6 +749,7 @@ def test_library_cell(call, value, outcome):
     (lambda v: SerializationConfig(decimals=v), 1074, "decimals", True),
     (lambda v: compute_metrics([0, 1], [0, 1], v), 4096, "class_count", True),
     (lambda v: generate("moons", n=v), 2**20, "n", False),  # 2**20 rows would take half a minute
+    (lambda v: property_report(trials=v), 10**6, "trials", False),  # 10**6 trials would take minutes
 ])
 def test_a_bounded_setting_takes_its_bound_and_refuses_one_more(call, high, name, at_bound):
     if at_bound:
@@ -806,10 +814,10 @@ FILES = {  # CI's malformed files and more: (content, outcome[, {column: outcome
                         dict.fromkeys(SPLIT_FILES, (DatasetParseError, "row 1: not UTF-8: byte 0xff at offset 50"))),
     "bad-item.json": (json.dumps({"reference": [{"features": [0.9, 0.1], "label": "x"}]}),
                       (DatasetParseError, "reference item 0: label must be an integer, got 'x'")),
-    # a file longer than one 16K-character chunk of the C reader's line feed, with blank lines on
+    # a file longer than one 64K-byte block of the C reader's line feed, with blank lines on
     # both sides of the first boundary: the bad label after them names its file row
-    "chunked.csv": (HEADER + "0.125,0.5,1,val\n" * 4 + "0.25,0.5,1,val\n" * 1088 + "\n\n0.5,0.5,x,val\n",
-                    (DatasetParseError, "row 1096: non-integer label 'x'")),
+    "chunked.csv": (HEADER + "0.125,0.5,1,val\n" * 12 + "0.25,0.5,1,val\n" * 4355 + "\n\n0.5,0.5,x,val\n",
+                    (DatasetParseError, "row 4371: non-integer label 'x'")),
     # CRLF line ends, quoted cells and a row of empty cells: the row reader reads the file again
     "crlf.csv": ('f0,f1,label,split\r\n"0.9",0.1,0,val\r\n,,,\r\n0.1,"0.9",1,"val"\r\n', OK),
     "no-split.csv": ("f0,f1,label\n0.9,0.1,0\n0.1,0.9,1\n", (SchemaError, "header must contain 'split': ['f0', 'f1', 'label']"),
@@ -1010,8 +1018,11 @@ COMMANDS = {  # argv: (exit code, message or None, a check of what the command w
     "gen-toy --dataset moons --n 3 --out toy.csv": (1, "n must be an integer >= 4, got 3", lambda: not Path("toy.csv").exists()),
     "gen-toy --dataset moons --seed -1 --out toy.csv": (1, "seed must be an integer >= 0, got -1", None),
     "gen-toy --dataset moons --reference-fraction 1 --out toy.csv": (1, "reference_fraction must be in (0, 1), got 1.0", None),
+    **{f"gen-toy --dataset moons --noise {v} --out toy.csv": (1, f"noise must be in [0, inf), got {float(v)!r}", lambda: not Path("toy.csv").exists())
+       for v in ("-1", "nan", "inf")},
     "oracle-check --seed -1": (1, "seed must be an integer >= 0, got -1", None),
     "oracle-check --trials 0": (1, "trials must be an integer >= 1, got 0", None),
+    "oracle-check --trials 1000001": (1, "trials must be at most 1000000, got 1000001", None),
     # paths
     "plan --data /nonexistent/file.csv": (1, "no such file: /nonexistent/file.csv", None),
     "plan": (1, "provide --data or --val (optionally with --test)", None),

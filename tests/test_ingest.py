@@ -276,11 +276,11 @@ def _outcome(load):
             return type(exc).__name__, str(exc), getattr(exc, "row", None)
     ref = ds.reference
     tests = np.array([f.values for f in ds.test_features])
-    return ref.feature_matrix().tobytes(), ref.X.shape, ref.labels, ref.class_count, tests.tobytes(), ds.test_labels
+    return ref.feature_matrix().tobytes(), ref.X.shape, ref.labels, ref.class_count, tests.tobytes(), ds.test_X.shape, ds.test_labels
 
 
-# Files longer than one chunk of the C reader's line feed at a chunk of 302
-# characters (a body line "0.25,0.5,1,val" and its end take 15 or 16):
+# Files longer than one block of the C reader's line feed at a block of 302
+# bytes (a body line "0.25,0.5,1,val" and its end take 15 or 16):
 _ROW = "0.25,0.5,1,val"
 _CHUNKED = [
     # blank lines on both sides of the first boundary, then a bad label, then one more blank line
@@ -291,7 +291,7 @@ _CHUNKED = [
     # lone-CR then CRLF line ends on both sides of the first boundary
     HEADER + f"{_ROW}\r\n" * 10 + f"{_ROW}\r" * 10 + "\r\n\r" + f"{_ROW}\r\n" * 10 + "0.5,0.5,-1,val\r",
 ]
-# and a CRLF split by the text layer's first 8192-byte read, then a blank line and a bad label
+# and a CRLF split by the end of an 8192-byte block, then a blank line and a bad label
 _CRLF_AT_8192 = HEADER + " " * 15 + f"{_ROW}\r\n" * 520 + "\r\n0.5,0.5,x,val\r\n"
 assert _CRLF_AT_8192.encode()[8190:8193] == b"l\r\n"
 
@@ -301,9 +301,14 @@ assert _CRLF_AT_8192.encode()[8190:8193] == b"l\r\n"
     text=csv_texts(),
     options=st.sampled_from([{}, {"class_count": 2}, {"class_count": 3}, {"is_probability": True}]),
     files=st.sampled_from(["data", "val", "val and test"]),
-    chunk=st.sampled_from([1, 40, core._CHUNK_CHARS]),
+    chunk=st.sampled_from([1, 40, core._BLOCK_BYTES]),
 )
-@example(text=_CRLF_AT_8192, options={}, files="data", chunk=core._CHUNK_CHARS)
+@example(text=_CRLF_AT_8192, options={}, files="data", chunk=8192)
+# a quoted header cell that holds a line end, after a quote inside a plain cell: only the row reader reads it
+@example(text='"f\n0",f1,label,split\n0.5,0.25,1,val\n', options={}, files="data", chunk=core._BLOCK_BYTES)
+@example(text='a"b,"c\nd",label,split\n0.5,0.25,1,val\n', options={}, files="data", chunk=core._BLOCK_BYTES)
+# quoted header cells on one line: the C path reads the file
+@example(text='"f0", "f1" ,label,"split"\n0.5,0.25,1,val\n', options={}, files="data", chunk=core._BLOCK_BYTES)
 @example(text=_CHUNKED[3], options={"class_count": 2}, files="val and test", chunk=302)
 @example(text=_CHUNKED[2], options={}, files="data", chunk=302)
 @example(text=_CHUNKED[1], options={}, files="val", chunk=302)
@@ -318,7 +323,7 @@ def test_column_read_agrees_with_the_row_reader(tmp_path_factory, text, options,
         "val and test": lambda: load_split_files(path, path, schema),
     }[files]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(core, "_CHUNK_CHARS", chunk)
+        mp.setattr(core, "_BLOCK_BYTES", chunk)
         got = _outcome(load)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_columns", lambda *args: None)
@@ -345,8 +350,12 @@ def test_well_formed_csv_is_read_as_columns_and_a_rejected_one_by_rows(tmp_path,
     read = []
     row_reader = core._csv_rows
     monkeypatch.setattr(core, "_csv_rows", lambda *args: read.append(1) or row_reader(*args))
-    quoted = HEADER.replace("\n", "\r\n") + '0.9,"0.1",0,val\r\n0.1,0.9,1,"test"\r\n'
-    assert load_dataset(_write(tmp_path, "q.csv", quoted)).test_labels == (1,)
+    for header in (HEADER.replace("\n", "\r\n"), '"f0","f1","label","split"\r\n'):  # quoted header cells too
+        quoted = header + '0.9,"0.1",0,val\r\n0.1,0.9,1,"test"\r\n'
+        assert load_dataset(_write(tmp_path, "q.csv", quoted)).test_labels == (1,)
+    # a test row's label cell of one space is blank: it is stripped, not handed to the row reader
+    spaced = HEADER + "0.9,0.1,0,val\n0.1,0.9, ,test\n0.2,0.8,,test\n"
+    assert load_dataset(_write(tmp_path, "s.csv", spaced)).test_labels is None
     assert read == []
     blank_cells = HEADER + "0.9,0.1,0,val\n,,,\n0.1,0.9,1,test\n"
     assert load_dataset(_write(tmp_path, "b.csv", blank_cells)).test_labels == (1,)
