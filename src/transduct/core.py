@@ -13,13 +13,14 @@ Canonical file formats:
 * JSON mirror: ``{"class_count": C, "reference": [{"features": [...],
   "label": i}, ...], "test": [{"features": [...], "label": i?}, ...]}``.
 
-Ingestion opens a file once. numpy's C reader reads a clean CSV body: one
-line per row, every label and split cell plainly valid. The row reader (the
-csv module) reads every other file and words every label, split and
-tokenising error. The first bad row in file order wins, and within a row the
-features are checked before the label and the split. A label is an optional
-minus sign and ASCII digits, or blank or ``?`` for none. Files are read as
-UTF-8; bytes that are not are a DatasetParseError.
+Ingestion opens a file once. numpy's C reader tokenises a clean CSV body,
+one line per row; the row reader (the csv module) reads every other file
+and words every tokenising error. Both read label and split cells by one
+rule, :func:`_row_label`. The first bad row in file order wins, and within a
+row the features are checked before the label and the split. A label is an
+optional minus sign and ASCII digits, or blank or ``?`` for none; a JSON
+feature is a JSON number. Files are read as UTF-8; bytes that are not are a
+DatasetParseError.
 """
 
 from __future__ import annotations
@@ -550,8 +551,6 @@ def _csv_rows(lines, schema: IngestionSchema, role: Optional[str]) -> _Table:
     return _finish(table, numbers, _first_bad_row(X, schema.is_probability), pending, "row")
 
 
-# bound with the package: numpy 2 loads np.char on first use, inside a CSV read
-_strip, _str_len = np.char.strip, np.char.str_len
 _BLOCK_BYTES = 1 << 16  # the line feed reads the file in blocks of about this many bytes
 
 
@@ -579,33 +578,14 @@ def _chunks(raw, counts: list):
             yield lines
 
 
-def _plain_label(cells: np.ndarray) -> np.ndarray:
-    """Where a label cell is blank, ``?`` or one ASCII digit: one byte at most, none of it whitespace."""
-    one = cells == cells.astype("S1")
-    return one & ((cells == b"") | (cells == b"?") | ((cells >= b"0") & (cells <= b"9")))
-
-
-def _narrow(cells: np.ndarray, width: int, exact) -> Optional[np.ndarray]:
-    """A copy of the C reader's S field ``cells``: ``S{width}`` where ``exact(cells)`` passes every
-    cell (an exact compare: there is nothing to strip), else stripped and as narrow as the longest
-    cell; None where a cell fills its field (it may have been cut)."""
-    if exact(cells).all():
-        return cells.astype(f"S{width}")
-    longest = int(_str_len(cells).max())
-    if longest >= cells.dtype.itemsize:
-        return None
-    return _strip(cells.astype(f"S{max(longest, 1)}"))
-
-
 def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Table]:
-    """The CSV at the binary file ``fh`` read by numpy's C reader, its body
-    rows numbered from 2, through :func:`_finish`; or None, for the row reader,
-    where the C reader rejects the body or finds none, the header line is not
-    one whole record, a line is blank or not a whole record, a line fails :func:`_chunks`,
-    or a label or split cell fills its field or fails the column filter. The
-    filter passes plain cases of :func:`_row_label`'s rule (1 to 18 ASCII
-    digits, below the class count; blank or ``?`` on a test row; ``val`` or
-    ``test``) and nothing it refuses: no byte past ASCII."""
+    """The CSV at the binary file ``fh`` tokenised by numpy's C reader, its
+    body rows numbered from 2, through :func:`_finish`; or None, for the row
+    reader, where the C reader rejects the body or finds none, the header line
+    is not one whole record, a line is blank or not a whole record, a line
+    fails :func:`_chunks`, a label or split cell fills its byte field (it may
+    have been cut), or :func:`_row_label` refuses a label and split cell pair
+    (bytes past ASCII included). That rule runs once per distinct pair."""
     counts = []
     lines = chain.from_iterable(_chunks(fh, counts))
     try:  # the header must be one whole record on its line: strict csv refuses a quoted cell left open
@@ -617,41 +597,47 @@ def _columns(fh, schema: IngestionSchema, role: Optional[str]) -> Optional[_Tabl
         return None
     width, feat_idx, label_idx, split_idx = _csv_header(iter([header]), role)
     d = len(feat_idx)
-    # each row's d floats side by side, then its label and split cells as bytes
-    offsets = {i: 8 * j for j, i in enumerate(feat_idx)} | {label_idx: 8 * d, split_idx: 8 * d + 19}
-    kinds = {label_idx: "S19", split_idx: "S5"}
-    names = [f"c{i}" for i in range(width)]
-    dtype = np.dtype({"names": names, "formats": [kinds.get(i, "f8") for i in range(width)],
-                      "offsets": [offsets[i] for i in range(width)], "itemsize": 8 * d + 24})
+    # each row's d floats side by side, then its label and split cells as 27 and 5 bytes (four uint64
+    # words): an int64 label with blanks round it, and "test", are read short of filling their fields
+    offsets = {i: 8 * j for j, i in enumerate(feat_idx)} | {label_idx: 8 * d, split_idx: 8 * d + 27}
+    kinds = {label_idx: "S27", split_idx: "S5"}
+    dtype = np.dtype({"names": [f"c{i}" for i in range(width)], "formats": [kinds.get(i, "f8") for i in range(width)],
+                      "offsets": [offsets[i] for i in range(width)], "itemsize": 8 * d + 32})
     try:  # every column is named: loadtxt then rejects rows of another width
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
     except ValueError:
         return None
-    if body.size == 0 or len(body) != sum(counts) - 1:
+    n = len(body)
+    if n == 0 or n != sum(counts) - 1:
         return None
-    X = np.ndarray((len(body), d), np.float64, body, 0, (dtype.itemsize, 8)).copy()
-    raw = _narrow(body[names[label_idx]], 1, _plain_label)
-    if split_idx is not None:
-        split = _narrow(body[names[split_idx]], 4, lambda cells: (cells == b"val") | (cells == b"test"))
-    del body  # the cells are copied: only X and two narrow byte columns are kept
-    if raw is None or split_idx is not None and split is None:
-        return None
-    blank = (raw == b"") | (raw == b"?")
-    digits, labels = _digit_labels(raw)
-    tests = np.full(len(X), role == "test")
-    plain = blank | digits
-    if split_idx is not None:
-        plain &= (split == b"val") | (split == b"test")
-        if role is None:
-            tests = split == b"test"
-    plain &= tests | ~blank  # a reference row needs a label
-    if schema.class_count is not None:
-        plain &= labels < schema.class_count
-    if not plain.all():
-        return None
-    numbers = np.arange(2, len(X) + 2)
+    X = np.ndarray((n, d), np.float64, body, 0, (dtype.itemsize, 8)).copy()
+    cells = np.zeros((n, 32), np.uint8)  # without a split column its 5 bytes are unset in the body
+    kept = 32 if split_idx is not None else 27
+    cells[:, :kept] = np.ndarray((n, kept), np.uint8, body, 8 * d, (dtype.itemsize, 1))
+    del body
+    words = cells.view(np.uint64)  # (n, 4)
+    # equal pairs have equal sums, so sort together; pairs of one sum may interleave, which only cuts more runs
+    order = np.argsort(words[:, 0] + words[:, 1] + words[:, 2] + words[:, 3])
+    ordered = np.take(words, order, axis=0)  # words[order] and .any(axis=1) below each took 3 to 8x as long
+    first = np.ones(n, bool)  # where a run of equal pairs starts
+    first[1:] = np.logical_or.reduce([ordered[1:, j] != ordered[:-1, j] for j in range(4)])
+    found = []
+    for row in order[first].tolist():
+        pair = cells[row].tobytes()
+        if pair[26] or pair[31]:  # a cell that fills its field may have been cut
+            return None
+        try:
+            label, split = pair[:27].rstrip(b"\0").decode("ascii"), pair[27:].rstrip(b"\0").decode("ascii")
+            found.append(_row_label(label, split if split_idx is not None else None, 0, schema.class_count, role))
+        except (UnicodeDecodeError, TransductError):
+            return None
+    values, flags = zip(*found)
+    run = np.empty(n, np.intp)  # each row's run
+    run[order] = np.cumsum(first) - 1
+    labels, tests = np.array(values, np.int64)[run], np.array(flags)[run]
+    numbers = np.arange(2, n + 2)
     return _finish(_Table(X, tests, labels), numbers, _first_bad_row(X, schema.is_probability), None, "row")
 
 
@@ -678,21 +664,6 @@ def _row_label(label: str, split: Optional[str], row_no: int, class_count, role)
     if (role or cell) == "val" and value < 0:
         raise SchemaError(f"reference row {row_no} has no label")
     return value, (role or cell) == "test"
-
-
-def _digit_labels(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which stripped label cells ``raw`` are 1 to 18 ASCII digits (so fit
-    int64), and their values (-1 elsewhere), read from the first 18 bytes of
-    each cell: a longer cell has more characters than digits there."""
-    width = min(raw.dtype.itemsize, 18)
-    codes = raw.view(np.uint8).reshape(len(raw), raw.dtype.itemsize)[:, :width] - np.uint8(ord("0"))
-    is_digit = codes < 10  # a pad NUL wraps round to 208
-    count = is_digit.sum(axis=1)
-    digits = (count == _str_len(raw)) & (count > 0)
-    labels = np.zeros(len(raw), np.int64)
-    for i in range(width):  # a digit cell ends in pad NULs
-        labels = np.where(is_digit[:, i], labels * 10 + codes[:, i], labels)
-    return digits, np.where(digits, labels, -1)
 
 
 def _not_utf8(data: bytes, start: int) -> str:
@@ -739,6 +710,16 @@ def _read_csv(path, schema: IngestionSchema, role: Optional[str]) -> _Table:
     return table
 
 
+def _json_features(cells: list, item: str) -> list[float]:
+    """The feature values ``cells`` of the JSON ``item`` as floats. Each must be a JSON number, an int
+    (not a bool) or a float, else a DatasetParseError names the item and the value's position; an int
+    past the float range reads as an infinity, as its digits would."""
+    for j, v in enumerate(cells):
+        if type(v) not in (int, float):  # json gives these two types to numbers and bool to true and false
+            raise DatasetParseError(f"{item}: feature {j} must be a number, got {v!r}")
+    return [float(str(v)) for v in cells]
+
+
 def _json_table(payload: dict, class_count: Optional[int], is_probability: bool) -> _Table:
     """A JSON dataset's reference items, each numbered from 0 in messages,
     then its test items the same way, up to the first bad one, through
@@ -754,10 +735,7 @@ def _json_table(payload: dict, class_count: Optional[int], is_probability: bool)
             for i, item in enumerate(items):
                 if not isinstance(item, dict) or not isinstance(item.get("features"), list):
                     raise DatasetParseError(f"{key} item {i}: expected an object with a 'features' list")
-                try:
-                    features = [float(str(v)) for v in item["features"]]
-                except ValueError as exc:
-                    raise DatasetParseError(str(exc), row=i) from None
+                features = _json_features(item["features"], f"{key} item {i}")
                 if not features:
                     raise DatasetParseError("feature vector must be non-empty", row=i)
                 d = d or len(features)
@@ -805,10 +783,10 @@ def load_dataset(path, schema: IngestionSchema = IngestionSchema()) -> LabeledDa
     with _opened(path) as fh:
         try:
             payload = json.loads(fh.read().decode())
-        except json.JSONDecodeError as exc:
-            raise DatasetParseError(f"invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise DatasetParseError(_not_utf8(exc.object, exc.start)) from None
+        except ValueError as exc:  # a decode error, or an int of more digits than int() reads
+            raise DatasetParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict) or "reference" not in payload:
         raise SchemaError("JSON dataset must be an object with a 'reference' list")
     class_count = payload.get("class_count", schema.class_count)

@@ -880,10 +880,24 @@ INGEST = {  # the ingest's typed errors: (content, IngestionSchema options, outc
     "csv-two-split-columns.csv": ("f0,split,f1,label, split\n0.9,val,0.1,0,test\n", {}, (SchemaError, "header has more than one 'split' column: ['f0', 'split', 'f1', 'label', 'split']")),
     "csv-header-not-utf8.csv": (b"f0,f1,lab\xe9l,split\n0.9,0.1,0,val\n", {}, (DatasetParseError, "row 1: not UTF-8: byte 0xe9 at offset 9")),
     "csv-no-feature-column.csv": ("label,split\n0,val\n", {}, (SchemaError, "no feature columns in header")),
+    # a JSON feature is a JSON number (Python's float() would read 10 and 1 from the first two strings)
+    "json-string-feature.json": ({"reference": [GOOD_ITEM, {"features": [0.5, "1_0"], "label": 1}]}, {},
+                                 (DatasetParseError, "reference item 1: feature 1 must be a number, got '1_0'")),
+    "json-digit-string-feature.json": ({"reference": [GOOD_ITEM], "test": [{"features": ["\u0661", 0.5]}]}, {},
+                                       (DatasetParseError, "test item 0: feature 0 must be a number, got '\u0661'")),
+    "json-true-feature.json": ({"reference": [{"features": [True, 0.0], "label": 0}]}, {},
+                               (DatasetParseError, "reference item 0: feature 0 must be a number, got True")),
+    "json-null-feature.json": ({"reference": [GOOD_ITEM, {"features": [0.5, None], "label": 1}]}, {},
+                               (DatasetParseError, "reference item 1: feature 1 must be a number, got None")),
+    # an integer past the float range is a number, read as an infinity
+    "json-huge-int-feature.json": ({"reference": [GOOD_ITEM, {"features": [0.5, -(10**400)], "label": 1}]}, {},
+                                   (DatasetParseError, "row 1: feature vector contains non-finite values: (0.5, -inf)")),
     "json-test-not-list.json": ({"reference": [GOOD_ITEM], "test": {}}, {}, (SchemaError, "JSON dataset: 'test' must be a list")),
     "json-empty-features.json": ({"reference": [{"features": [], "label": 0}]}, {}, (DatasetParseError, "row 0: feature vector must be non-empty")),
     "json-truncated.json": ('{"reference": [{"features": [0.9', {}, (DatasetParseError, "invalid JSON: ...")),
     "json-array.json": ([1, 2], {}, (SchemaError, "JSON dataset must be an object with a 'reference' list")),
+    # Python's int() reads at most 4,300 digits
+    "json-long-int.json": ('{"reference": [{"features": [0.5, ' + "1" * 5000 + '], "label": 0}]}', {}, (DatasetParseError, "invalid JSON: ...")),
 }
 FILE_TAKERS = {  # a column of the files family: a library call, or a command and the flag the path follows
     "load_dataset": lambda path, schema: load_dataset(path, schema),
