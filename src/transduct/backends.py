@@ -25,6 +25,7 @@ from .errors import (
     CompletionParseError,
     ContractError,
     CredentialError,
+    DegenerateInputError,
     RequestBudgetError,
     TransportError,
 )
@@ -165,7 +166,9 @@ class LocalAttentionBackend:
     keeps its own unit rows and one-hot labels, the attention keys and values.
     Its labels are those of Part 1 mapped to 0..c-1 over the c classes
     present there, ascending, which ``raw["classes"]`` names; the reply's
-    ``raw["class_probs"]`` are the attention values over them.
+    ``raw["class_probs"]`` are the attention values over them. A Part 1
+    row that renders as all zeros is a DegenerateInputError naming its line
+    from 1 (its ``index`` counts Part 1's rows from 0).
     """
 
     backend_id = "local-attention"
@@ -190,6 +193,11 @@ class LocalAttentionBackend:
             y = np.sort(parsed.y)
             classes = y[np.r_[True, y[1:] != y[:-1]]]  # np.unique would import numpy.ma (numpy 2), ~0.6 MB
             ref = ReferenceSet(parsed.X, _read_only(np.searchsorted(classes, parsed.y)), max(2, len(classes)))
+            try:
+                ref.unit_rows()  # the attention keys, kept on the set
+            except DegenerateInputError as exc:  # a row that renders as zeros, named by its line as a GrammarError is
+                message = f"Part 1 line {exc.index + 1} has zero norm; cosine similarity undefined"
+                raise DegenerateInputError(message, index=exc.index) from None
             if len(tail) == 1:
                 self._cache = (prompt[:cut], ref, classes)
         probs = nn_attention_classify(ref, row, self._scale)[: len(classes)]

@@ -236,13 +236,11 @@ def _cmd_gen_toy(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Every subcommand is named with its help; ``command`` is the one whose
+    flags are added (all of them for None, none for a name that is not a subcommand)."""
     # every formatter of the parser (add_argument makes one per flag) takes the width HelpFormatter would read
     fmt = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    data, selection, backend = (argparse.ArgumentParser(add_help=False, formatter_class=fmt) for _ in range(3))
-    _add_data_args(data)
-    _add_selection_args(selection)
-    _add_backend_args(backend)
     parser = argparse.ArgumentParser(
         prog="transduct",
         description="Transductive label propagation from a labeled reference set.",
@@ -252,54 +250,76 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of flag defaults (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *parents):
-        return sub.add_parser(name, help=help, parents=parents, formatter_class=fmt)
+    def subcommand(name, help, *add_shared):
+        """``name``'s parser with its shared flags added, or None where its flags are not added."""
+        if command not in (None, name):
+            sub.add_parser(name, help=help, add_help=False)
+            return None
+        p = sub.add_parser(name, help=help, formatter_class=fmt)
+        for add in add_shared:
+            add(p)
+        return p
 
-    p = command("plan", "emit the selection plan as JSON", data, selection)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_plan)
+    if p := subcommand("plan", "emit the selection plan as JSON", _add_data_args, _add_selection_args):
+        p.add_argument("--out", default="-")
+        p.set_defaults(func=_cmd_plan)
 
-    p = command("prompt", "render the two-part prompt for one test sample", data, selection)
-    p.add_argument("--test-index", type=int, default=0)
-    p.add_argument("--out-dir", help="write part1.txt/part2.txt here instead of stdout")
-    p.set_defaults(func=_cmd_prompt)
+    if p := subcommand("prompt", "render the two-part prompt for one test sample", _add_data_args, _add_selection_args):
+        p.add_argument("--test-index", type=int, default=0)
+        p.add_argument("--out-dir", help="write part1.txt/part2.txt here instead of stdout")
+        p.set_defaults(func=_cmd_prompt)
 
-    p = command("infer", "classify every test sample, JSONL with audit records", data, selection, backend)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_infer)
+    shared = (_add_data_args, _add_selection_args, _add_backend_args)
+    if p := subcommand("infer", "classify every test sample, JSONL with audit records", *shared):
+        p.add_argument("--out", default="-")
+        p.set_defaults(func=_cmd_infer)
 
-    p = command("evaluate", "run a use-case pipeline and report metrics", data, selection, backend)
-    p.add_argument("--use-case", choices=["error_detection", "accuracy_improvement"], required=True)
-    p.add_argument("--method", choices=["prompt", "knn", "ubknn"], default="prompt")
-    p.add_argument("--positive-class", type=int, default=1)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--metric", choices=["cosine", "euclidean"], default="cosine")
-    p.add_argument("--bags", type=int, default=11)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default="-")
-    p.set_defaults(func=_cmd_evaluate)
+    if p := subcommand("evaluate", "run a use-case pipeline and report metrics", *shared):
+        p.add_argument("--use-case", choices=["error_detection", "accuracy_improvement"], required=True)
+        p.add_argument("--method", choices=["prompt", "knn", "ubknn"], default="prompt")
+        p.add_argument("--positive-class", type=int, default=1)
+        p.add_argument("--k", type=int, default=5)
+        p.add_argument("--metric", choices=["cosine", "euclidean"], default="cosine")
+        p.add_argument("--bags", type=int, default=11)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--report", default="-")
+        p.set_defaults(func=_cmd_evaluate)
 
-    p = command("oracle-check", "run the attention property suites")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--s", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_oracle_check)
+    if p := subcommand("oracle-check", "run the attention property suites"):
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--s", type=float, default=1e-6)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="-")
+        p.set_defaults(func=_cmd_oracle_check)
 
-    p = command("gen-toy", "generate a seeded toy dataset CSV")
-    p.add_argument("--dataset", choices=["moons", "circles"], required=True)
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reference-fraction", type=float, default=0.5)
-    p.add_argument(
-        "--no-equalize-norms",
-        action="store_true",
-        help="skip the norm-equalizing third coordinate (accuracy_improvement needs one column per class)",
-    )
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_toy)
+    if p := subcommand("gen-toy", "generate a seeded toy dataset CSV"):
+        p.add_argument("--dataset", choices=["moons", "circles"], required=True)
+        p.add_argument("--n", type=int, default=200)
+        p.add_argument("--noise", type=float, default=0.05)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--reference-fraction", type=float, default=0.5)
+        p.add_argument(
+            "--no-equalize-norms",
+            action="store_true",
+            help="skip the norm-equalizing third coordinate (accuracy_improvement needs one column per class)",
+        )
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_gen_toy)
     return parser
+
+
+_COMMANDS = ("plan", "prompt", "infer", "evaluate", "oracle-check", "gen-toy")
+
+
+def _named_command(argv) -> str:
+    """The first argument of ``argv`` that names a subcommand and is not the value of ``--config``
+    (or of a prefix of it, which argparse takes too), or "" if there is none."""
+    after_config = False
+    for arg in argv:
+        if arg in _COMMANDS and not after_config:
+            return arg
+        after_config = len(arg) > 2 and "--config".startswith(arg)
+    return ""
 
 
 def _flag_value(action: argparse.Action, value):
@@ -337,8 +357,14 @@ def _config_defaults(path: str, sub: argparse.ArgumentParser) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    named = _named_command(argv)
+    parser = build_parser(named)
+    args, unknown = parser.parse_known_args(argv)
+    if args.command != named:  # argparse chose a subcommand whose flags were not added: add them all
+        parser = build_parser()
+    if unknown or args.command != named:
+        args = parser.parse_args(argv)  # and argparse's own error for an argument no parser took
     try:
         if args.config:
             (commands,) = [

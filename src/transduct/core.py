@@ -34,7 +34,7 @@ from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional
@@ -56,8 +56,11 @@ _LABEL_MAX = 2**63 - 1  # labels are kept as int64
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """An ordered, finite, non-empty vector of real feature values."""
+    """An ordered, finite, non-empty vector of real feature values. Slotted: an instance has no
+    ``__dict__`` and takes no weak reference."""
 
+    # slots declared here, not by slots=True, whose __setattr__ raises TypeError for a name that is not a field
+    __slots__ = ("values",)
     values: tuple[float, ...]
 
     def __post_init__(self):
@@ -79,15 +82,19 @@ class FeatureVector:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
+    def __getstate__(self):  # pickle and copy, with the state a __dict__ would hold
+        return {"values": self.values}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "values", state["values"])  # the frozen slot is set past __setattr__
+
 
 def _vectors(X: np.ndarray) -> tuple[FeatureVector, ...]:
-    """The rows of an already validated matrix as FeatureVectors, unchecked."""
-    vectors = []
-    for row in zip(*X.T.tolist()):  # rows as tuples of floats, built in C
-        f = object.__new__(FeatureVector)
-        f.__dict__["values"] = row
-        vectors.append(f)
-    return tuple(vectors)
+    """The rows of an already validated matrix as FeatureVectors, unchecked: blank instances,
+    then each ``values`` slot set through its descriptor, both by C-level maps."""
+    vectors = tuple(map(object.__new__, repeat(FeatureVector, len(X))))
+    any(map(FeatureVector.values.__set__, vectors, zip(*X.T.tolist())))  # rows as float tuples; any() drains it
+    return vectors
 
 
 def _first_bad_row(X: np.ndarray, is_probability: bool):

@@ -4,8 +4,9 @@ Grammar (one line per sample)::
 
     line   := "[" number (", " number)* "] is in class" (" " int)? "\\n"
 
-where ``number`` is a finite decimal number and ``int`` a non-negative
-integer of at most 19 significant digits (int64), both in ASCII digits.
+where ``number`` is a finite decimal number (``1e3``, ``-0.00`` and ``+1.0``
+read; ``_`` digit grouping does not) and ``int`` a non-negative integer of
+at most 19 significant digits (int64), both in ASCII digits.
 
 Part 1 holds the planned reference samples, one labeled line each, in plan
 order. Part 2 is a single unlabeled line for the test sample ending in the
@@ -213,7 +214,7 @@ def _parse_columns(text: str):
     if first is None or not text.isascii():
         return None
     d = first.group(1).count(", ") + 1
-    number = r"[^,\]\s\x1c-\x1e]*"
+    number = r"[^,\]\s\x1c-\x1e_]*"  # no "_": float would read "1_0" as 10
     row = re.compile(rf"^\[({number}(?:, {number}){{{d - 1}}})\] is in class 0*(\d{{1,19}})$", re.ASCII | re.MULTILINE)
     found = row.findall(text)
     if len(found) != text.count("\n"):
@@ -252,9 +253,9 @@ def parse_test_line(line: str, line_no: int) -> np.ndarray:
 
 
 def _parse_body(body: str, line_no: int) -> np.ndarray:
-    """The read-only row of a line's ``[...]`` body: finite numbers separated
-    by ``", "``, in ASCII digits (``float`` alone reads other scripts' digits)."""
-    if body.isascii():
+    """The read-only row of a line's ``[...]`` body: finite numbers separated by ``", "``, in
+    ASCII digits and with no ``_`` (``float`` alone reads other scripts' digits and "1_0" as 10)."""
+    if body.isascii() and "_" not in body:
         try:
             values = [float(v) for v in body.split(", ")]
             if all(map(math.isfinite, values)):

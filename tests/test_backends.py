@@ -126,6 +126,24 @@ class TestLocalBackend:
         backend = LocalAttentionBackend(BackendConfig(kind="local-attention", attention_scale=1e9))
         assert backend.complete(CompletionRequest(prompt)).raw["class_probs"] == pytest.approx([0.75, 0.25], abs=1e-6)
 
+    def test_a_part1_row_rendered_to_zeros_is_named_by_its_line(self):
+        # reference row 1 renders as [0.00, 0.00]; the plan (0, 2, 1) puts it on Part 1's third line
+        ref = ReferenceSet.build([[0.9, 0.1], [0.001, 0.002], [0.2, 0.8]], [0, 1, 1], 2)
+        plan = build_plan(ref, 1.0)
+        assert plan.ordered_indices == (0, 2, 1)
+        backend = make_backend(BackendConfig(kind="local-attention"))
+        for _ in range(2):  # a Part 1 that was refused is not kept
+            with pytest.raises(DegenerateInputError) as info:
+                classify(ref, fv(0.7, 0.3), plan, backend)
+            assert str(info.value) == "Part 1 line 3 has zero norm; cosine similarity undefined"
+            assert info.value.index == 2
+
+    def test_a_zero_part1_line_is_named_from_1(self):
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        prompt = "[0.00, 0.00] is in class 1\n[0.90, 0.10] is in class 0\n[0.50, 0.50] is in class\n"
+        with pytest.raises(DegenerateInputError, match="^Part 1 line 1 has zero norm"):
+            backend.complete(CompletionRequest(prompt))
+
     def test_grammar_error_on_bad_prompt(self):
         backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
         with pytest.raises(GrammarError):

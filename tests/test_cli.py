@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import transduct
-from transduct import KnnConfig, RunConfig
+from transduct import KnnConfig, RunConfig, cli
 from transduct.backends import prompt_hash
 from transduct.cli import build_parser, main
 from transduct.core import load_dataset
@@ -331,6 +331,22 @@ class TestConfigAndErrors:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["k"] == 4
 
+    @pytest.mark.parametrize("flag", ["--config", "--conf", "--c"])  # argparse takes a prefix of a flag too
+    def test_config_file_named_as_a_command(self, data_file, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "infer").write_text(json.dumps({"ratio": 0.5}))
+        assert main([flag, "infer", "plan", "--data", data_file]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 2
+
+    def test_a_command_the_scan_misses_is_parsed_by_the_whole_parser(self, data_file, capsys, monkeypatch):
+        # main builds the flags of the command it finds in argv; were argparse to choose another, it builds them all
+        monkeypatch.setattr(cli, "_named_command", lambda argv: "infer")
+        assert main(["plan", "--data", data_file, "--ratio", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--data", data_file, "--bogus"])
+        assert exc.value.code == 2 and capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus\n")
+
     def test_remote_html_error_page_exit_code(self, data_file, capsys, monkeypatch):
         import requests
 
@@ -454,6 +470,17 @@ class TestSurface:
             flags = [a for a in sub._actions if a.dest != "help"]
             assert [(a.option_strings[0], a.default) for a in flags] == SURFACE[name], name
             assert [a.option_strings[0] for a in flags if a.required] == REQUIRED.get(name, []), name
+
+    @pytest.mark.parametrize("name", [*SURFACE, "", "bogus"])
+    def test_a_parser_built_for_one_command_adds_its_flags_alone(self, name, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        whole, one = build_parser(), build_parser(name)
+        assert one.format_help() == whole.format_help()  # every subcommand named, with its help
+        (commands,) = [a.choices for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(commands) == list(SURFACE) == list(cli._COMMANDS)  # the names main looks for in argv
+        for command, sub in commands.items():
+            flags = [a.option_strings[0] for a in sub._actions]
+            assert flags == (["-h"] + [flag for flag, _ in SURFACE[command]] if command == name else []), command
 
     def test_top_level_help_lists_the_subcommands(self, capsys, monkeypatch):
         text = help_text(capsys, monkeypatch, 80)

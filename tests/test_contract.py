@@ -41,6 +41,7 @@ from transduct import (
 from transduct.attention import property_report, two_cluster_fixture
 from transduct.backends import LocalAttentionBackend, MockBackend, RateLimiter, RemoteBackend
 from transduct.core import load_split_files
+from transduct.prompt import parse_prompt
 from transduct.errors import (
     ContractError, CredentialError, DatasetParseError, DegenerateInputError, GrammarError, NumericError,
     RequestBudgetError, SchemaError, TokenBudgetError, TransductError, TransportError, ValidationError,
@@ -618,6 +619,28 @@ def classified(text):
     return label, audit.fallback, len(audit.completions)
 
 
+# --- prompt text: the local backend reads a number as float does, less its "_" digit grouping -----
+
+
+def parsed(prompt):
+    ref, row = parse_prompt(prompt)
+    return ref.X.tolist(), row.tolist()
+
+
+PROMPT_PARSERS = {  # Part 1 read at once, or line by line (with CRLF ends the columnar read declines)
+    "parse_prompt": parsed,
+    "parse_prompt-lines": lambda prompt: parsed(prompt.replace("\n", "\r\n")),
+}
+PROMPT_NUMBER_FORMS = {
+    "grouped Part 1 digits": ("[0.1_0, 0.90] is in class 0\n[0.80, 0.20] is in class 1\n[0.50, 0.50] is in class\n",
+                              (GrammarError, "line 1: malformed feature list [0.1_0, 0.90]")),
+    "grouped Part 2 digits": ("[0.10, 0.90] is in class 0\n[0.80, 0.20] is in class 1\n[0.5_0, 0.50] is in class\n",
+                              (GrammarError, "line 3: malformed feature list [0.5_0, 0.50]")),
+    "exponent and signs": ("[1e3, -0.00] is in class 0\n[+1.0, 0.20] is in class 1\n[0.50, 0.50] is in class\n",
+                           Value(([[1000.0, -0.0], [1.0, 0.2]], [0.5, 0.5]))),
+}
+
+
 # --- the attention kernel: finite at every scale, the cosine 1-NN label as it shrinks --------------
 
 KERNELS = {
@@ -734,6 +757,7 @@ LIBRARY_CELLS = unique_ids(
     + SWITCH_CELLS
     + grid("prompt", {"CompletionRequest.prompt": CompletionRequest}, PROMPT_FORMS)
     + grid("reply", {"classify": classified}, REPLY_FORMS)
+    + grid("prompt-number", PROMPT_PARSERS, PROMPT_NUMBER_FORMS)
     + grid("kernel", KERNELS, KERNEL_FORMS)
     + [pytest.param(call, None, outcome, id=f"error-path-{name}") for name, (call, outcome) in ERROR_PATHS.items()]
 )

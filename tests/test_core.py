@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +32,29 @@ class TestFeatureVector:
     @pytest.mark.parametrize("value", [np.True_, np.float32(0.5), np.int64(1), Fraction(1, 2)])
     def test_takes_numpy_scalars_and_other_reals(self, value):
         assert FeatureVector((0.5, value)).values == (0.5, value)
+
+    def test_equality_hash_and_repr(self):
+        f = FeatureVector((0.25, 0.75))
+        assert f == fv(0.25, 0.75) and hash(f) == hash(fv(0.25, 0.75)) == hash(((0.25, 0.75),))
+        assert f != fv(0.75, 0.25) and f != (0.25, 0.75)
+        assert repr(f) == "FeatureVector(values=(0.25, 0.75))"
+
+    @pytest.mark.parametrize("round_trip", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy])
+    def test_copies_are_equal(self, round_trip):
+        for f in (fv(0.25, 0.75), ReferenceSet.build([[0.25, 0.75]], [0], 2).features[0]):
+            g = round_trip(f)
+            assert g == f and type(g) is FeatureVector and g.values == (0.25, 0.75)
+            assert f.__reduce_ex__(2)[2] == {"values": (0.25, 0.75)}  # the state of an instance with a __dict__
+
+    def test_is_frozen_and_slotted(self):
+        f = fv(0.25, 0.75)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = (1.0,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.other = 1.0
+        assert not hasattr(f, "__dict__") and FeatureVector.__slots__ == ("values",)
+        with pytest.raises(TypeError):
+            weakref.ref(f)
 
     def test_argmax_tie_lowest_index(self):
         # the tie rule the base-classifier argmax and the local backend rely on
@@ -129,6 +156,31 @@ class TestCsvIngestion:
         assert ds.test_X.tolist() == [[0.3, 0.7]] and ds.test_y.tolist() == [1]
         assert ds.test_features == (fv(0.3, 0.7),) and ds.test_labels == (1,)
         assert "test_features" in vars(ds) and ds.test_features is ds.test_features
+
+
+class TestViews:
+    """ReferenceSet.features and LabeledDataset.test_features: one FeatureVector per matrix row."""
+
+    @pytest.mark.parametrize("m, d", [(1, 1), (3, 2), (200, 10)])
+    def test_each_view_is_its_rows_feature_vector(self, m, d):
+        rng = np.random.default_rng(m * d)
+        X = rng.normal(size=(m, d))
+        ref = ReferenceSet.build(X, np.arange(m) % 2, 2)
+        ds = LabeledDataset(ref, X[::-1], None)
+        for views, M in ((ref.features, ref.X), (ds.test_features, ds.test_X)):
+            assert type(views) is tuple and len(views) == m
+            assert views == tuple(FeatureVector.of(row) for row in M)
+            assert all(type(f) is FeatureVector and type(f.values) is tuple for f in views)
+            assert all(type(v) is float for f in views for v in f.values)
+
+    def test_error_detection_set_of_views_is_the_set_of_arrays(self):
+        rng = np.random.default_rng(3)
+        ref = ReferenceSet.build(rng.dirichlet(np.ones(3), size=500), rng.integers(0, 3, 500), 3)
+        views = derive_error_detection_set(list(ref.features), list(ref.labels))
+        arrays = derive_error_detection_set(ref.X, ref.y)
+        assert views.X.tobytes() == arrays.X.tobytes() and views.X.shape == arrays.X.shape
+        assert views.y.tobytes() == arrays.y.tobytes() and views.y.dtype == arrays.y.dtype
+        assert views.class_count == arrays.class_count == 2
 
 
 class TestLabeledDataset:

@@ -421,8 +421,10 @@ class TestPredict:
     def test_reference_row_rendered_to_zeros_keeps_its_message(self):
         ref = ReferenceSet.build([[0.9, 0.1], [0.001, 0.002], [0.1, 0.9]], [0, 0, 1], 2)
         cfg = RunConfig(backend=BackendConfig(kind="local-attention"), selection_ratio=1.0)
-        with pytest.raises(DegenerateInputError, match="zero-norm feature vector at index"):
+        # the local backend names the row by its Part 1 line: plan (0, 2, 1) renders row 1 last, as [0.00, 0.00]
+        with pytest.raises(DegenerateInputError) as info:
             list(predict(ref, [fv(0.7, 0.3)], cfg))
+        assert str(info.value) == "Part 1 line 3 has zero norm; cosine similarity undefined" and info.value.index == 2
 
     def test_reference_set_is_freed_after_a_local_run(self):
         rng = np.random.default_rng(5)
