@@ -166,9 +166,9 @@ class LocalAttentionBackend:
     keeps its own unit rows and one-hot labels, the attention keys and values.
     Its labels are those of Part 1 mapped to 0..c-1 over the c classes
     present there, ascending, which ``raw["classes"]`` names; the reply's
-    ``raw["class_probs"]`` are the attention values over them. A Part 1
-    row that renders as all zeros is a DegenerateInputError naming its line
-    from 1 (its ``index`` counts Part 1's rows from 0).
+    ``raw["class_probs"]`` are the attention values over them. A line that
+    renders as all zeros is a DegenerateInputError naming its line from 1
+    (its ``index`` counts Part 1's rows from 0, and is 0 for the test line).
     """
 
     backend_id = "local-attention"
@@ -200,7 +200,11 @@ class LocalAttentionBackend:
                 raise DegenerateInputError(message, index=exc.index) from None
             if len(tail) == 1:
                 self._cache = (prompt[:cut], ref, classes)
-        probs = nn_attention_classify(ref, row, self._scale)[: len(classes)]
+        try:
+            probs = nn_attention_classify(ref, row, self._scale)[: len(classes)]
+        except DegenerateInputError:  # a test line that renders as zeros, named by its line too
+            message = f"Part 2 line {ref.size + 1} has zero norm; cosine similarity undefined"
+            raise DegenerateInputError(message, index=0) from None
         labels = classes.tolist()
         return CompletionResponse(
             text=f" {labels[probs.argmax()]}",

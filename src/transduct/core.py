@@ -528,12 +528,11 @@ def _csv_header(fh, role: Optional[str]) -> tuple[int, list[int], int, Optional[
 
 
 def _csv_rows(lines, schema: IngestionSchema, role: Optional[str]) -> _Table:
-    """The row reader: the CSV ``lines`` (:func:`_decoded_lines`) read by the
-    csv module up to the first record it cannot take (a cell count other than
-    the header's, a feature Python ``float`` does not read, a cell past the
-    field limit, a line not UTF-8, a label or split :func:`_row_label` refuses),
-    through :func:`_finish`, with a refused row's features, checked first. A
-    record of blank cells is passed over."""
+    """The row reader: the CSV ``lines`` (:func:`_decoded_lines`) read by the csv module up to the first
+    record it cannot take (a cell count other than the header's, a feature that is not ASCII, holds ``_``
+    or Python ``float`` does not read, a cell past the field limit, a line not UTF-8, a label or split
+    :func:`_row_label` refuses), through :func:`_finish`, with a refused row's features, checked first.
+    A record of blank cells is passed over."""
     width, feat_idx, label_idx, split_idx = _csv_header(lines, role)
     values, numbers, tests, labels, pending = array("d"), array("q"), array("b"), array("q"), None
     try:
@@ -542,8 +541,11 @@ def _csv_rows(lines, schema: IngestionSchema, role: Optional[str]) -> _Table:
                 continue
             if len(row) != width:
                 raise DatasetParseError(f"expected {width} cells, got {len(row)}", row=row_no)
+            cells = [row[i] for i in feat_idx]
             try:
-                values.extend([float(row[i]) for i in feat_idx])
+                if bad := [cell for cell in cells if not cell.isascii() or "_" in cell]:  # float reads "1_0" as 10
+                    raise ValueError(f"could not convert string to float: {bad[0]!r}")
+                values.extend([float(cell) for cell in cells])  # a whole row or none of it
             except ValueError as exc:
                 raise DatasetParseError(str(exc), row=row_no) from None
             numbers.append(row_no)

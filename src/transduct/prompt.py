@@ -5,8 +5,8 @@ Grammar (one line per sample)::
     line   := "[" number (", " number)* "] is in class" (" " int)? "\\n"
 
 where ``number`` is a finite decimal number (``1e3``, ``-0.00`` and ``+1.0``
-read; ``_`` digit grouping does not) and ``int`` a non-negative integer of
-at most 19 significant digits (int64), both in ASCII digits.
+read; blanks and ``_`` digit grouping do not) and ``int`` a non-negative
+integer of at most 19 significant digits (int64), both in ASCII digits.
 
 Part 1 holds the planned reference samples, one labeled line each, in plan
 order. Part 2 is a single unlabeled line for the test sample ending in the
@@ -40,9 +40,15 @@ from .selection import SelectionPlan
 LABEL_CUE = "is in class"
 CHARS_PER_TOKEN = 4  # a prompt's token estimate: its characters / 4, rounded up
 
-# one labeled line, or each line of a text of them: (body, label less its leading zeros)
-_PART1_LINE = re.compile(r"^\[([^\]\n]*)\] is in class 0*(\d{1,19})$", re.ASCII | re.MULTILINE)
-_PART2_LINE = re.compile(r"^\[(?P<body>[^\]]*)\] is in class$")
+_NUMBER = r"[-+.0-9A-Za-z]+"  # ASCII, no blank, no "_" (float reads "1_0" as 10); float and the finite test decide the rest
+
+
+def _line(body: str) -> re.Pattern:
+    """The line grammar with ``body`` in its ``[...]``; a match's groups: the body, the label less its leading zeros."""
+    return re.compile(rf"^\[({body})\] is in class(?: 0*(\d{{1,19}}))?$", re.ASCII | re.MULTILINE)
+
+
+_LINE = _line(rf"{_NUMBER}(?:, {_NUMBER})*")
 
 
 @dataclass(frozen=True)
@@ -189,77 +195,65 @@ def parse_prompt(prompt: str) -> tuple[ReferenceSet, np.ndarray]:
     """Recover the reference set and the test row (read-only) of a prompt.
 
     Inverse of :func:`build_bundle` up to rendering precision; used by the
-    local attention backend. Lines are those of ``str.splitlines``. Part 1 is
-    read as columns in one pass; where that read rejects it, the per-line parse
-    names the first malformed line.
+    local attention backend. Lines are those of ``str.splitlines``, each
+    read as if it ended in ``"\\n"``. Part 1 is read as columns in one pass;
+    where it does not read, its first bad line is named.
     """
+    if not prompt.isascii() or any(end in prompt for end in "\r\x0b\x0c\x1c\x1d\x1e"):
+        prompt = "\n".join(prompt.splitlines()) + "\n"  # the other line ends of str.splitlines
     cut = prompt.rfind("\n", 0, len(prompt) - 1) + 1  # where the last line starts
-    tail = prompt[cut:].splitlines()
-    columns = _parse_columns(prompt[:cut]) if len(tail) == 1 else None
-    if columns is None:
-        lines = prompt.splitlines()
-        if len(lines) < 2:
-            raise GrammarError("prompt must contain at least one reference line and a test line")
-        columns, tail = _parse_lines(lines[:-1]), lines[-1:]
-    features, labels = columns
-    f_test = parse_test_line(tail[0], len(labels) + 1)
-    return ReferenceSet.build(features, labels, inferred_class_count(labels)), f_test
+    if not cut:
+        raise GrammarError("prompt must contain at least one reference line and a test line")
+    X, labels = _read_part1(prompt[:cut])
+    f_test = parse_test_line(prompt[cut:].removesuffix("\n"), len(labels) + 1)
+    return ReferenceSet.build(X, labels, inferred_class_count(labels)), f_test
 
 
-def _parse_columns(text: str):
-    """The features (an ``(m, d)`` array) and labels of ``text``, Part 1's lines each ending in ``"\\n"``, all
-    read at once, or None unless ``text`` is ASCII and each line matches the labeled-line grammar with ``d``
-    finite numbers. A number holds no character ``str.splitlines`` breaks at, so the lines are its lines."""
-    first = _PART1_LINE.match(text)
-    if first is None or not text.isascii():
-        return None
-    d = first.group(1).count(", ") + 1
-    number = r"[^,\]\s\x1c-\x1e_]*"  # no "_": float would read "1_0" as 10
-    row = re.compile(rf"^\[({number}(?:, {number}){{{d - 1}}})\] is in class 0*(\d{{1,19}})$", re.ASCII | re.MULTILINE)
-    found = row.findall(text)
-    if len(found) != text.count("\n"):
-        return None
-    bodies, labels = zip(*found)
-    try:
-        X = np.fromiter(map(float, ", ".join(bodies).split(", ")), np.float64, len(bodies) * d)
-    except ValueError:
-        return None
-    if not np.isfinite(X).all():
-        return None
-    X.flags.writeable = False  # shared by the reference set, not copied
-    return X.reshape(len(bodies), d), list(map(int, labels))
-
-
-def _parse_lines(lines: list[str]):
-    """The features and labels of Part 1 ``lines`` parsed line by line,
-    raising GrammarError at the first malformed one."""
-    features, labels = [], []
-    for line_no, line in enumerate(lines, start=1):
-        match = _PART1_LINE.match(line)
-        if match is None:
-            raise GrammarError(f"line {line_no} does not match the labeled-line grammar: {line!r}")
-        features.append(_parse_body(match.group(1), line_no))
-        labels.append(int(match.group(2)))
-    return features, labels
+def _read_part1(text: str) -> tuple[np.ndarray, list[int]]:
+    """The features (a read-only ``(m, d)`` array) and labels of Part 1 ``text``, its lines each ending in
+    ``"\\n"``, all read at once with ``d`` the first line's count of numbers; where that read fails, the
+    GrammarError, or for a line of another count the ContractError, of its first bad line."""
+    first = _LINE.match(text)
+    if first is not None:
+        d = first.group(1).count(", ") + 1
+        found = _line(rf"{_NUMBER}(?:, {_NUMBER}){{{d - 1}}}").findall(text)
+        if len(found) == text.count("\n"):
+            bodies, labels = zip(*found)
+            if "" not in labels:  # every line has its label
+                try:
+                    X = np.fromiter(map(float, ", ".join(bodies).split(", ")), np.float64, len(bodies) * d)
+                    if np.isfinite(X).all():
+                        X.flags.writeable = False  # shared by the reference set, not copied
+                        return X.reshape(len(bodies), d), list(map(int, labels))
+                except ValueError:
+                    pass
+    d = None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        width = len(_row(line, line_no, labeled=True))
+        d = d or width
+        if width != d:
+            raise ContractError(f"line {line_no} has {width} numbers, line 1 has {d}")
+    raise AssertionError("a Part 1 that does not read has a bad line")
 
 
 def parse_test_line(line: str, line_no: int) -> np.ndarray:
     """Test row (read-only float64) of a Part 2 line (without its line
     break), the prompt's ``line_no``-th line."""
-    match = _PART2_LINE.match(line)
-    if match is None:
-        raise GrammarError(f"final line does not match the test-line grammar: {line!r}")
-    return _parse_body(match.group("body"), line_no)
+    return _read_only(np.array(_row(line, line_no, labeled=False)))
 
 
-def _parse_body(body: str, line_no: int) -> np.ndarray:
-    """The read-only row of a line's ``[...]`` body: finite numbers separated by ``", "``, in
-    ASCII digits and with no ``_`` (``float`` alone reads other scripts' digits and "1_0" as 10)."""
-    if body.isascii() and "_" not in body:
+def _row(line: str, line_no: int, labeled: bool) -> list[float]:
+    """The numbers of a line, the prompt's ``line_no``-th, with a label or without one as ``labeled``
+    says, or the GrammarError naming it: off the line's shape, or a malformed feature list."""
+    match = _LINE.fullmatch(line)
+    if match is not None and (match.group(2) is not None) == labeled:
         try:
-            values = [float(v) for v in body.split(", ")]
+            values = [float(v) for v in match.group(1).split(", ")]
             if all(map(math.isfinite, values)):
-                return _read_only(np.array(values))
+                return values
         except ValueError:
             pass
-    raise GrammarError(f"line {line_no}: malformed feature list [{body}]")
+    shape = _line(r"[^\]]*").fullmatch(line)
+    if shape is None or (shape.group(2) is not None) != labeled:
+        raise GrammarError(f"line {line_no} does not match the {'labeled' if labeled else 'test'}-line grammar: {line!r}")
+    raise GrammarError(f"line {line_no}: malformed feature list [{shape.group(1)}]")

@@ -144,6 +144,15 @@ class TestLocalBackend:
         with pytest.raises(DegenerateInputError, match="^Part 1 line 1 has zero norm"):
             backend.complete(CompletionRequest(prompt))
 
+    def test_a_zero_part2_line_is_named_by_its_prompt_line(self):
+        backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
+        part1 = "[0.90, 0.10] is in class 0\n[0.10, 0.90] is in class 1\n"
+        for _ in range(2):  # parsed with Part 1, then read beside the cached Part 1
+            with pytest.raises(DegenerateInputError) as info:
+                backend.complete(CompletionRequest(part1 + "[0.00, 0.00] is in class\n"))
+            assert str(info.value) == "Part 2 line 3 has zero norm; cosine similarity undefined"
+            assert info.value.index == 0
+
     def test_grammar_error_on_bad_prompt(self):
         backend = LocalAttentionBackend(BackendConfig(kind="local-attention"))
         with pytest.raises(GrammarError):

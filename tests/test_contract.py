@@ -619,7 +619,7 @@ def classified(text):
     return label, audit.fallback, len(audit.completions)
 
 
-# --- prompt text: the local backend reads a number as float does, less its "_" digit grouping -----
+# --- prompt text: the local backend reads a number as float does, less blanks and "_" digit grouping
 
 
 def parsed(prompt):
@@ -627,9 +627,9 @@ def parsed(prompt):
     return ref.X.tolist(), row.tolist()
 
 
-PROMPT_PARSERS = {  # Part 1 read at once, or line by line (with CRLF ends the columnar read declines)
+PROMPT_PARSERS = {  # the prompt as built, with "\n" line ends, and with CRLF ends read as "\n"
     "parse_prompt": parsed,
-    "parse_prompt-lines": lambda prompt: parsed(prompt.replace("\n", "\r\n")),
+    "parse_prompt-crlf": lambda prompt: parsed(prompt.replace("\n", "\r\n")),
 }
 PROMPT_NUMBER_FORMS = {
     "grouped Part 1 digits": ("[0.1_0, 0.90] is in class 0\n[0.80, 0.20] is in class 1\n[0.50, 0.50] is in class\n",
@@ -638,6 +638,15 @@ PROMPT_NUMBER_FORMS = {
                               (GrammarError, "line 3: malformed feature list [0.5_0, 0.50]")),
     "exponent and signs": ("[1e3, -0.00] is in class 0\n[+1.0, 0.20] is in class 1\n[0.50, 0.50] is in class\n",
                            Value(([[1000.0, -0.0], [1.0, 0.2]], [0.5, 0.5]))),
+    # a number is written without blanks: float alone would read " 0.90" as 0.9
+    "padded Part 1 number": ("[0.10,  0.90] is in class 0\n[0.80, 0.20] is in class 1\n[0.50, 0.50] is in class\n",
+                             (GrammarError, "line 1: malformed feature list [0.10,  0.90]")),
+    "padded Part 1 first number": ("[0.10, 0.90] is in class 0\n[ 0.80, 0.20] is in class 1\n[0.50, 0.50] is in class\n",
+                                   (GrammarError, "line 2: malformed feature list [ 0.80, 0.20]")),
+    "padded Part 2 last number": ("[0.10, 0.90] is in class 0\n[0.80, 0.20] is in class 1\n[0.50, 0.50 ] is in class\n",
+                                  (GrammarError, "line 3: malformed feature list [0.50, 0.50 ]")),
+    "ragged Part 1": ("[0.10, 0.90] is in class 0\n[0.80, 0.20, 0.30] is in class 1\n[0.50, 0.50] is in class\n",
+                      (ContractError, "line 2 has 3 numbers, line 1 has 2")),
 }
 
 
@@ -901,6 +910,13 @@ INGEST = {  # the ingest's typed errors: (content, IngestionSchema options, outc
     "csv-plus-label.csv": (HEADER + "0.9,0.1,1,val\n0.1,0.9,+0,val\n", {}, (DatasetParseError, "row 3: non-integer label '+0'")),
     "csv-arabic-indic-test-label.csv": (HEADER + "0.9,0.1,0,val\n0.1,0.9,1,val\n0.5,0.5,\u0661,test\n", {}, (DatasetParseError, "row 4: non-integer label '\u0661'")),
     "csv-fullwidth-label.csv": (HEADER + "0.9,0.1,0,val\n0.1,0.9,\uff11,val\n", {}, (DatasetParseError, "row 3: non-integer label '\uff11'")),
+    # a CSV feature is ASCII with no "_", as numpy's C reader reads it (float() would read 10, 1 and 1 here)
+    "csv-underscore-feature.csv": (HEADER + "0.9,0.1,0,val\n1_0,0.9,1,val\n", {},
+                                   (DatasetParseError, "row 3: could not convert string to float: '1_0'")),
+    "csv-arabic-indic-feature.csv": (HEADER + "0.9,0.1,0,val\n\u0661,0.9,1,val\n", {},
+                                     (DatasetParseError, "row 3: could not convert string to float: '\u0661'")),
+    "csv-fullwidth-test-feature.csv": (HEADER + "0.9,0.1,0,val\n0.1,0.9,1,val\n0.5,\uff11,,test\n", {},
+                                       (DatasetParseError, "row 4: could not convert string to float: '\uff11'")),
     "csv-two-split-columns.csv": ("f0,split,f1,label, split\n0.9,val,0.1,0,test\n", {}, (SchemaError, "header has more than one 'split' column: ['f0', 'split', 'f1', 'label', 'split']")),
     "csv-header-not-utf8.csv": (b"f0,f1,lab\xe9l,split\n0.9,0.1,0,val\n", {}, (DatasetParseError, "row 1: not UTF-8: byte 0xe9 at offset 9")),
     "csv-no-feature-column.csv": ("label,split\n0,val\n", {}, (SchemaError, "no feature columns in header")),

@@ -416,7 +416,7 @@ class TestRoundTrip:
                 parse_test_line(bad, 2)
 
     def test_part1_line_of_words_is_a_grammar_error_naming_it(self):
-        # the columnar parse reads every body at once and declines; the per-line parse names the line
+        # Part 1 fails the read at once; the walk over its lines names the bad one
         prompt = "[0.10, 0.90] is in class 1\n[a, b] is in class 1\n[0.50, 0.50] is in class\n"
         with pytest.raises(GrammarError, match=re.escape("line 2: malformed feature list [a, b]")):
             parse_prompt(prompt)
@@ -469,7 +469,7 @@ class TestRoundTrip:
             parse_prompt(prompt)
 
 
-# --- the columnar Part 1 parse against the per-line parse ---------------------
+# --- parse_prompt against a per-line reader written from the grammar ----------------------------
 
 _GOOD_NUMBERS = ["0.50", "0.25", "-0.00", "1.00", "12.5", "0.125"]
 _ODD_NUMBERS = ["1_0", "١", "nan", "inf", "", "x", " 1.5", "1e5", "+1.0", "0.5 ", "１", "1,5"]
@@ -504,31 +504,57 @@ def prompts(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+def _grammar_outcome(prompt):
+    """What the line grammar makes of ``prompt``, read line by line as ``str.splitlines`` splits it:
+    (features, labels, test row), or the type of the error and the line it names (None for too few)."""
+    lines = prompt.splitlines()
+    if len(lines) < 2:
+        return GrammarError, None
+    rows, labels = [], []
+    for line_no, line in enumerate(lines, start=1):
+        head, cue, label = line.partition("] is in class")
+        numbers = head[1:].split(", ")
+        if line_no < len(lines):  # a labeled line: " " and ASCII digits, at most 19 past leading zeros
+            digits = label[1:]
+            if not (label[:1] == " " and digits.isascii() and digits.isdigit() and len(digits.lstrip("0")) <= 19):
+                return GrammarError, line_no
+        elif label:
+            return GrammarError, line_no
+        if not head.startswith("[") or not cue or "]" in head:
+            return GrammarError, line_no
+        # a number: ASCII, no blank and no "_", that float reads as a finite value
+        if not all(v.isascii() and not any(c.isspace() or c == "_" for c in v) for v in numbers):
+            return GrammarError, line_no
+        try:
+            values = [float(v) for v in numbers]
+        except ValueError:
+            return GrammarError, line_no
+        if not all(map(math.isfinite, values)):
+            return GrammarError, line_no
+        if rows and line_no < len(lines) and len(values) != len(rows[0]):
+            return ContractError, line_no
+        rows.append(values)
+        labels.append(int(label or 0))
+    return np.array(rows[:-1]).tobytes(), tuple(labels[:-1]), np.array(rows[-1]).tobytes()
+
+
 def _parse_outcome(prompt):
-    """What parse_prompt returns, or the type and message of what it raises."""
+    """What parse_prompt makes of ``prompt``, in the form of :func:`_grammar_outcome`."""
     try:
         ref, f_test = parse_prompt(prompt)
     except TransductError as exc:
-        return type(exc).__name__, str(exc)
+        named = re.search(r"\bline (\d+)", str(exc))
+        return type(exc), named and int(named.group(1))
     X = ref.feature_matrix()
-    return X.tobytes(), X.shape, ref.labels, ref.class_count, f_test.tobytes()
+    assert not X.flags.writeable and not f_test.flags.writeable
+    return X.tobytes(), ref.labels, f_test.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
 @given(prompt=prompts())
 @example(prompt="[0.10, 0.90] is in class " + "7" * 5000 + "\n[0.50, 0.50] is in class\n")
 @example(prompt="[0.10, 0.90] is in class " + "0" * 30 + "1\n[0.50, 0.50] is in class\n")
-def test_columnar_parse_agrees_with_the_per_line_parse(prompt):
-    got = _parse_outcome(prompt)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(prompt_module, "_parse_columns", lambda lines: None)
-        assert got == _parse_outcome(prompt)
-
-
-def test_rendered_part1_is_parsed_as_columns(imbalanced_ref, monkeypatch):
-    plan = build_plan(imbalanced_ref, 1.0, interleave_by_class=True)
-    prompt = build_bundle(imbalanced_ref, fv(0.55, 0.45), plan).prompt
-    monkeypatch.setattr(prompt_module, "_parse_lines", None)  # never called
-    ref_back, _ = parse_prompt(prompt)
-    assert ref_back.labels == tuple(imbalanced_ref.labels[i] for i in plan.ordered_indices)
-    assert not ref_back.feature_matrix().flags.writeable
+@example(prompt="[0.10,  0.90] is in class 0\n[0.50, 0.50 ] is in class\n")
+@example(prompt="[0.10, 0.90] is in class 0\r\n[0.80] is in class 1\r\n[0.50, 0.50] is in class")
+def test_parse_prompt_reads_as_the_line_grammar(prompt):
+    assert _parse_outcome(prompt) == _grammar_outcome(prompt)
