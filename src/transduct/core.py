@@ -529,7 +529,7 @@ def _csv_header(fh, role: Optional[str]) -> tuple[int, list[int], int, Optional[
 
 def _csv_rows(lines, schema: IngestionSchema, role: Optional[str]) -> _Table:
     """The row reader: the CSV ``lines`` (:func:`_decoded_lines`) read by the csv module up to the first
-    record it cannot take (a cell count other than the header's, a feature that is not ASCII, holds ``_``
+    record it cannot take (a cell count other than the header's, a feature that is not ASCII once stripped, holds ``_``
     or Python ``float`` does not read, a cell past the field limit, a line not UTF-8, a label or split
     :func:`_row_label` refuses), through :func:`_finish`, with a refused row's features, checked first.
     A record of blank cells is passed over."""
@@ -543,7 +543,7 @@ def _csv_rows(lines, schema: IngestionSchema, role: Optional[str]) -> _Table:
                 raise DatasetParseError(f"expected {width} cells, got {len(row)}", row=row_no)
             cells = [row[i] for i in feat_idx]
             try:
-                if bad := [cell for cell in cells if not cell.isascii() or "_" in cell]:  # float reads "1_0" as 10
+                if bad := [cell for cell in cells if not cell.strip().isascii() or "_" in cell]:  # float reads "1_0" as 10
                     raise ValueError(f"could not convert string to float: {bad[0]!r}")
                 values.extend([float(cell) for cell in cells])  # a whole row or none of it
             except ValueError as exc:

@@ -199,13 +199,12 @@ def parse_prompt(prompt: str) -> tuple[ReferenceSet, np.ndarray]:
     read as if it ended in ``"\\n"``. Part 1 is read as columns in one pass;
     where it does not read, its first bad line is named.
     """
-    if not prompt.isascii() or any(end in prompt for end in "\r\x0b\x0c\x1c\x1d\x1e"):
-        prompt = "\n".join(prompt.splitlines()) + "\n"  # the other line ends of str.splitlines
+    prompt = "\n".join(prompt.splitlines()) + "\n"  # every line end of str.splitlines as "\n"
     cut = prompt.rfind("\n", 0, len(prompt) - 1) + 1  # where the last line starts
     if not cut:
         raise GrammarError("prompt must contain at least one reference line and a test line")
     X, labels = _read_part1(prompt[:cut])
-    f_test = parse_test_line(prompt[cut:].removesuffix("\n"), len(labels) + 1)
+    f_test = parse_test_line(prompt[cut:-1], len(labels) + 1)
     return ReferenceSet.build(X, labels, inferred_class_count(labels)), f_test
 
 

@@ -224,7 +224,7 @@ def test_probability_check_agrees_with_the_row_by_row_reader(tmp_path_factory, s
 # fill or overflow the label field, NULs, and cells past the csv module's
 # field limit, on one line and across lines.
 _LONG_CELLS = [" " * csv.field_size_limit() + "0.5", '"0.5' + "\n" * csv.field_size_limit() + '"']
-_GOOD_FEATURES = ["0.25", "0.5", "3", "-0.0", "1e-3", " 0.75 ", '"0.125"', "\t1.5"]
+_GOOD_FEATURES = ["0.25", "0.5", "3", "-0.0", "1e-3", " 0.75 ", '"0.125"', "\t1.5", "\xa00.5"]
 _ODD_FEATURES = ['"1"2', '"1""2"', '"0.5\n"', "1_0", "\u0661", "nan", "inf", "", "x", "0x1p3", "1\x00", *_LONG_CELLS]
 _GOOD_LABELS = ["0", "1", "2", " 1 ", '"2"', "007"]
 _NO_LABELS = ["", "?", " ? "]
